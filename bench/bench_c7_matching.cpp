@@ -402,14 +402,14 @@ int main(int argc, char** argv) {
     const wire::Codec& bin = wire::binary_codec();
     for (const event::Event& e : stream) {
       const pubsub::PublishMsg pub{e, count};
-      xml_bytes += pubsub::wire_size(xml, pub);
-      bin_bytes += pubsub::wire_size(bin, pub);
+      xml_bytes += xml.size(pub);
+      bin_bytes += bin.size(pub);
       // The binary bytes must decode back to the same payload — the
       // reduction only counts if nothing is lost.
       BufWriter w;
-      pubsub::encode(w, bin, pub);
+      bin.encode(w, pub);
       BufReader r(w.data());
-      const auto back = pubsub::decode_publish(r, bin);
+      const auto back = bin.decode_publish(r);
       if (!back.is_ok() || back.value().event.to_xml_string() != e.to_xml_string()) {
         ++roundtrip_failures;
       }
@@ -421,8 +421,8 @@ int main(int argc, char** argv) {
       f.where("type", event::Op::kEq, "user-location")
           .where("user", event::Op::kPrefix, "user" + std::to_string(i % 64));
       const pubsub::SubscribeMsg sub{static_cast<std::uint64_t>(i), f};
-      xml_sub_bytes += pubsub::wire_size(xml, sub);
-      bin_sub_bytes += pubsub::wire_size(bin, sub);
+      xml_sub_bytes += xml.size(sub);
+      bin_sub_bytes += bin.size(sub);
     }
     const double pub_reduction =
         static_cast<double>(xml_bytes) / static_cast<double>(bin_bytes ? bin_bytes : 1);

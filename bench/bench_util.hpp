@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "wire/codec.hpp"
 
 namespace aa::bench {
 
@@ -185,12 +186,19 @@ inline unsigned threads_arg(int argc, char** argv) {
 
 /// Parses a `--codec <name>` argument pair: wire codec for sections
 /// that route through a SienaNetwork ("xml" or "binary").  Defaults to
-/// "xml" so snapshot baselines keep pricing the interop encoding.
-inline std::string codec_arg(int argc, char** argv) {
+/// XML so snapshot baselines keep pricing the interop encoding.  An
+/// unknown name prints wire::codec_from_name's message and exits 2.
+inline wire::WireCodec codec_arg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--codec") return argv[i + 1];
+    if (std::string(argv[i]) != "--codec") continue;
+    const auto codec = wire::codec_from_name(argv[i + 1]);
+    if (!codec.is_ok()) {
+      std::fprintf(stderr, "%s\n", codec.status().message().c_str());
+      std::exit(2);
+    }
+    return codec.value();
   }
-  return "xml";
+  return wire::WireCodec::kXml;
 }
 
 /// Parses a `--batch` flag: enable per-link batching (flush window 0 —

@@ -24,8 +24,8 @@
 // Cost is proportional to the constraints *satisfied*, not the filters
 // *stored* — the sublinearity Carzaniga et al. require of a scalable
 // content-based router.  Every posting-list entry visited is one
-// "probe"; callers surface the probe count next to the naive path's
-// match_tests so benchmarks can show the reduction.
+// "probe"; callers surface the probe count so benchmarks can compare it
+// with the cost of a linear scan over the same filters.
 //
 // Attribute tables are keyed by interned AtomId (event/atom.hpp), so
 // walking an event's attributes probes the index with integer hashes —

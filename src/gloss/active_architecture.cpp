@@ -19,6 +19,11 @@ xml::Element service_config(const ServiceSpec& spec) {
   return config;
 }
 
+// Periods the facade runs with where they differ from the subsystem
+// defaults.
+constexpr SimDuration kStoreHealingPeriod = duration::seconds(30);
+constexpr SimDuration kAdvertPeriod = duration::seconds(20);
+
 }  // namespace
 
 ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
@@ -41,30 +46,21 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
       wire::codec_from_name(config_.codec).value_or(wire::WireCodec::kXml);
   bus_->set_codec(bus_codec);
   if (config_.batch_window_us >= 0) {
-    // Frames carry the overlay's negotiated form; with a uniform bus
-    // codec that is simply the configured one.
+    // Frames carry the bus codec.
     const wire::Codec& frame_codec = wire::codec(bus_codec);
     net_->enable_batching(config_.batch_window_us, [&frame_codec](auto sizes) {
       return frame_codec.frame_size(sizes);
     });
   }
-  if (config_.broker_aggregation) {
-    bus_->enable_aggregation(pubsub::BrokerAggregationParams{
-        config_.aggregation_attribute, config_.aggregation_groups});
-  }
 
   // --- Overlay + storage on every host.
-  overlay::OverlayNetwork::Params op;
-  op.maintenance_period = config_.overlay_maintenance;
-  overlay_ = std::make_unique<overlay::OverlayNetwork>(*net_, op);
+  overlay_ = std::make_unique<overlay::OverlayNetwork>(*net_);
   std::vector<sim::HostId> all_hosts;
   for (sim::HostId h = 0; h < config_.hosts; ++h) all_hosts.push_back(h);
   overlay_->build_ring(all_hosts);
 
   storage::ObjectStore::Params sp;
-  sp.replicas = config_.storage_replicas;
-  sp.promiscuous_cache = config_.promiscuous_cache;
-  sp.healing_period = config_.storage_healing_period;
+  sp.healing_period = kStoreHealingPeriod;
   store_ = std::make_unique<storage::ObjectStore>(*net_, *overlay_, sp);
 
   // --- Code push: thin servers everywhere, full capability grants.
@@ -113,14 +109,12 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
       });
 
   // --- Self-description and evolution.
-  advertiser_ = std::make_unique<deploy::ResourceAdvertiser>(*net_, *bus_,
-                                                             config_.advert_period);
+  advertiser_ = std::make_unique<deploy::ResourceAdvertiser>(*net_, *bus_, kAdvertPeriod);
   for (sim::HostId h : all_hosts) {
     advertiser_->advertise(h, region_of(h), {"run.matchlet", "run.storelet", "run.pipeline"});
   }
   deploy::EvolutionEngine::Params ep;
   ep.engine_host = 0;
-  ep.control_period = config_.evolution_period;
   evolution_ = std::make_unique<deploy::EvolutionEngine>(*net_, *bus_, *runtime_, *deployer_,
                                                          ep);
 
@@ -154,12 +148,7 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
 
   sched_.run_for(config_.settle_time);
 
-  // Shard only after settling: construction wires handlers and seeds
-  // periodic maintenance from root context, which is cheapest to leave
-  // on the sequential path.
-  if (config_.threads > 1) net_->set_threads(config_.threads);
-
-  if (config_.profiling) net_->enable_profiling(config_.profiling_retention);
+  if (config_.profiling) net_->enable_profiling();
   if (config_.timeline_interval > 0) {
     hub_.start_timeline(sched_, config_.timeline_interval, config_.timeline_retention);
   }

@@ -58,38 +58,14 @@ class ActiveArchitecture {
     std::size_t hosts = 32;
     int regions = 4;
     std::size_t brokers = 8;
-    /// Covering-based subscription merging on the event bus (DESIGN.md
-    /// §11): interior brokers carry one merged entry per partition
-    /// group instead of one per subscription.  Delivery sets are
-    /// unchanged; off by default to keep routed-message counts exact.
-    bool broker_aggregation = false;
-    std::string aggregation_attribute = "type";
-    std::size_t aggregation_groups = 8;
     std::uint64_t seed = 42;
-    int storage_replicas = 3;
-    bool promiscuous_cache = true;
-    SimDuration storage_healing_period = duration::seconds(30);
-    SimDuration overlay_maintenance = duration::seconds(30);
-    SimDuration advert_period = duration::seconds(20);
-    SimDuration evolution_period = duration::seconds(10);
     /// Virtual time the constructor runs forward to settle the overlay.
     SimDuration settle_time = duration::seconds(30);
-    /// Scheduler shards driving the simulation (Network::set_threads),
-    /// applied after the overlay has settled.  Determinism is pinned for
-    /// the event-bus / reliable-transport / durable-disk paths (the
-    /// chaos suite runs bit-identical at any shard count).  Leave at 1
-    /// for workloads that drive the object store, overlay routing or
-    /// pipelines concurrently: those subsystems still keep store-wide
-    /// tables that only the sequential scheduler may touch (DESIGN.md,
-    /// sharded scheduler — storage limitation).
-    unsigned threads = 1;
-    /// Opt-in scheduler profiling (Network::enable_profiling): per-shard
-    /// wall-clock attribution exported under "sched.*" in snapshots and
-    /// as Perfetto counter tracks.  Observation-only — digests are
-    /// unchanged with it on.
+    /// Opt-in scheduler profiling (Network::enable_profiling): wall-clock
+    /// attribution exported under "sched.*" in snapshots and as Perfetto
+    /// counter tracks.  Observation-only — digests are unchanged with it
+    /// on.
     bool profiling = false;
-    /// Ring-buffer cap on the profiler's periodic per-shard samples.
-    std::size_t profiling_retention = 4096;
     /// When > 0, the metrics hub snapshots every subsystem's stats at
     /// this virtual-time interval into a JSONL-exportable timeline.
     /// The periodic sampler keeps the scheduler non-empty: drive time
@@ -97,11 +73,9 @@ class ActiveArchitecture {
     SimDuration timeline_interval = 0;
     /// Ring-buffer cap on retained timeline entries (oldest drop first).
     std::size_t timeline_retention = 1024;
-    /// Wire codec for the event bus: "xml" (interop/golden default) or
-    /// "binary" (length-prefixed frames, DESIGN.md §12).  Applied as
-    /// every host's capability; per-link negotiation picks binary only
-    /// when both endpoints support it (override individual hosts via
-    /// bus().set_host_codec()).
+    /// Wire codec every link of the event bus speaks: "xml"
+    /// (interop/golden default) or "binary" (length-prefixed frames,
+    /// DESIGN.md §12).
     std::string codec = "xml";
     /// Per-link send batching flush window in microseconds of virtual
     /// time (Network::enable_batching).  < 0 disables batching (the
@@ -175,11 +149,6 @@ class ActiveArchitecture {
   /// hot path until then; see sim/network.hpp).
   void enable_tracing(std::uint64_t sample_every = 1) {
     net_->enable_tracing(sample_every);
-  }
-  /// Turns on per-shard scheduler profiling (see obs/profiler.hpp);
-  /// counters appear under "sched.*" in metrics snapshots.
-  void enable_profiling(std::size_t sample_retention = 4096) {
-    net_->enable_profiling(sample_retention);
   }
   /// Combined Chrome/Perfetto export: trace spans (if tracing) plus
   /// profiler counter tracks (if profiling) in one trace-event JSON.

@@ -107,7 +107,6 @@ inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
   reg.add(ns + ".deliveries", s.deliveries);
   reg.add(ns + ".subscriptions_forwarded", s.subscriptions_forwarded);
   reg.add(ns + ".subscriptions_suppressed", s.subscriptions_suppressed);
-  reg.add(ns + ".match_tests", s.match_tests);
   reg.add(ns + ".index_probes", s.index_probes);
   reg.add(ns + ".checkpoints", s.checkpoints);
   reg.add(ns + ".checkpoint_bytes", s.checkpoint_bytes);

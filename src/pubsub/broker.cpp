@@ -13,12 +13,34 @@ constexpr const char* kCkptBase = "broker.ckpt";
 constexpr std::uint64_t kAggregateTag = 1ULL << 63;
 }  // namespace
 
-Broker::Broker(sim::Network& net, sim::HostId host, std::string broker_proto,
-               std::string client_proto)
+BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
+  publications_routed += o.publications_routed;
+  deliveries += o.deliveries;
+  subscriptions_forwarded += o.subscriptions_forwarded;
+  subscriptions_suppressed += o.subscriptions_suppressed;
+  index_probes += o.index_probes;
+  checkpoints += o.checkpoints;
+  checkpoint_bytes += o.checkpoint_bytes;
+  recoveries += o.recoveries;
+  recovered_entries += o.recovered_entries;
+  sync_requests += o.sync_requests;
+  sync_replies += o.sync_replies;
+  sync_retries += o.sync_retries;
+  sync_give_ups += o.sync_give_ups;
+  aggregate_updates += o.aggregate_updates;
+  aggregate_retractions += o.aggregate_retractions;
+  aggregate_absorbed += o.aggregate_absorbed;
+  duplicate_publishes_discarded += o.duplicate_publishes_discarded;
+  return *this;
+}
+
+Broker::Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec,
+               std::string broker_proto, std::string client_proto)
     : net_(net),
       host_(host),
       broker_proto_(std::move(broker_proto)),
-      client_proto_(std::move(client_proto)) {}
+      client_proto_(std::move(client_proto)),
+      codec_(codec) {}
 
 void Broker::add_neighbour(sim::HostId broker_host) { neighbours_.insert(broker_host); }
 
@@ -114,7 +136,7 @@ void Broker::send_broker(sim::HostId neighbour, std::any body, std::size_t wire_
 void Broker::send_subscribe(sim::HostId neighbour, std::uint64_t id,
                             const event::Filter& filter) {
   SubscribeMsg msg{id, filter};
-  const std::size_t size = wire_size(codec_to(neighbour), msg);
+  const std::size_t size = codec().size(msg);
   send_broker(neighbour, std::any(std::move(msg)), size);
   ++stats_.subscriptions_forwarded;
 }
@@ -181,7 +203,7 @@ void Broker::handle_advertise(std::uint64_t id, const event::Filter& filter, Ifa
   for (sim::HostId n : neighbours_) {
     if (source.kind == Iface::Kind::kBroker && source.host == n) continue;
     send_broker(n, std::any(AdvertiseMsg{id, filter}),
-                wire_size(codec_to(n), AdvertiseMsg{id, filter}));
+                codec().size(AdvertiseMsg{id, filter}));
   }
   if (!advertisement_forwarding_) {
     checkpoint();
@@ -247,7 +269,7 @@ void Broker::handle_unsubscribe(std::uint64_t id, Iface source) {
     if (fwd == forwarded_.end() || !fwd->second.contains(id)) continue;
     fwd->second.erase(id);
     send_broker(n, std::any(UnsubscribeMsg{id}),
-                wire_size(codec_to(n), UnsubscribeMsg{id}));
+                codec().size(UnsubscribeMsg{id}));
 
     // The removed subscription may have been covering others.  Re-forward
     // in one batch: first collect every entry now uncovered in direction
@@ -390,7 +412,7 @@ void Broker::aggregate_retract(sim::HostId neighbour, std::size_t group) {
   if (fwd != forwarded_.end()) fwd->second.erase(aggregate_id(neighbour, group));
   ++stats_.aggregate_retractions;
   send_broker(neighbour, std::any(UnsubscribeMsg{aggregate_id(neighbour, group)}),
-              wire_size(codec_to(neighbour), UnsubscribeMsg{aggregate_id(neighbour, group)}));
+              codec().size(UnsubscribeMsg{aggregate_id(neighbour, group)}));
 }
 
 void Broker::rebuild_aggregates() {
@@ -449,18 +471,11 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   };
   {
     sim::Network::SpanScope match_span(net_, host_, "broker", "match");
-    if (indexed_matching_) {
-      std::vector<std::uint64_t> matched;
-      stats_.index_probes += index_.match(e, matched);
-      for (std::uint64_t id : matched) {
-        auto it = table_.find(id);
-        if (it != table_.end()) route_match(it->second);
-      }
-    } else {
-      for (const auto& [id, entry] : table_) {
-        ++stats_.match_tests;
-        if (entry.filter.matches(e)) route_match(entry);
-      }
+    std::vector<std::uint64_t> matched;
+    stats_.index_probes += index_.match(e, matched);
+    for (std::uint64_t id : matched) {
+      auto it = table_.find(id);
+      if (it != table_.end()) route_match(it->second);
     }
     if (match_span.active()) {
       match_span.annotate("type=" + e.type() + ";fwd=" + std::to_string(forward_to.size()) +
@@ -469,10 +484,10 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   }
   for (sim::HostId n : forward_to) {
     send_broker(n, std::any(PublishMsg{e, pub_id}),
-                wire_size(codec_to(n), PublishMsg{e, pub_id}));
+                codec().size(PublishMsg{e, pub_id}));
   }
   for (sim::HostId c : deliver_to) {
-    net_.send(host_, c, client_proto_, DeliverMsg{e}, wire_size(codec_to(c), DeliverMsg{e}));
+    net_.send(host_, c, client_proto_, DeliverMsg{e}, codec().size(DeliverMsg{e}));
     ++stats_.deliveries;
   }
 }
@@ -587,7 +602,7 @@ void Broker::send_sync_request(sim::HostId peer) {
   if (sync.delay == 0) sync.delay = dur_params_.sync_timeout;
   ++stats_.sync_requests;
   send_broker(peer, std::any(SyncRequestMsg{sync_round_}),
-              wire_size(codec_to(peer), SyncRequestMsg{sync_round_}));
+              codec().size(SyncRequestMsg{sync_round_}));
   sync.timer =
       net_.scheduler().after(sync.delay, [this, peer]() { on_sync_timeout(peer); });
 }
@@ -639,7 +654,7 @@ void Broker::handle_sync_request(sim::HostId peer, std::uint64_t round) {
     if (adv.source.kind == Iface::Kind::kBroker && adv.source.host == peer) continue;
     reply.advertisements.push_back(AdvertiseMsg{id, adv.filter});
   }
-  const std::size_t size = wire_size(codec_to(peer), reply);
+  const std::size_t size = codec().size(reply);
   send_broker(peer, std::any(std::move(reply)), size);
 }
 

@@ -40,8 +40,7 @@ struct BrokerStats {
   std::uint64_t deliveries = 0;
   std::uint64_t subscriptions_forwarded = 0;
   std::uint64_t subscriptions_suppressed = 0;  // covering prunes
-  std::uint64_t match_tests = 0;   // naive path: full filter evaluations
-  std::uint64_t index_probes = 0;  // indexed path: posting entries visited
+  std::uint64_t index_probes = 0;  // FilterIndex posting entries visited
   // Crash durability (enable_checkpoints / recover):
   std::uint64_t checkpoints = 0;        // routing-table checkpoint writes
   std::uint64_t checkpoint_bytes = 0;   // bytes issued for those writes
@@ -59,6 +58,9 @@ struct BrokerStats {
   /// only when a crash/fault overlap re-injected a processed packet
   /// (messages.hpp: PublishMsg::pub_id).
   std::uint64_t duplicate_publishes_discarded = 0;
+
+  /// Field-wise sum (overlay and shard-tier totals).
+  BrokerStats& operator+=(const BrokerStats& o);
 };
 
 /// Knobs for covering-based subscription merging (DESIGN.md §11).
@@ -82,12 +84,14 @@ struct BrokerDurabilityParams {
 
 class Broker {
  public:
-  /// `broker_proto`/`client_proto` default to the overlay-wide protocol
-  /// names; a BrokerShardRouter runs several independent overlays on
-  /// one simulated network by giving each shard a suffixed pair (the
-  /// network keeps one handler per (host, protocol)).
-  Broker(sim::Network& net, sim::HostId host, std::string broker_proto = kBrokerProto,
-         std::string client_proto = kClientProto);
+  /// `codec` is the bus-wide wire codec, owned by SienaNetwork and read
+  /// at every send, so a later SienaNetwork::set_codec reprices all
+  /// subsequent traffic.  `broker_proto`/`client_proto` default to the
+  /// overlay-wide protocol names; a BrokerShardRouter runs several
+  /// independent overlays on one simulated network by giving each shard
+  /// a suffixed pair (the network keeps one handler per (host, protocol)).
+  Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec,
+         std::string broker_proto = kBrokerProto, std::string client_proto = kClientProto);
 
   sim::HostId host() const { return host_; }
 
@@ -114,29 +118,12 @@ class Broker {
   void enable_aggregation(const BrokerAggregationParams& params);
   bool aggregation_enabled() const { return aggregation_; }
 
-  /// Selects the publication-matching path: the counting FilterIndex
-  /// (default) or the linear scan over the routing table, kept as the
-  /// correctness oracle.  Both paths produce identical delivery and
-  /// forwarding sets; they differ only in cost (stats().index_probes vs
-  /// stats().match_tests).
-  void set_indexed_matching(bool on) { indexed_matching_ = on; }
-  bool indexed_matching() const { return indexed_matching_; }
-
   /// Routes all broker-to-broker traffic through `transport` (ack +
   /// retry, sim/reliable.hpp) instead of raw datagrams, so forwarding
   /// survives link faults and partitions.  Client-facing sends are
   /// unaffected.  Wired up by SienaNetwork::enable_reliable_transport();
   /// nullptr restores the raw path.
   void set_transport(sim::ReliableTransport* transport) { transport_ = transport; }
-
-  /// Per-link codec negotiation table (wire/codec.hpp).  The map is
-  /// owned by SienaNetwork and shared across its brokers; nullptr (the
-  /// default) means XML everywhere.  Wire sizes of outgoing messages
-  /// are computed against codec_to(peer) at each send site.
-  void set_codec_map(const wire::CodecMap* codecs) { codecs_ = codecs; }
-  const wire::Codec& codec_to(sim::HostId peer) const {
-    return codecs_ != nullptr ? codecs_->link(host_, peer) : wire::xml_codec();
-  }
 
   /// Declares a neighbour broker (call on both endpoints; the overlay
   /// must remain acyclic — SienaNetwork enforces a tree).
@@ -208,6 +195,8 @@ class Broker {
 
   void send_subscribe(sim::HostId neighbour, std::uint64_t id, const event::Filter& filter);
 
+  const wire::Codec& codec() const { return wire::codec(codec_); }
+
   // --- Aggregation internals (enable_aggregation) ---
   /// The partition group a member filter belongs to.
   std::size_t group_of(const event::Filter& filter) const;
@@ -257,10 +246,9 @@ class Broker {
   sim::HostId host_;
   std::string broker_proto_;
   std::string client_proto_;
+  const wire::WireCodec& codec_;
   sim::ReliableTransport* transport_ = nullptr;
-  const wire::CodecMap* codecs_ = nullptr;
   bool advertisement_forwarding_ = false;
-  bool indexed_matching_ = true;
   bool aggregation_ = false;
   BrokerAggregationParams agg_params_;
   event::AtomId agg_atom_ = event::kNoAtom;
@@ -275,7 +263,7 @@ class Broker {
   std::set<sim::HostId> neighbours_;
   std::map<std::uint64_t, Entry> table_;
   // Predicate index over table_ filters; maintained alongside every
-  // table_ mutation so the matching path can be switched at any time.
+  // table_ mutation.
   event::FilterIndex index_;
   // Per neighbour: subscription ids we have forwarded to it.
   std::map<sim::HostId, std::set<std::uint64_t>> forwarded_;

@@ -33,7 +33,7 @@ std::uint64_t CentralService::subscribe(sim::HostId client, const event::Filter&
   const std::uint64_t id = next_sub_id_++;
   client_subs_[client].push_back(ClientSub{id, filter, std::move(deliver)});
   SubscribeMsg msg{id, filter};
-  const std::size_t size = wire_size(wire::xml_codec(), msg);
+  const std::size_t size = wire::xml_codec().size(msg);
   net_.send(client, server_, kBrokerProto, std::move(msg), size);
   return id;
 }
@@ -43,12 +43,12 @@ void CentralService::unsubscribe(sim::HostId client, std::uint64_t subscription_
   std::erase_if(client_subs_[client],
                 [&](const ClientSub& s) { return s.id == subscription_id; });
   net_.send(client, server_, kBrokerProto, UnsubscribeMsg{subscription_id},
-            wire_size(wire::xml_codec(), UnsubscribeMsg{subscription_id}));
+            wire::xml_codec().size(UnsubscribeMsg{subscription_id}));
 }
 
 void CentralService::publish(sim::HostId client, const event::Event& e) {
   PublishMsg pub{e};
-  const std::size_t size = wire_size(wire::xml_codec(), pub);
+  const std::size_t size = wire::xml_codec().size(pub);
   net_.send(client, server_, kBrokerProto, std::move(pub), size);
 }
 
@@ -62,20 +62,13 @@ void CentralService::on_server_message(const sim::Packet& packet) {
     server_index_.remove(unsub->id);
   } else if (const auto* pub = sim::packet_body<PublishMsg>(packet)) {
     std::set<sim::HostId> deliver_to;
-    if (indexed_matching_) {
-      std::vector<std::uint64_t> matched;
-      index_probes_ += server_index_.match(pub->event, matched);
-      for (std::uint64_t id : matched) {
-        auto it = server_subs_.find(id);
-        if (it != server_subs_.end()) deliver_to.insert(it->second.client);
-      }
-    } else {
-      for (const auto& [id, s] : server_subs_) {
-        ++match_tests_;
-        if (s.filter.matches(pub->event)) deliver_to.insert(s.client);
-      }
+    std::vector<std::uint64_t> matched;
+    index_probes_ += server_index_.match(pub->event, matched);
+    for (std::uint64_t id : matched) {
+      auto it = server_subs_.find(id);
+      if (it != server_subs_.end()) deliver_to.insert(it->second.client);
     }
-    const std::size_t size = wire_size(wire::xml_codec(), DeliverMsg{pub->event});
+    const std::size_t size = wire::xml_codec().size(DeliverMsg{pub->event});
     for (sim::HostId c : deliver_to) {
       net_.send(server_, c, kClientProto, DeliverMsg{pub->event}, size);
     }

@@ -27,15 +27,8 @@ class CentralService final : public EventService {
   void publish(sim::HostId client, const event::Event& e) override;
 
   sim::HostId server_host() const { return server_; }
-  std::uint64_t server_match_tests() const { return match_tests_; }
   std::uint64_t server_index_probes() const { return index_probes_; }
   std::uint64_t server_messages() const { return server_messages_; }
-
-  /// Selects the server's matching path: the counting FilterIndex
-  /// (default) or the naive scan over all subscriptions (the oracle;
-  /// its cost is the paper's scalability complaint about Elvin).
-  void set_indexed_matching(bool on) { indexed_matching_ = on; }
-  bool indexed_matching() const { return indexed_matching_; }
 
  private:
   struct ServerSub {
@@ -54,12 +47,10 @@ class CentralService final : public EventService {
 
   sim::Network& net_;
   sim::HostId server_;
-  bool indexed_matching_ = true;
   std::map<std::uint64_t, ServerSub> server_subs_;
   event::FilterIndex server_index_;
   std::map<sim::HostId, std::vector<ClientSub>> client_subs_;
   std::uint64_t next_sub_id_ = 1;
-  std::uint64_t match_tests_ = 0;
   std::uint64_t index_probes_ = 0;
   std::uint64_t server_messages_ = 0;
 };

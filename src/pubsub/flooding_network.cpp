@@ -44,7 +44,7 @@ std::uint64_t FloodingNetwork::subscribe(sim::HostId client, const event::Filter
   const std::uint64_t id = next_sub_id_++;
   state.subs.push_back(ClientSub{id, filter, std::move(deliver)});
   SubscribeMsg msg{id, filter};
-  const std::size_t size = wire_size(wire::xml_codec(), msg);
+  const std::size_t size = wire::xml_codec().size(msg);
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
   return id;
 }
@@ -53,13 +53,13 @@ void FloodingNetwork::unsubscribe(sim::HostId client, std::uint64_t subscription
   ClientState& state = clients_.at(client);
   std::erase_if(state.subs, [&](const ClientSub& s) { return s.id == subscription_id; });
   net_.send(client, state.access_broker, kBrokerProto, UnsubscribeMsg{subscription_id},
-            wire_size(wire::xml_codec(), UnsubscribeMsg{subscription_id}));
+            wire::xml_codec().size(UnsubscribeMsg{subscription_id}));
 }
 
 void FloodingNetwork::publish(sim::HostId client, const event::Event& e) {
   ClientState& state = clients_.at(client);
   PublishMsg pub{e};
-  const std::size_t size = wire_size(wire::xml_codec(), pub);
+  const std::size_t size = wire::xml_codec().size(pub);
   net_.send(client, state.access_broker, kBrokerProto, std::move(pub), size);
 }
 
@@ -86,7 +86,7 @@ void FloodingNetwork::on_broker_message(sim::HostId broker, const sim::Packet& p
 void FloodingNetwork::flood(sim::HostId at_broker, const event::Event& e,
                             std::optional<sim::HostId> arrival) {
   BrokerState& state = brokers_.at(at_broker);
-  const std::size_t size = wire_size(wire::xml_codec(), DeliverMsg{e});
+  const std::size_t size = wire::xml_codec().size(DeliverMsg{e});
   // Edge filtering: deliver to matching local clients.
   std::set<sim::HostId> deliver_to;
   for (const auto& [client, subs] : state.local) {

@@ -1,21 +1,14 @@
 // Wire messages of the pub/sub protocols.  Bodies travel as std::any in
 // simulator packets; the byte count charged to the network comes from
-// the link's negotiated wire::Codec (wire/codec.hpp) via the
-// wire_size() overloads below — no message computes its size anywhere
-// else (see sim/network.hpp for the accounting model).
+// the bus's wire::Codec (wire/codec.hpp) — no message computes its size
+// anywhere else (see sim/network.hpp for the accounting model).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/bytes.hpp"
-#include "common/status.hpp"
 #include "event/event.hpp"
 #include "event/filter.hpp"
-
-namespace aa::wire {
-class Codec;
-}  // namespace aa::wire
 
 namespace aa::pubsub {
 
@@ -74,38 +67,5 @@ struct SyncReplyMsg {
   std::vector<SubscribeMsg> subscriptions;
   std::vector<AdvertiseMsg> advertisements;
 };
-
-// Codec-backed wire sizes: the byte count a standalone datagram of the
-// message is charged on the link's negotiated codec.  For events the
-// underlying serialised length is computed once and cached in the
-// shared payload, so a broker forwarding to k neighbours sizes once,
-// not k times (whichever codec the links speak).
-std::size_t wire_size(const wire::Codec& c, const SubscribeMsg& m);
-std::size_t wire_size(const wire::Codec& c, const AdvertiseMsg& m);
-std::size_t wire_size(const wire::Codec& c, const UnsubscribeMsg& m);
-std::size_t wire_size(const wire::Codec& c, const PublishMsg& m);
-std::size_t wire_size(const wire::Codec& c, const DeliverMsg& m);
-std::size_t wire_size(const wire::Codec& c, const SyncRequestMsg& m);
-std::size_t wire_size(const wire::Codec& c, const SyncReplyMsg& m);
-
-// Real byte encode/decode of each message's body under a codec
-// (wire/codec.hpp holds the framing that wraps these).  The simulator
-// ships struct bodies and charges wire_size(); these are exercised at
-// the delivery edge and by the codec round-trip/golden/fuzz tests.
-void encode(BufWriter& w, const wire::Codec& c, const SubscribeMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const AdvertiseMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const UnsubscribeMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const PublishMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const DeliverMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const SyncRequestMsg& m);
-void encode(BufWriter& w, const wire::Codec& c, const SyncReplyMsg& m);
-
-Result<SubscribeMsg> decode_subscribe(BufReader& r, const wire::Codec& c);
-Result<AdvertiseMsg> decode_advertise(BufReader& r, const wire::Codec& c);
-Result<UnsubscribeMsg> decode_unsubscribe(BufReader& r, const wire::Codec& c);
-Result<PublishMsg> decode_publish(BufReader& r, const wire::Codec& c);
-Result<DeliverMsg> decode_deliver(BufReader& r, const wire::Codec& c);
-Result<SyncRequestMsg> decode_sync_request(BufReader& r, const wire::Codec& c);
-Result<SyncReplyMsg> decode_sync_reply(BufReader& r, const wire::Codec& c);
 
 }  // namespace aa::pubsub

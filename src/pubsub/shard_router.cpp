@@ -35,10 +35,6 @@ void BrokerShardRouter::attach_client(sim::HostId client_host) {
   for (auto& shard : shards_) shard->attach_client_nearest(client_host);
 }
 
-void BrokerShardRouter::set_indexed_matching(bool on) {
-  for (auto& shard : shards_) shard->set_indexed_matching(on);
-}
-
 void BrokerShardRouter::enable_reliable_transport(const sim::ReliableParams& params) {
   for (auto& shard : shards_) shard->enable_reliable_transport(params);
 }
@@ -104,27 +100,7 @@ void BrokerShardRouter::advertise(sim::HostId client, const event::Filter& filte
 
 BrokerStats BrokerShardRouter::total_broker_stats() const {
   BrokerStats total;
-  for (const auto& shard : shards_) {
-    const BrokerStats s = shard->total_broker_stats();
-    total.publications_routed += s.publications_routed;
-    total.deliveries += s.deliveries;
-    total.subscriptions_forwarded += s.subscriptions_forwarded;
-    total.subscriptions_suppressed += s.subscriptions_suppressed;
-    total.match_tests += s.match_tests;
-    total.index_probes += s.index_probes;
-    total.checkpoints += s.checkpoints;
-    total.checkpoint_bytes += s.checkpoint_bytes;
-    total.recoveries += s.recoveries;
-    total.recovered_entries += s.recovered_entries;
-    total.sync_requests += s.sync_requests;
-    total.sync_replies += s.sync_replies;
-    total.sync_retries += s.sync_retries;
-    total.sync_give_ups += s.sync_give_ups;
-    total.aggregate_updates += s.aggregate_updates;
-    total.aggregate_retractions += s.aggregate_retractions;
-    total.aggregate_absorbed += s.aggregate_absorbed;
-    total.duplicate_publishes_discarded += s.duplicate_publishes_discarded;
-  }
+  for (const auto& shard : shards_) total += shard->total_broker_stats();
   return total;
 }
 

@@ -74,7 +74,6 @@ class BrokerShardRouter final : public EventService {
   void attach_client(sim::HostId client_host);
 
   // Pass-throughs applied to every shard.
-  void set_indexed_matching(bool on);
   void enable_reliable_transport(const sim::ReliableParams& params = {});
   void enable_broker_checkpoints(sim::DurableDisk& disk,
                                  const BrokerDurabilityParams& params = {});

@@ -14,8 +14,7 @@ SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_ho
       client_proto_(std::string(kClientProto) + proto_suffix),
       stalled_(net.host_count()) {
   for (sim::HostId h : broker_hosts_) {
-    auto broker = std::make_unique<Broker>(net_, h, broker_proto_, client_proto_);
-    broker->set_codec_map(&codecs_);
+    auto broker = std::make_unique<Broker>(net_, h, codec_, broker_proto_, client_proto_);
     Broker* raw = broker.get();
     net_.register_handler(h, broker_proto_,
                           [raw](const sim::Packet& p) { raw->on_message(p); });
@@ -80,9 +79,9 @@ void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_hos
   // one, or events keep flowing to a broker the client no longer reads.
   for (const auto& [id, sub] : state.subs) {
     net_.send(client_host, previous, broker_proto_, UnsubscribeMsg{id},
-              wire_size(codecs_.link(client_host, previous), UnsubscribeMsg{id}));
+              codec().size(UnsubscribeMsg{id}));
     SubscribeMsg msg{id, sub.filter};
-    const std::size_t size = wire_size(codecs_.link(client_host, broker_host), msg);
+    const std::size_t size = codec().size(msg);
     net_.send(client_host, broker_host, broker_proto_, std::move(msg), size);
   }
 }
@@ -118,7 +117,7 @@ std::uint64_t SienaNetwork::subscribe(sim::HostId client, const event::Filter& f
   state.subs.emplace(id, ClientSub{filter, std::move(deliver)});
   state.index.add(id, filter);
   SubscribeMsg msg{id, filter};
-  const std::size_t size = wire_size(codecs_.link(client, state.access_broker), msg);
+  const std::size_t size = codec().size(msg);
   net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
   return id;
 }
@@ -128,8 +127,7 @@ void SienaNetwork::unsubscribe(sim::HostId client, std::uint64_t subscription_id
   state.subs.erase(subscription_id);
   state.index.remove(subscription_id);
   net_.send(client, state.access_broker, broker_proto_, UnsubscribeMsg{subscription_id},
-            wire_size(codecs_.link(client, state.access_broker),
-                      UnsubscribeMsg{subscription_id}));
+            codec().size(UnsubscribeMsg{subscription_id}));
 }
 
 void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
@@ -144,7 +142,7 @@ void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
   // run, so brokers can discard a publication a crash/fault overlap
   // re-injected (see PublishMsg::pub_id).
   PublishMsg pub{e, ++next_pub_id_};
-  const std::size_t size = wire_size(codecs_.link(client, state.access_broker), pub);
+  const std::size_t size = codec().size(pub);
   net_.send(client, state.access_broker, broker_proto_, std::move(pub), size);
 }
 
@@ -154,11 +152,6 @@ void SienaNetwork::set_advertisement_forwarding(bool on) {
 
 void SienaNetwork::enable_aggregation(const BrokerAggregationParams& params) {
   for (const auto& [h, broker] : brokers_) broker->enable_aggregation(params);
-}
-
-void SienaNetwork::set_indexed_matching(bool on) {
-  indexed_matching_ = on;
-  for (const auto& [h, broker] : brokers_) broker->set_indexed_matching(on);
 }
 
 void SienaNetwork::enable_reliable_transport(const sim::ReliableParams& params) {
@@ -252,7 +245,7 @@ void SienaNetwork::advertise(sim::HostId client, const event::Filter& filter) {
       event::Advertisement{id, "host-" + std::to_string(client), filter});
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
-  const std::size_t size = wire_size(codecs_.link(client, state.access_broker), msg);
+  const std::size_t size = codec().size(msg);
   net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
 }
 
@@ -263,7 +256,7 @@ void SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
   }
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
-  const std::size_t size = wire_size(codecs_.link(client, state.access_broker), msg);
+  const std::size_t size = codec().size(msg);
   net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
 }
 
@@ -283,25 +276,16 @@ void SienaNetwork::on_client_message(sim::HostId client_host, const sim::Packet&
     ev = &stamped;
   }
   // One network delivery per client; dispatch locally to each matching
-  // subscription's callback (in subscription-id order on both paths).
+  // subscription's callback, in subscription-id order.
   std::size_t dispatched = 0;
-  if (indexed_matching_) {
-    std::vector<std::uint64_t> matched;
-    it->second.index.match(msg->event, matched);
-    std::sort(matched.begin(), matched.end());
-    for (std::uint64_t id : matched) {
-      auto sub = it->second.subs.find(id);
-      if (sub != it->second.subs.end()) {
-        sub->second.deliver(*ev);
-        ++dispatched;
-      }
-    }
-  } else {
-    for (const auto& [id, sub] : it->second.subs) {
-      if (sub.filter.matches(msg->event)) {
-        sub.deliver(*ev);
-        ++dispatched;
-      }
+  std::vector<std::uint64_t> matched;
+  it->second.index.match(msg->event, matched);
+  std::sort(matched.begin(), matched.end());
+  for (std::uint64_t id : matched) {
+    auto sub = it->second.subs.find(id);
+    if (sub != it->second.subs.end()) {
+      sub->second.deliver(*ev);
+      ++dispatched;
     }
   }
   if (span.active()) span.annotate("subs=" + std::to_string(dispatched));
@@ -314,27 +298,7 @@ Broker* SienaNetwork::broker(sim::HostId host) {
 
 BrokerStats SienaNetwork::total_broker_stats() const {
   BrokerStats total;
-  for (const auto& [h, b] : brokers_) {
-    const BrokerStats& s = b->stats();
-    total.publications_routed += s.publications_routed;
-    total.deliveries += s.deliveries;
-    total.subscriptions_forwarded += s.subscriptions_forwarded;
-    total.subscriptions_suppressed += s.subscriptions_suppressed;
-    total.match_tests += s.match_tests;
-    total.index_probes += s.index_probes;
-    total.checkpoints += s.checkpoints;
-    total.checkpoint_bytes += s.checkpoint_bytes;
-    total.recoveries += s.recoveries;
-    total.recovered_entries += s.recovered_entries;
-    total.sync_requests += s.sync_requests;
-    total.sync_replies += s.sync_replies;
-    total.sync_retries += s.sync_retries;
-    total.sync_give_ups += s.sync_give_ups;
-    total.aggregate_updates += s.aggregate_updates;
-    total.aggregate_retractions += s.aggregate_retractions;
-    total.aggregate_absorbed += s.aggregate_absorbed;
-    total.duplicate_publishes_discarded += s.duplicate_publishes_discarded;
-  }
+  for (const auto& [h, b] : brokers_) total += b->stats();
   return total;
 }
 

@@ -45,11 +45,6 @@ class SienaNetwork final : public EventService {
   /// their access broker.  Enable before any subscribe/advertise calls.
   void set_advertisement_forwarding(bool on);
 
-  /// Selects indexed (default) or naive linear-scan matching on every
-  /// broker and for local client dispatch.  The naive path is the
-  /// correctness oracle; both deliver identical event sets.
-  void set_indexed_matching(bool on);
-
   /// Enables covering-based subscription merging on every broker
   /// (Broker::enable_aggregation): interior brokers forward one merged
   /// entry per (neighbour, partition group) instead of one per client
@@ -68,16 +63,12 @@ class SienaNetwork final : public EventService {
   void enable_reliable_transport(const sim::ReliableParams& params = {});
   sim::ReliableTransport* reliable_transport() { return transport_.get(); }
 
-  /// Wire codec negotiation (wire/codec.hpp).  set_codec switches the
-  /// whole service (every host capability) to `c`; set_host_codec
-  /// overrides a single host, e.g. a legacy XML-only client in an
-  /// otherwise binary overlay.  A link uses the binary codec only when
-  /// *both* endpoints advertise it, so mixed deployments degrade to XML
-  /// per link rather than per service.  Affects accounted wire sizes
-  /// only — message bodies stay in-memory structs in the simulator.
-  void set_codec(wire::WireCodec c) { codecs_.set_default(c); }
-  void set_host_codec(sim::HostId host, wire::WireCodec c) { codecs_.set_host(host, c); }
-  const wire::CodecMap& codec_map() const { return codecs_; }
+  /// The wire codec every link of this bus speaks (wire/codec.hpp; XML
+  /// by default).  May change at any time: each later send, client or
+  /// broker, is priced under the new codec.  Affects accounted wire
+  /// sizes only — message bodies stay in-memory structs in the
+  /// simulator.
+  void set_codec(wire::WireCodec c) { codec_ = c; }
 
   /// Checkpoints every broker's routing tables to `disk` and, with the
   /// reliable transport enabled, parks broker traffic the transport
@@ -147,6 +138,7 @@ class SienaNetwork final : public EventService {
   };
 
   void on_client_message(sim::HostId client_host, const sim::Packet& packet);
+  const wire::Codec& codec() const { return wire::codec(codec_); }
   ClientState& client_state(sim::HostId client_host);
 
   void on_transport_give_up(const sim::Packet& packet);
@@ -156,8 +148,7 @@ class SienaNetwork final : public EventService {
   std::vector<sim::HostId> broker_hosts_;
   std::string broker_proto_;
   std::string client_proto_;
-  wire::CodecMap codecs_;
-  bool indexed_matching_ = true;
+  wire::WireCodec codec_ = wire::WireCodec::kXml;
   std::unique_ptr<sim::ReliableTransport> transport_;
   sim::DurableDisk* disk_ = nullptr;
   std::uint64_t watcher_id_ = 0;

@@ -476,47 +476,3 @@ Result<std::vector<std::any>> decode_frame(const Codec& c,
 }
 
 }  // namespace aa::wire
-
-// Codec-backed message helpers (declared in pubsub/messages.hpp; they
-// live here so messages.hpp needs only a forward declaration of Codec).
-namespace aa::pubsub {
-
-std::size_t wire_size(const wire::Codec& c, const SubscribeMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const AdvertiseMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const UnsubscribeMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const PublishMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const DeliverMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const SyncRequestMsg& m) { return c.size(m); }
-std::size_t wire_size(const wire::Codec& c, const SyncReplyMsg& m) { return c.size(m); }
-
-void encode(BufWriter& w, const wire::Codec& c, const SubscribeMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const AdvertiseMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const UnsubscribeMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const PublishMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const DeliverMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const SyncRequestMsg& m) { c.encode(w, m); }
-void encode(BufWriter& w, const wire::Codec& c, const SyncReplyMsg& m) { c.encode(w, m); }
-
-Result<SubscribeMsg> decode_subscribe(BufReader& r, const wire::Codec& c) {
-  return c.decode_subscribe(r);
-}
-Result<AdvertiseMsg> decode_advertise(BufReader& r, const wire::Codec& c) {
-  return c.decode_advertise(r);
-}
-Result<UnsubscribeMsg> decode_unsubscribe(BufReader& r, const wire::Codec& c) {
-  return c.decode_unsubscribe(r);
-}
-Result<PublishMsg> decode_publish(BufReader& r, const wire::Codec& c) {
-  return c.decode_publish(r);
-}
-Result<DeliverMsg> decode_deliver(BufReader& r, const wire::Codec& c) {
-  return c.decode_deliver(r);
-}
-Result<SyncRequestMsg> decode_sync_request(BufReader& r, const wire::Codec& c) {
-  return c.decode_sync_request(r);
-}
-Result<SyncReplyMsg> decode_sync_reply(BufReader& r, const wire::Codec& c) {
-  return c.decode_sync_reply(r);
-}
-
-}  // namespace aa::pubsub

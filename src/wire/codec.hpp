@@ -1,8 +1,8 @@
 // Negotiable wire codecs for the pub/sub message set.
 //
-// PR 5 made XML a serialization-only concern (the golden SHA-1 pins the
-// byte form behind to_xml/parse); this layer makes the *choice* of wire
-// form a per-link property.  Two codecs exist:
+// XML is a serialization-only concern (the golden SHA-1 pins the byte
+// form behind to_xml/parse); this layer makes the *choice* of wire form
+// a property of the event bus.  Two codecs exist:
 //
 //   * kXml    — the interop/golden form.  Datagram sizes reproduce the
 //     pre-codec accounting formulas byte-for-byte (the chaos suite pins
@@ -16,9 +16,7 @@
 //     own.  Every size() here is the exact encoded length (asserted by
 //     tests), so traffic accounting equals real serialisation cost.
 //
-// Negotiation is capability-based (CodecMap): each host advertises the
-// newest codec it speaks, and a link uses binary only when both ends
-// do — a mixed overlay degrades pairwise to XML instead of partitioning.
+// One event bus speaks one codec on every link (SienaNetwork::set_codec).
 //
 // Framing: per-link batching (sim/network.hpp) coalesces packets for
 // one neighbour into a single physical frame; frame_size() gives the
@@ -37,7 +35,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -129,36 +126,5 @@ bool encode_member(BufWriter& w, const Codec& c, const std::any& body);
 Result<Bytes> encode_frame(const Codec& c, std::span<const std::any> bodies);
 Result<std::vector<std::any>> decode_frame(const Codec& c,
                                            std::span<const std::uint8_t> bytes);
-
-/// Per-host codec capabilities; a link speaks the best form *both*
-/// endpoints advertise.  Hosts are plain indices (sim::HostId widens
-/// to them) so this layer stays below the simulator.
-class CodecMap {
- public:
-  explicit CodecMap(WireCodec def = WireCodec::kXml) : default_(def) {}
-
-  void set_default(WireCodec c) {
-    default_ = c;
-    hosts_.clear();
-  }
-  void set_host(std::uint32_t host, WireCodec c) { hosts_[host] = c; }
-
-  WireCodec host(std::uint32_t h) const {
-    auto it = hosts_.find(h);
-    return it == hosts_.end() ? default_ : it->second;
-  }
-
-  /// The negotiated codec of link (a, b): binary iff both ends speak
-  /// binary, else the XML interop form.  Symmetric.
-  const Codec& link(std::uint32_t a, std::uint32_t b) const {
-    return host(a) == WireCodec::kBinary && host(b) == WireCodec::kBinary
-               ? binary_codec()
-               : xml_codec();
-  }
-
- private:
-  WireCodec default_;
-  std::unordered_map<std::uint32_t, WireCodec> hosts_;
-};
 
 }  // namespace aa::wire

@@ -3,7 +3,7 @@
 // golden byte fixture pinning the binary frame layout (the analogue of
 // the XML corpus SHA-1 pin), a truncation/corruption fuzz loop, the
 // legacy XML size formulas the chaos golden counters depend on, and
-// capability-based codec negotiation.
+// codec names.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -27,9 +27,6 @@ using event::Event;
 using event::Filter;
 using event::Op;
 using pubsub::AdvertiseMsg;
-using pubsub::decode_publish;
-using pubsub::decode_subscribe;
-using pubsub::decode_sync_reply;
 using pubsub::DeliverMsg;
 using pubsub::PublishMsg;
 using pubsub::SubscribeMsg;
@@ -135,10 +132,10 @@ template <typename Msg, typename Decode>
 void expect_exact_and_roundtrip(const Msg& m, Decode decode) {
   const Codec& bin = binary_codec();
   BufWriter w;
-  encode(w, bin, m);
+  bin.encode(w, m);
   // size() is the standalone datagram (one-member frame) cost; the body
   // written by encode() accounts for all of it but the fixed envelope.
-  EXPECT_EQ(wire_size(bin, m), 4 + varint_size(w.size()) + w.size());
+  EXPECT_EQ(bin.size(m), 4 + varint_size(w.size()) + w.size());
   BufReader r(w.data());
   auto back = decode(r, bin);
   ASSERT_TRUE(back.is_ok());
@@ -182,9 +179,9 @@ TEST(BinaryCodec, SizesAreExactAndBodiesRoundTrip) {
 
   // Field-level check on one representative kind.
   BufWriter w;
-  encode(w, bin, sub);
+  bin.encode(w, sub);
   BufReader r(w.data());
-  auto back = decode_subscribe(r, bin);
+  auto back = bin.decode_subscribe(r);
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().id, sub.id);
   EXPECT_EQ(back.value().filter.describe(), sub.filter.describe());
@@ -193,9 +190,9 @@ TEST(BinaryCodec, SizesAreExactAndBodiesRoundTrip) {
 TEST(BinaryCodec, BeatsXmlOnEverySampledMessage) {
   for (int i = 0; i < 10; ++i) {
     const PublishMsg pub{sample_event(i), static_cast<std::uint64_t>(i)};
-    EXPECT_LT(wire_size(binary_codec(), pub), wire_size(xml_codec(), pub));
+    EXPECT_LT(binary_codec().size(pub), xml_codec().size(pub));
     const SubscribeMsg sub{static_cast<std::uint64_t>(i), sample_filter(i)};
-    EXPECT_LT(wire_size(binary_codec(), sub), wire_size(xml_codec(), sub));
+    EXPECT_LT(binary_codec().size(sub), xml_codec().size(sub));
   }
 }
 
@@ -215,11 +212,11 @@ TEST(BinaryFrame, FrameSizeMatchesEncodedBytes) {
   const Codec& bin = binary_codec();
   const auto bodies = sample_bodies();
   std::vector<std::size_t> datagrams;
-  datagrams.push_back(wire_size(bin, std::any_cast<const SubscribeMsg&>(bodies[0])));
-  datagrams.push_back(wire_size(bin, std::any_cast<const PublishMsg&>(bodies[1])));
-  datagrams.push_back(wire_size(bin, std::any_cast<const DeliverMsg&>(bodies[2])));
-  datagrams.push_back(wire_size(bin, std::any_cast<const UnsubscribeMsg&>(bodies[3])));
-  datagrams.push_back(wire_size(bin, std::any_cast<const SyncRequestMsg&>(bodies[4])));
+  datagrams.push_back(bin.size(std::any_cast<const SubscribeMsg&>(bodies[0])));
+  datagrams.push_back(bin.size(std::any_cast<const PublishMsg&>(bodies[1])));
+  datagrams.push_back(bin.size(std::any_cast<const DeliverMsg&>(bodies[2])));
+  datagrams.push_back(bin.size(std::any_cast<const UnsubscribeMsg&>(bodies[3])));
+  datagrams.push_back(bin.size(std::any_cast<const SyncRequestMsg&>(bodies[4])));
 
   auto frame = encode_frame(bin, bodies);
   ASSERT_TRUE(frame.is_ok());
@@ -333,36 +330,36 @@ TEST(XmlCodec, LegacySizeFormulasArePinned) {
   const Codec& xml = xml_codec();
   const Filter f = sample_filter(1);
   const std::size_t filter_size = f.describe().size() + 16;
-  EXPECT_EQ(wire_size(xml, SubscribeMsg{1, f}), filter_size + 8);
-  EXPECT_EQ(wire_size(xml, AdvertiseMsg{1, f}), filter_size + 8);
-  EXPECT_EQ(wire_size(xml, UnsubscribeMsg{1}), 16u);
+  EXPECT_EQ(xml.size(SubscribeMsg{1, f}), filter_size + 8);
+  EXPECT_EQ(xml.size(AdvertiseMsg{1, f}), filter_size + 8);
+  EXPECT_EQ(xml.size(UnsubscribeMsg{1}), 16u);
   const Event e = sample_event(1);
-  EXPECT_EQ(wire_size(xml, PublishMsg{e, 7}), e.wire_size());
-  EXPECT_EQ(wire_size(xml, DeliverMsg{e}), e.wire_size());
-  EXPECT_EQ(wire_size(xml, SyncRequestMsg{1}), 16u);
+  EXPECT_EQ(xml.size(PublishMsg{e, 7}), e.wire_size());
+  EXPECT_EQ(xml.size(DeliverMsg{e}), e.wire_size());
+  EXPECT_EQ(xml.size(SyncRequestMsg{1}), 16u);
   SyncReplyMsg reply;
   reply.round = 1;
   reply.subscriptions.push_back(SubscribeMsg{1, f});
   reply.advertisements.push_back(AdvertiseMsg{2, f});
-  EXPECT_EQ(wire_size(xml, reply), 24 + 2 * (filter_size + 8));
+  EXPECT_EQ(xml.size(reply), 24 + 2 * (filter_size + 8));
 }
 
 TEST(XmlCodec, BodiesRoundTrip) {
   const Codec& xml = xml_codec();
   {
     BufWriter w;
-    encode(w, xml, PublishMsg{sample_event(2), 55});
+    xml.encode(w, PublishMsg{sample_event(2), 55});
     BufReader r(w.data());
-    auto back = decode_publish(r, xml);
+    auto back = xml.decode_publish(r);
     ASSERT_TRUE(back.is_ok());
     EXPECT_EQ(back.value().pub_id, 55u);
     EXPECT_EQ(back.value().event, sample_event(2));
   }
   {
     BufWriter w;
-    encode(w, xml, SubscribeMsg{9, sample_filter(3)});
+    xml.encode(w, SubscribeMsg{9, sample_filter(3)});
     BufReader r(w.data());
-    auto back = decode_subscribe(r, xml);
+    auto back = xml.decode_subscribe(r);
     ASSERT_TRUE(back.is_ok());
     EXPECT_EQ(back.value().id, 9u);
     EXPECT_EQ(back.value().filter.describe(), sample_filter(3).describe());
@@ -372,9 +369,9 @@ TEST(XmlCodec, BodiesRoundTrip) {
     SyncReplyMsg reply;
     reply.round = 4;
     reply.subscriptions.push_back(SubscribeMsg{1, sample_filter(0)});
-    encode(w, xml, reply);
+    xml.encode(w, reply);
     BufReader r(w.data());
-    auto back = decode_sync_reply(r, xml);
+    auto back = xml.decode_sync_reply(r);
     ASSERT_TRUE(back.is_ok());
     EXPECT_EQ(back.value().round, 4u);
     ASSERT_EQ(back.value().subscriptions.size(), 1u);
@@ -387,11 +384,11 @@ TEST(CrossCodec, DecodedPayloadsAreIdentical) {
   for (int i = 0; i < 8; ++i) {
     const PublishMsg pub{sample_event(i), static_cast<std::uint64_t>(i)};
     BufWriter wx, wb;
-    encode(wx, xml_codec(), pub);
-    encode(wb, binary_codec(), pub);
+    xml_codec().encode(wx, pub);
+    binary_codec().encode(wb, pub);
     BufReader rx(wx.data()), rb(wb.data());
-    auto px = decode_publish(rx, xml_codec());
-    auto pb = decode_publish(rb, binary_codec());
+    auto px = xml_codec().decode_publish(rx);
+    auto pb = binary_codec().decode_publish(rb);
     ASSERT_TRUE(px.is_ok());
     ASSERT_TRUE(pb.is_ok());
     EXPECT_EQ(px.value().event, pb.value().event);
@@ -400,7 +397,7 @@ TEST(CrossCodec, DecodedPayloadsAreIdentical) {
   }
 }
 
-// --- negotiation ---------------------------------------------------------
+// --- codec names ---------------------------------------------------------
 
 TEST(CodecNames, RoundTrip) {
   EXPECT_STREQ(codec_name(WireCodec::kXml), "xml");
@@ -410,24 +407,6 @@ TEST(CodecNames, RoundTrip) {
   ASSERT_TRUE(codec_from_name("xml").is_ok());
   EXPECT_EQ(codec_from_name("xml").value(), WireCodec::kXml);
   EXPECT_FALSE(codec_from_name("protobuf").is_ok());
-}
-
-TEST(CodecMap, LinkSpeaksBinaryOnlyWhenBothEndsDo) {
-  CodecMap map;
-  EXPECT_EQ(map.link(1, 2).id(), WireCodec::kXml);  // default default
-
-  map.set_default(WireCodec::kBinary);
-  EXPECT_EQ(map.link(1, 2).id(), WireCodec::kBinary);
-
-  // One legacy host degrades its links — and only its links — to XML.
-  map.set_host(2, WireCodec::kXml);
-  EXPECT_EQ(map.link(1, 2).id(), WireCodec::kXml);
-  EXPECT_EQ(map.link(2, 1).id(), WireCodec::kXml);  // symmetric
-  EXPECT_EQ(map.link(1, 3).id(), WireCodec::kBinary);
-
-  // set_default is a full reset: stale per-host overrides don't linger.
-  map.set_default(WireCodec::kBinary);
-  EXPECT_EQ(map.link(1, 2).id(), WireCodec::kBinary);
 }
 
 }  // namespace

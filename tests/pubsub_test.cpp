@@ -13,6 +13,7 @@
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/mobility.hpp"
 #include "pubsub/siena_network.hpp"
+#include "wire/codec.hpp"
 
 namespace aa::pubsub {
 namespace {
@@ -307,50 +308,83 @@ TEST(Siena, UnsubscribeReforwardBatchIsOrderIndependent) {
 }
 
 TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
-  // The FilterIndex path and the linear-scan oracle must produce the
-  // same deliveries for the same workload, at a fraction of the filter
-  // evaluations.
-  auto run = [&](bool indexed, BrokerStats& stats) {
-    Fixture f(64);
-    std::vector<sim::HostId> brokers{0, 1, 2, 3, 4, 5, 6, 7};
-    SienaNetwork ps(f.net, brokers);
-    ps.connect_tree();
-    ps.set_indexed_matching(indexed);
-    std::vector<std::string> log;
-    for (int s = 0; s < 24; ++s) {
-      Filter filt;
-      switch (s % 3) {
-        case 0: filt.where("topic", Op::kEq, "t" + std::to_string(s % 6)); break;
-        case 1: filt.where("value", Op::kGt, static_cast<double>(s)); break;
-        default: filt.where("name", Op::kPrefix, "n" + std::to_string(s % 2)); break;
-      }
-      const sim::HostId host = static_cast<sim::HostId>(20 + s);
-      ps.attach_client(host, brokers[static_cast<std::size_t>(s) % brokers.size()]);
-      ps.subscribe(host, filt, [&log, s](const Event& e) {
-        log.push_back(std::to_string(s) + ":" + e.describe());
-      });
+  // Brokers and client dispatch match through FilterIndex; the oracle is
+  // Filter::matches over the installed subscriptions.  Each client must
+  // receive exactly the oracle's events, in publish order, while the
+  // index probes fewer entries than a linear scan of every broker's
+  // table would test.
+  Fixture f(64);
+  std::vector<sim::HostId> brokers{0, 1, 2, 3, 4, 5, 6, 7};
+  SienaNetwork ps(f.net, brokers);
+  ps.connect_tree();
+  constexpr int kSubs = 24;
+  std::vector<Filter> filters;
+  std::vector<std::vector<std::string>> got(kSubs);
+  for (int s = 0; s < kSubs; ++s) {
+    Filter filt;
+    switch (s % 3) {
+      case 0: filt.where("topic", Op::kEq, "t" + std::to_string(s % 6)); break;
+      case 1: filt.where("value", Op::kGt, static_cast<double>(s)); break;
+      default: filt.where("name", Op::kPrefix, "n" + std::to_string(s % 2)); break;
     }
+    filters.push_back(filt);
+    const sim::HostId host = static_cast<sim::HostId>(20 + s);
+    ps.attach_client(host, brokers[static_cast<std::size_t>(s) % brokers.size()]);
+    ps.subscribe(host, filt, [&got, s](const Event& e) { got[s].push_back(e.describe()); });
+  }
+  f.sched.run();
+  ps.attach_client(50, 3);
+  std::vector<std::vector<std::string>> expected(kSubs);
+  for (int i = 0; i < 30; ++i) {
+    Event e("reading");
+    e.set("topic", "t" + std::to_string(i % 6))
+        .set("value", static_cast<double>(i))
+        .set("name", "n" + std::to_string(i % 3));
+    for (int s = 0; s < kSubs; ++s) {
+      if (filters[s].matches(e)) expected[s].push_back(e.describe());
+    }
+    ps.publish(50, e);
     f.sched.run();
-    ps.attach_client(50, 3);
-    for (int i = 0; i < 30; ++i) {
-      Event e("reading");
-      e.set("topic", "t" + std::to_string(i % 6))
-          .set("value", static_cast<double>(i))
-          .set("name", "n" + std::to_string(i % 3));
-      ps.publish(50, e);
-      f.sched.run();
-    }
-    stats = ps.total_broker_stats();
-    return log;
-  };
-  BrokerStats indexed_stats, naive_stats;
-  const auto indexed_log = run(true, indexed_stats);
-  const auto naive_log = run(false, naive_stats);
-  EXPECT_EQ(indexed_log, naive_log);
-  EXPECT_FALSE(indexed_log.empty());
-  EXPECT_EQ(naive_stats.index_probes, 0u);
-  EXPECT_EQ(indexed_stats.match_tests, 0u);
-  EXPECT_LT(indexed_stats.index_probes, naive_stats.match_tests);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(expected, std::vector<std::vector<std::string>>(kSubs));
+  // Tables are static while publishing, so a scan would have tested
+  // every entry of every table once per publication routed there.
+  std::uint64_t scan_cost = 0;
+  for (sim::HostId b : brokers) {
+    scan_cost += ps.broker(b)->stats().publications_routed * ps.broker(b)->table_size();
+  }
+  EXPECT_LT(ps.total_broker_stats().index_probes, scan_cost);
+}
+
+TEST(Siena, SetCodecAfterSubscribeRepricesEveryLink) {
+  // The codec is a bus-wide setting read at every send: switching it
+  // after subscriptions are installed must charge every later publish
+  // the binary size on every link it crosses (client -> access broker,
+  // broker -> broker, broker -> client).
+  Fixture f;
+  SienaNetwork ps(f.net, {0, 1, 2, 3});
+  ps.connect_tree();  // 0-1, 0-2, 1-3
+  ps.attach_client(10, 2);
+  ps.attach_client(11, 3);
+  int got = 0;
+  ps.subscribe(11, Filter().where("type", Op::kEq, "temperature"),
+               [&](const Event&) { ++got; });
+  f.sched.run();
+
+  ps.set_codec(wire::WireCodec::kBinary);
+  f.net.reset_stats();
+  const Event e = temp_event(21.0);
+  ps.publish(10, e);
+  f.sched.run();
+  ASSERT_EQ(got, 1);
+  // Path 10 -> 2 -> 0 -> 1 -> 3 -> 11: one client hop in, three broker
+  // hops, one delivery out.
+  const std::size_t publish = wire::binary_codec().size(PublishMsg{e, 1});
+  const std::size_t deliver = wire::binary_codec().size(DeliverMsg{e});
+  EXPECT_LT(publish, wire::xml_codec().size(PublishMsg{e, 1}));
+  EXPECT_EQ(f.net.stats().messages_sent, 5u);
+  EXPECT_EQ(f.net.stats().bytes_sent, 4 * publish + deliver);
 }
 
 TEST(Siena, RejectsCyclicOverlayLinks) {
@@ -428,44 +462,41 @@ TEST(Central, AllTrafficTouchesServer) {
 }
 
 TEST(Central, IndexedMatchingMatchesNaiveOracle) {
-  // Same workload under both server matching paths: identical
-  // deliveries, with the indexed path probing fewer candidates than
-  // the naive path tests.
-  auto run = [&](bool indexed, std::uint64_t& tests, std::uint64_t& probes) {
-    Fixture f(64);
-    CentralService ps(f.net, 0);
-    ps.set_indexed_matching(indexed);
-    std::vector<std::string> log;
-    for (int s = 0; s < 20; ++s) {
-      Filter filt;
-      if (s % 2 == 0) {
-        filt.where("topic", Op::kEq, "t" + std::to_string(s % 5));
-      } else {
-        filt.where("value", Op::kLe, static_cast<double>(s));
-      }
-      ps.subscribe(static_cast<sim::HostId>(10 + s), filt, [&log, s](const Event& e) {
-        log.push_back(std::to_string(s) + ":" + e.describe());
-      });
+  // The server matches through FilterIndex; the oracle is
+  // Filter::matches over the installed subscriptions.  Deliveries must
+  // agree per client, and the index must probe fewer entries than a
+  // scan of every subscription per publication would test.
+  Fixture f(64);
+  CentralService ps(f.net, 0);
+  constexpr int kSubs = 20;
+  constexpr int kPublishes = 25;
+  std::vector<Filter> filters;
+  std::vector<std::vector<std::string>> got(kSubs);
+  for (int s = 0; s < kSubs; ++s) {
+    Filter filt;
+    if (s % 2 == 0) {
+      filt.where("topic", Op::kEq, "t" + std::to_string(s % 5));
+    } else {
+      filt.where("value", Op::kLe, static_cast<double>(s));
     }
+    filters.push_back(filt);
+    ps.subscribe(static_cast<sim::HostId>(10 + s), filt,
+                 [&got, s](const Event& e) { got[s].push_back(e.describe()); });
+  }
+  f.sched.run();
+  std::vector<std::vector<std::string>> expected(kSubs);
+  for (int i = 0; i < kPublishes; ++i) {
+    Event e("reading");
+    e.set("topic", "t" + std::to_string(i % 5)).set("value", static_cast<double>(i));
+    for (int s = 0; s < kSubs; ++s) {
+      if (filters[s].matches(e)) expected[s].push_back(e.describe());
+    }
+    ps.publish(40, e);
     f.sched.run();
-    for (int i = 0; i < 25; ++i) {
-      Event e("reading");
-      e.set("topic", "t" + std::to_string(i % 5)).set("value", static_cast<double>(i));
-      ps.publish(40, e);
-      f.sched.run();
-    }
-    tests = ps.server_match_tests();
-    probes = ps.server_index_probes();
-    return log;
-  };
-  std::uint64_t indexed_tests = 0, indexed_probes = 0, naive_tests = 0, naive_probes = 0;
-  const auto indexed_log = run(true, indexed_tests, indexed_probes);
-  const auto naive_log = run(false, naive_tests, naive_probes);
-  EXPECT_EQ(indexed_log, naive_log);
-  EXPECT_FALSE(indexed_log.empty());
-  EXPECT_EQ(indexed_tests, 0u);
-  EXPECT_EQ(naive_probes, 0u);
-  EXPECT_LT(indexed_probes, naive_tests);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(expected, std::vector<std::vector<std::string>>(kSubs));
+  EXPECT_LT(ps.server_index_probes(), static_cast<std::uint64_t>(kPublishes) * kSubs);
 }
 
 // --- FloodingNetwork ---
