@@ -12,6 +12,58 @@ int hex_value(char c) {
   return -1;
 }
 constexpr char kHexChars[] = "0123456789abcdef";
+
+// A 160-bit ring value as three machine words, most significant first
+// (32 + 64 + 64 bits), so ring arithmetic is three subtractions with
+// borrow instead of a 20-step byte loop.  Member order makes the
+// defaulted comparison numeric.
+struct Limbs {
+  std::uint32_t hi;
+  std::uint64_t mid;
+  std::uint64_t lo;
+  auto operator<=>(const Limbs&) const = default;
+};
+
+template <typename Word>
+Word load_be(const std::uint8_t* p) {
+  Word v = 0;
+  for (std::size_t i = 0; i < sizeof(Word); ++i) v = static_cast<Word>((v << 8) | p[i]);
+  return v;
+}
+
+template <typename Word>
+void store_be(Word v, std::uint8_t* p) {
+  for (std::size_t i = sizeof(Word); i-- > 0;) {
+    p[i] = static_cast<std::uint8_t>(v);
+    v = static_cast<Word>(v >> 8);
+  }
+}
+
+Limbs load(const std::array<std::uint8_t, 20>& b) {
+  return {load_be<std::uint32_t>(b.data()), load_be<std::uint64_t>(b.data() + 4),
+          load_be<std::uint64_t>(b.data() + 12)};
+}
+
+Uid160 to_uid(const Limbs& l) {
+  std::array<std::uint8_t, 20> b;
+  store_be(l.hi, b.data());
+  store_be(l.mid, b.data() + 4);
+  store_be(l.lo, b.data() + 12);
+  return Uid160(b);
+}
+
+/// a - b (mod 2^160).
+Limbs sub(const Limbs& a, const Limbs& b) {
+  const std::uint64_t borrow_lo = a.lo < b.lo ? 1 : 0;
+  const std::uint32_t borrow_mid = (a.mid < b.mid || a.mid - b.mid < borrow_lo) ? 1 : 0;
+  return {a.hi - b.hi - borrow_mid, a.mid - b.mid - borrow_lo, a.lo - b.lo};
+}
+
+/// min(b - a, a - b) (mod 2^160): the shorter way round the ring.
+Limbs ring_min(const Limbs& a, const Limbs& b) {
+  const Limbs d = sub(b, a);
+  return std::min(d, sub(Limbs{0, 0, 0}, d));
+}
 }  // namespace
 
 Uid160 Uid160::from_hex(std::string_view hex, bool* ok) {
@@ -51,30 +103,17 @@ int Uid160::shared_prefix_digits(const Uid160& other) const {
 }
 
 Uid160 Uid160::ring_distance_cw(const Uid160& other) const {
-  // other - this (mod 2^160), big-endian subtraction with borrow.
-  std::array<std::uint8_t, 20> diff{};
-  int borrow = 0;
-  for (int i = 19; i >= 0; --i) {
-    int d = static_cast<int>(other.bytes_[static_cast<std::size_t>(i)]) -
-            static_cast<int>(bytes_[static_cast<std::size_t>(i)]) - borrow;
-    if (d < 0) {
-      d += 256;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    diff[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(d);
-  }
-  return Uid160(diff);
+  return to_uid(sub(load(other.bytes_), load(bytes_)));
 }
 
 Uid160 Uid160::ring_distance(const Uid160& other) const {
-  return std::min(ring_distance_cw(other), other.ring_distance_cw(*this));
+  return to_uid(ring_min(load(bytes_), load(other.bytes_)));
 }
 
 bool Uid160::closer_to(const Uid160& target, const Uid160& other) const {
-  const Uid160 mine = ring_distance(target);
-  const Uid160 theirs = other.ring_distance(target);
+  const Limbs t = load(target.bytes_);
+  const Limbs mine = ring_min(load(bytes_), t);
+  const Limbs theirs = ring_min(load(other.bytes_), t);
   if (mine != theirs) return mine < theirs;
   return *this < other;
 }

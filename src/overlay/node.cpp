@@ -1,6 +1,8 @@
 #include "overlay/node.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 namespace aa::overlay {
 
@@ -9,7 +11,7 @@ constexpr std::size_t kCandidatePool = 48;
 }
 
 OverlayNode::OverlayNode(sim::Network& net, NodeRef self, bool proximity_selection)
-    : net_(net), self_(self), proximity_selection_(proximity_selection) {}
+    : net_(net), self_(self), proximity_selection_(proximity_selection), span_lo_(self.id) {}
 
 bool OverlayNode::alive(const NodeRef& ref) const {
   return ref.valid() && net_.host_up(ref.host);
@@ -33,43 +35,59 @@ void OverlayNode::consider(const NodeRef& peer) {
     }
   }
 
-  rebuild_leaf(peer);
-}
-
-void OverlayNode::rebuild_leaf(const NodeRef& extra) {
-  // Maintain a bounded pool of known near peers; the leaf set is always
-  // recomputed from the pool so departures can be healed from it.
-  if (extra.valid() && extra.id != self_.id) {
-    auto it = std::find(candidates_.begin(), candidates_.end(), extra);
-    if (it != candidates_.end()) {
-      it->host = extra.host;  // refresh placement
-    } else {
-      candidates_.push_back(extra);
+  // Leaf candidate pool, ordered by clockwise distance from our id.
+  // Ids are distinct, so the order is total and a pooled peer sits
+  // exactly at its lower bound.
+  const Uid160 cw = self_.id.ring_distance_cw(peer.id);
+  auto it = std::lower_bound(candidates_.begin(), candidates_.end(), cw,
+                             [&](const NodeRef& p, const Uid160& d) {
+                               return self_.id.ring_distance_cw(p.id) < d;
+                             });
+  if (it != candidates_.end() && it->id == peer.id) {
+    if (it->host == peer.host) return;  // nothing new: the leaf set cannot change
+    it->host = peer.host;               // refresh placement
+  } else {
+    candidates_.insert(it, peer);
+    if (candidates_.size() > kCandidatePool) {
+      // Keep the ring-closest peers: drop the one furthest either way.
+      candidates_.erase(std::max_element(
+          candidates_.begin(), candidates_.end(), [&](const NodeRef& a, const NodeRef& b) {
+            return a.id.ring_distance(self_.id) < b.id.ring_distance(self_.id);
+          }));
     }
   }
-  // Trim the pool, keeping the ring-closest peers.
-  if (candidates_.size() > kCandidatePool) {
-    std::sort(candidates_.begin(), candidates_.end(), [&](const NodeRef& a, const NodeRef& b) {
-      return a.id.ring_distance(self_.id) < b.id.ring_distance(self_.id);
-    });
-    candidates_.resize(kCandidatePool);
-  }
+  rebuild_leaf();
+}
 
-  // L/2 nearest successors (clockwise from our id) and predecessors.
-  std::vector<NodeRef> cw = candidates_;
-  std::sort(cw.begin(), cw.end(), [&](const NodeRef& a, const NodeRef& b) {
-    return self_.id.ring_distance_cw(a.id) < self_.id.ring_distance_cw(b.id);
-  });
-  std::vector<NodeRef> ccw = candidates_;
-  std::sort(ccw.begin(), ccw.end(), [&](const NodeRef& a, const NodeRef& b) {
-    return a.id.ring_distance_cw(self_.id) < b.id.ring_distance_cw(self_.id);
-  });
+void OverlayNode::rebuild_leaf() {
+  // L/2 nearest successors (the pool's head) and predecessors (its
+  // tail, read backwards); a pool of fewer than L peers lists each once.
   const std::size_t half = kLeafSetSize / 2;
-  leaf_.clear();
-  for (std::size_t i = 0; i < std::min(half, cw.size()); ++i) leaf_.push_back(cw[i]);
-  for (std::size_t i = 0; i < std::min(half, ccw.size()); ++i) {
-    if (std::find(leaf_.begin(), leaf_.end(), ccw[i]) == leaf_.end()) leaf_.push_back(ccw[i]);
+  const std::size_t n = candidates_.size();
+  const std::size_t successors = std::min(half, n);
+  const std::size_t tail_end = std::max(successors, n - std::min(half, n));
+  leaf_.assign(candidates_.begin(),
+               candidates_.begin() + static_cast<std::ptrdiff_t>(successors));
+  for (std::size_t i = n; i > tail_end; --i) leaf_.push_back(candidates_[i - 1]);
+
+  // The furthest member on each half of the ring bounds the segment the
+  // leaf set covers.
+  NodeId lo = self_.id, hi = self_.id;
+  Uid160 best_cw, best_ccw;
+  for (const NodeRef& p : leaf_) {
+    const Uid160 dcw = self_.id.ring_distance_cw(p.id);
+    const Uid160 dccw = p.id.ring_distance_cw(self_.id);
+    if (dcw <= dccw && dcw >= best_cw) {
+      best_cw = dcw;
+      hi = p.id;
+    }
+    if (dccw < dcw && dccw >= best_ccw) {
+      best_ccw = dccw;
+      lo = p.id;
+    }
   }
+  span_lo_ = lo;
+  span_ = lo.ring_distance_cw(hi);
 }
 
 void OverlayNode::remove(const NodeId& id) {
@@ -78,8 +96,10 @@ void OverlayNode::remove(const NodeId& id) {
       if (slot.valid() && slot.id == id) slot = NodeRef{};
     }
   }
-  std::erase_if(candidates_, [&](const NodeRef& r) { return r.id == id; });
-  rebuild_leaf(NodeRef{});
+  // leaf_ is drawn from the pool, so it only changes if the pool did.
+  if (std::erase_if(candidates_, [&](const NodeRef& r) { return r.id == id; }) > 0) {
+    rebuild_leaf();
+  }
 }
 
 void OverlayNode::repair(const NodeRef& dead) {
@@ -88,46 +108,25 @@ void OverlayNode::repair(const NodeRef& dead) {
 }
 
 std::optional<NodeRef> OverlayNode::next_hop(const ObjectId& key) {
-  // Rule 1 — leaf-set rule.  Determine the ring segment the leaf set
-  // covers (furthest predecessor .. furthest successor, through self);
-  // if the key falls inside, the numerically closest member owns it.
+  // Rule 1 — leaf-set rule.  Dead members are repaired first (each
+  // repair heals the leaf set from the pool, which may surface another
+  // dead peer); then, if the key falls inside the ring segment the leaf
+  // set covers, the numerically closest member owns it.
   for (;;) {
-    NodeRef furthest_cw{}, furthest_ccw{};
-    Uid160 best_cw, best_ccw;
-    bool repaired = false;
+    const auto dead = std::find_if(leaf_.begin(), leaf_.end(),
+                                   [&](const NodeRef& p) { return !alive(p); });
+    if (dead == leaf_.end()) break;
+    repair(NodeRef(*dead));  // a copy: the repair rewrites leaf_
+  }
+  const bool in_range = leaf_.size() < kLeafSetSize ||  // sparse ring: leaf covers all
+                        span_lo_.ring_distance_cw(key) <= span_;
+  if (in_range) {
+    NodeRef best = self_;
     for (const NodeRef& p : leaf_) {
-      if (!alive(p)) {
-        repair(p);
-        repaired = true;
-        break;
-      }
-      const Uid160 dcw = self_.id.ring_distance_cw(p.id);
-      const Uid160 dccw = p.id.ring_distance_cw(self_.id);
-      if (dcw <= dccw && dcw >= best_cw) {
-        best_cw = dcw;
-        furthest_cw = p;
-      }
-      if (dccw < dcw && dccw >= best_ccw) {
-        best_ccw = dccw;
-        furthest_ccw = p;
-      }
+      if (p.id.closer_to(key, best.id)) best = p;
     }
-    if (repaired) continue;  // leaf changed; re-evaluate
-
-    const NodeId lo = furthest_ccw.valid() ? furthest_ccw.id : self_.id;
-    const NodeId hi = furthest_cw.valid() ? furthest_cw.id : self_.id;
-    const bool in_range = leaf_.empty() ||
-                          lo.ring_distance_cw(key) <= lo.ring_distance_cw(hi) ||
-                          leaf_.size() < kLeafSetSize;  // sparse ring: leaf covers all
-    if (in_range) {
-      NodeRef best = self_;
-      for (const NodeRef& p : leaf_) {
-        if (p.id.closer_to(key, best.id)) best = p;
-      }
-      if (best.id == self_.id) return std::nullopt;  // we are the root
-      return best;
-    }
-    break;
+    if (best.id == self_.id) return std::nullopt;  // we are the root
+    return best;
   }
 
   // Rule 2 — routing-table rule: strict prefix progress.
@@ -170,13 +169,21 @@ std::vector<NodeRef> OverlayNode::row_contacts(int shared) const {
 }
 
 std::vector<NodeRef> OverlayNode::replica_set(const ObjectId& key, int count) const {
-  std::vector<NodeRef> all = leaf_;
-  all.push_back(self_);
-  std::sort(all.begin(), all.end(), [&](const NodeRef& a, const NodeRef& b) {
-    return a.id.closer_to(key, b.id);
-  });
-  if (static_cast<int>(all.size()) > count) all.resize(static_cast<std::size_t>(count));
-  return all;
+  // Each member's distance to the key is computed once; sorting by
+  // (distance, id) is closer_to's order.
+  std::array<std::pair<Uid160, NodeRef>, kLeafSetSize + 1> ranked;
+  std::size_t n = 0;
+  ranked[n++] = {self_.id.ring_distance(key), self_};
+  for (const NodeRef& p : leaf_) ranked[n++] = {p.id.ring_distance(key), p};
+  std::sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(n),
+            [](const auto& a, const auto& b) {
+              return std::tie(a.first, a.second.id) < std::tie(b.first, b.second.id);
+            });
+  const std::size_t keep = std::min(n, static_cast<std::size_t>(std::max(count, 0)));
+  std::vector<NodeRef> out;
+  out.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) out.push_back(ranked[i].second);
+  return out;
 }
 
 std::vector<NodeRef> OverlayNode::known_peers() const {

@@ -12,7 +12,10 @@
 //     is kept; the C2 ablation compares PNS against first-come entries.
 //   * leaf set — the L/2 numerically closest nodes on each side of our
 //     id on the ring.  The leaf set determines root ownership: the root
-//     of a key is the live node numerically closest to it.
+//     of a key is the live node numerically closest to it.  It is read
+//     off a bounded pool of near peers kept in clockwise order from our
+//     id: successors are the pool's head, predecessors its tail read
+//     backwards, so upkeep costs what changed, not a re-sort.
 //
 // Liveness: a sender checks Network::host_up() before forwarding and
 // repairs its state when the candidate is dead.  This models per-hop
@@ -75,14 +78,19 @@ class OverlayNode {
  private:
   bool alive(const NodeRef& ref) const;
   void repair(const NodeRef& dead);
-  void rebuild_leaf(const NodeRef& extra);
+  void rebuild_leaf();
 
   sim::Network& net_;
   NodeRef self_;
   bool proximity_selection_;
   std::array<std::array<NodeRef, 16>, Uid160::kDigits> table_{};
-  std::vector<NodeRef> leaf_;        // sorted by id, excludes self
-  std::vector<NodeRef> candidates_;  // leaf candidate pool (bounded)
+  std::vector<NodeRef> leaf_;        // successors nearest first, then predecessors; excludes self
+  std::vector<NodeRef> candidates_;  // leaf candidate pool (bounded), by clockwise distance from self
+  // The ring segment leaf_ covers, for next_hop's leaf rule: it starts
+  // at the furthest counter-clockwise member and spans clockwise to the
+  // furthest clockwise one (self stands in for an empty side).
+  NodeId span_lo_;
+  Uid160 span_;
   NodeStats stats_;
 };
 

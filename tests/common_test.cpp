@@ -2,7 +2,10 @@
 // status/result, geographic primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/geo.hpp"
@@ -129,6 +132,74 @@ TEST(Uid160, CloserToIsTotalAndAntisymmetric) {
     const Uid160 t = rng.uid(), a = rng.uid(), b = rng.uid();
     if (a == b) continue;
     EXPECT_NE(a.closer_to(t, b), b.closer_to(t, a));
+  }
+}
+
+// The byte-at-a-time borrow loop the word-wide ring arithmetic
+// replaced, kept as its reference.
+Uid160 bytewise_ring_distance_cw(const Uid160& from, const Uid160& to) {
+  std::array<std::uint8_t, 20> diff{};
+  int borrow = 0;
+  for (std::size_t i = 20; i-- > 0;) {
+    int d = static_cast<int>(to.bytes()[i]) - static_cast<int>(from.bytes()[i]) - borrow;
+    borrow = d < 0 ? 1 : 0;
+    diff[i] = static_cast<std::uint8_t>(d + 256 * borrow);
+  }
+  return Uid160(diff);
+}
+
+Uid160 bytewise_ring_distance(const Uid160& a, const Uid160& b) {
+  return std::min(bytewise_ring_distance_cw(a, b), bytewise_ring_distance_cw(b, a));
+}
+
+bool bytewise_closer_to(const Uid160& self, const Uid160& target, const Uid160& other) {
+  const Uid160 mine = bytewise_ring_distance(self, target);
+  const Uid160 theirs = bytewise_ring_distance(other, target);
+  if (mine != theirs) return mine < theirs;
+  return self < other;
+}
+
+/// 2^bit, or 2^bit - 1 (every bit below `bit` set).
+Uid160 power_of_two(int bit, bool minus_one = false) {
+  std::array<std::uint8_t, 20> b{};
+  const auto set = [&b](int i) {
+    b[static_cast<std::size_t>(19 - i / 8)] |= static_cast<std::uint8_t>(1 << (i % 8));
+  };
+  if (!minus_one) set(bit);
+  for (int i = 0; minus_one && i < bit; ++i) set(i);
+  return Uid160(b);
+}
+
+TEST(Uid160, LimbArithmeticMatchesBytewiseReference) {
+  // Edge ids: 0, 1, 2^160-1, 2^159 and its neighbours, and 2^k, 2^k-1
+  // around both limb seams (bits 64 and 128) and the byte boundaries
+  // next to them, so every borrow chain across a seam is exercised.
+  std::vector<Uid160> ids = {Uid160{}, power_of_two(0), power_of_two(160, true),
+                             power_of_two(159), power_of_two(159, true)};
+  ids.push_back(power_of_two(159).with_digit(39, 1));
+  for (int bit : {7, 8, 56, 63, 64, 65, 72, 120, 127, 128, 129, 136}) {
+    ids.push_back(power_of_two(bit));
+    ids.push_back(power_of_two(bit, true));
+  }
+  Rng rng(160);
+  for (int i = 0; i < 8; ++i) ids.push_back(rng.uid());
+  for (const Uid160& a : ids) {
+    for (const Uid160& b : ids) {
+      ASSERT_EQ(a.ring_distance_cw(b), bytewise_ring_distance_cw(a, b))
+          << a.to_hex() << " -> " << b.to_hex();
+      ASSERT_EQ(a.ring_distance(b), bytewise_ring_distance(a, b));
+      for (const Uid160& t : ids) {
+        ASSERT_EQ(a.closer_to(t, b), bytewise_closer_to(a, t, b))
+            << a.to_hex() << " vs " << b.to_hex() << " to " << t.to_hex();
+      }
+    }
+  }
+  for (int trial = 0; trial < 20000; ++trial) {
+    const Uid160 a = rng.uid(), b = rng.uid(), t = rng.uid();
+    ASSERT_EQ(a.ring_distance_cw(b), bytewise_ring_distance_cw(a, b));
+    ASSERT_EQ(a.ring_distance(b), bytewise_ring_distance(a, b));
+    ASSERT_EQ(a.closer_to(t, b), bytewise_closer_to(a, t, b));
+    ASSERT_EQ(a.closer_to(t, a), bytewise_closer_to(a, t, a));
   }
 }
 

@@ -3,8 +3,13 @@
 // the key's true root), logarithmic hop scaling, and repair under churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "overlay/overlay_network.hpp"
@@ -74,6 +79,214 @@ TEST(OverlayNode, ReplicaSetClosestFirst) {
   for (std::size_t i = 1; i < set.size(); ++i) {
     EXPECT_TRUE(set[i - 1].id.closer_to(key, set[i].id));
   }
+}
+
+// The re-sorting leaf-set upkeep the ordered candidate pool replaced,
+// kept whole as its oracle: an unordered pool trimmed by a sort on ring
+// distance, successors and predecessors found by sorting two copies,
+// and the leaf span recomputed on every next_hop.
+class SortOracleNode {
+ public:
+  SortOracleNode(sim::Network& net, NodeRef self) : net_(net), self_(self) {}
+
+  const std::vector<NodeRef>& leaf() const { return leaf_; }
+  std::uint64_t repairs() const { return repairs_; }
+
+  void consider(const NodeRef& peer) {
+    if (!peer.valid() || peer.id == self_.id) return;
+    const int row = self_.id.shared_prefix_digits(peer.id);
+    if (row < Uid160::kDigits) {
+      NodeRef& slot = table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(peer.id.digit(row))];
+      if (!slot.valid() || slot.id == peer.id) {
+        slot = peer;
+      } else if (net_.topology().latency(self_.host, peer.host) <
+                 net_.topology().latency(self_.host, slot.host)) {
+        slot = peer;
+      }
+    }
+    rebuild_leaf(peer);
+  }
+
+  void remove(const NodeId& id) {
+    for (auto& row : table_) {
+      for (auto& slot : row) {
+        if (slot.valid() && slot.id == id) slot = NodeRef{};
+      }
+    }
+    std::erase_if(candidates_, [&](const NodeRef& r) { return r.id == id; });
+    rebuild_leaf(NodeRef{});
+  }
+
+  std::optional<NodeRef> next_hop(const ObjectId& key) {
+    for (;;) {
+      NodeRef furthest_cw{}, furthest_ccw{};
+      Uid160 best_cw, best_ccw;
+      bool repaired = false;
+      for (const NodeRef& p : leaf_) {
+        if (!alive(p)) {
+          repair(p);
+          repaired = true;
+          break;
+        }
+        const Uid160 dcw = self_.id.ring_distance_cw(p.id);
+        const Uid160 dccw = p.id.ring_distance_cw(self_.id);
+        if (dcw <= dccw && dcw >= best_cw) {
+          best_cw = dcw;
+          furthest_cw = p;
+        }
+        if (dccw < dcw && dccw >= best_ccw) {
+          best_ccw = dccw;
+          furthest_ccw = p;
+        }
+      }
+      if (repaired) continue;
+      const NodeId lo = furthest_ccw.valid() ? furthest_ccw.id : self_.id;
+      const NodeId hi = furthest_cw.valid() ? furthest_cw.id : self_.id;
+      if (leaf_.empty() || lo.ring_distance_cw(key) <= lo.ring_distance_cw(hi) ||
+          leaf_.size() < OverlayNode::kLeafSetSize) {
+        NodeRef best = self_;
+        for (const NodeRef& p : leaf_) {
+          if (p.id.closer_to(key, best.id)) best = p;
+        }
+        if (best.id == self_.id) return std::nullopt;
+        return best;
+      }
+      break;
+    }
+    const int row = self_.id.shared_prefix_digits(key);
+    if (row < Uid160::kDigits) {
+      NodeRef& slot = table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(key.digit(row))];
+      if (slot.valid()) {
+        if (alive(slot)) return slot;
+        repair(slot);
+      }
+    }
+    NodeRef best{};
+    auto offer = [&](const NodeRef& p) {
+      if (!p.valid() || p.id == self_.id || !alive(p)) return;
+      if (p.id.shared_prefix_digits(key) < row) return;
+      if (!p.id.closer_to(key, self_.id)) return;
+      if (!best.valid() || p.id.closer_to(key, best.id)) best = p;
+    };
+    for (const NodeRef& p : leaf_) offer(p);
+    for (const auto& r : table_) {
+      for (const NodeRef& p : r) offer(p);
+    }
+    if (best.valid()) return best;
+    return std::nullopt;
+  }
+
+  std::vector<NodeRef> replica_set(const ObjectId& key, int count) const {
+    std::vector<NodeRef> all = leaf_;
+    all.push_back(self_);
+    std::sort(all.begin(), all.end(),
+              [&](const NodeRef& a, const NodeRef& b) { return a.id.closer_to(key, b.id); });
+    if (static_cast<int>(all.size()) > count) all.resize(static_cast<std::size_t>(count));
+    return all;
+  }
+
+ private:
+  bool alive(const NodeRef& ref) const { return ref.valid() && net_.host_up(ref.host); }
+
+  void repair(const NodeRef& dead) {
+    ++repairs_;
+    remove(dead.id);
+  }
+
+  void rebuild_leaf(const NodeRef& extra) {
+    if (extra.valid() && extra.id != self_.id) {
+      auto it = std::find(candidates_.begin(), candidates_.end(), extra);
+      if (it != candidates_.end()) {
+        it->host = extra.host;
+      } else {
+        candidates_.push_back(extra);
+      }
+    }
+    if (candidates_.size() > 48) {
+      std::sort(candidates_.begin(), candidates_.end(), [&](const NodeRef& a, const NodeRef& b) {
+        return a.id.ring_distance(self_.id) < b.id.ring_distance(self_.id);
+      });
+      candidates_.resize(48);
+    }
+    std::vector<NodeRef> cw = candidates_;
+    std::sort(cw.begin(), cw.end(), [&](const NodeRef& a, const NodeRef& b) {
+      return self_.id.ring_distance_cw(a.id) < self_.id.ring_distance_cw(b.id);
+    });
+    std::vector<NodeRef> ccw = candidates_;
+    std::sort(ccw.begin(), ccw.end(), [&](const NodeRef& a, const NodeRef& b) {
+      return a.id.ring_distance_cw(self_.id) < b.id.ring_distance_cw(self_.id);
+    });
+    const std::size_t half = OverlayNode::kLeafSetSize / 2;
+    leaf_.clear();
+    for (std::size_t i = 0; i < std::min(half, cw.size()); ++i) leaf_.push_back(cw[i]);
+    for (std::size_t i = 0; i < std::min(half, ccw.size()); ++i) {
+      if (std::find(leaf_.begin(), leaf_.end(), ccw[i]) == leaf_.end()) leaf_.push_back(ccw[i]);
+    }
+  }
+
+  sim::Network& net_;
+  NodeRef self_;
+  std::array<std::array<NodeRef, 16>, Uid160::kDigits> table_{};
+  std::vector<NodeRef> leaf_;
+  std::vector<NodeRef> candidates_;
+  std::uint64_t repairs_ = 0;
+};
+
+/// (id, host) pairs: NodeRef's operator== looks at ids only.
+std::vector<std::pair<NodeId, sim::HostId>> placed(const std::vector<NodeRef>& refs) {
+  std::vector<std::pair<NodeId, sim::HostId>> out;
+  for (const NodeRef& r : refs) out.emplace_back(r.id, r.host);
+  return out;
+}
+
+TEST(OverlayNode, LeafSetMatchesSortOracle) {
+  // Random upkeep on one node and its oracle in lockstep: considers of
+  // new ids, repeats and host changes over 160 peers (so the 48-entry
+  // pool trims), removes, and hosts failing and returning (so next_hop
+  // repairs).  Every leaf set, replica set and routing decision agrees.
+  constexpr sim::HostId kHosts = 64;
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::EuclideanTopology>(kHosts, 1000.0, duration::millis(1),
+                                                       duration::micros(100), 7);
+  sim::Network net(sched, topo);
+  Rng rng(2003);
+  const NodeRef self{rng.uid(), 0};
+  OverlayNode node(net, self, /*proximity_selection=*/true);
+  SortOracleNode oracle(net, self);
+
+  std::vector<NodeRef> peers;
+  for (int i = 0; i < 160; ++i) {
+    peers.push_back(NodeRef{rng.uid(), static_cast<sim::HostId>(1 + rng.below(kHosts - 1))});
+  }
+  for (int step = 0; step < 3000; ++step) {
+    NodeRef& peer = peers[rng.below(peers.size())];
+    const std::uint64_t op = rng.below(20);
+    if (op < 15) {
+      if (op == 0) peer.host = static_cast<sim::HostId>(1 + rng.below(kHosts - 1));
+      node.consider(peer);
+      oracle.consider(peer);
+    } else if (op < 17) {
+      node.remove(peer.id);
+      oracle.remove(peer.id);
+    } else if (op == 17) {
+      net.set_host_up(peer.host, !net.host_up(peer.host));
+    }
+    ASSERT_EQ(placed(node.leaf_set()), placed(oracle.leaf())) << "step " << step;
+    for (int k = 0; k < 4; ++k) {
+      const ObjectId key = rng.uid();
+      ASSERT_EQ(placed(node.replica_set(key, 3)), placed(oracle.replica_set(key, 3)));
+      const auto got = node.next_hop(key);
+      const auto want = oracle.next_hop(key);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got.has_value()) {
+        ASSERT_EQ(got->id, want->id);
+        ASSERT_EQ(got->host, want->host);
+      }
+      ASSERT_EQ(placed(node.leaf_set()), placed(oracle.leaf())) << "step " << step;
+    }
+    ASSERT_EQ(node.stats().repairs, oracle.repairs());
+  }
+  EXPECT_GT(node.stats().repairs, 0u);
 }
 
 // --- Ring construction + routing correctness ---
