@@ -193,13 +193,16 @@ void OverlayNetwork::handle_join_request(OverlayNode& node, JoinRequest req) {
 void OverlayNetwork::maintenance_tick() {
   for (const auto& [host, node] : nodes_) {
     if (!net_.host_up(host)) continue;
+    // Purge before gossiping: a dead member models a failed keepalive
+    // and is healed from the pool, and the gossip must not carry it, or
+    // every receiver would consider() it straight back in.
     auto leaf = node->leaf_set();
+    std::erase_if(leaf, [&](const NodeRef& peer) {
+      if (net_.host_up(peer.host)) return false;
+      node->remove(peer.id);
+      return true;
+    });
     for (const NodeRef& peer : leaf) {
-      if (!net_.host_up(peer.host)) {
-        // Models a failed keepalive: purge and heal from the pool.
-        node->remove(peer.id);
-        continue;
-      }
       send_maintenance(host, peer.host, std::any(LeafGossip{node->self(), leaf}),
                        ref_wire_size(leaf.size() + 1));
     }

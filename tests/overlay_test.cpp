@@ -425,6 +425,27 @@ TEST(OverlayNetwork, DeliversAtTrueRootAfterChurnAndRepair) {
   EXPECT_EQ(at_root, 40);
 }
 
+TEST(OverlayNetwork, GossipDoesNotResurrectCrashedPeer) {
+  // Maintenance purges a crashed leaf member and heals from the pool;
+  // the gossip that follows must not carry it back to the receivers.
+  Fixture f(32);
+  OverlayNetwork overlay(f.net);  // default 30 s maintenance period
+  overlay.build_ring(hosts_upto(32));
+  f.sched.run_for(duration::seconds(60));
+  auto holders = [&] {
+    int n = 0;
+    for (sim::HostId h : overlay.node_hosts()) {
+      if (!f.net.host_up(h)) continue;
+      for (const NodeRef& p : overlay.node_at(h)->leaf_set()) n += p.host == 7 ? 1 : 0;
+    }
+    return n;
+  };
+  ASSERT_GT(holders(), 0);
+  f.net.set_host_up(7, false);
+  f.sched.run_for(duration::seconds(30));
+  EXPECT_EQ(holders(), 0);
+}
+
 TEST(OverlayNetwork, ProximityNeighbourSelectionLowersStretch) {
   // On a Euclidean topology, PNS should give routes with total latency
   // closer to the direct latency than random neighbour selection.
