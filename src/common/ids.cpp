@@ -1,6 +1,8 @@
 #include "common/ids.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace aa {
 
@@ -24,19 +26,26 @@ struct Limbs {
   auto operator<=>(const Limbs&) const = default;
 };
 
+// Swaps between native and big-endian order (its own inverse); one
+// instruction on little-endian targets.
+std::uint32_t big_endian(std::uint32_t v) {
+  return std::endian::native == std::endian::big ? v : __builtin_bswap32(v);
+}
+std::uint64_t big_endian(std::uint64_t v) {
+  return std::endian::native == std::endian::big ? v : __builtin_bswap64(v);
+}
+
 template <typename Word>
 Word load_be(const std::uint8_t* p) {
-  Word v = 0;
-  for (std::size_t i = 0; i < sizeof(Word); ++i) v = static_cast<Word>((v << 8) | p[i]);
-  return v;
+  Word v;
+  std::memcpy(&v, p, sizeof v);
+  return big_endian(v);
 }
 
 template <typename Word>
 void store_be(Word v, std::uint8_t* p) {
-  for (std::size_t i = sizeof(Word); i-- > 0;) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v = static_cast<Word>(v >> 8);
-  }
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof v);
 }
 
 Limbs load(const std::array<std::uint8_t, 20>& b) {
@@ -59,10 +68,15 @@ Limbs sub(const Limbs& a, const Limbs& b) {
   return {a.hi - b.hi - borrow_mid, a.mid - b.mid - borrow_lo, a.lo - b.lo};
 }
 
-/// min(b - a, a - b) (mod 2^160): the shorter way round the ring.
+/// min(b - a, a - b) (mod 2^160): the shorter way round the ring.  For
+/// d = b - a that is d below 2^159 and -d above it (equal at 2^159), so
+/// d's top bit picks the side.
 Limbs ring_min(const Limbs& a, const Limbs& b) {
   const Limbs d = sub(b, a);
-  return std::min(d, sub(Limbs{0, 0, 0}, d));
+  const Limbs n = sub(Limbs{0, 0, 0}, d);
+  const bool above = (d.hi >> 31) != 0;
+  // Selected limb by limb, which keeps the limbs in registers.
+  return {above ? n.hi : d.hi, above ? n.mid : d.mid, above ? n.lo : d.lo};
 }
 }  // namespace
 
