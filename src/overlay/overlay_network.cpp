@@ -92,8 +92,10 @@ void OverlayNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
   if (const auto* route = sim::packet_body<RouteMsg>(packet)) {
     handle_route(node, *route);
   } else if (const auto* join_req = sim::packet_body<JoinRequest>(packet)) {
+    sim::Network::SpanScope span(net_, host, "overlay", "join");
     handle_join_request(node, *join_req);
   } else if (const auto* reply = sim::packet_body<JoinReply>(packet)) {
+    sim::Network::SpanScope span(net_, host, "overlay", "join-reply");
     for (const NodeRef& r : reply->contacts) node.consider(r);
     for (const NodeRef& r : reply->leaf) node.consider(r);
     node.consider(reply->root);
@@ -104,8 +106,10 @@ void OverlayNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
                        ref_wire_size(1));
     }
   } else if (const auto* ann = sim::packet_body<AnnounceMsg>(packet)) {
+    sim::Network::SpanScope span(net_, host, "overlay", "announce");
     node.consider(ann->who);
   } else if (const auto* gossip = sim::packet_body<LeafGossip>(packet)) {
+    sim::Network::SpanScope span(net_, host, "overlay", "gossip");
     node.consider(gossip->from);
     for (const NodeRef& r : gossip->leaf) node.consider(r);
   }
@@ -193,6 +197,9 @@ void OverlayNetwork::handle_join_request(OverlayNode& node, JoinRequest req) {
 void OverlayNetwork::maintenance_tick() {
   for (const auto& [host, node] : nodes_) {
     if (!net_.host_up(host)) continue;
+    // Upkeep runs from a timer, outside any trace: the scope charges the
+    // profiler's overlay bucket and records no span.
+    sim::Network::SpanScope span(net_, host, "overlay", "maintain");
     // Purge before gossiping: a dead member models a failed keepalive
     // and is healed from the pool, and the gossip must not carry it, or
     // every receiver would consider() it straight back in.

@@ -414,6 +414,7 @@ void ObjectStore::send_repair(sim::HostId src, sim::HostId dst, std::any body,
 void ObjectStore::healing_sweep() {
   for (const auto& [host, store_node] : nodes_) {
     if (!net_.host_up(host)) continue;
+    sim::Network::SpanScope span(net_, host, "store", "sweep");
     heal_host(host, *store_node);
   }
 }

@@ -19,6 +19,7 @@
 #include "gloss/active_architecture.hpp"
 #include "obs/metrics_hub.hpp"
 #include "obs/trace.hpp"
+#include "overlay/overlay_network.hpp"
 #include "pubsub/siena_network.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -600,6 +601,25 @@ TEST(Profiler, SampleRingHonorsRetention) {
   EXPECT_EQ(p.samples().back().t, 700);
   // Samples are cumulative: the newest carries all 7 tasks.
   EXPECT_EQ(p.samples().back().slots[0].tasks, 7u);
+}
+
+TEST(Profiler, OverlayMaintenanceChargesOverlayBucketWithoutSpans) {
+  // Leaf-set upkeep runs from the maintenance timer, outside any trace:
+  // its scopes charge the overlay bucket and record no spans.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(16, duration::millis(5));
+  sim::Network net(sched, topo);
+  net.enable_tracing();
+  overlay::OverlayNetwork overlay(net);
+  std::vector<sim::HostId> hosts;
+  for (sim::HostId h = 0; h < 16; ++h) hosts.push_back(h);
+  overlay.build_ring(hosts);
+  net.enable_profiling();
+  sched.run_for(duration::seconds(60));  // two maintenance periods
+  EXPECT_GT(net.profiler()->totals().bucket_ns[static_cast<std::size_t>(
+                obs::ProfileBucket::kOverlay)],
+            0u);
+  EXPECT_TRUE(net.tracer()->spans().empty());
 }
 
 TEST(Metrics, ExportProfilerEmitsTotalsAndPerSlotKeys) {
