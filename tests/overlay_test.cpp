@@ -250,7 +250,9 @@ TEST(OverlayNode, LeafSetMatchesSortOracle) {
                                                        duration::micros(100), 7);
   sim::Network net(sched, topo);
   Rng rng(2003);
-  const NodeRef self{rng.uid(), 0};
+  std::array<std::uint8_t, 20> self_bytes = rng.uid().bytes();
+  self_bytes[19] = 0x80;  // leaves room for the equidistant pair below
+  const NodeRef self{Uid160(self_bytes), 0};
   OverlayNode node(net, self, /*proximity_selection=*/true);
   SortOracleNode oracle(net, self);
 
@@ -287,6 +289,15 @@ TEST(OverlayNode, LeafSetMatchesSortOracle) {
     ASSERT_EQ(node.stats().repairs, oracle.repairs());
   }
   EXPECT_GT(node.stats().repairs, 0u);
+
+  // Our nearest successor and predecessor, equidistant from our own id,
+  // rank by id (closer_to's tie-break), not by their leaf-set order.
+  for (const std::uint8_t last : {0x83, 0x7D}) {
+    self_bytes[19] = last;
+    node.consider(NodeRef{Uid160(self_bytes), 1});
+    oracle.consider(NodeRef{Uid160(self_bytes), 1});
+  }
+  ASSERT_EQ(placed(node.replica_set(self.id, 9)), placed(oracle.replica_set(self.id, 9)));
 }
 
 // --- Ring construction + routing correctness ---
