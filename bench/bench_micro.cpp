@@ -5,10 +5,14 @@
 // the system-level numbers in the F/C experiment harnesses.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "event/filter_parser.hpp"
 #include "match/knowledge.hpp"
+#include "overlay/node.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/erasure.hpp"
 #include "xml/projection.hpp"
@@ -166,6 +170,39 @@ void BM_Uid160RingDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Uid160RingDistance);
+
+void BM_Uid160CloserTo(benchmark::State& state) {
+  Rng rng(5);
+  const Uid160 a = rng.uid(), b = rng.uid(), key = rng.uid();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.closer_to(key, b));
+  }
+}
+BENCHMARK(BM_Uid160CloserTo);
+
+void BM_OverlayConsider(benchmark::State& state) {
+  // A node whose 48-peer candidate pool is full.  Arg 0 re-offers a
+  // pooled peer on the same host — the steady state of leaf-set gossip,
+  // which changes nothing; arg 1 offers a fresh peer each time, which
+  // is inserted into the ordered pool and trims it back to 48.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(64, duration::millis(10));
+  sim::Network net(sched, topo);
+  Rng rng(6);
+  overlay::OverlayNode node(net, {rng.uid(), 0}, /*proximity_selection=*/true);
+  std::vector<overlay::NodeRef> pooled;
+  for (sim::HostId h = 1; h <= 48; ++h) {
+    pooled.push_back({rng.uid(), h});
+    node.consider(pooled.back());
+  }
+  const bool fresh = state.range(0) != 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    node.consider(fresh ? overlay::NodeRef{rng.uid(), 1} : pooled[i++ % pooled.size()]);
+  }
+  benchmark::DoNotOptimize(node.leaf_set());
+}
+BENCHMARK(BM_OverlayConsider)->Arg(0)->Arg(1);
 
 }  // namespace
 
