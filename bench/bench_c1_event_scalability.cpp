@@ -13,6 +13,7 @@
 #include <span>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "wire/codec.hpp"
@@ -118,17 +119,22 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
     sched.run_until(sched.now() + duration::seconds(10));
   }
 
-  sim::Histogram latency;
-  std::uint64_t delivered = 0;
+  // One counter and histogram per subscriber: a callback runs on the
+  // shard that owns its subscriber's host, so sharded runs never share
+  // them.  They are merged after the run.
+  const auto subscribers = static_cast<std::size_t>(w.subscribers);
+  std::vector<std::uint64_t> delivered(subscribers, 0);
+  std::vector<sim::Histogram> latency(subscribers);
   SimTime published_at = 0;
-  for (int s = 0; s < w.subscribers; ++s) {
+  for (std::size_t s = 0; s < subscribers; ++s) {
     event::Filter f;
     f.where("type", event::Op::kEq, "reading")
         .where("topic", event::Op::kEq, "topic" + std::to_string(s % 8));
-    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f, [&](const event::Event&) {
-      ++delivered;
-      latency.record(to_millis(sched.now() - published_at));
-    });
+    service->subscribe(static_cast<sim::HostId>(w.brokers) + static_cast<sim::HostId>(s), f,
+                       [&, s](const event::Event&) {
+                         ++delivered[s];
+                         latency[s].record(to_millis(sched.now() - published_at));
+                       });
   }
   sched.run_until(sched.now() + duration::seconds(30));
   net.reset_stats();
@@ -148,12 +154,16 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
   RunResult r;
   r.messages = net.stats().messages_sent;
   r.bytes = net.stats().bytes_sent;
-  r.delivered = delivered;
+  sim::Histogram all_latency;
+  for (std::size_t s = 0; s < subscribers; ++s) {
+    r.delivered += delivered[s];
+    all_latency.merge(latency[s]);
+  }
   r.net = net.stats();
   for (sim::HostId h = 0; h < hosts; ++h) {
     r.hotspot = std::max(r.hotspot, net.delivered_to(h));
   }
-  r.mean_latency_ms = latency.mean();
+  r.mean_latency_ms = all_latency.mean();
   if (const obs::Profiler* prof = net.profiler()) {
     for (std::uint32_t slot = 0; slot < prof->slot_count(); ++slot) {
       r.slots.push_back(prof->counters(slot));
