@@ -199,6 +199,7 @@ void BM_OverlayConsider(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     node.consider(fresh ? overlay::NodeRef{rng.uid(), 1} : pooled[i++ % pooled.size()]);
+    benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(node.leaf_set());
 }

@@ -37,7 +37,7 @@ std::uint64_t big_endian(std::uint64_t v) {
 
 template <typename Word>
 Word load_be(const std::uint8_t* p) {
-  Word v;
+  Word v = 0;
   std::memcpy(&v, p, sizeof v);
   return big_endian(v);
 }
@@ -54,7 +54,7 @@ Limbs load(const std::array<std::uint8_t, 20>& b) {
 }
 
 Uid160 to_uid(const Limbs& l) {
-  std::array<std::uint8_t, 20> b;
+  std::array<std::uint8_t, 20> b{};
   store_be(l.hi, b.data());
   store_be(l.mid, b.data() + 4);
   store_be(l.lo, b.data() + 12);
