@@ -126,15 +126,15 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
   std::vector<std::uint64_t> delivered(subscribers, 0);
   std::vector<sim::Histogram> latency(subscribers);
   SimTime published_at = 0;
-  for (std::size_t s = 0; s < subscribers; ++s) {
+  for (int s = 0; s < w.subscribers; ++s) {
     event::Filter f;
     f.where("type", event::Op::kEq, "reading")
         .where("topic", event::Op::kEq, "topic" + std::to_string(s % 8));
-    service->subscribe(static_cast<sim::HostId>(w.brokers) + static_cast<sim::HostId>(s), f,
-                       [&, s](const event::Event&) {
-                         ++delivered[s];
-                         latency[s].record(to_millis(sched.now() - published_at));
-                       });
+    const auto i = static_cast<std::size_t>(s);
+    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f, [&, i](const event::Event&) {
+      ++delivered[i];
+      latency[i].record(to_millis(sched.now() - published_at));
+    });
   }
   sched.run_until(sched.now() + duration::seconds(30));
   net.reset_stats();
