@@ -1,0 +1,45 @@
+// Naive rescan matcher: the C7 ablation baseline and the tests' oracle
+// for MatchEngine.
+//
+// Keeps every event ever seen and, on each arrival, re-enumerates full
+// candidate tuples against the complete history with no per-trigger
+// windows or knowledge-base index probes (facts are matched by linear
+// scan).  It shares the rule semantics — conditions_hold and
+// emitted_event — with MatchEngine, so it is equivalent to it on
+// in-window data; asymptotically it is the "huge number of items"
+// strawman the paper's matching service must avoid.
+#pragma once
+
+#include <functional>
+#include <vector>
+
+#include "match/knowledge.hpp"
+#include "match/rule.hpp"
+
+namespace aa::baselines {
+
+class NaiveEngine {
+ public:
+  using Sink = std::function<void(const event::Event&)>;
+
+  explicit NaiveEngine(match::KnowledgeBase& kb) : kb_(kb) {}
+
+  void add_rule(match::Rule rule) { rules_.push_back(std::move(rule)); }
+
+  void on_event(const event::Event& e, SimTime now, const Sink& sink);
+
+  std::uint64_t candidate_bindings() const { return candidates_; }
+
+ private:
+  void extend(const match::Rule& rule, match::Binding& binding, std::size_t next_trigger,
+              std::size_t seed_index, SimTime now, const Sink& sink);
+  void bind_facts(const match::Rule& rule, match::Binding& binding, std::size_t next_fact,
+                  SimTime now, const Sink& sink);
+
+  match::KnowledgeBase& kb_;
+  std::vector<match::Rule> rules_;
+  std::vector<event::Event> history_;
+  std::uint64_t candidates_ = 0;
+};
+
+}  // namespace aa::baselines

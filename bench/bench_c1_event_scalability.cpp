@@ -1,10 +1,12 @@
 // C1 — §3/§4.1: Elvin's "client-server architecture, limiting its
 // scalability" vs. Siena-style content-based routing that "shows
 // evidence of being globally scalable", with subscription flooding as
-// the no-routing-state ablation.
+// the no-routing-state ablation.  Elvin's single server is a one-broker
+// SienaNetwork: the same broker matching and client dispatch, with every
+// client attached to host 0.
 //
 // Fixed workload (publishers + selective subscribers spread over a
-// wide-area topology), three event services; report total messages,
+// wide-area topology), five event services; report total messages,
 // bytes, hotspot load (busiest node's delivered messages) and delivery
 // latency.
 #include <chrono>
@@ -20,7 +22,6 @@
 #include "obs/metrics_hub.hpp"
 #include "obs/profiler.hpp"
 #include "sim/metrics.hpp"
-#include "pubsub/central_service.hpp"
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/scribe.hpp"
 #include "pubsub/shard_router.hpp"
@@ -70,10 +71,7 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
 
   std::unique_ptr<pubsub::EventService> service;
   std::unique_ptr<overlay::OverlayNetwork> overlay;  // for the scribe mode
-  pubsub::SienaNetwork* siena = nullptr;
-  if (mode == "central") {
-    service = std::make_unique<pubsub::CentralService>(net, 0);
-  } else if (mode == "scribe") {
+  if (mode == "scribe") {
     overlay::OverlayNetwork::Params op;
     op.maintenance_period = 0;
     overlay = std::make_unique<overlay::OverlayNetwork>(net, op);
@@ -96,7 +94,8 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
     }
     service = std::move(flooding);
   } else {
-    auto s = std::make_unique<pubsub::SienaNetwork>(net, broker_hosts);
+    auto s = std::make_unique<pubsub::SienaNetwork>(
+        net, mode == "central" ? std::vector<sim::HostId>{0} : broker_hosts);
     s->connect_tree();
     if (mode == "siena-adv") s->set_advertisement_forwarding(true);
     s->set_codec(codec);
@@ -105,7 +104,6 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
         return wire::codec(codec).frame_size(sizes);
       });
     }
-    siena = s.get();
     service = std::move(s);
   }
   if (mode == "siena-adv") {
@@ -149,7 +147,6 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
     }
   }
   sched.run_until(sched.now() + duration::seconds(10));
-  (void)siena;
 
   RunResult r;
   r.messages = net.stats().messages_sent;
@@ -182,8 +179,8 @@ int main(int argc, char** argv) {
                   "event service scalability: central (Elvin) vs flooding vs content-based "
                   "(Siena)");
   if (knob_codec != wire::WireCodec::kXml || knob_batch) {
-    std::printf("(siena modes run with codec=%s batching=%s; other services keep the\n"
-                " XML interop encoding)\n",
+    std::printf("(central and siena modes run with codec=%s batching=%s; flooding and\n"
+                " scribe keep the XML interop encoding)\n",
                 wire::codec_name(knob_codec), knob_batch ? "on" : "off");
   }
   bench::Snapshot snap("c1", argc, argv);

@@ -78,13 +78,6 @@ int main(int argc, char** argv) {
   bench::headline("C2 (§3)", "Plaxton/Pastry routing: O(log N) hops, compact state, "
                              "deterministic root delivery");
   bench::Snapshot snap("c2", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   std::printf("\n(a) Ring-size sweep (PNS on, 150 lookups each):\n");
   bench::Table table({"nodes", "log16(N)", "hops mean", "hops p99", "state/node",

@@ -95,13 +95,6 @@ int main(int argc, char** argv) {
   bench::headline("C3 (§4.5)", "promiscuous caching + replication vs fetching remote data "
                                "at every access");
   bench::Snapshot snap("c3", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   const int objects = 150, reads = 600;
   std::printf("\n(a) Promiscuous caching ablation (3 replicas, Zipf(0.9) reads):\n");

@@ -305,13 +305,6 @@ TierRecovery run_tier_recovery(storage::StoreTier tier, int workload_puts) {
 
 int main(int argc, char** argv) {
   bench::headline("C4 (§4.6)", "self-healing replication under churn (the RAID analogy)");
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
   bench::Snapshot snap("c4", argc, argv);
 
   bench::Table table({"departure s", "healing", "availability", "copies mean", "copies min",

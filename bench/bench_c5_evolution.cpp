@@ -135,13 +135,6 @@ int main(int argc, char** argv) {
                   "evolution engine: restoring violated placement constraints "
                   "(\">= 5 components in a given region\")");
   bench::Snapshot snap("c5", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   std::printf("\n(a) Departure mode (control period 10 s, monitor probe 5 s, 6 kills):\n");
   bench::Table mode_table({"departure", "repaired", "repair s mean", "repair s p95",

@@ -93,13 +93,6 @@ struct Fixture {
 int main(int argc, char** argv) {
   bench::headline("C6 (§4.6)", "data placement policies: latency reduction + remote backup");
   bench::Snapshot snap("c6", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   std::printf("\n(a) Latency-reduction policy: personal-data read latency while the\n"
               "    user dwells in region r2 (policy sweeps every 30 s, 1 object/sweep):\n");

@@ -14,6 +14,7 @@
 #include <map>
 #include <new>
 
+#include "baselines/naive_engine.hpp"
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -21,7 +22,6 @@
 #include "event/filter_index.hpp"
 #include "event/filter_parser.hpp"
 #include "match/engine.hpp"
-#include "match/naive_engine.hpp"
 #include "pubsub/messages.hpp"
 #include "wire/codec.hpp"
 #include "xml/xml.hpp"
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     }
     const double incr_us = wall_us(start) / events;
 
-    match::NaiveEngine naive(kb);
+    baselines::NaiveEngine naive(kb);
     naive.add_rule(scenario_rule());
     int naive_matches = 0;
     start = std::chrono::steady_clock::now();

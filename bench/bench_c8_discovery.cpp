@@ -24,13 +24,6 @@ int main(int argc, char** argv) {
   bench::headline("C8 (§5)", "discovery matchlets: unknown event types fetch their own "
                              "handler code from storage");
   bench::Snapshot snap("c8", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   sim::Scheduler sched;
   sim::TransitStubTopology::Params tp;

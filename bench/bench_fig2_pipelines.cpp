@@ -77,13 +77,6 @@ int main(int argc, char** argv) {
   const std::string trace_path = bench::trace_arg(argc, argv);
   bench::headline("F2 (Figure 2)", "XML pipelines: intra-node vs inter-node event flow");
   bench::Snapshot snap("fig2", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   std::printf("\n(a) Depth sweep, single split at the midpoint (the figure's layout):\n");
   bench::Table depth_table(

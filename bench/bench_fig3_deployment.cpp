@@ -52,13 +52,6 @@ int main(int argc, char** argv) {
   bench::headline("F3 (Figure 3)",
                   "code-push deployment: bundles -> thin servers -> assembled pipelines");
   bench::Snapshot snap("fig3", argc, argv);
-  const unsigned threads = bench::threads_arg(argc, argv);
-  if (threads > 1) {
-    std::printf("(--threads %u requested: this bench exercises subsystems pinned to the\n"
-                " sequential scheduler (overlay/object store/pipelines) — running with\n"
-                " 1 shard; see DESIGN.md on scheduler sharding)\n",
-                threads);
-  }
 
   std::printf("\n(a) Fleet deployment: b bundles pushed to b distinct thin servers:\n");
   bench::Table fleet({"bundles", "all installed", "makespan ms", "mean ack ms", "bytes"});

@@ -171,9 +171,9 @@ class Snapshot {
 
 /// Parses a `--threads N` argument pair: scheduler shards to drive the
 /// simulation with (Network::set_threads).  Defaults to 1 (sequential).
-/// Benches apply it to sections whose subsystems are shard-safe (event
-/// bus, raw datagrams, reliable transport, durable disk); sections that
-/// exercise the overlay or object store stay sequential and say so.
+/// Only C1 takes it, for its broker-tree sections (the event bus and raw
+/// datagrams are shard-safe).  The other harnesses ride the overlay,
+/// object store or pipelines, which run on one shard (DESIGN.md §10).
 inline unsigned threads_arg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--threads") {

@@ -139,8 +139,6 @@ std::string Uid160::to_hex() const {
   return s;
 }
 
-std::string Uid160::short_hex() const { return to_hex().substr(0, 8); }
-
 bool Uid160::is_zero() const {
   return std::all_of(bytes_.begin(), bytes_.end(), [](std::uint8_t b) { return b == 0; });
 }

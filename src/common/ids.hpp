@@ -67,8 +67,6 @@ class Uid160 {
   bool closer_to(const Uid160& target, const Uid160& other) const;
 
   std::string to_hex() const;
-  /// First 8 hex digits — for logs.
-  std::string short_hex() const;
 
   bool is_zero() const;
 

@@ -52,15 +52,6 @@ void EvolutionEngine::evaluate_now() {
   for (const PlacementConstraint& c : constraints_.all()) evaluate(c);
 }
 
-std::vector<sim::HostId> EvolutionEngine::deployed_hosts(
-    const std::string& constraint_id) const {
-  std::vector<sim::HostId> out;
-  auto it = instances_.find(constraint_id);
-  if (it == instances_.end()) return out;
-  for (const Instance& inst : it->second) out.push_back(inst.host);
-  return out;
-}
-
 int EvolutionEngine::live_instances(const std::string& constraint_id) const {
   auto it = instances_.find(constraint_id);
   if (it == instances_.end()) return 0;

@@ -69,7 +69,6 @@ class EvolutionEngine {
   };
 
   void evaluate(const PlacementConstraint& constraint);
-  std::vector<sim::HostId> deployed_hosts(const std::string& constraint_id) const;
 
   sim::Network& net_;
   bundle::ThinServerRuntime& runtime_;

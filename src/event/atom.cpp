@@ -56,12 +56,6 @@ const std::string& atom_name(AtomId id) {
   return t.names[id];
 }
 
-std::size_t atom_count() {
-  AtomTable& t = table();
-  std::shared_lock lock(t.mu);
-  return t.names.size();
-}
-
 AtomId type_atom() {
   static const AtomId id = intern("type");
   return id;

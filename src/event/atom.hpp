@@ -39,9 +39,6 @@ AtomId lookup_atom(std::string_view name);
 /// lifetime.  Precondition: `id` came from intern().
 const std::string& atom_name(AtomId id);
 
-/// Number of atoms interned so far (diagnostics / tests).
-std::size_t atom_count();
-
 // Well-known atoms, interned on first use.  Function-local statics keep
 // initialisation order safe regardless of which translation unit asks
 // first.

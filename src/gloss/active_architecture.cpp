@@ -87,16 +87,12 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
         auto input = event::parse_filter(b.config().attribute("filter").value_or(""));
         if (!input.is_ok()) return input.status();
 
-        auto matchlet = std::make_unique<match::Matchlet>(b.name(), knowledge_->replica(host));
-        for (const xml::Element* rule_el : b.config().children_named("rule")) {
-          auto rule = match::Rule::from_xml(*rule_el);
-          if (!rule.is_ok()) return rule.status();
-          matchlet->add_rule(std::move(rule).value());
-        }
+        auto matchlet = match::matchlet_from_bundle(b, knowledge_->replica(host));
+        if (!matchlet.is_ok()) return matchlet.status();
         const auto in_ref = pipelines_->add(
             host, std::make_unique<pipeline::BusSubscriber>(b.name() + ".in", *bus_, host,
                                                             input.value()));
-        const auto match_ref = pipelines_->add(host, std::move(matchlet));
+        const auto match_ref = pipelines_->add(host, std::move(matchlet).value());
         const auto out_ref = pipelines_->add(
             host, std::make_unique<pipeline::BusPublisher>(b.name() + ".out", *bus_));
         (void)pipelines_->connect(in_ref, match_ref);
@@ -149,9 +145,6 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
   sched_.run_for(config_.settle_time);
 
   if (config_.profiling) net_->enable_profiling();
-  if (config_.timeline_interval > 0) {
-    hub_.start_timeline(sched_, config_.timeline_interval, config_.timeline_retention);
-  }
 }
 
 ActiveArchitecture::~ActiveArchitecture() { Logger::set_clock(nullptr); }

@@ -66,13 +66,6 @@ class ActiveArchitecture {
     /// counter tracks.  Observation-only — digests are unchanged with it
     /// on.
     bool profiling = false;
-    /// When > 0, the metrics hub snapshots every subsystem's stats at
-    /// this virtual-time interval into a JSONL-exportable timeline.
-    /// The periodic sampler keeps the scheduler non-empty: drive time
-    /// with run_for(), not Scheduler::run().
-    SimDuration timeline_interval = 0;
-    /// Ring-buffer cap on retained timeline entries (oldest drop first).
-    std::size_t timeline_retention = 1024;
     /// Wire codec every link of the event bus speaks: "xml"
     /// (interop/golden default) or "binary" (length-prefixed frames,
     /// DESIGN.md §12).

@@ -8,31 +8,19 @@ namespace {
 // Hard cap per trigger window so a silent subscriber can't accumulate
 // unbounded state; oldest events are shed first.
 constexpr std::size_t kMaxWindowEvents = 4096;
-
-bool partial_ok(const Rule& rule, const Binding& binding) {
-  for (const auto& j : rule.joins) {
-    if (!join_holds(j, binding)) return false;
-  }
-  for (const auto& s : rule.spatials) {
-    if (!spatial_holds(s, binding)) return false;
-  }
-  return true;
-}
 }  // namespace
 
 void MatchEngine::add_rule(Rule rule) {
   RuleState state;
-  state.rule = rule;
+  state.rule = std::move(rule);
   for (const auto& t : state.rule.triggers) state.windows[t.alias];
-  rules_.push_back(std::move(rule));
   states_.push_back(std::move(state));
 }
 
 bool MatchEngine::remove_rule(const std::string& name) {
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].name == name) {
-      rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(i));
-      states_.erase(states_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (auto it = states_.begin(); it != states_.end(); ++it) {
+    if (it->rule.name == name) {
+      states_.erase(it);
       return true;
     }
   }
@@ -40,8 +28,8 @@ bool MatchEngine::remove_rule(const std::string& name) {
 }
 
 bool MatchEngine::handles_type(const std::string& type) const {
-  for (const Rule& r : rules_) {
-    if (r.could_handle_type(type)) return true;
+  for (const RuleState& state : states_) {
+    if (state.rule.could_handle_type(type)) return true;
   }
   return false;
 }
@@ -81,19 +69,19 @@ void MatchEngine::try_fire(RuleState& state, std::size_t seed_trigger, const eve
                            SimTime now, const Sink& sink) {
   Binding binding;
   binding.emplace_back(state.rule.triggers[seed_trigger].alias, &seed);
-  if (!partial_ok(state.rule, binding)) return;
-  bool fired = false;
-  extend(state, binding, 0, &seed, seed_trigger, now, sink, fired);
+  if (!conditions_hold(state.rule, binding)) return;
+  extend(state, binding, 0, seed_trigger, now, sink);
 }
 
-bool MatchEngine::extend(RuleState& state, Binding& binding, std::size_t next_trigger,
-                         const event::Event* seed, std::size_t seed_index, SimTime now,
-                         const Sink& sink, bool& fired) {
+void MatchEngine::extend(RuleState& state, Binding& binding, std::size_t next_trigger,
+                         std::size_t seed_index, SimTime now, const Sink& sink) {
   if (next_trigger == state.rule.triggers.size()) {
-    return bind_facts(state, binding, 0, sink, now, fired);
+    bind_facts(state, binding, 0, sink, now);
+    return;
   }
   if (next_trigger == seed_index) {
-    return extend(state, binding, next_trigger + 1, seed, seed_index, now, sink, fired);
+    extend(state, binding, next_trigger + 1, seed_index, now, sink);
+    return;
   }
   const auto& trigger = state.rule.triggers[next_trigger];
   const auto& window = state.windows[trigger.alias];
@@ -101,19 +89,18 @@ bool MatchEngine::extend(RuleState& state, Binding& binding, std::size_t next_tr
     if (candidate.time() < now - trigger.window) continue;  // stale
     ++stats_.candidate_bindings;
     binding.emplace_back(trigger.alias, &candidate);
-    if (partial_ok(state.rule, binding)) {
-      extend(state, binding, next_trigger + 1, seed, seed_index, now, sink, fired);
+    if (conditions_hold(state.rule, binding)) {
+      extend(state, binding, next_trigger + 1, seed_index, now, sink);
     }
     binding.pop_back();
   }
-  return fired;
 }
 
-bool MatchEngine::bind_facts(RuleState& state, Binding& binding, std::size_t next_fact,
-                             const Sink& sink, SimTime now, bool& fired) {
+void MatchEngine::bind_facts(RuleState& state, Binding& binding, std::size_t next_fact,
+                             const Sink& sink, SimTime now) {
   if (next_fact == state.rule.facts.size()) {
-    fire(state, binding, now, sink, fired);
-    return fired;
+    fire(state, binding, now, sink);
+    return;
   }
   const auto& pattern = state.rule.facts[next_fact];
   // Join pushdown: equality joins between this fact pattern and an
@@ -147,12 +134,11 @@ bool MatchEngine::bind_facts(RuleState& state, Binding& binding, std::size_t nex
   for (const Fact* fact : kb_.query(probe)) {
     ++stats_.candidate_bindings;
     binding.emplace_back(pattern.alias, fact);
-    if (partial_ok(state.rule, binding)) {
-      bind_facts(state, binding, next_fact + 1, sink, now, fired);
+    if (conditions_hold(state.rule, binding)) {
+      bind_facts(state, binding, next_fact + 1, sink, now);
     }
     binding.pop_back();
   }
-  return fired;
 }
 
 std::string MatchEngine::emission_key(const event::Event& e) {
@@ -166,21 +152,9 @@ std::string MatchEngine::emission_key(const event::Event& e) {
   return out.str();
 }
 
-void MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now, const Sink& sink,
-                       bool& fired) {
-  event::Event out(state.rule.emit.type);
-  for (const auto& a : state.rule.emit.sets) {
-    if (a.constant.has_value()) {
-      out.set(a.name, *a.constant);
-      continue;
-    }
-    const event::Event* src = bound(binding, a.from_alias);
-    if (src == nullptr) continue;
-    const event::AttrValue* v = src->get(a.from_attr);
-    if (v != nullptr) out.set(a.name, *v);
-  }
-  out.set_time(now);
-  out.set("rule", state.rule.name);
+void MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now,
+                       const Sink& sink) {
+  const event::Event out = emitted_event(state.rule, binding, now);
 
   if (state.rule.cooldown > 0) {
     const std::string key = state.rule.name + "|" + emission_key(out);
@@ -192,7 +166,6 @@ void MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now, co
     last_fired_[key] = now;
   }
   ++stats_.matches_emitted;
-  fired = true;
   sink(out);
 }
 

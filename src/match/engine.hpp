@@ -7,8 +7,8 @@
 // incrementally: each trigger pattern keeps a sliding window of the
 // events that matched it; an arriving event only joins against those
 // windows and against indexed knowledge-base probes, instead of
-// rescanning history (the naive strategy NaiveEngine implements for the
-// C7 ablation).
+// rescanning history (the naive strategy of baselines/naive_engine.hpp,
+// which the C7 ablation times it against).
 #pragma once
 
 #include <deque>
@@ -36,7 +36,6 @@ class MatchEngine {
 
   void add_rule(Rule rule);
   bool remove_rule(const std::string& name);
-  const std::vector<Rule>& rules() const { return rules_; }
 
   /// True if some rule's triggers accept events of this type — the
   /// "unknown event type" test that routes to discovery matchlets (§5).
@@ -58,17 +57,14 @@ class MatchEngine {
   void expire(RuleState& state, SimTime now);
   void try_fire(RuleState& state, std::size_t seed_trigger, const event::Event& seed,
                 SimTime now, const Sink& sink);
-  bool extend(RuleState& state, Binding& binding, std::size_t next_trigger,
-              const event::Event* seed, std::size_t seed_index, SimTime now, const Sink& sink,
-              bool& fired);
-  bool bind_facts(RuleState& state, Binding& binding, std::size_t next_fact, const Sink& sink,
-                  SimTime now, bool& fired);
-  void fire(RuleState& state, const Binding& binding, SimTime now, const Sink& sink,
-            bool& fired);
+  void extend(RuleState& state, Binding& binding, std::size_t next_trigger,
+              std::size_t seed_index, SimTime now, const Sink& sink);
+  void bind_facts(RuleState& state, Binding& binding, std::size_t next_fact, const Sink& sink,
+                  SimTime now);
+  void fire(RuleState& state, const Binding& binding, SimTime now, const Sink& sink);
   static std::string emission_key(const event::Event& e);
 
   KnowledgeBase& kb_;
-  std::vector<Rule> rules_;  // kept in sync with states_ (same order)
   std::vector<RuleState> states_;
   std::map<std::string, SimTime> last_fired_;  // rule name + key -> time
   EngineStats stats_;

@@ -66,13 +66,6 @@ std::vector<std::pair<FactId, const Fact*>> KnowledgeBase::snapshot() const {
   return out;
 }
 
-std::vector<const Fact*> KnowledgeBase::all() const {
-  std::vector<const Fact*> out;
-  out.reserve(facts_.size());
-  for (const auto& [id, f] : facts_) out.push_back(&f);
-  return out;
-}
-
 std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const {
   // Choose the most selective string-equality constraint as the index
   // probe.

@@ -50,10 +50,8 @@ class KnowledgeBase {
   /// otherwise.
   std::vector<const Fact*> query(const event::Filter& filter) const;
 
-  /// Every fact, unindexed (the naive baseline's access path).
-  std::vector<const Fact*> all() const;
-
-  /// Every (id, fact) pair in id order (replication state transfer).
+  /// Every (id, fact) pair in id order (replication state transfer, and
+  /// the naive baseline's unindexed scan).
   std::vector<std::pair<FactId, const Fact*>> snapshot() const;
 
   const KnowledgeStats& stats() const { return stats_; }

@@ -1,8 +1,19 @@
 #include "match/matchlet.hpp"
 
-#include <cstdlib>
+#include "pipeline/installers.hpp"
 
 namespace aa::match {
+
+Result<std::unique_ptr<Matchlet>> matchlet_from_bundle(const bundle::CodeBundle& b,
+                                                       KnowledgeBase& kb) {
+  auto matchlet = std::make_unique<Matchlet>(b.name(), kb);
+  for (const xml::Element* rule_el : b.config().children_named("rule")) {
+    auto rule = Rule::from_xml(*rule_el);
+    if (!rule.is_ok()) return rule.status();
+    matchlet->add_rule(std::move(rule).value());
+  }
+  return matchlet;
+}
 
 void register_matchlet_installer(bundle::ThinServerRuntime& runtime,
                                  pipeline::PipelineNetwork& pipelines,
@@ -12,29 +23,9 @@ void register_matchlet_installer(bundle::ThinServerRuntime& runtime,
       [&pipelines, kb_for_host = std::move(kb_for_host)](const bundle::CodeBundle& b,
                                                          sim::HostId host)
           -> Result<std::function<void()>> {
-        auto matchlet = std::make_unique<Matchlet>(b.name(), kb_for_host(host));
-        for (const xml::Element* rule_el : b.config().children_named("rule")) {
-          auto rule = Rule::from_xml(*rule_el);
-          if (!rule.is_ok()) return rule.status();
-          matchlet->add_rule(std::move(rule).value());
-        }
-        const pipeline::ComponentRef ref = pipelines.add(host, std::move(matchlet));
-        for (const xml::Element* link : b.config().children_named("connect")) {
-          const auto to_host = link->attribute("host");
-          const auto to_comp = link->attribute("component");
-          if (!to_host || !to_comp) {
-            pipelines.remove(ref);
-            return Status(Code::kInvalidArgument, "<connect> needs host and component");
-          }
-          const pipeline::ComponentRef target{
-              static_cast<sim::HostId>(std::strtoul(to_host->c_str(), nullptr, 10)), *to_comp};
-          const Status s = pipelines.connect(ref, target);
-          if (!s.is_ok()) {
-            pipelines.remove(ref);
-            return s;
-          }
-        }
-        return std::function<void()>([&pipelines, ref]() { pipelines.remove(ref); });
+        auto matchlet = matchlet_from_bundle(b, kb_for_host(host));
+        if (!matchlet.is_ok()) return matchlet.status();
+        return pipeline::finish_install(pipelines, host, b, std::move(matchlet).value());
       });
 }
 

@@ -37,11 +37,18 @@ class Matchlet final : public pipeline::Component {
   MatchEngine engine_;
 };
 
+/// A matchlet named after bundle `b`, bound to `kb`, whose rule set is
+/// the bundle config's <rule> children; fails on the first rule that
+/// does not parse.  Shared by the "matchlet" installer and the facade's
+/// "service" installer.
+Result<std::unique_ptr<Matchlet>> matchlet_from_bundle(const bundle::CodeBundle& b,
+                                                       KnowledgeBase& kb);
+
 /// Registers the "matchlet" bundle installer: the bundle config's
 /// <rule> children become the matchlet's rule set; <connect> children
-/// wire its sink (handled by the pipeline installer conventions).
-/// `kb_for_host` supplies the knowledge base a matchlet on a given host
-/// binds to.
+/// wire its sink (pipeline::finish_install, as for every pipe.*
+/// component).  `kb_for_host` supplies the knowledge base a matchlet on
+/// a given host binds to.
 void register_matchlet_installer(bundle::ThinServerRuntime& runtime,
                                  pipeline::PipelineNetwork& pipelines,
                                  std::function<KnowledgeBase&(sim::HostId)> kb_for_host);

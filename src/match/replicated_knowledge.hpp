@@ -49,8 +49,6 @@ class ReplicatedKnowledge {
   /// The replica matchlets on `host` bind to; created (with state
   /// transfer) on first use.
   KnowledgeBase& replica(sim::HostId host);
-  bool has_replica(sim::HostId host) const { return replicas_.contains(host); }
-  std::size_t replica_count() const { return replicas_.size(); }
 
   const ReplicationStats& stats() const { return stats_; }
 

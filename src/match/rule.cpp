@@ -71,6 +71,33 @@ bool spatial_holds(const SpatialCondition& cond, const Binding& binding) {
   return true;
 }
 
+bool conditions_hold(const Rule& rule, const Binding& binding) {
+  for (const auto& j : rule.joins) {
+    if (!join_holds(j, binding)) return false;
+  }
+  for (const auto& s : rule.spatials) {
+    if (!spatial_holds(s, binding)) return false;
+  }
+  return true;
+}
+
+event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now) {
+  event::Event out(rule.emit.type);
+  for (const auto& a : rule.emit.sets) {
+    if (a.constant.has_value()) {
+      out.set(a.name, *a.constant);
+      continue;
+    }
+    const event::Event* src = bound(binding, a.from_alias);
+    if (src == nullptr) continue;
+    const event::AttrValue* v = src->get(a.from_attr);
+    if (v != nullptr) out.set(a.name, *v);
+  }
+  out.set_time(now);
+  out.set("rule", rule.name);
+  return out;
+}
+
 // --- XML form ---
 
 xml::Element Rule::to_xml() const {

@@ -116,5 +116,12 @@ const event::Event* bound(const Binding& binding, const std::string& alias);
 bool join_holds(const JoinCondition& join, const Binding& binding);
 /// Evaluates one spatial condition under the same convention.
 bool spatial_holds(const SpatialCondition& cond, const Binding& binding);
+/// True when every join and spatial condition of `rule` holds for a
+/// (possibly partial) binding.
+bool conditions_hold(const Rule& rule, const Binding& binding);
+
+/// The event `rule` synthesises from a complete binding at `now`: the
+/// emit spec's assignments, stamped with `now` and the rule's name.
+event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now);
 
 }  // namespace aa::match

@@ -242,10 +242,4 @@ NodeRef OverlayNetwork::true_root(const ObjectId& key) const {
   return best;
 }
 
-std::vector<NodeRef> OverlayNetwork::oracle_replica_set(const ObjectId& key, int count) const {
-  const NodeRef root = true_root(key);
-  if (!root.valid()) return {};
-  return nodes_.at(root.host)->replica_set(key, count);
-}
-
 }  // namespace aa::overlay

@@ -83,10 +83,6 @@ class OverlayNetwork {
   /// the live node numerically closest to `key`.
   NodeRef true_root(const ObjectId& key) const;
 
-  /// Replica candidates as seen by the root of `key`: routes nothing,
-  /// asks the oracle root node directly (storage uses the routed path).
-  std::vector<NodeRef> oracle_replica_set(const ObjectId& key, int count) const;
-
   sim::Histogram& route_hops() { return route_hops_; }
   std::uint64_t routed_messages() const { return routed_; }
   std::uint64_t undeliverable() const { return undeliverable_; }

@@ -40,12 +40,12 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// Installs a built component, wires its <connect/> links, and returns
-/// the teardown hook.
+}  // namespace
+
 Result<std::function<void()>> finish_install(PipelineNetwork& pipelines, sim::HostId host,
                                              const bundle::CodeBundle& b,
                                              std::unique_ptr<Component> component,
-                                             SensorSource* sensor_to_start = nullptr) {
+                                             SensorSource* sensor_to_start) {
   const ComponentRef ref = pipelines.add(host, std::move(component));
   for (const xml::Element* link : b.config().children_named("connect")) {
     const auto to_host = link->attribute("host");
@@ -67,8 +67,6 @@ Result<std::function<void()>> finish_install(PipelineNetwork& pipelines, sim::Ho
   }
   return std::function<void()>([&pipelines, ref]() { pipelines.remove(ref); });
 }
-
-}  // namespace
 
 void register_pipeline_installers(bundle::ThinServerRuntime& runtime,
                                   PipelineNetwork& pipelines, pubsub::EventService* bus) {

@@ -27,6 +27,18 @@
 
 namespace aa::pipeline {
 
+class SensorSource;
+
+/// The tail every component installer shares (the pipe.* ones and the
+/// "matchlet" installer): adds `component` on `host`, wires the bundle
+/// config's <connect/> links, starts `sensor_to_start` unless the config
+/// says autostart="0", and returns the teardown hook.  A malformed or
+/// failing link removes the component again and fails the install.
+Result<std::function<void()>> finish_install(PipelineNetwork& pipelines, sim::HostId host,
+                                             const bundle::CodeBundle& b,
+                                             std::unique_ptr<Component> component,
+                                             SensorSource* sensor_to_start = nullptr);
+
 /// Registers all pipe.* installers on the runtime.  `bus` may be null
 /// if no event service is wired (pipe.publisher / pipe.subscriber then
 /// fail installation).

@@ -78,11 +78,6 @@ Status PipelineNetwork::disconnect(const ComponentRef& upstream,
   return it->second.size() < before ? Status::ok() : Status(Code::kNotFound, "no such link");
 }
 
-std::vector<ComponentRef> PipelineNetwork::downstream_of(const ComponentRef& ref) const {
-  auto it = links_.find(ref);
-  return it == links_.end() ? std::vector<ComponentRef>{} : it->second;
-}
-
 void PipelineNetwork::inject(const ComponentRef& ref, const event::Event& e) {
   deliver_local(ref, e);
 }

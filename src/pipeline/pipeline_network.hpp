@@ -55,7 +55,6 @@ class PipelineNetwork {
   /// Connects upstream -> downstream.  Duplicate links are ignored.
   Status connect(const ComponentRef& upstream, const ComponentRef& downstream);
   Status disconnect(const ComponentRef& upstream, const ComponentRef& downstream);
-  std::vector<ComponentRef> downstream_of(const ComponentRef& ref) const;
 
   /// External event injection (a device pushing into the pipeline).
   void inject(const ComponentRef& ref, const event::Event& e);

@@ -99,19 +99,6 @@ void Broker::on_message(const sim::Packet& packet) {
   }
 }
 
-void Broker::local_subscribe(std::uint64_t id, const event::Filter& filter,
-                             sim::HostId client_host) {
-  handle_subscribe(id, filter, Iface{Iface::Kind::kClient, client_host});
-}
-
-void Broker::local_unsubscribe(std::uint64_t id) {
-  auto it = table_.find(id);
-  if (it == table_.end()) return;
-  handle_unsubscribe(id, it->second.source);
-}
-
-void Broker::local_publish(const event::Event& e) { route_publish(e, std::nullopt); }
-
 bool Broker::covered_at(sim::HostId neighbour, const event::Filter& filter,
                         std::uint64_t ignore_id) const {
   auto it = forwarded_.find(neighbour);

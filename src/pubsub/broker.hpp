@@ -102,7 +102,6 @@ class Broker {
   /// semantics).  Advertisements themselves are flooded.  All brokers
   /// of an overlay must agree on the mode.
   void set_advertisement_forwarding(bool on) { advertisement_forwarding_ = on; }
-  bool advertisement_forwarding() const { return advertisement_forwarding_; }
 
   /// Covering-based subscription merging (DESIGN.md §11): instead of
   /// forwarding per-subscription entries pruned by covering, the broker
@@ -116,7 +115,6 @@ class Broker {
   /// enabled before subscriptions exist (SienaNetwork::enable_aggregation
   /// does both).
   void enable_aggregation(const BrokerAggregationParams& params);
-  bool aggregation_enabled() const { return aggregation_; }
 
   /// Routes all broker-to-broker traffic through `transport` (ack +
   /// retry, sim/reliable.hpp) instead of raw datagrams, so forwarding
@@ -134,16 +132,10 @@ class Broker {
   /// Handles an incoming protocol message (wired up by SienaNetwork).
   void on_message(const sim::Packet& packet);
 
-  /// Entry points used for locally attached clients.
-  void local_subscribe(std::uint64_t id, const event::Filter& filter, sim::HostId client_host);
-  void local_unsubscribe(std::uint64_t id);
-  void local_publish(const event::Event& e);
-
   const BrokerStats& stats() const { return stats_; }
 
   /// Number of routing-table entries (for table-size scaling metrics).
   std::size_t table_size() const { return table_.size(); }
-  std::size_t advert_count() const { return adverts_.size(); }
   /// Entries learned from neighbour brokers — the interior routing
   /// state the aggregation tier keeps sub-linear in client count.
   std::size_t transit_entries() const;
@@ -154,7 +146,6 @@ class Broker {
   /// every routing-state mutation (ping-pong format, sim/durable_disk).
   /// Wired up by SienaNetwork::enable_broker_checkpoints().
   void enable_checkpoints(sim::DurableDisk& disk, BrokerDurabilityParams params = {});
-  bool checkpoints_enabled() const { return disk_ != nullptr; }
 
   /// Crash recovery: wipes routing state (the crash lost it), restores
   /// the last durable checkpoint, then reconciles with each neighbour

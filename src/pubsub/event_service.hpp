@@ -5,15 +5,18 @@
 // the contextual matching engine.  We propose that a general-purpose
 // system such as Siena would be ideal for this purpose."
 //
-// Three implementations are provided, matching the paper's state of the
-// art survey (§3):
-//   * SienaNetwork    — distributed content-based routing over an
-//                       acyclic broker overlay with covering-based
-//                       subscription pruning (the paper's choice).
-//   * CentralService  — Elvin-style single server ("client-server
-//                       architecture, limiting its scalability").
-//   * FloodingNetwork — broker overlay that floods every publication
-//                       (ablation: overlay without content-based routing).
+// Implementations, matching the paper's state of the art survey (§3):
+//   * SienaNetwork      — distributed content-based routing over an
+//                         acyclic broker overlay with covering-based
+//                         subscription pruning (the paper's choice).
+//                         With one broker it is the Elvin-style single
+//                         server ("client-server architecture, limiting
+//                         its scalability"), C1's central baseline.
+//   * FloodingNetwork   — broker overlay that floods every publication
+//                         (ablation: overlay without content-based
+//                         routing).
+//   * ScribeNetwork     — rendezvous multicast over the Plaxton overlay.
+//   * BrokerShardRouter — SienaNetwork shards partitioned by attribute.
 #pragma once
 
 #include <cstdint>

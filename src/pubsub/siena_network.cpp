@@ -320,12 +320,4 @@ std::size_t SienaNetwork::max_table_entries() const {
   return max_entries;
 }
 
-std::uint64_t SienaNetwork::max_broker_load() const {
-  std::uint64_t max_load = 0;
-  for (const auto& [h, b] : brokers_) {
-    max_load = std::max(max_load, b->stats().publications_routed);
-  }
-  return max_load;
-}
-
 }  // namespace aa::pubsub

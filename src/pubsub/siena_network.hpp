@@ -113,8 +113,6 @@ class SienaNetwork final : public EventService {
 
   /// Sum of broker stats across the overlay.
   BrokerStats total_broker_stats() const;
-  /// Largest per-broker routed-publication count (hotspot measure).
-  std::uint64_t max_broker_load() const;
   /// Total routing-table entries across brokers, and the subset learned
   /// from neighbour brokers (the interior state aggregation compresses).
   std::size_t total_table_entries() const;

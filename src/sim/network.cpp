@@ -149,11 +149,6 @@ void Network::enable_profiling(std::size_t sample_retention) {
   sched_.set_profiler(profiler_.get());
 }
 
-void Network::disable_profiling() {
-  sched_.set_profiler(nullptr);
-  profiler_.reset();
-}
-
 void Network::export_chrome_trace(std::ostream& out) const {
   out << "{\"traceEvents\":[";
   bool first = true;

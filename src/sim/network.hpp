@@ -193,7 +193,6 @@ class Network {
   /// Stops staging new sends.  Already-staged packets still flush via
   /// their scheduled tasks.
   void disable_batching() { batch_window_ = -1; }
-  bool batching_enabled() const { return batch_window_ >= 0; }
 
   // --- Link fault injection ---
 
@@ -281,9 +280,6 @@ class Network {
   /// Enables profiling, creating the profiler on first use.
   /// `sample_retention` caps the barrier-snapshot ring buffer.
   void enable_profiling(std::size_t sample_retention = 4096);
-  /// Detaches and drops the profiler and all counters.
-  void disable_profiling();
-  bool profiling_enabled() const { return profiler_ != nullptr; }
   obs::Profiler* profiler() { return profiler_.get(); }
   const obs::Profiler* profiler() const { return profiler_.get(); }
 

@@ -45,9 +45,6 @@ class Topology {
     return 0;
   }
 
-  /// Number of distinct regions (>= 1).
-  virtual int region_count() const { return 1; }
-
   /// Smallest latency between two *distinct* hosts: the conservative
   /// lookahead bound of the parallel scheduler (a cross-host message can
   /// never arrive sooner).  The default scans pairs (capped, so huge
@@ -127,7 +124,6 @@ class TransitStubTopology final : public Topology {
   SimDuration latency(HostId a, HostId b) const override;
   std::size_t size() const override { return hosts_; }
   int region_of(HostId h) const override { return static_cast<int>(h % regions_); }
-  int region_count() const override { return regions_; }
   SimDuration min_remote_latency() const override {
     // Any region with two hosts has an intra-region pair; otherwise the
     // cheapest inter-region route bounds from below.

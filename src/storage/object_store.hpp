@@ -161,8 +161,6 @@ class ObjectStore {
   void on_direct(sim::HostId host, const sim::Packet& packet);
   void handle_put_at_root(sim::HostId root, const ObjectId& id, Bytes data,
                           sim::HostId requester, std::uint64_t request_id);
-  void handle_get(sim::HostId host, const ObjectId& id, sim::HostId requester,
-                  std::uint64_t request_id, bool at_root, std::uint64_t hit_counter_delta);
   void reply(sim::HostId from, sim::HostId requester, std::uint64_t request_id,
              const ObjectId& id, const Bytes* data);
   void start_reconstruction(sim::HostId root, const ObjectId& id, std::uint64_t request_id,

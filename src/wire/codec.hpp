@@ -69,8 +69,9 @@ class Codec {
   // --- standalone datagram sizes ---
   //
   // The single place each message kind's byte cost is defined, shared
-  // by every event service (siena, flooding, central, mobility) so
-  // their traffic accounting stays comparable.
+  // by the broker-based event services (siena at any broker count,
+  // including C1's one-broker central row, and flooding) so their
+  // traffic accounting stays comparable.
   virtual std::size_t size(const pubsub::SubscribeMsg& m) const = 0;
   virtual std::size_t size(const pubsub::AdvertiseMsg& m) const = 0;
   virtual std::size_t size(const pubsub::UnsubscribeMsg& m) const = 0;

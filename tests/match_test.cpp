@@ -6,11 +6,11 @@
 
 #include <memory>
 
+#include "baselines/naive_engine.hpp"
 #include "event/filter_parser.hpp"
 #include "match/discovery.hpp"
 #include "match/engine.hpp"
 #include "match/matchlet.hpp"
-#include "match/naive_engine.hpp"
 #include "overlay/overlay_network.hpp"
 #include "pipeline/components.hpp"
 
@@ -352,7 +352,7 @@ TEST(NaiveEquivalence, SameMatchesOnInWindowWorkload) {
 
   MatchEngine incremental(kb);
   incremental.add_rule(rule);
-  NaiveEngine naive(kb);
+  baselines::NaiveEngine naive(kb);
   naive.add_rule(rule);
 
   int inc_count = 0, naive_count = 0;
@@ -398,6 +398,51 @@ TEST(Matchlet, EmitsDownstream) {
   sched.run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].type(), "hot");
+}
+
+TEST(Matchlet, InstallerBuildsRulesAndWiresConnectLinks) {
+  // The "matchlet" installer: <rule> children become the rule set and
+  // <connect/> children wire the sink through the install tail every
+  // pipe.* component shares.  A malformed link fails the install and
+  // leaves no component behind.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(4, 1000);
+  sim::Network net(sched, topo);
+  pipeline::PipelineNetwork pipes(net);
+  bundle::ThinServerRuntime runtime(net, "secret");
+  KnowledgeBase kb;
+  register_matchlet_installer(runtime, pipes,
+                              [&kb](sim::HostId) -> KnowledgeBase& { return kb; });
+  runtime.start_server(1, {"run.matchlet"});
+  std::vector<Event> got;
+  pipes.add(0, std::make_unique<pipeline::SinkComponent>(
+                   "s", [&](const Event& e) { got.push_back(e); }));
+
+  Rule rule;
+  rule.name = "r";
+  rule.triggers = {{"t", f("type = temperature and celsius > 10"), duration::minutes(1)}};
+  rule.emit.type = "hot";
+  auto install = [&](const std::string& name, xml::Element link) {
+    xml::Element config("config");
+    config.add_child(rule.to_xml());
+    config.add_child(std::move(link));
+    bundle::CodeBundle b(name, "matchlet", config);
+    return runtime.install_local(1, b, b.seal("secret"));
+  };
+
+  xml::Element to_sink("connect");
+  to_sink.set_attribute("host", "0");
+  to_sink.set_attribute("component", "s");
+  ASSERT_EQ(install("m", to_sink), bundle::DeployResult::kInstalled);
+  pipes.inject(pipeline::ComponentRef{1, "m"}, temp_event(20.0, 0));
+  sched.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type(), "hot");
+
+  xml::Element no_host("connect");
+  no_host.set_attribute("component", "s");
+  EXPECT_EQ(install("bad", no_host), bundle::DeployResult::kInstallerFailed);
+  EXPECT_FALSE(pipes.exists(pipeline::ComponentRef{1, "bad"}));
 }
 
 // --- Discovery ---

@@ -681,9 +681,9 @@ TEST(Metrics, FacadeTimelineKnobsRecordSnapshots) {
   cfg.regions = 2;
   cfg.settle_time = duration::seconds(5);
   cfg.profiling = true;
-  cfg.timeline_interval = duration::seconds(1);
-  cfg.timeline_retention = 8;
   gloss::ActiveArchitecture arch(cfg);
+  // Started right after construction: the whole facade is sampled.
+  arch.metrics_hub().start_timeline(arch.scheduler(), duration::seconds(1), 8);
   arch.run_for(duration::seconds(20));
 
   ASSERT_EQ(arch.metrics_hub().timeline().size(), 8u);

@@ -1,6 +1,7 @@
 // Tests for the event services: Siena-model distributed routing
-// (delivery, covering-based pruning, unsubscription), the Elvin-style
-// central baseline, the flooding baseline, and mobility proxies.
+// (delivery, covering-based pruning, unsubscription) on broker trees and
+// on one broker (the Elvin-style central server), the flooding
+// baseline, and mobility proxies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "event/filter_parser.hpp"
-#include "pubsub/central_service.hpp"
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/mobility.hpp"
 #include "pubsub/siena_network.hpp"
@@ -58,19 +58,25 @@ TEST(Siena, DeliversMatchingEventAcrossBrokers) {
   EXPECT_DOUBLE_EQ(got[0].get_real("celsius").value(), 21.0);
 }
 
-TEST(Siena, FiltersNonMatchingEvents) {
+// A hot-only and a match-all subscriber, one mild reading: only the
+// match-all subscriber receives it.
+void expect_filtered_delivery(const std::vector<sim::HostId>& brokers) {
   Fixture f;
-  SienaNetwork ps(f.net, {0, 1});
+  SienaNetwork ps(f.net, brokers);
   ps.connect_tree();
-  ps.attach_client(10, 0);
-  ps.attach_client(11, 1);
-  int got = 0;
-  ps.subscribe(11, Filter().where("celsius", Op::kGt, 30.0), [&](const Event&) { ++got; });
+  ps.attach_client(10, brokers.front());
+  ps.attach_client(11, brokers.back());
+  int hot = 0, all = 0;
+  ps.subscribe(11, Filter().where("celsius", Op::kGt, 30.0), [&](const Event&) { ++hot; });
+  ps.subscribe(12, Filter(), [&](const Event&) { ++all; });
   f.sched.run();
   ps.publish(10, temp_event(21.0));
   f.sched.run();
-  EXPECT_EQ(got, 0);
+  EXPECT_EQ(hot, 0);
+  EXPECT_EQ(all, 1);
 }
+
+TEST(Siena, FiltersNonMatchingEvents) { expect_filtered_delivery({0, 1}); }
 
 TEST(Siena, EventNotSentToUninterestedBranches) {
   // Star of brokers: events should only traverse edges toward matching
@@ -307,14 +313,13 @@ TEST(Siena, UnsubscribeReforwardBatchIsOrderIndependent) {
   EXPECT_EQ(narrow, 1);
 }
 
-TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
-  // Brokers and client dispatch match through FilterIndex; the oracle is
-  // Filter::matches over the installed subscriptions.  Each client must
-  // receive exactly the oracle's events, in publish order, while the
-  // index probes fewer entries than a linear scan of every broker's
-  // table would test.
+// Brokers and client dispatch match through FilterIndex; the oracle is
+// Filter::matches over the installed subscriptions.  Each client must
+// receive exactly the oracle's events, in publish order, while the
+// index probes fewer entries than a linear scan of every broker's table
+// would test.
+void expect_indexed_matching_matches_oracle(const std::vector<sim::HostId>& brokers) {
   Fixture f(64);
-  std::vector<sim::HostId> brokers{0, 1, 2, 3, 4, 5, 6, 7};
   SienaNetwork ps(f.net, brokers);
   ps.connect_tree();
   constexpr int kSubs = 24;
@@ -333,7 +338,7 @@ TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
     ps.subscribe(host, filt, [&got, s](const Event& e) { got[s].push_back(e.describe()); });
   }
   f.sched.run();
-  ps.attach_client(50, 3);
+  ps.attach_client(50, brokers[3 % brokers.size()]);
   std::vector<std::vector<std::string>> expected(kSubs);
   for (int i = 0; i < 30; ++i) {
     Event e("reading");
@@ -355,6 +360,10 @@ TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
     scan_cost += ps.broker(b)->stats().publications_routed * ps.broker(b)->table_size();
   }
   EXPECT_LT(ps.total_broker_stats().index_probes, scan_cost);
+}
+
+TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
+  expect_indexed_matching_matches_oracle({0, 1, 2, 3, 4, 5, 6, 7});
 }
 
 TEST(Siena, SetCodecAfterSubscribeRepricesEveryLink) {
@@ -423,81 +432,47 @@ TEST(Siena, DeepChainDelivery) {
   EXPECT_EQ(got, 1);
 }
 
-// --- CentralService ---
+// --- One broker: Elvin's central server ---
+//
+// Elvin's single server (section 3) is a SienaNetwork with one broker,
+// as in C1's "central" row: every client talks to it directly.
 
-TEST(Central, DeliversAndFilters) {
-  Fixture f;
-  CentralService ps(f.net, 0);
-  int hot = 0, all = 0;
-  ps.subscribe(10, Filter().where("celsius", Op::kGt, 30.0), [&](const Event&) { ++hot; });
-  ps.subscribe(11, Filter(), [&](const Event&) { ++all; });
-  f.sched.run();
-  ps.publish(12, temp_event(20.0));
-  f.sched.run();
-  EXPECT_EQ(hot, 0);
-  EXPECT_EQ(all, 1);
-}
+TEST(Central, DeliversAndFilters) { expect_filtered_delivery({0}); }
 
 TEST(Central, UnsubscribeStopsDelivery) {
   Fixture f;
-  CentralService ps(f.net, 0);
+  SienaNetwork ps(f.net, {0});
   int got = 0;
   const auto id = ps.subscribe(10, Filter(), [&](const Event&) { ++got; });
   f.sched.run();
-  ps.unsubscribe(10, id);
-  f.sched.run();
   ps.publish(11, temp_event(1.0));
   f.sched.run();
-  EXPECT_EQ(got, 0);
+  EXPECT_EQ(got, 1);
+  ps.unsubscribe(10, id);
+  f.sched.run();
+  ps.publish(11, temp_event(2.0));
+  f.sched.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(f.net.delivered_to(0), 4u);  // subscribe, publish, unsubscribe, publish
 }
 
 TEST(Central, AllTrafficTouchesServer) {
+  // Every subscribe and publish lands on the one broker, and it still
+  // matches through FilterIndex instead of scanning its table.
   Fixture f;
-  CentralService ps(f.net, 0);
-  ps.subscribe(10, Filter(), [](const Event&) {});
+  SienaNetwork ps(f.net, {0});
+  int got = 0;
+  ps.subscribe(10, Filter().where("celsius", Op::kGt, 2.5), [&](const Event&) { ++got; });
   f.sched.run();
   for (int i = 0; i < 5; ++i) ps.publish(11, temp_event(i));
   f.sched.run();
-  EXPECT_EQ(ps.server_messages(), 6u);  // 1 sub + 5 pubs
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(f.net.delivered_to(0), 6u);  // 1 subscribe + 5 publishes
+  const BrokerStats stats = ps.total_broker_stats();
+  EXPECT_LT(stats.index_probes, stats.publications_routed * ps.broker(0)->table_size());
 }
 
-TEST(Central, IndexedMatchingMatchesNaiveOracle) {
-  // The server matches through FilterIndex; the oracle is
-  // Filter::matches over the installed subscriptions.  Deliveries must
-  // agree per client, and the index must probe fewer entries than a
-  // scan of every subscription per publication would test.
-  Fixture f(64);
-  CentralService ps(f.net, 0);
-  constexpr int kSubs = 20;
-  constexpr int kPublishes = 25;
-  std::vector<Filter> filters;
-  std::vector<std::vector<std::string>> got(kSubs);
-  for (int s = 0; s < kSubs; ++s) {
-    Filter filt;
-    if (s % 2 == 0) {
-      filt.where("topic", Op::kEq, "t" + std::to_string(s % 5));
-    } else {
-      filt.where("value", Op::kLe, static_cast<double>(s));
-    }
-    filters.push_back(filt);
-    ps.subscribe(static_cast<sim::HostId>(10 + s), filt,
-                 [&got, s](const Event& e) { got[s].push_back(e.describe()); });
-  }
-  f.sched.run();
-  std::vector<std::vector<std::string>> expected(kSubs);
-  for (int i = 0; i < kPublishes; ++i) {
-    Event e("reading");
-    e.set("topic", "t" + std::to_string(i % 5)).set("value", static_cast<double>(i));
-    for (int s = 0; s < kSubs; ++s) {
-      if (filters[s].matches(e)) expected[s].push_back(e.describe());
-    }
-    ps.publish(40, e);
-    f.sched.run();
-  }
-  EXPECT_EQ(got, expected);
-  EXPECT_NE(expected, std::vector<std::vector<std::string>>(kSubs));
-  EXPECT_LT(ps.server_index_probes(), static_cast<std::uint64_t>(kPublishes) * kSubs);
-}
+TEST(Central, IndexedMatchingMatchesNaiveOracle) { expect_indexed_matching_matches_oracle({0}); }
 
 // --- FloodingNetwork ---
 
