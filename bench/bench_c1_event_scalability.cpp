@@ -13,14 +13,12 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "wire/codec.hpp"
 #include "obs/metrics_hub.hpp"
-#include "obs/profiler.hpp"
 #include "sim/metrics.hpp"
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/scribe.hpp"
@@ -39,7 +37,7 @@ struct RunResult {
   double mean_latency_ms = 0;
   std::uint64_t delivered = 0;
   sim::NetworkStats net;  // full counters, incl. fault/retry columns
-  std::vector<obs::Profiler::SlotCounters> slots;  // per-shard profile (when profiled)
+  std::uint64_t tasks = 0;  // scheduler tasks executed over the whole run
 };
 
 struct Workload {
@@ -50,12 +48,9 @@ struct Workload {
 };
 
 /// Subscribers want one of 8 topics; publishers round-robin topics, so
-/// ~1/8 of subscribers match each event.  `threads` > 1 drives the run
-/// on the sharded scheduler (broker modes only: the scribe mode rides
-/// the overlay, which runs sequentially).
-RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
-              bool profiling = false, wire::WireCodec codec = wire::WireCodec::kXml,
-              bool batching = false) {
+/// ~1/8 of subscribers match each event.
+RunResult run(const Workload& w, const std::string& mode,
+              wire::WireCodec codec = wire::WireCodec::kXml, bool batching = false) {
   sim::Scheduler sched;
   const std::size_t hosts =
       static_cast<std::size_t>(w.brokers + w.subscribers + w.publishers);
@@ -63,8 +58,6 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
   tp.regions = 8;
   auto topo = std::make_shared<sim::TransitStubTopology>(hosts, tp);
   sim::Network net(sched, topo);
-  if (profiling) net.enable_profiling();
-  if (threads > 1 && mode != "scribe") net.set_threads(threads);
 
   std::vector<sim::HostId> broker_hosts;
   for (int b = 0; b < w.brokers; ++b) broker_hosts.push_back(static_cast<sim::HostId>(b));
@@ -117,21 +110,16 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
     sched.run_until(sched.now() + duration::seconds(10));
   }
 
-  // One counter and histogram per subscriber: a callback runs on the
-  // shard that owns its subscriber's host, so sharded runs never share
-  // them.  They are merged after the run.
-  const auto subscribers = static_cast<std::size_t>(w.subscribers);
-  std::vector<std::uint64_t> delivered(subscribers, 0);
-  std::vector<sim::Histogram> latency(subscribers);
+  sim::Histogram latency;
+  std::uint64_t delivered = 0;
   SimTime published_at = 0;
   for (int s = 0; s < w.subscribers; ++s) {
     event::Filter f;
     f.where("type", event::Op::kEq, "reading")
         .where("topic", event::Op::kEq, "topic" + std::to_string(s % 8));
-    const auto i = static_cast<std::size_t>(s);
-    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f, [&, i](const event::Event&) {
-      ++delivered[i];
-      latency[i].record(to_millis(sched.now() - published_at));
+    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f, [&](const event::Event&) {
+      ++delivered;
+      latency.record(to_millis(sched.now() - published_at));
     });
   }
   sched.run_until(sched.now() + duration::seconds(30));
@@ -151,28 +139,19 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
   RunResult r;
   r.messages = net.stats().messages_sent;
   r.bytes = net.stats().bytes_sent;
-  sim::Histogram all_latency;
-  for (std::size_t s = 0; s < subscribers; ++s) {
-    r.delivered += delivered[s];
-    all_latency.merge(latency[s]);
-  }
+  r.delivered = delivered;
   r.net = net.stats();
   for (sim::HostId h = 0; h < hosts; ++h) {
     r.hotspot = std::max(r.hotspot, net.delivered_to(h));
   }
-  r.mean_latency_ms = all_latency.mean();
-  if (const obs::Profiler* prof = net.profiler()) {
-    for (std::uint32_t slot = 0; slot < prof->slot_count(); ++slot) {
-      r.slots.push_back(prof->counters(slot));
-    }
-  }
+  r.mean_latency_ms = latency.mean();
+  r.tasks = sched.executed_events();
   return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned knob_threads = bench::threads_arg(argc, argv);
   const wire::WireCodec knob_codec = bench::codec_arg(argc, argv);
   const bool knob_batch = bench::batch_arg(argc, argv);
   bench::headline("C1 (§3/§4.1)",
@@ -192,7 +171,7 @@ int main(int argc, char** argv) {
     bench::Table table({"service", "messages", "bytes", "hotspot", "lat ms", "delivered"});
     std::vector<std::pair<std::string, RunResult>> results;
     for (const std::string mode : {"central", "flooding", "siena", "siena-adv", "scribe"}) {
-      const auto r = run(w, mode, knob_threads, /*profiling=*/false, knob_codec, knob_batch);
+      const auto r = run(w, mode, knob_codec, knob_batch);
       table.row({mode, bench::fmt("%llu", (unsigned long long)r.messages),
                  bench::fmt("%llu", (unsigned long long)r.bytes),
                  bench::fmt("%llu", (unsigned long long)r.hotspot),
@@ -210,79 +189,8 @@ int main(int argc, char** argv) {
       snap.add(bench::fmt("%s.subs%d.messages", mode.c_str(), subscribers), r.messages);
       snap.add(bench::fmt("%s.subs%d.delivered", mode.c_str(), subscribers), r.delivered);
       snap.add(bench::fmt("%s.subs%d.hotspot", mode.c_str(), subscribers), r.hotspot);
+      snap.add(bench::fmt("%s.subs%d.tasks", mode.c_str(), subscribers), r.tasks);
     }
-  }
-
-  std::printf("\n(d) Sharded scheduler scaling (siena, largest config): the identical\n"
-              "    workload at 1/2/4 scheduler shards — delivery counts must match\n"
-              "    bit-for-bit, wall-clock shows the thread-scaling curve:\n");
-  {
-    const Workload w{16, 256};
-    bench::Table t({"threads", "wall ms", "speedup", "delivered", "messages"});
-    double base_ms = 0;
-    std::uint64_t base_delivered = 0, base_messages = 0;
-    std::vector<std::pair<unsigned, std::vector<obs::Profiler::SlotCounters>>> profiles;
-    for (unsigned threads : {1u, 2u, 4u}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto r = run(w, "siena", threads, /*profiling=*/true);
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      if (threads == 1) {
-        base_ms = ms;
-        base_delivered = r.delivered;
-        base_messages = r.messages;
-      } else if (r.delivered != base_delivered || r.messages != base_messages) {
-        std::printf("  WARNING: sharded run diverged from sequential counters!\n");
-      }
-      const double speedup = ms > 0 ? base_ms / ms : 0;
-      t.row({bench::fmt("%u", threads), bench::fmt("%.1f", ms),
-             bench::fmt("%.2fx", speedup),
-             bench::fmt("%llu", (unsigned long long)r.delivered),
-             bench::fmt("%llu", (unsigned long long)r.messages)});
-      snap.add(bench::fmt("scaling.threads%u.wall_us", threads),
-               static_cast<std::uint64_t>(ms * 1000.0));
-      snap.add(bench::fmt("scaling.threads%u.delivered", threads), r.delivered);
-      snap.add_scaled(bench::fmt("scaling.threads%u.speedup", threads), speedup);
-      // Per-shard wall-clock attribution (profiler): where each shard's
-      // time goes — busy in tasks, parked at the epoch barrier, inside
-      // the shared-timestamp serialization point, or merging outboxes.
-      for (std::size_t slot = 0; slot < r.slots.size(); ++slot) {
-        const auto& c = r.slots[slot];
-        const bool global = r.slots.size() > 1 && slot + 1 == r.slots.size();
-        const std::string label = global ? "global" : bench::fmt("shard%zu", slot);
-        const std::string prefix =
-            bench::fmt("scaling.threads%u.", threads) + label;
-        snap.add(prefix + ".tasks", c.tasks);
-        snap.add(prefix + ".busy_us", c.busy_ns / 1000);
-        snap.add(prefix + ".barrier_wait_us", c.barrier_wait_ns / 1000);
-        snap.add(prefix + ".serialization_us", c.serialization_ns / 1000);
-        snap.add(prefix + ".merge_us", c.merge_ns / 1000);
-      }
-      profiles.emplace_back(threads, r.slots);
-    }
-    std::printf("\n    Per-shard profile (wall-clock attribution; the barrier column is\n"
-                "    the cost of conservative synchronisation, DESIGN.md §7):\n");
-    bench::Table prof_table(
-        {"threads", "shard", "tasks", "busy us", "barrier us", "serial us", "merge us"});
-    for (const auto& [threads, slots] : profiles) {
-      for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-        const auto& c = slots[slot];
-        const bool global = slots.size() > 1 && slot + 1 == slots.size();
-        prof_table.row({bench::fmt("%u", threads),
-                        global ? "global" : bench::fmt("%zu", slot),
-                        bench::fmt("%llu", (unsigned long long)c.tasks),
-                        bench::fmt("%llu", (unsigned long long)(c.busy_ns / 1000)),
-                        bench::fmt("%llu", (unsigned long long)(c.barrier_wait_ns / 1000)),
-                        bench::fmt("%llu", (unsigned long long)(c.serialization_ns / 1000)),
-                        bench::fmt("%llu", (unsigned long long)(c.merge_ns / 1000))});
-      }
-    }
-    snap.add("scaling.hardware_threads", std::thread::hardware_concurrency());
-    std::printf("(speedup is bounded by the machine: %u hardware thread(s) here — on a\n"
-                " single core the barrier overhead makes sharding a slowdown; the line\n"
-                " exists to pin the curve shape run-to-run in BENCH_c1.json.)\n",
-                std::thread::hardware_concurrency());
   }
 
   std::printf("\n(b) Subscription-state economics (64 brokers in a chain, 64 subscribers\n"

@@ -169,21 +169,6 @@ class Snapshot {
   sim::MetricsRegistry reg_;
 };
 
-/// Parses a `--threads N` argument pair: scheduler shards to drive the
-/// simulation with (Network::set_threads).  Defaults to 1 (sequential).
-/// Only C1 takes it, for its broker-tree sections (the event bus and raw
-/// datagrams are shard-safe).  The other harnesses ride the overlay,
-/// object store or pipelines, which run on one shard (DESIGN.md §10).
-inline unsigned threads_arg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      const int n = std::atoi(argv[i + 1]);
-      return n > 1 ? static_cast<unsigned>(n) : 1u;
-    }
-  }
-  return 1;
-}
-
 /// Parses a `--codec <name>` argument pair: wire codec for sections
 /// that route through a SienaNetwork ("xml" or "binary").  Defaults to
 /// XML so snapshot baselines keep pricing the interop encoding.  An

@@ -1,7 +1,6 @@
 #include "common/log.hpp"
 
 #include <cstdio>
-#include <mutex>
 
 namespace aa {
 
@@ -9,9 +8,6 @@ namespace {
 LogLevel g_level = LogLevel::kOff;
 std::function<std::int64_t()> g_clock;
 std::function<void(const std::string&)> g_sink;
-// Serialises line formatting + emission when scheduler shards log
-// concurrently; the level() fast path stays lock-free.
-std::mutex g_write_mu;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -33,7 +29,6 @@ void Logger::set_sink(std::function<void(const std::string&)> sink) { g_sink = s
 
 void Logger::write(LogLevel level, const std::string& component, const std::string& message) {
   if (level < g_level) return;
-  std::lock_guard<std::mutex> lock(g_write_mu);
   std::string line;
   if (g_clock) {
     line += "[t=" + std::to_string(g_clock()) + "us] ";

@@ -209,26 +209,18 @@ inline void export_trace_metrics(sim::MetricsRegistry& reg, const std::string& n
   }
 }
 
-/// Scheduler profiler counters → "ns.total.*" plus per-slot
-/// "ns.slotN.*" keys.  Wall-clock nanoseconds are exported as integer
-/// microseconds (the registry holds integers, and bench tooling treats
-/// *_us keys as noisy).  Slot 0 is the global slot; slot h+1 is shard h.
+/// Scheduler profiler counters → "ns.total.*" keys.  Wall-clock
+/// nanoseconds are exported as integer microseconds (the registry holds
+/// integers, and bench tooling treats *_us keys as noisy).
 inline void export_profiler(sim::MetricsRegistry& reg, const std::string& ns,
                             const Profiler& prof) {
-  auto emit = [&reg](const std::string& prefix, const Profiler::SlotCounters& c) {
-    reg.add(prefix + ".tasks", c.tasks);
-    reg.add(prefix + ".busy_us", c.busy_ns / 1000);
-    reg.add(prefix + ".barrier_wait_us", c.barrier_wait_ns / 1000);
-    reg.add(prefix + ".serialization_us", c.serialization_ns / 1000);
-    reg.add(prefix + ".merge_us", c.merge_ns / 1000);
-    for (std::size_t b = 0; b < kProfileBucketCount; ++b) {
-      reg.add(prefix + "." + std::string(bucket_name(static_cast<ProfileBucket>(b))) + "_us",
-              c.bucket_ns[b] / 1000);
-    }
-  };
-  emit(ns + ".total", prof.totals());
-  for (std::uint32_t s = 0; s < prof.slot_count(); ++s) {
-    emit(ns + ".slot" + std::to_string(s), prof.counters(s));
+  const std::string prefix = ns + ".total";
+  const Profiler::SlotCounters& c = prof.totals();
+  reg.add(prefix + ".tasks", c.tasks);
+  reg.add(prefix + ".busy_us", c.busy_ns / 1000);
+  for (std::size_t b = 0; b < kProfileBucketCount; ++b) {
+    reg.add(prefix + "." + std::string(bucket_name(static_cast<ProfileBucket>(b))) + "_us",
+            c.bucket_ns[b] / 1000);
   }
 }
 

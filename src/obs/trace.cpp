@@ -42,8 +42,8 @@ std::uint64_t splitmix(std::uint64_t x) {
 }
 
 /// Deterministic mix of a task key and the per-task call index: the
-/// same (workload position, call) pair yields the same value at any
-/// shard count, which is what makes keyed sampling bit-stable.
+/// same (workload position, call) pair always yields the same value,
+/// which is what makes keyed sampling bit-stable.
 std::uint64_t mix_key(const TraceCollector::TaskKey& k, std::uint64_t call) {
   std::uint64_t h = splitmix(static_cast<std::uint64_t>(k.time));
   h = splitmix(h ^ k.owner_rank);
@@ -57,29 +57,21 @@ constexpr std::uint64_t kTraceIdMask = (1ULL << 48) - 1;
 
 }  // namespace
 
-void TraceCollector::bind_slots(std::uint32_t slot_count,
-                                std::function<TaskRef()> provider) {
-  flush();  // patches recorded under the old binding keep their order
-  if (slot_count > slots_.size()) slots_.resize(slot_count);
-  provider_ = std::move(provider);
-}
-
 TraceContext TraceCollector::start_trace() {
   if (sample_every_ == 0) return {};
   if (!provider_) {
-    // Unbound (bare collector): legacy counter sampling, dense ids.
+    // Unbound (bare collector): counter sampling, dense ids.
     if ((start_calls_++ % sample_every_) != 0) return {};
-    return TraceContext{next_legacy_++, 0};
+    return TraceContext{next_dense_++, 0};
   }
-  const TaskRef ref = current_ref();
-  Slot& sl = slots_[ref.slot < slots_.size() ? ref.slot : 0];
-  if (!(sl.last_key == ref.key)) {
-    sl.last_key = ref.key;
-    sl.calls_in_task = 0;
+  const TaskKey key = provider_();
+  if (last_key_ != key) {
+    last_key_ = key;
+    calls_in_task_ = 0;
   }
-  const std::uint64_t h = mix_key(ref.key, sl.calls_in_task++);
+  const std::uint64_t h = mix_key(key, calls_in_task_++);
   if ((h % sample_every_) != 0) return {};
-  ++sl.admitted;
+  ++admitted_;
   std::uint64_t id = splitmix(h) & kTraceIdMask;
   if (id == 0) id = 1;
   return TraceContext{id, 0};
@@ -89,135 +81,67 @@ std::uint64_t TraceCollector::begin(const TraceContext& ctx, HostId host,
                                     std::string component, std::string action,
                                     SimTime now) {
   if (!ctx.active()) return 0;
-  const TaskRef ref = current_ref();
-  const std::uint32_t slot = ref.slot < slots_.size() ? ref.slot : 0;
-  Slot& sl = slots_[slot];
   Span s;
   s.trace_id = ctx.trace_id;
-  s.id = (static_cast<std::uint64_t>(slot) << kSlotShift) | sl.next_seq++;
+  s.id = spans_.size() + 1;
   s.parent = ctx.parent_span;
   s.host = host;
   s.component = std::move(component);
   s.action = std::move(action);
   s.start = now;
-  sl.spans.push_back(std::move(s));
-  dirty_.store(true, std::memory_order_release);
-  return sl.spans.back().id;
+  spans_.push_back(std::move(s));
+  return spans_.back().id;
 }
 
 void TraceCollector::end(std::uint64_t span_id, SimTime now) {
-  if (span_id == 0) return;
-  // Buffered, not applied: a wire span opened on the sender's shard is
-  // closed from the receiver's, so direct mutation would race.  Every
-  // end goes through the writer's own patch log and is applied in
-  // task-key order at the next flush — which both serializes the write
-  // and makes "first close wins" mean first in *deterministic* order,
-  // not first in thread order.
-  const TaskRef ref = current_ref();
-  Slot& sl = slots_[ref.slot < slots_.size() ? ref.slot : 0];
-  sl.patches.push_back(Patch{ref.key, span_id, now, true, {}});
-  dirty_.store(true, std::memory_order_release);
+  Span* s = find_span(span_id);
+  if (s != nullptr && !s->closed()) s->end = now;
 }
 
 void TraceCollector::annotate(std::uint64_t span_id, const std::string& detail) {
-  if (span_id == 0) return;
-  const TaskRef ref = current_ref();
-  Slot& sl = slots_[ref.slot < slots_.size() ? ref.slot : 0];
-  sl.patches.push_back(Patch{ref.key, span_id, 0, false, detail});
-  dirty_.store(true, std::memory_order_release);
+  Span* s = find_span(span_id);
+  if (s == nullptr) return;
+  if (!s->detail.empty()) s->detail += ';';
+  s->detail += detail;
 }
 
 Span* TraceCollector::find_span(std::uint64_t span_id) {
-  const std::uint64_t slot = span_id >> kSlotShift;
-  const std::uint64_t seq = span_id & ((1ULL << kSlotShift) - 1);
-  if (slot >= slots_.size()) return nullptr;
-  Slot& sl = slots_[slot];
-  if (seq == 0 || seq >= sl.next_seq) return nullptr;
-  return &sl.spans[seq - 1];
+  if (span_id == 0 || span_id > spans_.size()) return nullptr;
+  return &spans_[span_id - 1];
 }
 
-void TraceCollector::flush() const {
-  if (!dirty_.load(std::memory_order_acquire)) return;
-  // Apply buffered patches in global task-key order.  Each slot's log
-  // is already key-ordered (a shard drains its heap in key order), and
-  // two patches can only share a key when they came from one task —
-  // hence one slot — so a stable sort over the slot-order concatenation
-  // reproduces exactly the application order of a sequential run.
-  std::vector<Patch> all;
-  for (Slot& sl : slots_) {
-    all.insert(all.end(), std::make_move_iterator(sl.patches.begin()),
-               std::make_move_iterator(sl.patches.end()));
-    sl.patches.clear();
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Patch& a, const Patch& b) { return a.key < b.key; });
-  auto* self = const_cast<TraceCollector*>(this);
-  for (Patch& p : all) {
-    Span* s = self->find_span(p.span_id);
-    if (s == nullptr) continue;
-    if (p.is_end) {
-      if (!s->closed()) s->end = p.end_time;
-    } else if (s->detail.empty()) {
-      s->detail = std::move(p.detail);
-    } else {
-      s->detail += ';';
-      s->detail += p.detail;
-    }
-  }
-  merged_.clear();
-  for (const Slot& sl : slots_) {
-    merged_.insert(merged_.end(), sl.spans.begin(), sl.spans.end());
-  }
-  dirty_.store(false, std::memory_order_release);
-}
+const Span* TraceCollector::span(std::uint64_t span_id) const { return find_span(span_id); }
 
-const Span* TraceCollector::span(std::uint64_t span_id) const {
-  flush();
-  return find_span(span_id);
-}
-
-const std::vector<Span>& TraceCollector::spans() const {
-  flush();
-  return merged_;
-}
-
-std::uint64_t TraceCollector::trace_count() const {
-  std::uint64_t total = next_legacy_ - 1;
-  for (const Slot& sl : slots_) total += sl.admitted;
-  return total;
-}
+std::uint64_t TraceCollector::trace_count() const { return next_dense_ - 1 + admitted_; }
 
 std::vector<std::uint64_t> TraceCollector::trace_ids() const {
-  flush();
   std::vector<std::uint64_t> ids;
-  for (const Span& s : merged_) ids.push_back(s.trace_id);
+  for (const Span& s : spans_) ids.push_back(s.trace_id);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 
 std::vector<const Span*> TraceCollector::trace(std::uint64_t trace_id) const {
-  flush();
   std::vector<const Span*> out;
-  for (const Span& s : merged_) {
+  for (const Span& s : spans_) {
     if (s.trace_id == trace_id) out.push_back(&s);
   }
   return out;
 }
 
 void TraceCollector::clear() {
-  const std::size_t n = slots_.size();
-  slots_.assign(n, Slot{});
-  merged_.clear();
+  spans_.clear();
   start_calls_ = 0;
-  next_legacy_ = 1;
-  dirty_.store(false, std::memory_order_release);
+  next_dense_ = 1;
+  admitted_ = 0;
+  last_key_ = {};
+  calls_in_task_ = 0;
 }
 
 void TraceCollector::write_chrome_events(std::ostream& out, bool& first) const {
-  flush();
   std::vector<HostId> hosts;
-  for (const Span& s : merged_) {
+  for (const Span& s : spans_) {
     if (std::find(hosts.begin(), hosts.end(), s.host) == hosts.end()) {
       hosts.push_back(s.host);
     }
@@ -258,10 +182,9 @@ std::string TraceCollector::chrome_json() const {
 }
 
 void TraceCollector::dump_text(std::ostream& out) const {
-  flush();
   // Group by trace; indent by parent depth.
   std::map<std::uint64_t, std::vector<const Span*>> by_trace;
-  for (const Span& s : merged_) by_trace[s.trace_id].push_back(&s);
+  for (const Span& s : spans_) by_trace[s.trace_id].push_back(&s);
   for (const auto& [tid, spans] : by_trace) {
     out << "trace " << tid << " (" << spans.size() << " spans)\n";
     for (const Span* s : spans) {
@@ -281,9 +204,8 @@ void TraceCollector::dump_text(std::ostream& out) const {
 }
 
 std::vector<TraceCollector::DeliveryMetrics> TraceCollector::delivery_metrics() const {
-  flush();
   std::vector<DeliveryMetrics> out;
-  for (const Span& s : merged_) {
+  for (const Span& s : spans_) {
     if (s.action != "deliver") continue;
     DeliveryMetrics m;
     m.trace_id = s.trace_id;

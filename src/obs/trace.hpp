@@ -12,19 +12,9 @@
 // so this header depends only on common/.  Host ids are mirrored as a
 // plain integer; sim::HostId is the same underlying type.
 //
-// Shard-safety (PR 9): the collector is partitioned into *slots*, one
-// per scheduler shard plus one for root/global context.  Each slot owns
-// an append-only span buffer (span ids encode (slot, local-seq)) and a
-// patch log; a task running on shard s only ever writes slot s, so the
-// sharded parallel scheduler can trace without cross-thread writes.
-// Mutations of a span owned by another slot (a wire span opened on the
-// sender's shard is closed on the receiver's) are recorded as *patches*
-// in the writer's own slot and applied — from root context, between
-// epochs — in deterministic task-key order, which is exactly the order
-// a sequential run would have applied them in.  Root-trace sampling is
-// keyed off the deterministic task key (time, owner_rank, oseq) rather
-// than a call counter, so the set of traced events is bit-stable across
-// shard counts.
+// Root-trace sampling is keyed off the scheduler's deterministic task
+// key (time, owner_rank, oseq) rather than a call counter, so the set
+// of traced events depends only on the workload.
 //
 // Tracing is opt-in (Network::enable_tracing) and adds no packets and
 // no timing: a traced run and an untraced run of the same workload
@@ -35,7 +25,6 @@
 // change wire bytes, or perturb other handles to the same event.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -66,7 +55,7 @@ struct TraceContext {
 /// the simulation stopped).
 struct Span {
   std::uint64_t trace_id = 0;
-  std::uint64_t id = 0;      // (slot << 44) | slot-local seq; seq from 1
+  std::uint64_t id = 0;      // dense from 1, in recording order
   std::uint64_t parent = 0;  // 0 = root of its trace
   HostId host = kNoHost;
   std::string component;  // "net", "broker", "pipeline", "client", ...
@@ -79,53 +68,31 @@ struct Span {
   SimDuration duration() const { return closed() ? end - start : 0; }
 };
 
-/// Append-only span store for one Network, partitioned by scheduler
-/// slot.  In the default (unbound) configuration everything lives in
-/// slot 0 and span ids are dense 1..N, exactly the pre-shard behaviour.
-///
-/// Concurrency contract: begin/end/annotate/start_trace may run
-/// concurrently from different slots (each touches only its own slot's
-/// state); every read accessor — span(), spans(), trace(), exporters —
-/// must be called from root context (no epoch in flight), where it
-/// merges the slots deterministically.
+/// Append-only span store for one Network.  Span ids are dense 1..N
+/// in recording order.
 class TraceCollector {
  public:
   /// Content-based identity of the executing scheduler task; the
-  /// deterministic key sampling and patch ordering hang off.  Mirrors
-  /// sim::Scheduler's (time, owner_rank, oseq) without depending on it.
+  /// deterministic key sampling hangs off.  Mirrors sim::Scheduler's
+  /// (time, owner_rank, oseq) without depending on it.
   struct TaskKey {
     SimTime time = 0;
     std::uint64_t owner_rank = 0;  // 0 = global/root, host h = h + 1
     std::uint64_t oseq = 0;
 
     bool operator==(const TaskKey&) const = default;
-    bool operator<(const TaskKey& o) const {
-      if (time != o.time) return time < o.time;
-      if (owner_rank != o.owner_rank) return owner_rank < o.owner_rank;
-      return oseq < o.oseq;
-    }
-  };
-  /// Where the calling task lives: its slot index and its ordering key.
-  struct TaskRef {
-    std::uint32_t slot = 0;
-    TaskKey key{};
   };
 
-  /// Binds the collector to `slot_count` slots with `provider` mapping
-  /// the calling thread to its TaskRef (sim::Network wires the
-  /// scheduler's current shard + task key in).  Must be called from
-  /// root context; the slot count only grows — spans already recorded
-  /// keep their (slot, seq) identity across re-binds.
-  void bind_slots(std::uint32_t slot_count, std::function<TaskRef()> provider);
-  std::uint32_t slot_count() const { return static_cast<std::uint32_t>(slots_.size()); }
+  /// Binds keyed sampling to `provider`, which returns the executing
+  /// task's key (sim::Network wires the scheduler's in).
+  void bind_task_keys(std::function<TaskKey()> provider) { provider_ = std::move(provider); }
 
-  /// Starts a new trace, subject to sampling.  When bound to a task
+  /// Starts a new trace, subject to sampling.  When bound to a task-key
   /// provider the decision and the trace id are a deterministic mix of
-  /// (task key, per-task call index): every `sample_every`-th candidate
-  /// by that mix is admitted, independent of shard count.  Unbound
-  /// (bare collectors in unit tests), it falls back to the legacy
-  /// global call counter: exactly every n-th call is admitted and ids
-  /// are dense from 1.
+  /// (task key, per-task call index): a candidate is admitted when that
+  /// mix is a multiple of `sample_every`.  Unbound (bare collectors in
+  /// unit tests), it falls back to a global call counter: exactly every
+  /// n-th call is admitted and ids are dense from 1.
   TraceContext start_trace();
 
   /// 1 = trace every root (default); n traces every n-th; 0 disables
@@ -134,25 +101,22 @@ class TraceCollector {
   std::uint64_t sample_every() const { return sample_every_; }
 
   /// Opens a span under `ctx` (no-op returning 0 when ctx is inactive).
-  /// Records into the calling slot's buffer.
   std::uint64_t begin(const TraceContext& ctx, HostId host, std::string component,
                       std::string action, SimTime now);
-  /// Closes a span.  Idempotent: the earliest close in task-key order
-  /// wins, so a duplicated packet arriving twice cannot stretch its
-  /// wire span — and the winner is the same at any shard count.
+  /// Closes a span.  Idempotent: the first close wins, so a duplicated
+  /// packet arriving twice cannot stretch its wire span.
   void end(std::uint64_t span_id, SimTime now);
-  /// Appends to the span's detail (';'-joined, in task-key order).
+  /// Appends to the span's detail (';'-joined).
   void annotate(std::uint64_t span_id, const std::string& detail);
 
   const Span* span(std::uint64_t span_id) const;
-  /// All spans, slots concatenated in slot order (the deterministic
-  /// merge; equals recording order when everything ran in one slot).
-  const std::vector<Span>& spans() const;
+  /// All spans, in recording order.
+  const std::vector<Span>& spans() const { return spans_; }
   /// Number of admitted root traces.
   std::uint64_t trace_count() const;
   /// Sorted unique ids of traces that recorded at least one span.
   std::vector<std::uint64_t> trace_ids() const;
-  /// Spans of one trace, in merged order.
+  /// Spans of one trace, in recording order.
   std::vector<const Span*> trace(std::uint64_t trace_id) const;
   void clear();
 
@@ -192,43 +156,20 @@ class TraceCollector {
   std::vector<DeliveryMetrics> delivery_metrics() const;
 
  private:
-  /// Deferred cross-slot mutation, ordered by the writer's task key
-  /// (ties broken by recording order, which within one key means one
-  /// task and hence one slot).
-  struct Patch {
-    TaskKey key{};
-    std::uint64_t span_id = 0;
-    SimTime end_time = 0;
-    bool is_end = false;  // false = annotate
-    std::string detail;
-  };
-  struct Slot {
-    std::uint64_t next_seq = 1;
-    std::uint64_t admitted = 0;  // root traces started from this slot
-    // Keyed-sampling state: per-task call index, reset on key change.
-    TaskKey last_key{};
-    std::uint64_t calls_in_task = 0;
-    std::vector<Span> spans;
-    std::vector<Patch> patches;  // already in task-key order per slot
-  };
-
-  static constexpr unsigned kSlotShift = 44;
-  TaskRef current_ref() const { return provider_ ? provider_() : TaskRef{}; }
   Span* find_span(std::uint64_t span_id);
   const Span* find_span(std::uint64_t span_id) const {
     return const_cast<TraceCollector*>(this)->find_span(span_id);
   }
-  /// Applies every buffered patch in global task-key order, then
-  /// rebuilds the merged view if spans changed.  Root context only.
-  void flush() const;
 
   std::uint64_t sample_every_ = 1;
-  std::uint64_t start_calls_ = 0;   // legacy unbound sampling
-  std::uint64_t next_legacy_ = 1;   // legacy unbound trace ids
-  std::function<TaskRef()> provider_;
-  mutable std::vector<Slot> slots_{1};
-  mutable std::vector<Span> merged_;
-  mutable std::atomic<bool> dirty_{false};
+  std::uint64_t start_calls_ = 0;  // unbound sampling
+  std::uint64_t next_dense_ = 1;   // unbound trace ids
+  std::uint64_t admitted_ = 0;     // keyed root traces admitted
+  // Keyed-sampling state: per-task call index, reset on key change.
+  TaskKey last_key_{};
+  std::uint64_t calls_in_task_ = 0;
+  std::function<TaskKey()> provider_;
+  std::vector<Span> spans_;
 };
 
 /// Validates a Chrome trace_event JSON document (as produced by

@@ -192,9 +192,8 @@ void SienaNetwork::attach_churn(sim::ChurnInjector& churn) {
 
 void SienaNetwork::on_transport_give_up(const sim::Packet& packet) {
   // Only park traffic for brokers that will recover on rejoin; anything
-  // else gave up for good (e.g. a permanently cut-off peer).  Parking
-  // slot is the *source* host — the one whose timer fired — so no two
-  // shards ever write the same slot.
+  // else gave up for good (e.g. a permanently cut-off peer).  Parked
+  // under the *source* host, the one whose retransmit timer fired.
   if (!brokers_.contains(packet.dst) || packet.src >= stalled_.size()) return;
   // Under link faults the give-up can trail the peer's rejoin (the
   // retries that would have discovered the new incarnation were
@@ -212,16 +211,15 @@ void SienaNetwork::on_transport_give_up(const sim::Packet& packet) {
 }
 
 void SienaNetwork::flush_stalled(sim::HostId host) {
-  // Runs from the host watcher, i.e. global context: every slot is
-  // quiescent and may be scanned for traffic parked for `host`.
+  // Collects the traffic parked for `host`, source by source.
   std::vector<sim::Packet> packets;
-  for (std::vector<sim::Packet>& slot : stalled_) {
+  for (std::vector<sim::Packet>& parked : stalled_) {
     auto split = std::stable_partition(
-        slot.begin(), slot.end(),
+        parked.begin(), parked.end(),
         [host](const sim::Packet& p) { return p.dst != host; });
     packets.insert(packets.end(), std::make_move_iterator(split),
-                   std::make_move_iterator(slot.end()));
-    slot.erase(split, slot.end());
+                   std::make_move_iterator(parked.end()));
+    parked.erase(split, parked.end());
   }
   if (packets.empty()) return;
   // Defer past the synchronous rejoin machinery (recovery hooks run

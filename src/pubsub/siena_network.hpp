@@ -152,9 +152,8 @@ class SienaNetwork final : public EventService {
   std::uint64_t watcher_id_ = 0;
   // Broker traffic the transport gave up on because the destination
   // crashed; flushed (re-sent) when the destination rejoins.  Parked by
-  // *source* host: the give-up fires from the sender's retransmit timer
-  // (the sender's shard in parallel mode), so each slot has a single
-  // writer.  flush_stalled scans all slots from global context.
+  // *source* host: flush_stalled re-sends in (source, park order), and
+  // that order is the order of the re-sent packets on the wire.
   std::vector<std::vector<sim::Packet>> stalled_;
   std::map<sim::HostId, std::unique_ptr<Broker>> brokers_;
   std::map<sim::HostId, ClientState> clients_;

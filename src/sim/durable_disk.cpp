@@ -15,8 +15,7 @@ DurableDisk::DurableDisk(Network& net, DiskParams params)
       next_op_(net.host_count(), 1),
       queues_(net.host_count()),
       head_timer_(net.host_count(), kInvalidTask),
-      files_(net.host_count()),
-      stats_slots_(net.host_count()) {
+      files_(net.host_count()) {
   watcher_id_ = net_.add_host_watcher(
       [this](HostId host, bool up) { on_host_transition(host, up); });
 }
@@ -60,7 +59,7 @@ void DurableDisk::append(HostId host, const std::string& file, Bytes record, Don
 bool DurableDisk::remove(HostId host, const std::string& file) {
   if (host >= files_.size()) return false;
   const bool existed = files_[host].erase(file) > 0;
-  if (existed) ++stats_slots_[host].removes;
+  if (existed) ++stats_.removes;
   return existed;
 }
 
@@ -95,21 +94,6 @@ std::size_t DurableDisk::in_flight(HostId host) const {
   return total;
 }
 
-const DiskStats& DurableDisk::stats() const {
-  stats_agg_ = {};
-  for (const DiskStats& s : stats_slots_) {
-    stats_agg_.writes += s.writes;
-    stats_agg_.appends += s.appends;
-    stats_agg_.bytes_written += s.bytes_written;
-    stats_agg_.removes += s.removes;
-    stats_agg_.crashed_ops += s.crashed_ops;
-    stats_agg_.torn_ops += s.torn_ops;
-    stats_agg_.ghost_ops += s.ghost_ops;
-    stats_agg_.lost_ops += s.lost_ops;
-  }
-  return stats_agg_;
-}
-
 void DurableDisk::schedule_completion(HostId host) {
   auto& q = queues_[host];
   if (q.empty()) return;
@@ -130,9 +114,9 @@ void DurableDisk::complete_head(HostId host) {
   head_timer_[host] = kInvalidTask;
   apply(op, op.data.size());
   if (op.is_append) {
-    ++stats_slots_[host].appends;
+    ++stats_.appends;
   } else {
-    ++stats_slots_[host].writes;
+    ++stats_.writes;
   }
   if (!q.empty()) schedule_completion(host);
   // Run the callback last: it may enqueue follow-up ops (checkpoint →
@@ -142,7 +126,7 @@ void DurableDisk::complete_head(HostId host) {
 
 void DurableDisk::apply(const Op& op, std::size_t physical_bytes) {
   const std::size_t n = std::min(physical_bytes, op.data.size());
-  stats_slots_[op.host].bytes_written += n;
+  stats_.bytes_written += n;
   if (op.is_append) {
     Bytes& f = files_[op.host][op.file];
     f.insert(f.end(), op.data.begin(), op.data.begin() + static_cast<std::ptrdiff_t>(n));
@@ -162,8 +146,7 @@ void DurableDisk::on_host_transition(HostId host, bool up) {
   }
   std::deque<Op> pending = std::move(queues_[host]);
   queues_[host].clear();
-  DiskStats& st = stats_slots_[host];
-  st.crashed_ops += pending.size();
+  stats_.crashed_ops += pending.size();
   bool head = true;
   for (const Op& op : pending) {
     if (head && !op.data.empty()) {
@@ -176,16 +159,16 @@ void DurableDisk::on_host_transition(HostId host, bool up) {
         // A torn write lands a *strict* prefix — landing completely
         // would be a ghost, and a 1-byte op can only ghost or vanish
         // (it falls through to the ghost draw below).
-        ++st.torn_ops;
+        ++stats_.torn_ops;
         apply(op, 1 + rng_.below(op.data.size() - 1));
       } else if (u < params_.torn_write_prob + params_.ghost_write_prob) {
-        ++st.ghost_ops;
+        ++stats_.ghost_ops;
         apply(op, op.data.size());
       } else {
-        ++st.lost_ops;
+        ++stats_.lost_ops;
       }
     } else {
-      ++st.lost_ops;
+      ++stats_.lost_ops;
     }
     head = false;
   }

@@ -116,8 +116,7 @@ class DurableDisk {
   /// Operations not yet durable for `host` (all hosts when kNoHost).
   std::size_t in_flight(HostId host = kNoHost) const;
 
-  /// Aggregated over per-host slots; call from root context only.
-  const DiskStats& stats() const;
+  const DiskStats& stats() const { return stats_; }
 
  private:
   struct Op {
@@ -140,18 +139,14 @@ class DurableDisk {
   DiskParams params_;
   Rng rng_;
   std::uint64_t watcher_id_ = 0;
-  // All containers below are pre-sized per host: a host's disk is only
-  // touched from that host's events (or a global sync point — crash
-  // resolution, checkpoint timers), so shards never contend and no
-  // structural mutation of a shared map happens on the hot path.
+  // One disk per host: every container below is indexed by host.
   std::vector<std::uint64_t> next_op_;
   // Per-host FIFO of in-flight ops; front is on the platter now.
   std::vector<std::deque<Op>> queues_;
   // Completion timer of each host's head op.
   std::vector<TaskId> head_timer_;
   std::vector<std::map<std::string, Bytes>> files_;
-  std::vector<DiskStats> stats_slots_;
-  mutable DiskStats stats_agg_;
+  DiskStats stats_;
 };
 
 // --- Crash-consistent ping-pong checkpoints ------------------------------

@@ -33,13 +33,13 @@ double Histogram::percentile(double p) const {
 void Histogram::merge(const Histogram& other) {
   if (other.values_.empty()) return;
   // Self-merge doubles the samples; take the snapshot first so the
-  // insert below iterates over stable storage.
+  // insert below iterates over stable storage.  No reserve: an exact
+  // reserve per merge would reallocate on every one of many merges into
+  // the same histogram.
   if (&other == this) {
     std::vector<double> copy = values_;
-    values_.reserve(values_.size() * 2);
     values_.insert(values_.end(), copy.begin(), copy.end());
   } else {
-    values_.reserve(values_.size() + other.values_.size());
     values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   }
   sorted_ = false;

@@ -28,9 +28,9 @@ class Histogram {
   double percentile(double p) const;
   double median() const { return percentile(50); }
 
-  /// Appends every sample of `other` (reserving up front, so merging a
-  /// hub snapshot of n histograms is O(total samples), not O(n) regrow
-  /// cycles).  Safe for self-merge.
+  /// Appends every sample of `other`.  The samples grow geometrically,
+  /// so merging n histograms into one is amortised O(total samples).
+  /// Safe for self-merge.
   void merge(const Histogram& other);
 
   void clear() {

@@ -15,49 +15,15 @@ Network::Network(Scheduler& sched, std::shared_ptr<const Topology> topo,
       up_(topo_->size(), true),
       incarnation_(topo_->size(), 0),
       delivered_per_host_(topo_->size(), 0),
-      handlers_(topo_->size()),
-      stats_slots_(topo_->size() + 1) {
+      handlers_(topo_->size()) {
   sched_.bind_hosts(static_cast<std::uint32_t>(topo_->size()));
   reseed_fault_rngs(default_faults_.seed);
-  sync_observer_slots();
 }
 
 Network::~Network() {
   // The profiler dies with the network; detach it before the scheduler
   // (externally owned, destroyed after us) can dangle into it.
   if (profiler_ != nullptr) sched_.set_profiler(nullptr);
-}
-
-void Network::sync_observer_slots() {
-  const std::uint32_t slots = sched_.slot_count();
-  if (slots > ambient_.size()) ambient_.resize(slots);
-  if (tracer_ != nullptr) {
-    tracer_->bind_slots(slots, [this]() -> obs::TraceCollector::TaskRef {
-      const Scheduler::TaskKey k = sched_.current_task_key();
-      return {sched_.current_slot(), {k.time, k.owner_rank, k.oseq}};
-    });
-  }
-  // The profiler is re-bound by the scheduler itself (set_parallel /
-  // set_profiler), since sim tests drive set_parallel directly.
-}
-
-void Network::set_threads(unsigned threads) {
-  const auto hosts = static_cast<std::uint32_t>(topo_->size());
-  const std::uint32_t shards = std::min<std::uint32_t>(threads, hosts);
-  if (shards <= 1) {
-    sched_.set_parallel(1, {}, 1);
-  } else {
-    // Contiguous blocks: hosts allocated together (e.g. one region, one
-    // broker subtree) tend to talk to each other, so block assignment
-    // keeps most traffic shard-local.
-    std::vector<std::uint32_t> map(hosts);
-    for (std::uint32_t h = 0; h < hosts; ++h) {
-      map[h] = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(h) * shards / hosts);
-    }
-    sched_.set_parallel(shards, std::move(map), topo_->min_remote_latency());
-  }
-  sync_observer_slots();
 }
 
 void Network::register_handler(HostId host, const std::string& protocol, Handler handler) {
@@ -133,14 +99,19 @@ bool Network::partitioned(HostId a, HostId b) const {
 }
 
 void Network::enable_tracing(std::uint64_t sample_every) {
-  if (tracer_ == nullptr) tracer_ = std::make_unique<obs::TraceCollector>();
+  if (tracer_ == nullptr) {
+    tracer_ = std::make_unique<obs::TraceCollector>();
+    tracer_->bind_task_keys([this] {
+      const Scheduler::TaskKey k = sched_.current_task_key();
+      return obs::TraceCollector::TaskKey{k.time, k.owner_rank, k.oseq};
+    });
+  }
   tracer_->set_sample_every(sample_every);
-  sync_observer_slots();
 }
 
 void Network::disable_tracing() {
   tracer_.reset();
-  for (obs::TraceContext& c : ambient_) c = {};
+  ambient_ = {};
 }
 
 void Network::enable_profiling(std::size_t sample_retention) {
@@ -187,13 +158,13 @@ void Network::send(Packet packet) {
   // reaches the wire: count it only as a drop, or bytes-per-delivery
   // metrics inflate under churn.
   if (packet.src >= up_.size() || packet.dst >= up_.size() || !up_[packet.src]) {
-    ++stats_slot().messages_dropped;
+    ++stats_.messages_dropped;
     return;
   }
   // Adopt the ambient trace now (staged packets must remember the
   // causal chain that sent them, not the flush task's).
-  if (tracer_ != nullptr && !packet.trace.active()) packet.trace = ambient_slot();
-  ++stats_slot().messages_sent;
+  if (tracer_ != nullptr && !packet.trace.active()) packet.trace = ambient_;
+  ++stats_.messages_sent;
   // Loopback is exempt from batching, as from faults and FIFO: a host
   // talking to itself gains nothing from a frame.
   if (batch_window_ >= 0 && packet.src != packet.dst) {
@@ -210,10 +181,10 @@ void Network::stage(Packet packet) {
   pending.members.push_back(std::move(packet));
   if (!pending.flush_scheduled) {
     pending.flush_scheduled = true;
-    // On the source's own shard, so the flush (fault draws included)
-    // stays deterministic across shard counts.  window = 0 lands at the
-    // current virtual time, strictly after every already-queued task of
-    // this instant that could still join the batch.
+    // Posted as the source host, so the flush and its fault draws run
+    // as the sender.  window = 0 lands at the current virtual time,
+    // strictly after every already-queued task of this instant that
+    // could still join the batch.
     sched_.post_to_host(src, sched_.now() + batch_window_,
                         [this, src, dst]() { flush_link(src, dst); });
   }
@@ -227,10 +198,10 @@ void Network::flush_link(HostId src, HostId dst) {
   }
   PendingBatch pending = std::move(it->second);
   batch_[src].erase(it);
-  ++stats_slot().batch_flushes;
+  ++stats_.batch_flushes;
   if (!up_[src]) {
     // The source crashed with the batch still in its egress queue.
-    stats_slot().messages_dropped += pending.members.size();
+    stats_.messages_dropped += pending.members.size();
     return;
   }
   if (pending.members.size() == 1) {
@@ -256,8 +227,8 @@ void Network::flush_link(HostId src, HostId dst) {
       break;
     }
   }
-  ++stats_slot().frames_sent;
-  stats_slot().batched_messages += count;
+  ++stats_.frames_sent;
+  stats_.batched_messages += count;
   frame.body = BatchFrame{std::move(pending.members)};
   transmit(std::move(frame), count);
 }
@@ -275,21 +246,20 @@ void Network::transmit(Packet packet, std::size_t member_count) {
     }
     packet.trace.parent_span = wire;
   }
-  stats_slot().bytes_sent += packet.wire_size;
+  stats_.bytes_sent += packet.wire_size;
   const bool loopback = packet.src == packet.dst;
   if (!loopback && partitioned(packet.src, packet.dst)) {
-    stats_slot().dropped_by_fault += member_count;
+    stats_.dropped_by_fault += member_count;
     end_wire_span(packet, "dropped:partition");
     return;
   }
-  // The source's own fault stream: send() executes on the source host's
-  // shard (or at a global sync point), so the stream is single-owner and
-  // its draw sequence is independent of other senders' interleaving.
-  // One draw per physical packet — a dropped frame loses every member.
+  // The source's own fault stream, so its draw sequence depends only on
+  // this sender's traffic.  One draw per physical packet — a dropped
+  // frame loses every member.
   Rng& frng = fault_rng_[packet.src];
   const LinkFaults* faults = loopback ? nullptr : faults_for(packet.src, packet.dst);
   if (faults != nullptr && faults->drop > 0 && frng.chance(faults->drop)) {
-    stats_slot().dropped_by_fault += member_count;
+    stats_.dropped_by_fault += member_count;
     end_wire_span(packet, "dropped:fault");
     return;
   }
@@ -316,14 +286,12 @@ void Network::transmit(Packet packet, std::size_t member_count) {
   const std::uint32_t incarnation = incarnation_[packet.dst];
   const HostId dst = packet.dst;
   if (faults != nullptr && faults->duplicate > 0 && frng.chance(faults->duplicate)) {
-    stats_slot().duplicated += member_count;
+    stats_.duplicated += member_count;
     Packet copy = packet;
     sched_.post_to_host(dst, arrival + 1 + jitter_draw(),
                         [this, p = std::move(copy), incarnation]() { deliver(p, incarnation); });
   }
-  // Delivery runs on the destination host's shard; the arrival is at
-  // least min_remote_latency away for cross-host traffic, which is what
-  // lets the parallel scheduler run shards concurrently inside an epoch.
+  // Delivery runs as the destination host.
   sched_.post_to_host(
       dst, arrival, [this, p = std::move(packet), incarnation]() { deliver(p, incarnation); });
 }
@@ -335,7 +303,7 @@ void Network::deliver(const Packet& packet, std::uint32_t incarnation) {
     // host is a fresh endpoint and must not receive stale traffic.  A
     // dead frame loses every member.
     const BatchFrame* frame = is_frame ? packet_body<BatchFrame>(packet) : nullptr;
-    stats_slot().messages_dropped += frame != nullptr ? frame->members.size() : 1;
+    stats_.messages_dropped += frame != nullptr ? frame->members.size() : 1;
     end_wire_span(packet, "dropped:dead-host");
     return;
   }
@@ -346,11 +314,11 @@ void Network::deliver(const Packet& packet, std::uint32_t incarnation) {
   auto& table = handlers_[packet.dst];
   auto it = table.find(packet.protocol);
   if (it == table.end() || !it->second) {
-    ++stats_slot().messages_dropped;
+    ++stats_.messages_dropped;
     end_wire_span(packet, "dropped:no-handler");
     return;
   }
-  ++stats_slot().messages_delivered;
+  ++stats_.messages_delivered;
   ++delivered_per_host_[packet.dst];
   // First arrival closes the wire span (idempotent, so a fault-model
   // duplicate of the same packet cannot stretch it); the handler then
@@ -364,7 +332,7 @@ void Network::deliver(const Packet& packet, std::uint32_t incarnation) {
 void Network::deliver_frame(const Packet& packet) {
   const BatchFrame* frame = packet_body<BatchFrame>(packet);
   if (frame == nullptr) {
-    ++stats_slot().messages_dropped;
+    ++stats_.messages_dropped;
     end_wire_span(packet, "dropped:bad-frame");
     return;
   }
@@ -376,31 +344,14 @@ void Network::deliver_frame(const Packet& packet) {
   for (const Packet& member : frame->members) {
     auto it = table.find(member.protocol);
     if (it == table.end() || !it->second) {
-      ++stats_slot().messages_dropped;
+      ++stats_.messages_dropped;
       continue;
     }
-    ++stats_slot().messages_delivered;
+    ++stats_.messages_delivered;
     ++delivered_per_host_[packet.dst];
     TraceScope scope(*this, member.trace);
     it->second(member);
   }
-}
-
-const NetworkStats& Network::stats() const {
-  stats_agg_ = {};
-  for (const NetworkStats& s : stats_slots_) {
-    stats_agg_.messages_sent += s.messages_sent;
-    stats_agg_.messages_delivered += s.messages_delivered;
-    stats_agg_.messages_dropped += s.messages_dropped;
-    stats_agg_.bytes_sent += s.bytes_sent;
-    stats_agg_.duplicated += s.duplicated;
-    stats_agg_.retransmits += s.retransmits;
-    stats_agg_.dropped_by_fault += s.dropped_by_fault;
-    stats_agg_.frames_sent += s.frames_sent;
-    stats_agg_.batched_messages += s.batched_messages;
-    stats_agg_.batch_flushes += s.batch_flushes;
-  }
-  return stats_agg_;
 }
 
 void Network::set_host_up(HostId host, bool up) {

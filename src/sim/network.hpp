@@ -13,10 +13,9 @@
 // and named bidirectional partitions cut whole host groups off from
 // each other until healed.  Fault decisions draw from per-source-host
 // Rng streams forked from one seed, so a (workload seed, fault seed)
-// pair reproduces a run exactly — independent of how many scheduler
-// shards execute it (a shared stream's draw order would depend on the
-// interleaving of unrelated senders).  The ack/retry layer that
-// survives these faults is sim/reliable.hpp.
+// pair reproduces a run exactly, and a sender's draws depend only on
+// its own send history.  The ack/retry layer that survives these
+// faults is sim/reliable.hpp.
 //
 // Packet bodies travel as std::any carrying protocol-specific structs;
 // `wire_size` declares the number of bytes charged to the network, so
@@ -131,18 +130,6 @@ class Network {
   const Topology& topology() const { return *topo_; }
   std::size_t host_count() const { return topo_->size(); }
 
-  /// Partitions hosts into min(threads, hosts) scheduler shards, each
-  /// driven by its own thread, with lookahead =
-  /// topology().min_remote_latency() (see scheduler.hpp for the
-  /// conservative-sync argument).  Delivery digests and counters are
-  /// bit-identical to sequential runs.  Pass 1 to go back to
-  /// sequential.  Tracing and profiling compose with sharding: the
-  /// ambient trace context, span buffers and profiler counters are all
-  /// slot-partitioned, so switching thread counts just re-sizes the
-  /// observer state.
-  void set_threads(unsigned threads);
-  unsigned threads() const { return sched_.shards(); }
-
   using Handler = std::function<void(const Packet&)>;
 
   /// Registers the receive handler for (host, protocol).  Replaces any
@@ -178,10 +165,8 @@ class Network {
   // frame drops or duplicates every member).  window = 0 flushes at the
   // current virtual time, i.e. the next scheduler tick: everything a
   // causal burst sends to one neighbour "now" shares a frame, and
-  // nothing is delayed.  Staging is per *source* host (like the link
-  // FIFOs), so it is shard-safe and the resulting frames — and every
-  // digest and counter downstream — are bit-identical across shard
-  // counts.  A flush holding a single packet sends it as a plain
+  // nothing is delayed.  Staging is per *source* host, like the link
+  // FIFOs.  A flush holding a single packet sends it as a plain
   // datagram: batching never inflates unbatchable traffic.
 
   /// Prices a frame from its members' standalone datagram sizes.  The
@@ -231,7 +216,7 @@ class Network {
 
   /// Reliable transports report each retransmission here so benches can
   /// show retry overhead next to the raw traffic counters.
-  void note_retransmit() { ++stats_slot().retransmits; }
+  void note_retransmit() { ++stats_.retransmits; }
 
   // --- Causal tracing (obs/trace.hpp) ---
   //
@@ -241,17 +226,13 @@ class Network {
   // one.  When disabled (the default) the hot path pays one pointer
   // compare.
   //
-  // Propagation model: the *ambient* trace context is slot-local — one
-  // slot per scheduler shard plus one for root context, owned by
-  // whichever thread is driving that shard, so tracing composes with
-  // set_threads(n).  deliver() installs the packet's context into the
-  // executing slot and send() adopts the executing slot's context into
+  // Propagation model: deliver() installs the packet's context as the
+  // *ambient* trace context and send() adopts the ambient context into
   // untraced packets.  Code that defers work through the scheduler
   // (breaking the synchronous chain) captures current_trace() into its
   // closure and restores it with a TraceScope; components record their
   // hop with a SpanScope.  Root-trace sampling is keyed off the
-  // scheduler's deterministic task key, so the traced set is
-  // bit-stable across shard counts.
+  // scheduler's deterministic task key.
 
   /// Enables tracing, creating the collector on first use.  `sample_every`
   /// starts every n-th root trace (1 = all; see TraceCollector).
@@ -264,56 +245,54 @@ class Network {
 
   /// Starts a new (sampled) root trace; inactive when tracing is off.
   obs::TraceContext start_trace();
-  /// The context of the causal chain currently executing on this
-  /// thread's scheduler slot (inactive outside a traced delivery).
-  const obs::TraceContext& current_trace() const { return ambient_slot(); }
+  /// The context of the causal chain currently executing (inactive
+  /// outside a traced delivery).
+  const obs::TraceContext& current_trace() const { return ambient_; }
 
   // --- Scheduler profiling (obs/profiler.hpp) ---
   //
   // Independent of tracing and likewise observation-only: SpanScopes
   // attribute wall time to subsystem buckets (self-time, so nested
-  // scopes never double-count) and the scheduler attributes per-shard
-  // busy / barrier-wait / serialization / merge time.  Counter
-  // snapshots are taken at epoch barriers; export_chrome_trace() emits
-  // them as Perfetto counter tracks next to the spans.
+  // scopes never double-count) and the scheduler times every task.
+  // Counter snapshots are taken at the end of every scheduler run;
+  // export_chrome_trace() emits them as Perfetto counter tracks next to
+  // the spans.
 
   /// Enables profiling, creating the profiler on first use.
-  /// `sample_retention` caps the barrier-snapshot ring buffer.
+  /// `sample_retention` caps the snapshot ring buffer.
   void enable_profiling(std::size_t sample_retention = 4096);
   obs::Profiler* profiler() { return profiler_.get(); }
   const obs::Profiler* profiler() const { return profiler_.get(); }
 
   /// One Chrome trace_event document combining the collector's spans
   /// (when tracing) and the profiler's counter tracks (when profiling).
-  /// Root context only.
   void export_chrome_trace(std::ostream& out) const;
 
-  /// RAII: installs `ctx` as the ambient context of the executing slot,
-  /// restoring the previous one on destruction.  Used to carry a trace
-  /// across a scheduler hop: capture current_trace() into the closure,
-  /// then open a TraceScope when the closure runs.
+  /// RAII: installs `ctx` as the ambient context, restoring the
+  /// previous one on destruction.  Used to carry a trace across a
+  /// scheduler hop: capture current_trace() into the closure, then open
+  /// a TraceScope when the closure runs.
   class TraceScope {
    public:
     /// A no-op while tracing is off: the ambient context is then always
     /// inactive anyway, and not touching it keeps the delivery path
-    /// free of even slot-local writes.
+    /// free of writes.
     TraceScope(Network& net, const obs::TraceContext& ctx)
-        : engaged_(net.tracer_ != nullptr) {
+        : net_(net), engaged_(net.tracer_ != nullptr) {
       if (engaged_) {
-        slot_ = &net.ambient_slot();
-        saved_ = *slot_;
-        *slot_ = ctx;
+        saved_ = net.ambient_;
+        net.ambient_ = ctx;
       }
     }
     ~TraceScope() {
-      if (engaged_) *slot_ = saved_;
+      if (engaged_) net_.ambient_ = saved_;
     }
     TraceScope(const TraceScope&) = delete;
     TraceScope& operator=(const TraceScope&) = delete;
 
    private:
+    Network& net_;
     bool engaged_;
-    obs::TraceContext* slot_ = nullptr;
     obs::TraceContext saved_;
   };
 
@@ -329,22 +308,20 @@ class Network {
     SpanScope(Network& net, HostId host, std::string component, std::string action)
         : net_(net), engaged_(net.tracer_ != nullptr) {
       if (net.profiler_ != nullptr) {
-        prof_.emplace(net.profiler_.get(), net.sched_.current_slot(),
-                      obs::bucket_for(component, action));
+        prof_.emplace(net.profiler_.get(), obs::bucket_for(component, action));
       }
       if (!engaged_) return;
-      slot_ = &net.ambient_slot();
-      saved_ = *slot_;
+      saved_ = net.ambient_;
       if (saved_.active()) {
         span_ = net.tracer_->begin(saved_, host, std::move(component),
                                    std::move(action), net.sched_.now());
-        *slot_ = obs::TraceContext{saved_.trace_id, span_};
+        net.ambient_ = obs::TraceContext{saved_.trace_id, span_};
       }
     }
     ~SpanScope() {
       if (!engaged_) return;
       if (span_ != 0) net_.tracer_->end(span_, net_.sched_.now());
-      *slot_ = saved_;
+      net_.ambient_ = saved_;
     }
     SpanScope(const SpanScope&) = delete;
     SpanScope& operator=(const SpanScope&) = delete;
@@ -358,7 +335,6 @@ class Network {
    private:
     Network& net_;
     bool engaged_;
-    obs::TraceContext* slot_ = nullptr;
     obs::TraceContext saved_;
     std::uint64_t span_ = 0;
     std::optional<obs::Profiler::Scope> prof_;
@@ -386,15 +362,9 @@ class Network {
   std::uint64_t add_host_watcher(HostWatcher watcher);
   void remove_host_watcher(std::uint64_t id);
 
-  /// Aggregated counters.  Counts are attributed to per-host slots at
-  /// increment time (so shards never contend) and summed here; the
-  /// per-slot values — and hence the aggregate — are identical across
-  /// shard counts.  Call from root context only (not from inside a
-  /// hosted event while other shards run).
-  const NetworkStats& stats() const;
-  void reset_stats() {
-    for (NetworkStats& s : stats_slots_) s = {};
-  }
+  /// Aggregated traffic counters.
+  const NetworkStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
 
   /// Per-host delivered-message counts (for load-balance metrics).
   std::uint64_t delivered_to(HostId host) const;
@@ -410,30 +380,11 @@ class Network {
   void flush_link(HostId src, HostId dst);
   void deliver(const Packet& packet, std::uint32_t incarnation);
   void deliver_frame(const Packet& packet);
-  /// Ambient trace context of the executing slot.  Grow-only: after a
-  /// shard-count reduction stale high slots linger unused, which keeps
-  /// the clamp below from ever aliasing two *active* slots.
-  obs::TraceContext& ambient_slot() {
-    const std::uint32_t i = sched_.current_slot();
-    return ambient_[i < ambient_.size() ? i : ambient_.size() - 1];
-  }
-  const obs::TraceContext& ambient_slot() const {
-    return const_cast<Network*>(this)->ambient_slot();
-  }
-  /// Re-sizes slot-partitioned observer state (ambient contexts, span
-  /// buffers) to the scheduler's slot layout.  Root context only.
-  void sync_observer_slots();
   /// Fault model in effect for src -> dst, or nullptr for a clean link.
   const LinkFaults* faults_for(HostId src, HostId dst) const;
   /// Closes the packet's wire span (note != nullptr annotates first).
   void end_wire_span(const Packet& packet, const char* note);
   void reseed_fault_rngs(std::uint64_t seed);
-  /// Counter slot of the executing host (last slot for root context):
-  /// each shard only ever writes its own hosts' slots.
-  NetworkStats& stats_slot() {
-    const std::uint32_t h = sched_.current_host();
-    return stats_slots_[h < topo_->size() ? h : topo_->size()];
-  }
 
   Scheduler& sched_;
   std::shared_ptr<const Topology> topo_;
@@ -441,12 +392,11 @@ class Network {
   // Per-source link FIFOs: the arrival time of the last message sent on
   // (src, dst).  Later sends arrive no earlier, so a small message can
   // never overtake a large one on the same link (TCP-like ordering).
-  // Indexed by src because send() always executes on the source host's
-  // shard (or at a global sync point).
+  // This clock sets every arrival time, so it is traffic, not a cache.
   std::vector<std::map<HostId, SimTime>> link_clear_;
-  // Batch staging, indexed by src for the same shard-safety reason as
-  // link_clear_: only the source's shard (or a global sync point)
-  // touches a source's queues, and flushes are posted to that shard.
+  // Batch staging per (src, dst).  A queue's member order is the order
+  // of the frame on the wire, and its flush is posted as the source
+  // host, so the flush's key and fault draws follow the sender.
   struct PendingBatch {
     std::vector<Packet> members;
     bool flush_scheduled = false;
@@ -460,12 +410,15 @@ class Network {
   // crashes is lost even if the host rejoins before the delivery time.
   std::vector<std::uint32_t> incarnation_;
   std::vector<std::uint64_t> delivered_per_host_;
-  // Per-host protocol tables: a host (un)registers only its own slot, so
-  // handler churn on one shard cannot invalidate another's lookups.
+  // Per-host protocol tables: clear_handlers(host) drops exactly one
+  // host's stack when it fails, leaving every other host's lookups as
+  // they were.
   std::vector<std::unordered_map<std::string, Handler>> handlers_;
   LinkFaults default_faults_{};  // zero probabilities: clean network
   std::map<std::pair<HostId, HostId>, LinkFaults> link_fault_overrides_;
-  std::vector<Rng> fault_rng_;  // per source host
+  // One stream per source host: a sender's fault draws depend only on
+  // its own send history, so adding traffic elsewhere cannot move them.
+  std::vector<Rng> fault_rng_;
   struct Partition {
     std::string name;
     std::unordered_set<HostId> a;
@@ -474,15 +427,10 @@ class Network {
   std::vector<Partition> partitions_;
   std::vector<std::pair<std::uint64_t, HostWatcher>> host_watchers_;
   std::uint64_t next_watcher_id_ = 1;
-  // Per-host counter slots plus one root slot; stats() sums into the
-  // cache below so the accessor can keep returning a reference.
-  std::vector<NetworkStats> stats_slots_;
-  mutable NetworkStats stats_agg_;
+  NetworkStats stats_;
   std::unique_ptr<obs::TraceCollector> tracer_;  // null = tracing off
   std::unique_ptr<obs::Profiler> profiler_;      // null = profiling off
-  // Slot-local ambient trace contexts (one per scheduler slot; see
-  // ambient_slot()).  Always at least one entry.
-  std::vector<obs::TraceContext> ambient_{1};
+  obs::TraceContext ambient_;  // context of the executing causal chain
 };
 
 }  // namespace aa::sim

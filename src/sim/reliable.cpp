@@ -58,7 +58,7 @@ void ReliableTransport::send(Packet packet) {
   pending.packet = std::move(packet);
   pending.rto = params_.initial_rto;
   hs.pending.emplace(seq, std::move(pending));
-  ++hs.stats.data_sent;
+  ++stats_.data_sent;
   transmit(seq);
 }
 
@@ -79,15 +79,15 @@ void ReliableTransport::on_timeout(std::uint64_t seq) {
   const bool peer_reincarnated =
       net_.incarnation(pending.packet.dst) != pending.dst_incarnation;
   if (peer_reincarnated || pending.retries >= params_.max_retries) {
-    if (peer_reincarnated) ++hs.stats.incarnation_give_ups;
-    ++hs.stats.give_ups;
+    if (peer_reincarnated) ++stats_.incarnation_give_ups;
+    ++stats_.give_ups;
     Packet original = std::move(pending.packet);
     hs.pending.erase(it);
     if (give_up_) give_up_(original);
     return;
   }
   ++pending.retries;
-  ++hs.stats.retransmits;
+  ++stats_.retransmits;
   net_.note_retransmit();
   if (auto* tracer = net_.tracer(); tracer != nullptr && pending.packet.trace.active()) {
     // Instant span marking the retry; the fresh wire span for the copy
@@ -112,7 +112,7 @@ void ReliableTransport::on_network(HostId host, const Packet& packet) {
     // was lost, and only a fresh ack stops the sender's retry clock.
     net_.send(host, packet.src, protocol_, AckMsg{data->seq}, kHeaderBytes);
     if (!hs.delivered.insert(data->seq).second) {
-      ++hs.stats.duplicates_suppressed;
+      ++stats_.duplicates_suppressed;
       return;
     }
     if (host < handlers_.size() && handlers_[host]) {
@@ -129,21 +129,8 @@ void ReliableTransport::on_network(HostId host, const Packet& packet) {
     if (it == hs.pending.end()) return;  // stale ack for a retransmitted copy
     if (it->second.timer != kInvalidTask) net_.scheduler().cancel(it->second.timer);
     hs.pending.erase(it);
-    ++hs.stats.acked;
+    ++stats_.acked;
   }
-}
-
-const ReliableStats& ReliableTransport::stats() const {
-  stats_agg_ = {};
-  for (const HostState& hs : hosts_) {
-    stats_agg_.data_sent += hs.stats.data_sent;
-    stats_agg_.acked += hs.stats.acked;
-    stats_agg_.retransmits += hs.stats.retransmits;
-    stats_agg_.duplicates_suppressed += hs.stats.duplicates_suppressed;
-    stats_agg_.give_ups += hs.stats.give_ups;
-    stats_agg_.incarnation_give_ups += hs.stats.incarnation_give_ups;
-  }
-  return stats_agg_;
 }
 
 std::size_t ReliableTransport::in_flight() const {

@@ -91,9 +91,7 @@ class ReliableTransport {
     send(Packet{src, dst, protocol_, std::any(std::move(body)), wire_size});
   }
 
-  /// Aggregated over per-host slots (see Network::stats for the
-  /// attribution scheme); call from root context only.
-  const ReliableStats& stats() const;
+  const ReliableStats& stats() const { return stats_; }
   /// Sends awaiting an ack (retransmission timers pending).
   std::size_t in_flight() const;
 
@@ -120,10 +118,8 @@ class ReliableTransport {
     std::uint32_t dst_incarnation = 0;
   };
 
-  /// Per-host transport state.  A slot is only touched by its own
-  /// host's events (sends and ack receipts happen at the sender; data
-  /// receipts at the receiver), so shards never contend and counters
-  /// are identical across shard counts.
+  /// Per-host transport state: a sender's pending sends and sequence
+  /// counter, a receiver's dedup set.
   struct HostState {
     std::unordered_map<std::uint64_t, Pending> pending;
     // Receiver-side dedup.  Sequence numbers carry their source host in
@@ -131,11 +127,11 @@ class ReliableTransport {
     // receiver's set.
     std::unordered_set<std::uint64_t> delivered;
     std::uint64_t next_seq = 1;
-    ReliableStats stats;
   };
 
   /// Sequence numbers are (src + 1) << 40 | per-source counter:
-  /// globally unique without a shared counter.
+  /// globally unique, and a function of the sender's own history (they
+  /// appear in retransmit span annotations).
   static std::uint64_t seq_source(std::uint64_t seq) { return (seq >> 40) - 1; }
 
   /// Lazily registers this transport's network handler for `host` (both
@@ -152,7 +148,7 @@ class ReliableTransport {
   std::vector<Network::Handler> handlers_;  // per host
   std::vector<char> net_registered_;        // per host
   std::vector<HostState> hosts_;
-  mutable ReliableStats stats_agg_;
+  ReliableStats stats_;
 };
 
 }  // namespace aa::sim

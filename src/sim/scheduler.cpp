@@ -3,41 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <limits>
 
 #include "obs/profiler.hpp"
 
 namespace aa::sim {
 
 namespace {
-constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-
 std::uint64_t wall_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-}
+}  // namespace
 
-thread_local Scheduler::Ctx Scheduler::tls_;
-
-Scheduler::Scheduler() : shards_(1) {}
-
-Scheduler::~Scheduler() { stop_workers(); }
-
-SimTime Scheduler::now() const {
-  return tls_.sched == this ? tls_.now : now_;
-}
-
-std::uint32_t Scheduler::current_host() const {
-  return tls_.sched == this ? tls_.host : kGlobalOwner;
-}
-
-TaskId Scheduler::make_task(std::uint32_t owner, std::uint32_t affinity, SimTime t,
-                            std::function<void()> fn) {
-  Entry e;
-  e.time = t;
+TaskId Scheduler::assign_key(Entry& e, std::uint32_t owner) {
   if (owner == kGlobalOwner) {
     e.owner_rank = 0;
     e.oseq = ++global_seq_;
@@ -48,103 +28,75 @@ TaskId Scheduler::make_task(std::uint32_t owner, std::uint32_t affinity, SimTime
   }
   // Ids pack (owner_rank, oseq); oseq overflowing 40 bits would need a
   // trillion events from one owner.
-  const TaskId id = (e.owner_rank << 40) | e.oseq;
-  e.id = id;
+  return (e.owner_rank << 40) | e.oseq;
+}
+
+TaskId Scheduler::make_task(std::uint32_t owner, std::uint32_t affinity, SimTime t,
+                            std::function<void()> fn) {
+  Entry e;
+  e.time = t;
+  e.id = assign_key(e, owner);
   e.affinity = affinity;
   e.fn = std::move(fn);
+  const TaskId id = e.id;
   push_entry(std::move(e));
   return id;
 }
 
 void Scheduler::push_entry(Entry e) {
-  const std::uint32_t target =
-      e.affinity == kGlobalOwner ? global_shard() : shard_of(e.affinity);
-  if (tls_.sched == this && tls_.in_epoch && target != tls_.shard) {
-    // Cross-shard arrival produced inside a concurrent epoch: buffer it
-    // for the barrier.  Conservative sync guarantees it is not due in
-    // the current epoch (network latency >= lookahead).
-    shards_[tls_.shard].outbox.push_back(std::move(e));
-    return;
-  }
-  Shard& s = shards_[target];
-  s.queued.insert(e.id);
-  s.heap.push_back(std::move(e));
-  std::push_heap(s.heap.begin(), s.heap.end(), After{});
+  queued_.insert(e.id);
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), After{});
 }
 
 TaskId Scheduler::at(SimTime t, std::function<void()> fn) {
-  const bool inside = tls_.sched == this;
-  const std::uint32_t owner = inside ? tls_.host : kGlobalOwner;
-  const SimTime base = inside ? tls_.now : now_;
-  return make_task(owner, owner, std::max(t, base), std::move(fn));
+  return make_task(ctx_.host, ctx_.host, std::max(t, now_), std::move(fn));
 }
 
 TaskId Scheduler::after(SimDuration delay, std::function<void()> fn) {
-  const SimTime base = tls_.sched == this ? tls_.now : now_;
-  return at(base + std::max<SimDuration>(delay, 0), std::move(fn));
+  return at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
 TaskId Scheduler::post_to_host(std::uint32_t host, SimTime t, std::function<void()> fn) {
-  const bool inside = tls_.sched == this;
-  const std::uint32_t owner = inside ? tls_.host : kGlobalOwner;
-  const SimTime base = inside ? tls_.now : now_;
-  const std::uint32_t affinity = host < bound_hosts_ ? host : kGlobalOwner;
-  return make_task(owner, affinity, std::max(t, base), std::move(fn));
+  const std::uint32_t affinity = host < owner_seq_.size() ? host : kGlobalOwner;
+  return make_task(ctx_.host, affinity, std::max(t, now_), std::move(fn));
 }
 
 TaskId Scheduler::every(SimDuration period, std::function<void()> fn) {
   // The periodic task reuses one TaskId across firings so that a single
   // cancel() stops the whole series.  The callback is stored in the
-  // shard's periodic table and the queued closures capture only the id:
-  // an earlier version captured a shared_ptr to a closure holding
-  // itself, a reference cycle that leaked every periodic task and its
-  // captured state for the life of the process.
+  // periodic table and the queued closures capture only the id: an
+  // earlier version captured a shared_ptr to a closure holding itself,
+  // a reference cycle that leaked every periodic task and its captured
+  // state for the life of the process.
   //
   // A period of zero (or less) would reschedule at a frozen virtual
   // time and run() could never drain — clamp to the 1us tick floor,
   // mirroring after()'s negative-delay clamp.
   period = std::max<SimDuration>(period, 1);
-  const bool inside = tls_.sched == this;
-  const std::uint32_t owner = inside ? tls_.host : kGlobalOwner;
-  const SimTime base = inside ? tls_.now : now_;
+  const std::uint32_t owner = ctx_.host;
   Entry e;
-  e.time = base + period;
-  if (owner == kGlobalOwner) {
-    e.owner_rank = 0;
-    e.oseq = ++global_seq_;
-  } else {
-    assert(owner < owner_seq_.size() && "host not bound; call bind_hosts");
-    e.owner_rank = static_cast<std::uint64_t>(owner) + 1;
-    e.oseq = ++owner_seq_[owner];
-  }
-  const TaskId id = (e.owner_rank << 40) | e.oseq;
+  e.time = now_ + period;
+  const TaskId id = assign_key(e, owner);
   e.id = id;
   e.affinity = owner;
   e.fn = [this, id] { run_periodic(id); };
-  const std::uint32_t target = owner == kGlobalOwner ? global_shard() : shard_of(owner);
-  shards_[target].periodic.emplace(id, Periodic{period, owner, std::move(fn)});
+  periodic_.emplace(id, Periodic{period, owner, std::move(fn)});
   push_entry(std::move(e));
   return id;
 }
 
 void Scheduler::run_periodic(TaskId id) {
-  Shard& s = shards_[tls_.sched == this ? tls_.shard : 0];
-  auto it = s.periodic.find(id);
-  if (it == s.periodic.end()) return;  // cancelled; stale queue entry
+  auto it = periodic_.find(id);
+  if (it == periodic_.end()) return;  // cancelled; stale queue entry
   it->second.fn();
   // The callback may have cancelled (or re-created) its own task.
-  it = s.periodic.find(id);
-  if (it == s.periodic.end()) return;
+  it = periodic_.find(id);
+  if (it == periodic_.end()) return;
   const std::uint32_t owner = it->second.owner;
   Entry e;
-  e.time = tls_.now + it->second.period;
-  if (owner == kGlobalOwner) {
-    e.owner_rank = 0;
-    e.oseq = ++global_seq_;
-  } else {
-    e.owner_rank = static_cast<std::uint64_t>(owner) + 1;
-    e.oseq = ++owner_seq_[owner];
-  }
+  e.time = now_ + it->second.period;
+  assign_key(e, owner);
   e.id = id;  // keep the series' id so cancel() keeps working
   e.affinity = owner;
   e.fn = [this, id] { run_periodic(id); };
@@ -153,43 +105,26 @@ void Scheduler::run_periodic(TaskId id) {
 
 void Scheduler::cancel(TaskId id) {
   if (id == kInvalidTask) return;
-  auto cancel_in = [](Shard& s, TaskId task) {
-    // Periodic: dropping the stored callback both stops the series (a
-    // queued tick finds nothing to run) and frees its captured state
-    // now; the queued tick is additionally marked so pending() does not
-    // count a dead entry.
-    if (s.periodic.erase(task) > 0) {
-      if (s.queued.contains(task)) s.cancelled.insert(task);
-      return true;
-    }
-    // One-shot: only mark ids actually in the queue.  Cancelling a task
-    // that already ran used to park its id in the cancelled set forever
-    // and made pending() underflow once cancels outnumbered queued
-    // entries.
-    if (s.queued.contains(task)) {
-      s.cancelled.insert(task);
-      return true;
-    }
-    return false;
-  };
-  if (tls_.sched == this && tls_.in_epoch) {
-    // Inside a concurrent epoch only the executing shard's tasks are
-    // reachable; cross-shard state is owned by other threads.
-    cancel_in(shards_[tls_.shard], id);
-    return;
-  }
-  for (Shard& s : shards_) {
-    if (cancel_in(s, id)) return;
-  }
+  // Periodic: dropping the stored callback both stops the series (a
+  // queued tick finds nothing to run) and frees its captured state now;
+  // the queued tick is additionally marked so pending() does not count
+  // a dead entry.
+  //
+  // One-shot: only mark ids actually in the queue.  Cancelling a task
+  // that already ran used to park its id in the cancelled set forever
+  // and made pending() underflow once cancels outnumbered queued
+  // entries.
+  periodic_.erase(id);
+  if (queued_.contains(id)) cancelled_.insert(id);
 }
 
-bool Scheduler::peek_live(Shard& s, SimTime& t) {
-  while (!s.heap.empty()) {
-    const Entry& front = s.heap.front();
-    if (!s.cancelled.empty() && s.cancelled.erase(front.id) > 0) {
-      s.queued.erase(front.id);
-      std::pop_heap(s.heap.begin(), s.heap.end(), After{});
-      s.heap.pop_back();
+bool Scheduler::peek_live(SimTime& t) {
+  while (!heap_.empty()) {
+    const Entry& front = heap_.front();
+    if (!cancelled_.empty() && cancelled_.erase(front.id) > 0) {
+      queued_.erase(front.id);
+      std::pop_heap(heap_.begin(), heap_.end(), After{});
+      heap_.pop_back();
       continue;
     }
     t = front.time;
@@ -198,199 +133,46 @@ bool Scheduler::peek_live(Shard& s, SimTime& t) {
   return false;
 }
 
-Scheduler::Entry Scheduler::pop_front(Shard& s) {
-  std::pop_heap(s.heap.begin(), s.heap.end(), After{});
-  Entry e = std::move(s.heap.back());  // moves the closure: no copy of
-                                       // the captured state per event
-  s.heap.pop_back();
-  s.queued.erase(e.id);
+Scheduler::Entry Scheduler::pop_front() {
+  std::pop_heap(heap_.begin(), heap_.end(), After{});
+  Entry e = std::move(heap_.back());  // moves the closure: no copy of
+                                      // the captured state per event
+  heap_.pop_back();
+  queued_.erase(e.id);
   return e;
 }
 
-void Scheduler::execute(Shard& s, std::uint32_t shard_idx, Entry e) {
-  const Ctx saved = tls_;
-  tls_ = Ctx{this, shard_idx, e.affinity, e.time, e.owner_rank, e.oseq,
-             saved.sched == this && saved.in_epoch};
-  s.now = e.time;
-  ++s.executed;
+void Scheduler::execute(Entry e) {
+  const Ctx saved = ctx_;
+  ctx_ = Ctx{e.affinity, e.owner_rank, e.oseq};
+  now_ = e.time;
+  ++executed_;
   auto fn = std::move(e.fn);
   if (profiler_ != nullptr) {
     const std::uint64_t t0 = wall_ns();
     fn();
-    profiler_->note_task(shard_idx, wall_ns() - t0);
+    profiler_->note_task(wall_ns() - t0);
   } else {
     fn();
   }
-  tls_ = saved;
+  ctx_ = saved;
 }
 
 bool Scheduler::step() {
-  if (!parallel()) {
-    Shard& s = shards_[0];
-    SimTime t;
-    if (!peek_live(s, t)) return false;
-    Entry e = pop_front(s);
-    now_ = e.time;
-    execute(s, 0, std::move(e));
-    return true;
-  }
-  return step_sync();
-}
-
-/// Executes the single globally-minimal live task across every shard
-/// (coordinator context; workers parked).
-bool Scheduler::step_sync() {
-  std::uint32_t best = kGlobalOwner;
-  for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-    SimTime t;
-    if (!peek_live(shards_[i], t)) continue;
-    if (best == kGlobalOwner) {
-      best = i;
-      continue;
-    }
-    if (After{}(shards_[best].heap.front(), shards_[i].heap.front())) best = i;
-  }
-  if (best == kGlobalOwner) return false;
-  Entry e = pop_front(shards_[best]);
-  now_ = std::max(now_, e.time);
-  execute(shards_[best], best, std::move(e));
+  SimTime t;
+  if (!peek_live(t)) return false;
+  execute(pop_front());
   return true;
 }
 
-void Scheduler::run_sync_timestamp(SimTime t) {
-  // Runs every task due exactly at `t`, across all shards and the
-  // global slot, in (owner, oseq) order — including tasks spawned at
-  // `t` while doing so.  This is the serialization point that lets
-  // global tasks (churn kills, partition cuts) interleave with host
-  // events deterministically.
-  for (;;) {
-    std::uint32_t best = kGlobalOwner;
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-      SimTime ft;
-      if (!peek_live(shards_[i], ft) || ft != t) continue;
-      if (best == kGlobalOwner || After{}(shards_[best].heap.front(), shards_[i].heap.front())) {
-        best = i;
-      }
-    }
-    if (best == kGlobalOwner) return;
-    Entry e = pop_front(shards_[best]);
-    now_ = std::max(now_, e.time);
-    execute(shards_[best], best, std::move(e));
-  }
-}
-
-void Scheduler::run_shard_epoch(std::uint32_t shard_idx, SimTime end) {
-  Shard& s = shards_[shard_idx];
-  const Ctx saved = tls_;
+SimTime Scheduler::run_until_impl(SimTime deadline, bool bounded) {
   for (;;) {
     SimTime t;
-    if (!peek_live(s, t) || t >= end) break;
-    Entry e = pop_front(s);
-    tls_ = Ctx{this, shard_idx, e.affinity, e.time, e.owner_rank, e.oseq, true};
-    s.now = e.time;
-    ++s.executed;
-    auto fn = std::move(e.fn);
-    if (profiler_ != nullptr) {
-      const std::uint64_t t0 = wall_ns();
-      fn();
-      profiler_->note_task(shard_idx, wall_ns() - t0);
-    } else {
-      fn();
-    }
+    if (!peek_live(t)) break;
+    if (bounded && t > deadline) break;
+    execute(pop_front());
   }
-  tls_ = saved;
-}
-
-void Scheduler::drain_outboxes() {
-  for (Shard& from : shards_) {
-    if (from.outbox.empty()) continue;
-    for (Entry& e : from.outbox) {
-      const std::uint32_t target =
-          e.affinity == kGlobalOwner ? global_shard() : shard_of(e.affinity);
-      Shard& s = shards_[target];
-      s.queued.insert(e.id);
-      s.heap.push_back(std::move(e));
-      std::push_heap(s.heap.begin(), s.heap.end(), After{});
-    }
-    from.outbox.clear();
-  }
-}
-
-SimTime Scheduler::run_until_impl(SimTime deadline, bool bounded) {
-  if (!parallel()) {
-    Shard& s = shards_[0];
-    for (;;) {
-      SimTime t;
-      if (!peek_live(s, t)) break;
-      if (bounded && t > deadline) break;
-      Entry e = pop_front(s);
-      now_ = e.time;
-      execute(s, 0, std::move(e));
-    }
-    if (bounded) now_ = std::max(now_, deadline);
-    s.now = now_;
-    if (profiler_ != nullptr) profiler_->sample(now_);
-    return now_;
-  }
-
-  const std::uint32_t gs = global_shard();
-  for (;;) {
-    if (profiler_ != nullptr) {
-      const std::uint64_t t0 = wall_ns();
-      drain_outboxes();
-      profiler_->note_merge(gs, wall_ns() - t0);
-    } else {
-      drain_outboxes();
-    }
-    SimTime tmin = kNever;
-    for (Shard& s : shards_) {
-      SimTime t;
-      if (peek_live(s, t)) tmin = std::min(tmin, t);
-    }
-    if (tmin == kNever || (bounded && tmin > deadline)) break;
-    SimTime tg = kNever;
-    (void)peek_live(shards_[gs], tg);
-    if (tg == tmin) {
-      // A global task is due first: serialize this timestamp.
-      if (profiler_ != nullptr) {
-        const std::uint64_t t0 = wall_ns();
-        run_sync_timestamp(tmin);
-        profiler_->note_serialization(gs, wall_ns() - t0);
-        profiler_->sample(tmin);
-      } else {
-        run_sync_timestamp(tmin);
-      }
-      continue;
-    }
-    SimTime end = tmin + lookahead_;
-    if (tg < end) end = tg;
-    if (bounded && deadline + 1 < end) end = deadline + 1;
-    // Concurrent epoch [tmin, end): workers drive shards 1..S-1, the
-    // coordinator drives shard 0 inline.
-    const std::uint64_t epoch_t0 = profiler_ != nullptr ? wall_ns() : 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      epoch_end_ = end;
-      working_ = static_cast<int>(shards_.size()) - 2;  // minus shard 0 + global
-      ++work_gen_;
-    }
-    cv_work_.notify_all();
-    run_shard_epoch(0, end);
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_done_.wait(lk, [this] { return working_ == 0; });
-    }
-    if (profiler_ != nullptr) {
-      // Workers are parked again: the idle remainder of the epoch wall
-      // time is each shard's barrier wait.
-      profiler_->note_epoch(wall_ns() - epoch_t0,
-                            static_cast<std::uint32_t>(shards_.size()) - 1);
-      profiler_->sample(tmin);
-    }
-  }
-  for (Shard& s : shards_) now_ = std::max(now_, s.now);
   if (bounded) now_ = std::max(now_, deadline);
-  for (Shard& s : shards_) s.now = now_;
   if (profiler_ != nullptr) profiler_->sample(now_);
   return now_;
 }
@@ -399,116 +181,8 @@ SimTime Scheduler::run() { return run_until_impl(0, false); }
 
 SimTime Scheduler::run_until(SimTime deadline) { return run_until_impl(deadline, true); }
 
-std::size_t Scheduler::pending() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.heap.size() - s.cancelled.size() + s.outbox.size();
-  }
-  return total;
-}
-
-std::uint64_t Scheduler::executed_events() const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.executed;
-  return total;
-}
-
 void Scheduler::bind_hosts(std::uint32_t count) {
-  if (count > bound_hosts_) {
-    bound_hosts_ = count;
-    owner_seq_.resize(count, 0);
-  }
-}
-
-void Scheduler::set_parallel(std::uint32_t shards, std::vector<std::uint32_t> shard_map,
-                             SimDuration lookahead) {
-  assert(tls_.sched != this && "cannot reconfigure from inside an event");
-  stop_workers();
-  // Collect every task (and cancel marker / periodic series) from the
-  // old layout, rebuild the shard slots, and redistribute by affinity.
-  std::vector<Entry> entries;
-  std::unordered_set<TaskId> cancelled;
-  std::unordered_map<TaskId, Periodic> periodic;
-  for (Shard& s : shards_) {
-    for (Entry& e : s.heap) entries.push_back(std::move(e));
-    for (Entry& e : s.outbox) entries.push_back(std::move(e));
-    cancelled.insert(s.cancelled.begin(), s.cancelled.end());
-    for (auto& [id, p] : s.periodic) periodic.emplace(id, std::move(p));
-  }
-  if (shards <= 1) {
-    shards_.assign(1, Shard{});
-    shard_map_.clear();
-    lookahead_ = 1;
-  } else {
-    assert(shard_map.size() >= bound_hosts_ && "shard map must cover bound hosts");
-    shards_.assign(shards + 1, Shard{});  // + global slot
-    shard_map_ = std::move(shard_map);
-    for (std::uint32_t s : shard_map_) {
-      assert(s < shards && "shard map entry out of range");
-      (void)s;
-    }
-    lookahead_ = std::max<SimDuration>(lookahead, 1);
-  }
-  for (Shard& s : shards_) s.now = now_;
-  for (Entry& e : entries) push_entry(std::move(e));
-  // Re-mark cancels and re-home periodic series in the new layout.
-  for (Shard& s : shards_) {
-    for (TaskId id : s.queued) {
-      if (cancelled.contains(id)) s.cancelled.insert(id);
-    }
-  }
-  for (auto& [id, p] : periodic) {
-    const std::uint32_t target =
-        p.owner == kGlobalOwner ? global_shard() : shard_of(p.owner);
-    shards_[target].periodic.emplace(id, std::move(p));
-  }
-  if (profiler_ != nullptr) profiler_->bind_slots(slot_count());
-  if (parallel()) start_workers();
-}
-
-void Scheduler::set_profiler(obs::Profiler* p) {
-  assert(tls_.sched != this && "cannot attach a profiler from inside an event");
-  profiler_ = p;
-  if (p != nullptr) p->bind_slots(slot_count());
-}
-
-void Scheduler::start_workers() {
-  shutdown_ = false;
-  const std::uint32_t host_shards = static_cast<std::uint32_t>(shards_.size()) - 1;
-  for (std::uint32_t i = 1; i < host_shards; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-void Scheduler::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  shutdown_ = false;
-}
-
-void Scheduler::worker_loop(std::uint32_t shard_idx) {
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    SimTime end;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return shutdown_ || work_gen_ != seen_gen; });
-      if (shutdown_) return;
-      seen_gen = work_gen_;
-      end = epoch_end_;
-    }
-    run_shard_epoch(shard_idx, end);
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (--working_ == 0) cv_done_.notify_one();
-    }
-  }
+  if (count > owner_seq_.size()) owner_seq_.resize(count, 0);
 }
 
 }  // namespace aa::sim

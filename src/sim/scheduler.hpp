@@ -4,46 +4,25 @@
 // The paper targets a wide-area deployment; reproducing it on one
 // machine requires virtualising the network (DESIGN.md §2).  Every
 // asynchronous action — message delivery, sensor ticks, monitoring
-// sweeps, cache expiry — is an event on a scheduler queue, executed in
-// deterministic order.
+// sweeps, cache expiry — is an event on one queue, executed in
+// deterministic order on the calling thread.
 //
 // Ordering is CONTENT-KEYED, not insertion-keyed: each task carries
 // (time, owner, owner_seq) where `owner` is the host whose execution
 // scheduled it (or kGlobalOwner for tasks scheduled from outside any
 // event — test drivers, churn timers) and `owner_seq` is a per-owner
-// counter.  Two properties follow:
-//   1. Sequential runs behave like the classic (time, FIFO) scheduler
-//      when everything is scheduled from root context (all one owner).
-//   2. The order is independent of *how the run is executed*: a host's
-//      counter is only ever advanced by that host's own events (which
-//      execute in a deterministic order) or by global tasks (which are
-//      serialization points), so the key a task gets does not depend on
-//      the interleaving of other hosts' work.  This is what makes the
-//      sharded parallel mode below bit-identical to sequential runs.
-//
-// Parallel mode (set_parallel, normally via Network::set_threads):
-// hosts partition into S shards, each with its own event heap driven by
-// a dedicated thread.  Synchronization is conservative and
-// null-message-free: the coordinator repeatedly computes the global
-// minimum next-event time T and releases every shard to execute its own
-// events in the epoch [T, T + lookahead) in parallel, where `lookahead`
-// is the minimum inter-shard link latency.  A cross-shard interaction
-// can only happen through the network (post_to_host), whose arrival
-// time is at least the link latency away — i.e. at or beyond the epoch
-// end — so shards cannot affect each other inside an epoch.  Cross-
-// shard arrivals are buffered in per-shard outboxes and merged at the
-// epoch barrier; since ordering keys are content-based, no renumbering
-// is needed and the merged order equals the sequential one.  Tasks
-// owned by kGlobalOwner (churn kills, partition cuts, drivers) are
-// barriers: when the next global task is due at T, every task in the
-// system with time == T runs on the coordinator thread in key order.
+// counter.  Tasks due at the same time run root tasks first, then by
+// host rank, and FIFO within one owner, whatever order they were
+// inserted in.  When everything is scheduled from root context (one
+// owner) this is the classic (time, FIFO) scheduler.  A host's counter
+// only advances with that host's own events, so the key a task gets is
+// a function of the workload, not of how its events interleave; trace
+// sampling (obs/trace.hpp) keys off it for the same reason, and every
+// pinned digest depends on the order it induces (DESIGN.md §10).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -65,19 +44,16 @@ class Scheduler {
   /// Owner of tasks scheduled from outside any event (root context).
   static constexpr std::uint32_t kGlobalOwner = 0xFFFFFFFFu;
 
-  Scheduler();
-  ~Scheduler();
+  Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Current virtual time: the executing event's time inside a handler,
-  /// the global high-water mark outside one.
-  SimTime now() const;
+  /// Current virtual time: the executing event's time inside a handler.
+  SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute virtual time `t` (clamped to now()).
-  /// The task runs on the shard of the host whose event scheduled it
-  /// (root-context tasks are global serialization points).
+  /// Schedules `fn` at absolute virtual time `t` (clamped to now()),
+  /// owned by the host whose event is executing (root context: global).
   TaskId at(SimTime t, std::function<void()> fn);
 
   /// Schedules `fn` after `delay` from now (negative delays clamp to 0).
@@ -91,25 +67,20 @@ class Scheduler {
   /// a frozen virtual time and run() could never drain.
   TaskId every(SimDuration period, std::function<void()> fn);
 
-  /// Schedules `fn` at `t` owned by (and executing on the shard of)
-  /// `host`.  Used by the network to hand a delivery to the destination
-  /// host's shard, and by workload drivers to pin per-client load to
-  /// the client's shard instead of serializing it through the global
-  /// queue.  In parallel mode a cross-shard post must be at least
-  /// `lookahead` in the future (the network's link latency guarantees
-  /// this); the ordering key is taken from the *scheduling* context, so
-  /// deliveries from one sender stay FIFO per link.
+  /// Schedules `fn` at `t` to execute as `host`: tasks it schedules are
+  /// owned by `host`.  Used by the network to hand a delivery to the
+  /// destination host, and by workload drivers to run per-client load
+  /// as the client.  The ordering key is taken from the *scheduling*
+  /// context, so deliveries from one sender stay FIFO per link.
   TaskId post_to_host(std::uint32_t host, SimTime t, std::function<void()> fn);
 
   /// Cancels a pending (or periodic) task.  Cancelling an already-run
   /// one-shot task is a harmless no-op (and no longer corrupts
   /// pending(): only ids actually in the queue are marked).  A
   /// cancelled periodic task's callback is destroyed immediately.
-  /// From inside an event, only tasks of the same shard (or global
-  /// tasks, from root context) may be cancelled.
   void cancel(TaskId id);
 
-  /// Runs events until every queue is empty.  Returns final time.
+  /// Runs events until the queue is empty.  Returns final time.
   SimTime run();
 
   /// Runs events with time <= deadline; leaves later events queued and
@@ -119,79 +90,33 @@ class Scheduler {
   /// Runs for `d` beyond current time.
   SimTime run_for(SimDuration d) { return run_until(now() + d); }
 
-  /// Executes a single event if one is pending; returns false when
-  /// idle.  Always executes the globally minimal event, even in
-  /// parallel mode (where it degenerates to sequential execution).
+  /// Executes the earliest pending event; returns false when idle.
   bool step();
 
-  /// Tasks queued and not cancelled, across all shards.
-  std::size_t pending() const;
-  std::uint64_t executed_events() const;
-
-  // --- Host binding and sharding ---
+  /// Tasks queued and not cancelled.
+  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::uint64_t executed_events() const { return executed_; }
 
   /// Declares the host population (called by Network's constructor) so
   /// per-host ordering counters exist.  Growing is allowed; shrinking
   /// is ignored.
   void bind_hosts(std::uint32_t count);
 
-  /// Partitions hosts into `shards` event queues, each driven by its
-  /// own thread, with conservative epochs of width `lookahead` (the
-  /// minimum inter-shard link latency, >= 1).  `shard_of[h]` maps every
-  /// bound host to a shard in [0, shards).  Pass shards <= 1 to return
-  /// to sequential execution.  Pending tasks are repartitioned, so the
-  /// mode can be switched between runs (not from inside an event).
-  void set_parallel(std::uint32_t shards, std::vector<std::uint32_t> shard_of,
-                    SimDuration lookahead);
-
-  /// Number of host shards (1 in sequential mode).
-  std::uint32_t shards() const {
-    return parallel() ? static_cast<std::uint32_t>(shards_.size()) - 1 : 1;
-  }
-  SimDuration lookahead() const { return lookahead_; }
-
-  /// Host whose event is currently executing, or kGlobalOwner outside
-  /// any event / in a global task.
-  std::uint32_t current_host() const;
-
-  // --- Observability hooks (obs/ tracing + profiling) ---
-
-  /// Number of execution slots: shards plus the global slot (1 in
-  /// sequential mode).  Slot-partitioned observers (the trace
-  /// collector's span buffers, the profiler's counters, the network's
-  /// ambient trace contexts) size themselves off this.
-  std::uint32_t slot_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  /// Slot the calling thread is executing in: the current shard inside
-  /// an event, the global slot outside one.  During an epoch each
-  /// thread only ever sees its own slot, which is what makes
-  /// slot-indexed observer state race-free without locks.
-  std::uint32_t current_slot() const {
-    return tls_.sched == this ? tls_.shard : global_shard();
-  }
-
-  /// Content-based identity of the executing task — the same triple at
-  /// any shard count, so observers can key deterministic decisions
-  /// (trace sampling, patch ordering) off it.  Outside any task the
-  /// rank/seq are zero (root context) and `time` is the high-water
-  /// mark.
+  /// Content-based identity of the executing task, so observers can
+  /// key deterministic decisions (trace sampling) off it.  Outside any
+  /// task the rank/seq are zero (root context).
   struct TaskKey {
     SimTime time = 0;
     std::uint64_t owner_rank = 0;  // 0 = global/root, host h = h + 1
     std::uint64_t oseq = 0;
   };
-  TaskKey current_task_key() const {
-    if (tls_.sched == this) return {tls_.now, tls_.owner_rank, tls_.oseq};
-    return {now_, 0, 0};
-  }
+  TaskKey current_task_key() const { return {now_, ctx_.owner_rank, ctx_.oseq}; }
 
   /// Attaches a wall-clock profiler (nullptr detaches).  The scheduler
-  /// times every task closure, attributes epoch barrier waits,
-  /// serialization points and outbox merges, and snapshots counters at
-  /// each barrier.  Observation-only: execution order is unchanged.
-  /// The profiler must outlive the scheduler or be detached first.
-  void set_profiler(obs::Profiler* p);
+  /// times every task closure and samples the counters at the end of
+  /// each run.  Observation-only: execution order is unchanged.  The
+  /// profiler must outlive the scheduler or be detached first.
+  void set_profiler(obs::Profiler* p) { profiler_ = p; }
   obs::Profiler* profiler() const { return profiler_; }
 
  private:
@@ -200,7 +125,7 @@ class Scheduler {
     std::uint64_t owner_rank = 0;  // 0 = global, host h = h + 1
     std::uint64_t oseq = 0;        // per-owner counter: FIFO per owner
     TaskId id = kInvalidTask;
-    std::uint32_t affinity = kGlobalOwner;  // executing host (shard), or global
+    std::uint32_t affinity = kGlobalOwner;  // executing host, or global
     std::function<void()> fn;
   };
   /// Strict weak order for a MIN-heap via std::*_heap with this as
@@ -219,86 +144,40 @@ class Scheduler {
     std::function<void()> fn;
   };
 
-  struct Shard {
-    std::vector<Entry> heap;  // binary min-heap (After comparator)
-    std::unordered_set<TaskId> queued;     // ids currently in `heap`
-    std::unordered_set<TaskId> cancelled;  // queued ids awaiting discard
-    std::unordered_map<TaskId, Periodic> periodic;
-    SimTime now = 0;
-    std::uint64_t executed = 0;
-    // Cross-shard arrivals produced by this shard during an epoch;
-    // drained into destination heaps at the barrier.
-    std::vector<Entry> outbox;
-  };
-
-  /// Ambient execution context (thread-local so worker threads resolve
-  /// now()/at()/cancel() against the shard they are driving).
+  /// The executing task: its host (owner of tasks it spawns) and key.
+  /// Root context is {kGlobalOwner, 0, 0}.
   struct Ctx {
-    Scheduler* sched = nullptr;
-    std::uint32_t shard = 0;
-    std::uint32_t host = kGlobalOwner;  // ambient owner for spawned tasks
-    SimTime now = 0;
-    std::uint64_t owner_rank = 0;  // key of the executing task
+    std::uint32_t host = kGlobalOwner;
+    std::uint64_t owner_rank = 0;
     std::uint64_t oseq = 0;
-    bool in_epoch = false;  // true while shards run concurrently
   };
-  static thread_local Ctx tls_;
 
-  std::uint32_t shard_of(std::uint32_t host) const {
-    return host < shard_map_.size() ? shard_map_[host] : global_shard();
-  }
-  std::uint32_t global_shard() const {
-    return static_cast<std::uint32_t>(shards_.size()) - 1;  // last slot
-  }
-  bool parallel() const { return shards_.size() > 1; }
-
+  /// Stamps `e` with the next (owner_rank, oseq) of `owner`; returns
+  /// the task id the pair packs into.
+  TaskId assign_key(Entry& e, std::uint32_t owner);
   TaskId make_task(std::uint32_t owner, std::uint32_t affinity, SimTime t,
                    std::function<void()> fn);
   void push_entry(Entry e);
-  /// Pops cancelled entries off `s`'s heap front; the next live entry's
-  /// time, or false when empty.  Must not race the shard's worker.
-  bool peek_live(Shard& s, SimTime& t);
-  /// Pops the live heap front of `s` (precondition: peek_live was true).
-  Entry pop_front(Shard& s);
+  /// Pops cancelled entries off the heap front; the next live entry's
+  /// time, or false when empty.
+  bool peek_live(SimTime& t);
+  /// Pops the live heap front (precondition: peek_live was true).
+  Entry pop_front();
   void run_periodic(TaskId id);
-  void execute(Shard& s, std::uint32_t shard_idx, Entry e);
-
-  /// Runs one shard's events with time < end (worker thread body).
-  void run_shard_epoch(std::uint32_t shard_idx, SimTime end);
-  /// Runs every task at exactly time `t` (all shards + global) on the
-  /// calling thread in key order — the serialization point around
-  /// global tasks.
-  void run_sync_timestamp(SimTime t);
-  void drain_outboxes();
+  void execute(Entry e);
   SimTime run_until_impl(SimTime deadline, bool bounded);
-  bool step_sync();
 
-  void start_workers();
-  void stop_workers();
-  void worker_loop(std::uint32_t shard_idx);
-
-  // Shards 0..S-1 hold host tasks; the extra back slot holds global
-  // tasks (in sequential mode there is exactly one slot holding both).
-  std::vector<Shard> shards_;
-  std::vector<std::uint32_t> shard_map_;  // host -> shard
-  SimDuration lookahead_ = 1;
-  std::uint32_t bound_hosts_ = 0;
-  // Per-owner scheduling counters (slot h for host h; kGlobalOwner has
-  // its own counter).  A host's slot is only touched by its own shard's
-  // thread (or at a barrier), so no synchronization is needed.
+  std::vector<Entry> heap_;  // binary min-heap (After comparator)
+  std::unordered_set<TaskId> queued_;     // ids currently in `heap_`
+  std::unordered_set<TaskId> cancelled_;  // queued ids awaiting discard
+  std::unordered_map<TaskId, Periodic> periodic_;
+  std::uint64_t executed_ = 0;
+  // Per-owner scheduling counters (entry h for host h; kGlobalOwner has
+  // its own counter).
   std::vector<std::uint64_t> owner_seq_;
   std::uint64_t global_seq_ = 0;
-  SimTime now_ = 0;  // high-water mark visible outside events
-
-  // Worker pool (parallel mode; coordinator drives shard 0 inline).
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t work_gen_ = 0;
-  SimTime epoch_end_ = 0;
-  int working_ = 0;
-  bool shutdown_ = false;
+  SimTime now_ = 0;
+  Ctx ctx_;
 
   obs::Profiler* profiler_ = nullptr;  // null = profiling off
 };

@@ -14,7 +14,6 @@
 //                            experiments (C5, C6).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -44,27 +43,6 @@ class Topology {
     (void)h;
     return 0;
   }
-
-  /// Smallest latency between two *distinct* hosts: the conservative
-  /// lookahead bound of the parallel scheduler (a cross-host message can
-  /// never arrive sooner).  The default scans pairs (capped, so huge
-  /// models get a safe under-estimate from their first 1024 hosts);
-  /// models with a closed form override it.
-  virtual SimDuration min_remote_latency() const {
-    const std::size_t n = std::min<std::size_t>(size(), 1024);
-    SimDuration best = 0;
-    bool found = false;
-    for (HostId a = 0; a < n; ++a) {
-      for (HostId b = a + 1; b < n; ++b) {
-        const SimDuration l = latency(a, b);
-        if (!found || l < best) {
-          best = l;
-          found = true;
-        }
-      }
-    }
-    return found ? std::max<SimDuration>(best, 1) : 1;
-  }
 };
 
 /// All pairs at `rtt/2`; self-latency ~0 (local loopback cost).
@@ -77,9 +55,6 @@ class UniformTopology final : public Topology {
     return a == b ? duration::micros(10) : one_way_;
   }
   std::size_t size() const override { return hosts_; }
-  SimDuration min_remote_latency() const override {
-    return std::max<SimDuration>(one_way_, 1);
-  }
 
  private:
   std::size_t hosts_;
@@ -124,12 +99,6 @@ class TransitStubTopology final : public Topology {
   SimDuration latency(HostId a, HostId b) const override;
   std::size_t size() const override { return hosts_; }
   int region_of(HostId h) const override { return static_cast<int>(h % regions_); }
-  SimDuration min_remote_latency() const override {
-    // Any region with two hosts has an intra-region pair; otherwise the
-    // cheapest inter-region route bounds from below.
-    if (hosts_ > static_cast<std::size_t>(regions_)) return std::max<SimDuration>(intra_, 1);
-    return Topology::min_remote_latency();
-  }
 
  private:
   std::size_t hosts_;

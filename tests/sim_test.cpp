@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "sim/churn.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -16,6 +17,13 @@
 
 namespace aa::sim {
 namespace {
+
+/// FNV-1a over the joined lines: a compact pin for a whole run's log.
+std::uint64_t log_digest(const std::vector<std::string>& log) {
+  std::uint64_t h = fnv1a("");
+  for (const std::string& line : log) h = fnv1a(line + "\n", h);
+  return h;
+}
 
 // --- Scheduler ---
 
@@ -197,20 +205,20 @@ TEST(Scheduler, StepMovesClosureOutWithoutCopying) {
 
 // --- Topologies ---
 
-// --- Sharded parallel execution ---
+// --- Content-keyed ordering ---
 //
-// The determinism contract (DESIGN.md): the sharded scheduler executes
-// the exact same event sequence as the sequential one, so any digest of
-// the run — per-host logs, counters, final clock — must be bit-identical
-// across shard counts.
+// The Parallel.* tests keep the names they had when they compared
+// sharded runs with the sequential scheduler.  Each now pins the
+// sequential result with constants recorded while that comparison
+// still ran, so the content-keyed order (DESIGN.md §10) cannot drift
+// unnoticed.
 
 namespace {
 
-// Hosts pass a token around the ring with cross-host hops exactly at
-// the lookahead (the tightest legal arrival) while also running local
-// sub-lookahead ticks, exercising both the epoch barrier and the
-// intra-shard fast path.
-struct ShardProbe {
+// Hosts pass a token around a ring with 5 us cross-host hops while also
+// running 1 us local ticks, so many tasks of different owners share
+// timestamps.
+struct RingProbe {
   Scheduler sched;
   std::vector<std::vector<std::string>> logs{4};
 
@@ -227,25 +235,19 @@ struct ShardProbe {
   }
 };
 
-struct ShardRun {
+struct RingRun {
   std::vector<std::string> log;
   std::uint64_t executed = 0;
   SimTime final_now = 0;
 };
 
-ShardRun sharded_ring_run(std::uint32_t shards) {
-  ShardProbe p;
+RingRun ring_run() {
+  RingProbe p;
   p.sched.bind_hosts(4);
-  if (shards > 1) {
-    std::vector<std::uint32_t> map(4);
-    for (std::uint32_t h = 0; h < 4; ++h) map[h] = h % shards;
-    p.sched.set_parallel(shards, map, 5);
-  }
-  EXPECT_EQ(p.sched.shards(), shards);
   for (std::uint32_t h = 0; h < 4; ++h) {
     p.sched.post_to_host(h, 10 + h, [&p, h] { p.relay(h, 25); });
   }
-  ShardRun r;
+  RingRun r;
   r.final_now = p.sched.run();
   r.executed = p.sched.executed_events();
   EXPECT_EQ(p.sched.pending(), 0u);
@@ -260,14 +262,35 @@ ShardRun sharded_ring_run(std::uint32_t shards) {
 }  // namespace
 
 TEST(Parallel, ShardedSchedulerMatchesSequentialBitForBit) {
-  const ShardRun seq = sharded_ring_run(1);
-  ASSERT_FALSE(seq.log.empty());
-  for (std::uint32_t shards : {2u, 4u}) {
-    const ShardRun par = sharded_ring_run(shards);
-    EXPECT_EQ(par.log, seq.log) << shards << " shards";
-    EXPECT_EQ(par.executed, seq.executed) << shards << " shards";
-    EXPECT_EQ(par.final_now, seq.final_now) << shards << " shards";
-  }
+  // The ordering rule, stated directly: tasks due at the same time run
+  // root tasks first, then by host rank, and FIFO within one owner,
+  // whatever order they were inserted in.  A task's owner is the host
+  // whose event scheduled it, also when post_to_host hands it to
+  // another host.
+  Scheduler sched;
+  sched.bind_hosts(3);
+  std::vector<std::string> order;
+  auto note = [&order](std::string tag) { return [&order, tag] { order.push_back(tag); }; };
+  sched.post_to_host(2, 10, [&] {
+    sched.at(100, note("h2-1"));
+    sched.at(100, note("h2-2"));
+  });
+  sched.post_to_host(0, 20, [&] { sched.at(100, note("h0-1")); });
+  sched.post_to_host(1, 30, [&] { sched.at(100, note("h1-1")); });
+  sched.post_to_host(2, 40, [&] {
+    sched.at(100, note("h2-3"));
+    sched.post_to_host(0, 100, note("h2->h0"));
+  });
+  sched.at(50, [&] { sched.at(100, note("root")); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"root", "h0-1", "h1-1", "h2-1", "h2-2", "h2-3",
+                                             "h2->h0"}));
+
+  const RingRun ring = ring_run();
+  ASSERT_FALSE(ring.log.empty());
+  EXPECT_EQ(log_digest(ring.log), 0x5967fec6b352fdedULL);
+  EXPECT_EQ(ring.executed, 208u);
+  EXPECT_EQ(ring.final_now, 139);
 }
 
 namespace {
@@ -275,12 +298,14 @@ namespace {
 struct MeshRun {
   std::vector<std::string> log;
   NetworkStats stats;
+  std::vector<std::string> spans;  // rendered span contents (traced runs)
 };
 
 // A faulty relay mesh: every delivery re-sends from the destination's
-// own event (so sends execute on many shards, drawing from per-source
-// fault streams), with drops, duplicates and reordering all active.
-MeshRun faulty_mesh_run(unsigned threads) {
+// own event (so sends draw from many per-source fault streams), with
+// drops, duplicates and reordering all active.  A traced run starts one
+// root trace per initial send.
+MeshRun faulty_mesh_run(bool tracing = false) {
   Scheduler sched;
   auto topo = std::make_shared<UniformTopology>(6, duration::millis(2));
   Network net(sched, topo);
@@ -291,7 +316,7 @@ MeshRun faulty_mesh_run(unsigned threads) {
   f.jitter = duration::millis(1);
   f.seed = 99;
   net.set_link_faults(f);
-  net.set_threads(threads);
+  if (tracing) net.enable_tracing();
   std::vector<std::vector<std::string>> logs(6);
   for (HostId h = 0; h < 6; ++h) {
     net.register_handler(h, "relay", [&net, &sched, &logs, h](const Packet& pk) {
@@ -302,7 +327,10 @@ MeshRun faulty_mesh_run(unsigned threads) {
     });
   }
   for (HostId h = 0; h < 6; ++h) {
-    sched.at(1 + h, [&net, h] { net.send(h, (h + 1) % 6, "relay", 20, 64); });
+    sched.at(1 + h, [&net, h] {
+      Network::TraceScope root(net, net.start_trace());
+      net.send(h, (h + 1) % 6, "relay", 20, 64);
+    });
   }
   sched.run();
   MeshRun r;
@@ -312,34 +340,38 @@ MeshRun faulty_mesh_run(unsigned threads) {
       r.log.push_back("h" + std::to_string(h) + ":" + line);
     }
   }
+  if (const obs::TraceCollector* tc = net.tracer()) {
+    for (const obs::Span& s : tc->spans()) {
+      r.spans.push_back(std::to_string(s.id) + "^" + std::to_string(s.parent) + "|" +
+                        std::to_string(s.trace_id) + "|" + std::to_string(s.host) + "|" +
+                        s.component + "/" + s.action + "|" + std::to_string(s.start) + ".." +
+                        std::to_string(s.end) + "|" + s.detail);
+    }
+  }
   return r;
 }
 
 }  // namespace
 
 TEST(Parallel, ShardedNetworkDeliveriesAndStatsMatchSequential) {
-  const MeshRun seq = faulty_mesh_run(1);
-  ASSERT_FALSE(seq.log.empty());
-  ASSERT_GT(seq.stats.dropped_by_fault, 0u);  // the faults were live
-  for (unsigned threads : {2u, 3u, 6u}) {
-    const MeshRun par = faulty_mesh_run(threads);
-    EXPECT_EQ(par.log, seq.log) << threads << " threads";
-    EXPECT_EQ(par.stats.messages_sent, seq.stats.messages_sent) << threads;
-    EXPECT_EQ(par.stats.messages_delivered, seq.stats.messages_delivered) << threads;
-    EXPECT_EQ(par.stats.messages_dropped, seq.stats.messages_dropped) << threads;
-    EXPECT_EQ(par.stats.bytes_sent, seq.stats.bytes_sent) << threads;
-    EXPECT_EQ(par.stats.duplicated, seq.stats.duplicated) << threads;
-    EXPECT_EQ(par.stats.dropped_by_fault, seq.stats.dropped_by_fault) << threads;
-  }
+  const MeshRun run = faulty_mesh_run();
+  ASSERT_FALSE(run.log.empty());
+  ASSERT_GT(run.stats.dropped_by_fault, 0u);  // the faults were live
+  EXPECT_EQ(log_digest(run.log), 0x425fe973cb0d53f3ULL);
+  EXPECT_EQ(run.stats.messages_sent, 25u);
+  EXPECT_EQ(run.stats.messages_delivered, 19u);
+  EXPECT_EQ(run.stats.messages_dropped, 0u);
+  EXPECT_EQ(run.stats.bytes_sent, 1600u);
+  EXPECT_EQ(run.stats.duplicated, 1u);
+  EXPECT_EQ(run.stats.dropped_by_fault, 7u);
 }
 
 TEST(Parallel, ModeSwitchPreservesPendingWork) {
-  // Tasks queued in one mode must survive repartitioning: switch to
-  // sharded mid-workload and back, and everything still runs once.
+  // Tasks queued before a bounded run survive into the next one, and a
+  // cancelled one-shot never runs.
   Scheduler sched;
   sched.bind_hosts(4);
   int ran = 0;
-  std::vector<std::uint32_t> map{0, 0, 1, 1};
   for (std::uint32_t h = 0; h < 4; ++h) {
     sched.post_to_host(h, 50, [&ran] { ++ran; });
   }
@@ -347,34 +379,25 @@ TEST(Parallel, ModeSwitchPreservesPendingWork) {
   const TaskId tick = sched.every(25, [&ran] { ++ran; });
   sched.cancel(doomed);
   EXPECT_EQ(sched.pending(), 5u);  // 4 posts + tick; the cancelled one-shot is out
-  sched.set_parallel(2, map, 5);
-  EXPECT_EQ(sched.pending(), 5u);
   sched.run_until(55);
   EXPECT_EQ(ran, 6);  // 4 posts + 2 periodic firings; doomed never ran
-  sched.set_parallel(1, {}, 1);
   sched.run_until(100);
-  EXPECT_EQ(ran, 8);  // periodic continued at 75, 100 across the switch
+  EXPECT_EQ(ran, 8);  // periodic continued at 75, 100
   sched.cancel(tick);
   EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Parallel, TracingComposesWithSharding) {
-  // The ambient trace context is slot-local (one per scheduler shard),
-  // so tracing no longer forces sequential execution: enabling it keeps
-  // the shard count, and set_threads keeps working while tracing is on.
-  Scheduler sched;
-  auto topo = std::make_shared<UniformTopology>(4, duration::millis(2));
-  Network net(sched, topo);
-  net.set_threads(4);
-  EXPECT_EQ(net.threads(), 4u);
-  net.enable_tracing();
-  EXPECT_EQ(net.threads(), 4u);
-  net.set_threads(2);
-  EXPECT_EQ(net.threads(), 2u);
-  EXPECT_TRUE(net.tracing_enabled());
-  net.disable_tracing();
-  net.set_threads(4);
-  EXPECT_EQ(net.threads(), 4u);
+  // Tracing is pure observation: a traced run of the faulty relay mesh
+  // delivers exactly what the untraced run does, and its spans — ids,
+  // parents, times and annotations — are pinned too.
+  const MeshRun plain = faulty_mesh_run();
+  const MeshRun traced = faulty_mesh_run(/*tracing=*/true);
+  EXPECT_EQ(traced.log, plain.log);
+  EXPECT_EQ(traced.stats.bytes_sent, plain.stats.bytes_sent);
+  ASSERT_FALSE(traced.spans.empty());
+  EXPECT_EQ(traced.spans.size(), 25u);
+  EXPECT_EQ(log_digest(traced.spans), 0xf631e8f04f4f3c4eULL);
 }
 
 TEST(Topology, UniformLatency) {
@@ -1124,53 +1147,46 @@ TEST(Batching, DisableRestoresDatagramPath) {
   EXPECT_EQ(f.net.stats().frames_sent, 0u);
 }
 
-// Batched fan-out must stay bit-identical across shard counts: flushes
-// are posted to the staging host's shard, so member order, fault draws
-// and counters cannot depend on thread interleaving.
+// Batched fan-out under faults: member order, fault draws and counters
+// are pinned by constants recorded when sharded runs still matched this
+// sequential one.
 TEST(Batching, DeterministicAcrossShards) {
-  auto run = [](unsigned threads) {
-    Scheduler sched;
-    auto topo = std::make_shared<UniformTopology>(6, duration::millis(2));
-    Network net(sched, topo);
-    LinkFaults f;
-    f.drop = 0.1;
-    f.duplicate = 0.05;
-    f.seed = 7;
-    net.set_link_faults(f);
-    net.enable_batching();
-    net.set_threads(threads);
-    std::vector<std::vector<std::string>> logs(6);
-    for (HostId h = 0; h < 6; ++h) {
-      net.register_handler(h, "relay", [&net, &logs, h](const Packet& pk) {
-        const int ttl = *packet_body<int>(pk);
-        logs[h].push_back("h" + std::to_string(pk.src) + ":" + std::to_string(ttl));
-        if (ttl > 0) {
-          for (HostId n = 0; n < 6; ++n) {
-            if (n != h) net.send(h, n, "relay", ttl - 1, 64);
-          }
+  Scheduler sched;
+  auto topo = std::make_shared<UniformTopology>(6, duration::millis(2));
+  Network net(sched, topo);
+  LinkFaults f;
+  f.drop = 0.1;
+  f.duplicate = 0.05;
+  f.seed = 7;
+  net.set_link_faults(f);
+  net.enable_batching();
+  std::vector<std::vector<std::string>> logs(6);
+  for (HostId h = 0; h < 6; ++h) {
+    net.register_handler(h, "relay", [&net, &logs, h](const Packet& pk) {
+      const int ttl = *packet_body<int>(pk);
+      logs[h].push_back("h" + std::to_string(pk.src) + ":" + std::to_string(ttl));
+      if (ttl > 0) {
+        for (HostId n = 0; n < 6; ++n) {
+          if (n != h) net.send(h, n, "relay", ttl - 1, 64);
         }
-      });
-    }
-    for (HostId h = 0; h < 6; ++h) net.send(5 - h, h, "relay", 2, 64);
-    sched.run();
-    std::string digest;
-    for (auto& log : logs) {
-      std::sort(log.begin(), log.end());
-      for (const std::string& line : log) digest += line + "\n";
-      digest += "--\n";
-    }
-    return std::make_pair(digest, net.stats());
-  };
-  const auto [seq_digest, seq_stats] = run(1);
-  ASSERT_GT(seq_stats.frames_sent, 0u);  // batching actually engaged
-  for (unsigned threads : {2u, 4u}) {
-    const auto [par_digest, par_stats] = run(threads);
-    EXPECT_EQ(par_digest, seq_digest) << threads;
-    EXPECT_EQ(par_stats.frames_sent, seq_stats.frames_sent) << threads;
-    EXPECT_EQ(par_stats.batched_messages, seq_stats.batched_messages) << threads;
-    EXPECT_EQ(par_stats.dropped_by_fault, seq_stats.dropped_by_fault) << threads;
-    EXPECT_EQ(par_stats.bytes_sent, seq_stats.bytes_sent) << threads;
+      }
+    });
   }
+  for (HostId h = 0; h < 6; ++h) net.send(5 - h, h, "relay", 2, 64);
+  sched.run();
+  std::vector<std::string> digest;
+  for (auto& log : logs) {
+    std::sort(log.begin(), log.end());
+    digest.insert(digest.end(), log.begin(), log.end());
+    digest.push_back("--");
+  }
+  const NetworkStats& stats = net.stats();
+  ASSERT_GT(stats.frames_sent, 0u);  // batching actually engaged
+  EXPECT_EQ(log_digest(digest), 0x904ab0959a93b1b5ULL);
+  EXPECT_EQ(stats.frames_sent, 20u);
+  EXPECT_EQ(stats.batched_messages, 65u);
+  EXPECT_EQ(stats.dropped_by_fault, 17u);
+  EXPECT_EQ(stats.bytes_sent, 13634u);
 }
 
 }  // namespace

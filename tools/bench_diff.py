@@ -11,7 +11,7 @@ by more than the threshold (default 10%) in either direction — a bench
 that suddenly delivers more messages is as suspicious as one delivering
 fewer.  Wall-clock keys (*wall_us, *us_per_event*) are noisy on shared
 CI runners, so they are reported but never fail the diff; use --ignore
-to mute other known-noisy keys (fnmatch globs, e.g. 'scaling.*').
+to mute other known-noisy keys (fnmatch globs, e.g. 'scale.*').
 
 Timing-independent counters (delivered, transit, matches, ...) are the
 contract: they are deterministic replays of the simulation, so any
@@ -24,15 +24,14 @@ import json
 import sys
 
 # Keys matching these globs are informational: reported, never fatal.
-# The profiler keys (busy/barrier_wait/serialization/merge) are real
-# wall-clock attribution, so they vary with runner load like wall_us.
+# The profiler's busy_us keys are real wall-clock attribution, so they
+# vary with runner load like wall_us.
 # The codec.* and batch.* keys (C7 section e, C1 section f) are byte
 # and packet counts from the deterministic simulator — deliberately
 # absent here so the >=2x binary reduction and the batching
 # packets-per-delivery win stay gated.
 NOISY = ["*wall_us", "*us_per_event*", "*events_per_sec*", "*speedup*",
-         "*.hardware_threads", "*busy_us", "*barrier_wait_us",
-         "*serialization_us", "*merge_us", "*us_per_doc*"]
+         "*busy_us", "*us_per_doc*"]
 
 
 def load_counters(path):
