@@ -1,9 +1,24 @@
 #include "baselines/naive_engine.hpp"
 
+#include <sstream>
+
 namespace aa::baselines {
 
 using match::Binding;
 using match::Rule;
+
+namespace {
+// Every attribute of `e` except its time, as "name=value;" in AtomId
+// order.
+std::string emission_key(const event::Event& e) {
+  std::ostringstream out;
+  for (const auto& [atom, value] : e.attributes()) {
+    if (atom == event::time_atom()) continue;
+    out << event::atom_name(atom) << '=' << value.to_text() << ';';
+  }
+  return out.str();
+}
+}  // namespace
 
 void NaiveEngine::on_event(const event::Event& e, SimTime now, const Sink& sink) {
   for (const Rule& rule : rules_) {
@@ -45,7 +60,7 @@ void NaiveEngine::extend(const Rule& rule, Binding& binding, std::size_t next_tr
 void NaiveEngine::bind_facts(const Rule& rule, Binding& binding, std::size_t next_fact,
                              SimTime now, const Sink& sink) {
   if (next_fact == rule.facts.size()) {
-    sink(match::emitted_event(rule, binding, now));
+    fire(rule, binding, now, sink);
     return;
   }
   const auto& pattern = rule.facts[next_fact];
@@ -59,6 +74,18 @@ void NaiveEngine::bind_facts(const Rule& rule, Binding& binding, std::size_t nex
     }
     binding.pop_back();
   }
+}
+
+void NaiveEngine::fire(const Rule& rule, const Binding& binding, SimTime now,
+                       const Sink& sink) {
+  const event::Event out = match::emitted_event(rule, binding, now);
+  if (rule.cooldown > 0) {
+    const std::string key = rule.name + "|" + emission_key(out);
+    auto it = last_fired_.find(key);
+    if (it != last_fired_.end() && now - it->second < rule.cooldown) return;
+    last_fired_[key] = now;
+  }
+  sink(out);
 }
 
 }  // namespace aa::baselines

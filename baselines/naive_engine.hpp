@@ -8,9 +8,15 @@
 // emitted_event — with MatchEngine, so it is equivalent to it on
 // in-window data; asymptotically it is the "huge number of items"
 // strawman the paper's matching service must avoid.
+//
+// The cooldown is checked the simple way: on every complete binding,
+// against a key rendered from the emitted event itself.  MatchEngine
+// decides it earlier and renders the key itself, so the two cross-check.
 #pragma once
 
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "match/knowledge.hpp"
@@ -35,10 +41,13 @@ class NaiveEngine {
               std::size_t seed_index, SimTime now, const Sink& sink);
   void bind_facts(const match::Rule& rule, match::Binding& binding, std::size_t next_fact,
                   SimTime now, const Sink& sink);
+  void fire(const match::Rule& rule, const match::Binding& binding, SimTime now,
+            const Sink& sink);
 
   match::KnowledgeBase& kb_;
   std::vector<match::Rule> rules_;
   std::vector<event::Event> history_;
+  std::map<std::string, SimTime> last_fired_;  // rule name + key -> time
   std::uint64_t candidates_ = 0;
 };
 

@@ -155,6 +155,32 @@ double wall_us(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
+struct EngineRun {
+  int matches = 0;
+  double us = 0;
+  match::EngineStats stats;
+};
+
+/// Section (a)'s row: `rule` over `facts` facts and a 2000-event stream
+/// of `users` users.
+EngineRun run_engine(int facts, int users, const match::Rule& rule) {
+  Rng rng(3);
+  match::KnowledgeBase kb;
+  fill_kb(kb, facts, rng);
+  match::MatchEngine engine(kb);
+  engine.add_rule(rule);
+  const auto stream = make_stream(2000, users, rng);
+
+  EngineRun run;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& e : stream) {
+    engine.on_event(e, e.time(), [&](const event::Event&) { ++run.matches; });
+  }
+  run.us = wall_us(start);
+  run.stats = engine.stats();
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,37 +189,41 @@ int main(int argc, char** argv) {
                   "items — incremental vs naive rescan");
   bench::Snapshot snap("c7", argc, argv);
 
-  std::printf("\n(a) Incremental engine, knowledge-base scale sweep (2000 events):\n");
+  std::printf("\n(a) Incremental engine, knowledge-base scale sweep (2000 events; the\n"
+              "    last row adds F1's cooldown over 100 users):\n");
   bench::Table table({"facts", "events/s", "us/event", "matches", "candidates"});
   for (int facts : {1000, 10000, 100000}) {
-    Rng rng(3);
-    match::KnowledgeBase kb;
-    fill_kb(kb, facts, rng);
-    match::MatchEngine engine(kb);
-    engine.add_rule(scenario_rule());
-    const auto stream = make_stream(2000, facts / 3, rng);
-
-    int matches = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& e : stream) {
-      engine.on_event(e, e.time(), [&](const event::Event&) { ++matches; });
-    }
-    const double us = wall_us(start);
-    table.row({bench::fmt("%d", facts),
-               bench::fmt("%.0f", 2000.0 / (us / 1e6)),
-               bench::fmt("%.1f", us / 2000.0), bench::fmt("%d", matches),
-               bench::fmt("%llu", (unsigned long long)engine.stats().candidate_bindings)});
+    const EngineRun run = run_engine(facts, facts / 3, scenario_rule());
+    const std::uint64_t candidates = run.stats.candidate_bindings;
+    table.row({bench::fmt("%d", facts), bench::fmt("%.0f", 2000.0 / (run.us / 1e6)),
+               bench::fmt("%.1f", run.us / 2000.0), bench::fmt("%d", run.matches),
+               bench::fmt("%llu", (unsigned long long)candidates)});
     sim::MetricsRegistry reg;
     reg.add("match.facts", static_cast<std::uint64_t>(facts));
     reg.add("match.events", 2000);
-    reg.add("match.matches", static_cast<std::uint64_t>(matches));
-    reg.add("match.candidate_bindings", engine.stats().candidate_bindings);
-    reg.add("match.events_per_sec", static_cast<std::uint64_t>(2000.0 / (us / 1e6)));
+    reg.add("match.matches", static_cast<std::uint64_t>(run.matches));
+    reg.add("match.candidate_bindings", candidates);
+    reg.add("match.events_per_sec", static_cast<std::uint64_t>(2000.0 / (run.us / 1e6)));
     bench::metrics_line(bench::fmt("C7 facts=%d", facts), reg);
-    snap.add(bench::fmt("match.facts%d.matches", facts), static_cast<std::uint64_t>(matches));
-    snap.add(bench::fmt("match.facts%d.candidate_bindings", facts),
-             engine.stats().candidate_bindings);
-    snap.add_scaled(bench::fmt("match.facts%d.us_per_event", facts), us / 2000.0);
+    snap.add(bench::fmt("match.facts%d.matches", facts), static_cast<std::uint64_t>(run.matches));
+    snap.add(bench::fmt("match.facts%d.candidate_bindings", facts), candidates);
+    snap.add_scaled(bench::fmt("match.facts%d.us_per_event", facts), run.us / 2000.0);
+  }
+  {
+    // F1's ten-minute cooldown over a stream of 100 users: most bindings
+    // find their user's key cooling, which the engine decides as soon as
+    // the location report is bound, before the preference probe.
+    match::Rule rule = scenario_rule();
+    rule.cooldown = duration::minutes(10);
+    const EngineRun run = run_engine(10000, 100, rule);
+    table.row({"10000+cooldown", bench::fmt("%.0f", 2000.0 / (run.us / 1e6)),
+               bench::fmt("%.1f", run.us / 2000.0), bench::fmt("%d", run.matches),
+               bench::fmt("%llu", (unsigned long long)run.stats.candidate_bindings)});
+    std::printf("  cooldown row: %llu bindings suppressed\n",
+                (unsigned long long)run.stats.cooldown_suppressed);
+    snap.add("match.cooldown.matches", static_cast<std::uint64_t>(run.matches));
+    snap.add("match.cooldown.candidate_bindings", run.stats.candidate_bindings);
+    snap.add("match.cooldown.cooldown_suppressed", run.stats.cooldown_suppressed);
   }
 
   std::printf("\n(b) Incremental vs naive full-rescan (10k facts; event-count sweep —\n"

@@ -1,6 +1,6 @@
 #include "match/engine.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 namespace aa::match {
 
@@ -8,12 +8,72 @@ namespace {
 // Hard cap per trigger window so a silent subscriber can't accumulate
 // unbounded state; oldest events are shed first.
 constexpr std::size_t kMaxWindowEvents = 4096;
+
+const std::string kTypeName = "type";
+const std::string kTimeName = "time";
+const std::string kRuleName = "rule";
+
+// Join pushdown: equality joins between `pattern` and an already-bound
+// alias become extra probe constraints, so the knowledge-base index
+// narrows candidates to the joined value instead of every fact matching
+// the base filter ("pref.user = loc.user" probes user=bob, not all
+// preferences).
+event::Filter fact_probe(const Rule& rule, const FactPattern& pattern, const Binding& binding) {
+  event::Filter probe = pattern.filter;
+  for (const auto& join : rule.joins) {
+    if (join.op != event::Op::kEq) continue;
+    const Operand* fact_side = nullptr;
+    const Operand* other_side = nullptr;
+    if (join.left.alias == pattern.alias && !join.left.constant.has_value()) {
+      fact_side = &join.left;
+      other_side = &join.right;
+    } else if (join.right.alias == pattern.alias && !join.right.constant.has_value()) {
+      fact_side = &join.right;
+      other_side = &join.left;
+    } else {
+      continue;
+    }
+    if (other_side->constant.has_value()) {
+      probe.where(fact_side->attr, event::Op::kEq, *other_side->constant);
+      continue;
+    }
+    const event::Event* bound_event = bound(binding, other_side->alias);
+    if (bound_event == nullptr) continue;
+    const event::AttrValue* v = bound_event->get(other_side->attr);
+    if (v != nullptr) probe.where(fact_side->attr, event::Op::kEq, *v);
+  }
+  return probe;
+}
 }  // namespace
 
 void MatchEngine::add_rule(Rule rule) {
   RuleState state;
   state.rule = std::move(rule);
-  for (const auto& t : state.rule.triggers) state.windows[t.alias];
+  const Rule& r = state.rule;
+  for (const auto& t : r.triggers) state.windows[t.alias];
+  // A binding grows as: the seed trigger, the other triggers in order,
+  // then the facts.  bound() reads an alias's first entry, so the key is
+  // fixed once the first entry of every alias an assignment reads is in.
+  for (std::size_t seed = 0; seed < r.triggers.size(); ++seed) {
+    std::vector<const std::string*> order{&r.triggers[seed].alias};
+    for (std::size_t t = 0; t < r.triggers.size(); ++t) {
+      if (t != seed) order.push_back(&r.triggers[t].alias);
+    }
+    for (const FactPattern& f : r.facts) order.push_back(&f.alias);
+    std::size_t depth = 1;
+    for (const Assignment& a : r.emit.sets) {
+      if (a.constant.has_value()) continue;
+      const auto it = std::find_if(order.begin(), order.end(),
+                                   [&](const std::string* alias) { return *alias == a.from_alias; });
+      // An alias the rule never binds contributes nothing to the event.
+      if (it != order.end()) {
+        depth = std::max(depth, static_cast<std::size_t>(it - order.begin()) + 1);
+      }
+    }
+    state.key_depth.push_back(r.cooldown > 0 ? depth : kNoKey);
+  }
+  state.type_value = r.emit.type;
+  state.name_value = r.name;
   states_.push_back(std::move(state));
 }
 
@@ -69,104 +129,114 @@ void MatchEngine::try_fire(RuleState& state, std::size_t seed_trigger, const eve
                            SimTime now, const Sink& sink) {
   Binding binding;
   binding.emplace_back(state.rule.triggers[seed_trigger].alias, &seed);
-  if (!conditions_hold(state.rule, binding)) return;
-  extend(state, binding, 0, seed_trigger, now, sink);
+  if (conditions_hold(state.rule, binding)) descend(state, binding, seed_trigger, now, sink);
 }
 
-void MatchEngine::extend(RuleState& state, Binding& binding, std::size_t next_trigger,
-                         std::size_t seed_index, SimTime now, const Sink& sink) {
-  if (next_trigger == state.rule.triggers.size()) {
-    bind_facts(state, binding, 0, sink, now);
-    return;
+// `binding` satisfies the rule's conditions so far.  Returns true when a
+// completion fired beneath the depth where its key was decided: every
+// other completion up to that depth would emit the same, cooling event.
+bool MatchEngine::descend(RuleState& state, Binding& binding, std::size_t seed_trigger,
+                          SimTime now, const Sink& sink) {
+  if (binding.size() != state.key_depth[seed_trigger]) {
+    return extend(state, binding, seed_trigger, now, sink);
   }
-  if (next_trigger == seed_index) {
-    extend(state, binding, next_trigger + 1, seed_index, now, sink);
-    return;
+  // Every completion of this binding has one key, and `now` is fixed for
+  // the whole call, so a cooling key stays cooling for all of them.
+  render_key(state, binding);
+  const auto it = last_fired_.find(key_);
+  if (it != last_fired_.end() && now - it->second < state.rule.cooldown) {
+    ++stats_.cooldown_suppressed;
+  } else {
+    extend(state, binding, seed_trigger, now, sink);
   }
-  const auto& trigger = state.rule.triggers[next_trigger];
-  const auto& window = state.windows[trigger.alias];
-  for (const event::Event& candidate : window) {
-    if (candidate.time() < now - trigger.window) continue;  // stale
+  return false;
+}
+
+bool MatchEngine::extend(RuleState& state, Binding& binding, std::size_t seed_trigger,
+                         SimTime now, const Sink& sink) {
+  const Rule& rule = state.rule;
+  const std::size_t depth = binding.size();
+  auto try_candidate = [&](const std::string& alias, const event::Event* candidate) {
     ++stats_.candidate_bindings;
-    binding.emplace_back(trigger.alias, &candidate);
-    if (conditions_hold(state.rule, binding)) {
-      extend(state, binding, next_trigger + 1, seed_index, now, sink);
-    }
+    binding.emplace_back(alias, candidate);
+    const bool done =
+        conditions_hold(rule, binding) && descend(state, binding, seed_trigger, now, sink);
     binding.pop_back();
+    return done;
+  };
+  if (depth < rule.triggers.size()) {
+    // The triggers in index order, skipping the seed's.
+    const auto& trigger = rule.triggers[depth - 1 < seed_trigger ? depth - 1 : depth];
+    for (const event::Event& candidate : state.windows[trigger.alias]) {
+      if (candidate.time() < now - trigger.window) continue;  // stale
+      if (try_candidate(trigger.alias, &candidate)) return true;
+    }
+    return false;
   }
+  if (depth < rule.triggers.size() + rule.facts.size()) {
+    const FactPattern& pattern = rule.facts[depth - rule.triggers.size()];
+    for (const Fact* fact : kb_.query(fact_probe(rule, pattern, binding))) {
+      if (try_candidate(pattern.alias, fact)) return true;
+    }
+    return false;
+  }
+  return fire(state, binding, now, sink);
 }
 
-void MatchEngine::bind_facts(RuleState& state, Binding& binding, std::size_t next_fact,
-                             const Sink& sink, SimTime now) {
-  if (next_fact == state.rule.facts.size()) {
-    fire(state, binding, now, sink);
-    return;
+// Renders into key_ the cooldown key of the event `binding` would emit,
+// byte for byte rule.name + "|" + each attribute of
+// emitted_event(rule, binding, now) in AtomId order as "name=value;",
+// "time" left out — without building the event.  Later assignments
+// overwrite earlier ones, and "rule" is stamped last.  A name nothing
+// has interned yet sorts after every interned one, in the order
+// emitted_event's set() calls would intern it.
+void MatchEngine::render_key(const RuleState& state, const Binding& binding) {
+  key_parts_.clear();
+  std::uint64_t unseen = std::uint64_t{1} << 32;
+  auto put = [&](const std::string& name, const event::AttrValue& value) {
+    if (name == kTimeName) return;  // overwritten by the emission time
+    for (KeyPart& part : key_parts_) {
+      if (*part.name == name) {
+        part.value = &value;
+        return;
+      }
+    }
+    const event::AtomId atom = event::lookup_atom(name);
+    key_parts_.push_back({atom == event::kNoAtom ? unseen++ : atom, &name, &value});
+  };
+  put(kTypeName, state.type_value);
+  for (const Assignment& a : state.rule.emit.sets) {
+    if (const event::AttrValue* v = assigned_value(a, binding)) put(a.name, *v);
   }
-  const auto& pattern = state.rule.facts[next_fact];
-  // Join pushdown: equality joins between this fact pattern and an
-  // already-bound alias become extra probe constraints, so the
-  // knowledge-base index narrows candidates to the joined value instead
-  // of every fact matching the base filter ("pref.user = loc.user"
-  // probes user=bob, not all preferences).
-  event::Filter probe = pattern.filter;
-  for (const auto& join : state.rule.joins) {
-    if (join.op != event::Op::kEq) continue;
-    const Operand* fact_side = nullptr;
-    const Operand* other_side = nullptr;
-    if (join.left.alias == pattern.alias && !join.left.constant.has_value()) {
-      fact_side = &join.left;
-      other_side = &join.right;
-    } else if (join.right.alias == pattern.alias && !join.right.constant.has_value()) {
-      fact_side = &join.right;
-      other_side = &join.left;
+  put(kRuleName, state.name_value);
+  std::sort(key_parts_.begin(), key_parts_.end(),
+            [](const KeyPart& a, const KeyPart& b) { return a.order < b.order; });
+  key_.assign(state.rule.name);
+  key_ += '|';
+  for (const KeyPart& part : key_parts_) {
+    key_ += *part.name;
+    key_ += '=';
+    if (part.value->is_string()) {
+      key_ += part.value->str();
     } else {
-      continue;
+      key_ += part.value->to_text();
     }
-    if (other_side->constant.has_value()) {
-      probe.where(fact_side->attr, event::Op::kEq, *other_side->constant);
-      continue;
-    }
-    const event::Event* bound_event = bound(binding, other_side->alias);
-    if (bound_event == nullptr) continue;
-    const event::AttrValue* v = bound_event->get(other_side->attr);
-    if (v != nullptr) probe.where(fact_side->attr, event::Op::kEq, *v);
-  }
-  for (const Fact* fact : kb_.query(probe)) {
-    ++stats_.candidate_bindings;
-    binding.emplace_back(pattern.alias, fact);
-    if (conditions_hold(state.rule, binding)) {
-      bind_facts(state, binding, next_fact + 1, sink, now);
-    }
-    binding.pop_back();
+    key_ += ';';
   }
 }
 
-std::string MatchEngine::emission_key(const event::Event& e) {
-  // Canonical (AtomId-sorted) order is deterministic within a process,
-  // which is all a cooldown key needs.
-  std::ostringstream out;
-  for (const auto& [atom, value] : e.attributes()) {
-    if (atom == event::time_atom()) continue;
-    out << event::atom_name(atom) << '=' << value.to_text() << ';';
-  }
-  return out.str();
-}
-
-void MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now,
+bool MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now,
                        const Sink& sink) {
   const event::Event out = emitted_event(state.rule, binding, now);
-
   if (state.rule.cooldown > 0) {
-    const std::string key = state.rule.name + "|" + emission_key(out);
-    auto it = last_fired_.find(key);
-    if (it != last_fired_.end() && now - it->second < state.rule.cooldown) {
-      ++stats_.cooldown_suppressed;
-      return;
-    }
-    last_fired_[key] = now;
+    // descend() found this key idle; re-render it now that the event's
+    // names are interned, so the stored key is exactly the emitted one's.
+    render_key(state, binding);
+    last_fired_[key_] = now;
   }
   ++stats_.matches_emitted;
   sink(out);
+  return state.rule.cooldown > 0;
 }
 
 }  // namespace aa::match

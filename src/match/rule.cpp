@@ -81,17 +81,16 @@ bool conditions_hold(const Rule& rule, const Binding& binding) {
   return true;
 }
 
+const event::AttrValue* assigned_value(const Assignment& a, const Binding& binding) {
+  if (a.constant.has_value()) return &*a.constant;
+  const event::Event* src = bound(binding, a.from_alias);
+  return src == nullptr ? nullptr : src->get(a.from_attr);
+}
+
 event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now) {
   event::Event out(rule.emit.type);
   for (const auto& a : rule.emit.sets) {
-    if (a.constant.has_value()) {
-      out.set(a.name, *a.constant);
-      continue;
-    }
-    const event::Event* src = bound(binding, a.from_alias);
-    if (src == nullptr) continue;
-    const event::AttrValue* v = src->get(a.from_attr);
-    if (v != nullptr) out.set(a.name, *v);
+    if (const event::AttrValue* v = assigned_value(a, binding)) out.set(a.name, *v);
   }
   out.set_time(now);
   out.set("rule", rule.name);

@@ -120,6 +120,10 @@ bool spatial_holds(const SpatialCondition& cond, const Binding& binding);
 /// (possibly partial) binding.
 bool conditions_hold(const Rule& rule, const Binding& binding);
 
+/// The value `a` assigns under `binding`: its constant, or the bound
+/// alias's attribute; null when the alias is unbound or lacks it.
+const event::AttrValue* assigned_value(const Assignment& a, const Binding& binding);
+
 /// The event `rule` synthesises from a complete binding at `now`: the
 /// emit spec's assignments, stamped with `now` and the rule's name.
 event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now);

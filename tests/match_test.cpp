@@ -235,6 +235,53 @@ TEST(Engine, CooldownSuppressesRepeats) {
   EXPECT_EQ(fx.out.size(), 2u);
 }
 
+TEST(Engine, CooldownSkipsJoinWork) {
+  // The key reads only `loc`, so it is decided as soon as the report is
+  // bound: a repeat from a user still cooling never probes for its
+  // preference, and a key that fires stops the enumeration beneath it.
+  EngineFixture fx;
+  Fact pref;
+  pref.set("kind", "preference").set("user", "bob").set("min_celsius", 15.0);
+  fx.kb.add(pref);
+
+  Rule rule;
+  rule.name = "warm";
+  rule.cooldown = duration::minutes(10);
+  rule.triggers = {
+      {"loc", f("type = user-location"), duration::minutes(5)},
+      {"temp", f("type = temperature"), duration::minutes(5)},
+  };
+  rule.facts = {{"pref", f("kind = preference")}};
+  rule.joins = {{Operand::ref("loc", "user"), Op::kEq, Operand::ref("pref", "user")},
+                {Operand::ref("temp", "celsius"), Op::kGe, Operand::ref("pref", "min_celsius")}};
+  rule.emit.type = "suggestion";
+  rule.emit.sets = {{"user", std::nullopt, "loc", "user"}};
+  fx.engine.add_rule(rule);
+
+  for (int i = 0; i < 3; ++i) {
+    fx.engine.on_event(temp_event(20.0, duration::seconds(i)), duration::seconds(i), fx.sink);
+  }
+  const SimTime t0 = duration::minutes(1);
+  fx.engine.on_event(loc_event("bob", 56.0, -2.0, t0), t0, fx.sink);
+  ASSERT_EQ(fx.out.size(), 1u);
+  // The first reading and the preference completed the binding; the
+  // other two readings were never tried.
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 2u);
+  const std::uint64_t queries = fx.kb.stats().indexed_queries;
+
+  const SimTime t1 = duration::minutes(2);
+  fx.engine.on_event(loc_event("bob", 56.0, -2.0, t1), t1, fx.sink);
+  EXPECT_EQ(fx.out.size(), 1u);
+  EXPECT_EQ(fx.kb.stats().indexed_queries, queries);
+  EXPECT_EQ(fx.engine.stats().cooldown_suppressed, 1u);
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 2u);
+
+  // Another user's key is idle, so that report is joined as before.
+  fx.engine.on_event(loc_event("anna", 56.0, -2.0, t1), t1, fx.sink);
+  EXPECT_EQ(fx.out.size(), 1u);  // anna has no preference
+  EXPECT_GT(fx.kb.stats().indexed_queries, queries);
+}
+
 TEST(Engine, SpatialPredicateFiltersFarApart) {
   EngineFixture fx;
   Fact shop;
@@ -370,6 +417,66 @@ TEST(NaiveEquivalence, SameMatchesOnInWindowWorkload) {
   EXPECT_EQ(inc_count, naive_count);
   // And the incremental engine explored far fewer candidates.
   EXPECT_LT(incremental.stats().candidate_bindings, naive.candidate_bindings());
+}
+
+TEST(NaiveEquivalence, SameSuggestionsUnderCooldown) {
+  // The oracle checks the cooldown on every complete binding, with a
+  // key rendered from the emitted event; the engine decides it as soon
+  // as the emit spec's aliases are bound, rendering the key itself.
+  // Three emit shapes: a key fixed by the trigger, one fixed only by the
+  // fact join, and <set>s of type, rule and time, which the emitted
+  // event overwrites (type by the set, rule and time by its stamps).
+  constexpr int kUsers = 12;
+  KnowledgeBase kb;
+  Rng fact_rng(5);
+  for (int u = 0; u < kUsers; ++u) {
+    Fact pref;
+    pref.set("kind", "preference").set("user", "u" + std::to_string(u))
+        .set("min_celsius", fact_rng.uniform(10.0, 20.0));
+    kb.add(pref);
+  }
+  const std::vector<std::vector<Assignment>> shapes = {
+      {{"user", std::nullopt, "loc", "user"}},
+      {{"user", std::nullopt, "pref", "user"}, {"min", std::nullopt, "pref", "min_celsius"}},
+      {{"rule", std::nullopt, "temp", "celsius"},
+       {"type", std::nullopt, "loc", "user"},
+       {"time", std::nullopt, "temp", "celsius"}},
+  };
+  for (const auto& sets : shapes) {
+    Rule rule;
+    rule.name = "r";
+    rule.cooldown = duration::minutes(10);
+    rule.triggers = {
+        {"loc", f("type = user-location"), duration::minutes(2)},
+        {"temp", f("type = temperature"), duration::minutes(5)},
+    };
+    rule.facts = {{"pref", f("kind = preference")}};
+    rule.joins = {{Operand::ref("loc", "user"), Op::kEq, Operand::ref("pref", "user")},
+                  {Operand::ref("temp", "celsius"), Op::kGe,
+                   Operand::ref("pref", "min_celsius")}};
+    rule.emit.type = "suggestion";
+    rule.emit.sets = sets;
+
+    MatchEngine engine(kb);
+    engine.add_rule(rule);
+    baselines::NaiveEngine naive(kb);
+    naive.add_rule(rule);
+    std::vector<std::string> got, want;
+    Rng rng(9);
+    SimTime t = 0;
+    for (int i = 0; i < 600; ++i) {
+      t += duration::seconds(static_cast<std::int64_t>(rng.below(20)));
+      const Event e =
+          rng.chance(0.7)
+              ? loc_event("u" + std::to_string(rng.below(kUsers)), 56.0, -2.0, t)
+              : temp_event(rng.uniform(5.0, 25.0), t);
+      engine.on_event(e, t, [&](const Event& out) { got.push_back(out.describe()); });
+      naive.on_event(e, t, [&](const Event& out) { want.push_back(out.describe()); });
+    }
+    EXPECT_GT(want.size(), 50u) << rule.to_xml_string();
+    EXPECT_EQ(got, want) << rule.to_xml_string();
+    EXPECT_GT(engine.stats().cooldown_suppressed, 0u);
+  }
 }
 
 // --- Matchlet as pipeline component ---

@@ -621,6 +621,23 @@ TEST(Profiler, OverlayMaintenanceChargesOverlayBucketWithoutSpans) {
   EXPECT_TRUE(net.tracer()->spans().empty());
 }
 
+TEST(Profiler, SubscribeChargesBrokerRouteNotMatch) {
+  // Installing a subscription, covering checks included, is routing
+  // work: on a one-broker bus it charges broker_route, and with no
+  // publication in flight nothing reaches broker_match.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(2, duration::millis(5));
+  sim::Network net(sched, topo);
+  pubsub::SienaNetwork ps(net, {0});
+  ps.attach_client(1, 0);
+  net.enable_profiling();
+  ps.subscribe(1, Filter().where("type", Op::kEq, "temperature"), [](const Event&) {});
+  sched.run();
+  const auto& ns = net.profiler()->totals().bucket_ns;
+  EXPECT_GT(ns[static_cast<std::size_t>(obs::ProfileBucket::kBrokerRoute)], 0u);
+  EXPECT_EQ(ns[static_cast<std::size_t>(obs::ProfileBucket::kBrokerMatch)], 0u);
+}
+
 TEST(Metrics, ExportProfilerEmitsTotalsAndPerSlotKeys) {
   // One counter set, exported under "<ns>.total": tasks, busy time and
   // one key per subsystem bucket.
