@@ -1,6 +1,7 @@
 #include "event/filter_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string_view>
 
 namespace aa::event {
@@ -13,6 +14,31 @@ void remove_one(std::vector<T>& ids, T id) {
   if (it != ids.end()) {
     *it = ids.back();
     ids.pop_back();
+  }
+}
+
+/// NaN compares with nothing, so no table keyed by value can hold it.
+bool is_nan(const AttrValue& v) { return v.is_real() && std::isnan(v.real()); }
+
+/// Removes one posting of `slot`: from the marked prefix when it is the
+/// filter's access predicate (the prefix stays contiguous), else from
+/// the rest of the list.
+template <typename List>
+void remove_eq(List& list, std::uint32_t slot, bool access) {
+  auto& slots = list.slots;
+  const auto marked_end = slots.begin() + list.marked;
+  if (access) {
+    const auto it = std::find(slots.begin(), marked_end, slot);
+    if (it == marked_end) return;
+    *it = slots[list.marked - 1];
+    slots[list.marked - 1] = slots.back();
+    slots.pop_back();
+    --list.marked;
+  } else {
+    const auto it = std::find(marked_end, slots.end(), slot);
+    if (it == slots.end()) return;
+    *it = slots.back();
+    slots.pop_back();
   }
 }
 
@@ -48,29 +74,33 @@ void scan_lower(const Map& m, const Key& x, Hit&& hit) {
 }  // namespace
 
 bool FilterIndex::AttrTables::empty() const {
-  return exists.empty() && eq_str.empty() && eq_num.empty() && eq_bool[0].empty() &&
-         eq_bool[1].empty() && upper_num.empty() && upper_str.empty() && lower_num.empty() &&
+  return exists.empty() && eq_str.empty() && eq_num.empty() && eq_bool[0].slots.empty() &&
+         eq_bool[1].slots.empty() && upper_num.empty() && upper_str.empty() && lower_num.empty() &&
          lower_str.empty() && prefix.empty() && residual.empty();
 }
 
-void FilterIndex::post(const Constraint& c, Slot slot) {
+void FilterIndex::post(const Constraint& c, Slot slot, bool access) {
   AttrTables& t = attrs_[c.atom];
   const bool strict = c.op == Op::kLt || c.op == Op::kGt;
+  if (c.op != Op::kExists && is_nan(c.value)) {
+    t.residual.push_back(Residual{c, slot});
+    return;
+  }
   switch (c.op) {
     case Op::kExists:
       t.exists.push_back(slot);
       return;
-    case Op::kEq:
-      if (c.value.is_string()) {
-        t.eq_str[c.value.str()].push_back(slot);
-      } else if (c.value.is_numeric()) {
-        // Keyed by the widened double — the exact equivalence classes of
-        // AttrValue::compare, so hash hits reproduce oracle equality.
-        t.eq_num[c.value.as_real()].push_back(slot);
-      } else {
-        t.eq_bool[c.value.boolean() ? 1 : 0].push_back(slot);
-      }
+    case Op::kEq: {
+      // Numerics are keyed by the widened double — the exact equivalence
+      // classes of AttrValue::compare, so hash hits reproduce oracle
+      // equality.
+      EqIds& list = c.value.is_string()    ? t.eq_str[c.value.str()]
+                    : c.value.is_numeric() ? t.eq_num[c.value.as_real()]
+                                           : t.eq_bool[c.value.boolean() ? 1 : 0];
+      list.slots.push_back(slot);
+      if (access) std::swap(list.slots[list.marked++], list.slots.back());
       return;
+    }
     case Op::kLt:
     case Op::kLe:
       if (c.value.is_numeric()) {
@@ -109,7 +139,7 @@ void FilterIndex::post(const Constraint& c, Slot slot) {
   t.residual.push_back(Residual{c, slot});
 }
 
-void FilterIndex::unpost(const Constraint& c, Slot slot) {
+void FilterIndex::unpost(const Constraint& c, Slot slot, bool access) {
   auto attr_it = attrs_.find(c.atom);
   if (attr_it == attrs_.end()) return;
   AttrTables& t = attr_it->second;
@@ -127,6 +157,12 @@ void FilterIndex::unpost(const Constraint& c, Slot slot) {
     remove_one(it->second, slot);
     if (it->second.empty()) table.erase(it);
   };
+  auto from_eq_map = [&](auto& table, const auto& key) {
+    auto it = table.find(key);
+    if (it == table.end()) return;
+    remove_eq(it->second, slot, access);
+    if (it->second.slots.empty()) table.erase(it);
+  };
   auto from_residual = [&] {
     for (auto it = t.residual.begin(); it != t.residual.end(); ++it) {
       if (it->slot == slot && it->constraint == c) {
@@ -137,17 +173,22 @@ void FilterIndex::unpost(const Constraint& c, Slot slot) {
     }
   };
 
+  if (c.op != Op::kExists && is_nan(c.value)) {
+    from_residual();
+    if (t.empty()) attrs_.erase(attr_it);
+    return;
+  }
   switch (c.op) {
     case Op::kExists:
       remove_one(t.exists, slot);
       break;
     case Op::kEq:
       if (c.value.is_string()) {
-        from_list_map(t.eq_str, c.value.str());
+        from_eq_map(t.eq_str, c.value.str());
       } else if (c.value.is_numeric()) {
-        from_list_map(t.eq_num, c.value.as_real());
+        from_eq_map(t.eq_num, c.value.as_real());
       } else {
-        remove_one(t.eq_bool[c.value.boolean() ? 1 : 0], slot);
+        remove_eq(t.eq_bool[c.value.boolean() ? 1 : 0], slot, access);
       }
       break;
     case Op::kLt:
@@ -191,16 +232,33 @@ void FilterIndex::add(std::uint64_t id, const Filter& filter) {
     slot = static_cast<Slot>(slot_id_.size());
     slot_id_.push_back(id);
     slot_needed_.push_back(0);
+    slot_access_.push_back(kNoAccess);
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
     slot_id_[slot] = id;
   }
-  slot_needed_[slot] = static_cast<std::uint32_t>(filter.constraints().size());
+  const std::vector<Constraint>& cs = filter.constraints();
+  slot_needed_[slot] = static_cast<std::uint32_t>(cs.size());
+  // The access predicate: the posted equality whose list is shortest
+  // now, so the covering probe's marked prefixes stay short.
+  std::uint32_t access = kNoAccess;
+  std::size_t shortest = 0;
+  for (std::uint32_t i = 0; i < cs.size(); ++i) {
+    if (cs[i].op != Op::kEq || is_nan(cs[i].value)) continue;
+    const EqIds* list = find_eq(cs[i]);
+    const std::size_t length = list == nullptr ? 0 : list->slots.size();
+    if (access == kNoAccess || length < shortest) {
+      access = i;
+      shortest = length;
+    }
+  }
+  slot_access_[slot] = access;
   if (filter.empty()) {
     match_all_.push_back(id);
   } else {
-    for (const Constraint& c : filter.constraints()) post(c, slot);
+    for (std::uint32_t i = 0; i < cs.size(); ++i) post(cs[i], slot, i == access);
+    if (access == kNoAccess) unkeyed_.push_back(slot);
   }
   filters_.emplace(id, Stored{filter, slot});
 }
@@ -209,13 +267,49 @@ void FilterIndex::remove(std::uint64_t id) {
   auto it = filters_.find(id);
   if (it == filters_.end()) return;
   const Slot slot = it->second.slot;
-  if (it->second.filter.empty()) {
+  const std::vector<Constraint>& cs = it->second.filter.constraints();
+  if (cs.empty()) {
     remove_one(match_all_, id);
   } else {
-    for (const Constraint& c : it->second.filter.constraints()) unpost(c, slot);
+    const std::uint32_t access = slot_access_[slot];
+    for (std::uint32_t i = 0; i < cs.size(); ++i) unpost(cs[i], slot, i == access);
+    if (access == kNoAccess) remove_one(unkeyed_, slot);
   }
   free_slots_.push_back(slot);
   filters_.erase(it);
+}
+
+const FilterIndex::EqIds* FilterIndex::find_eq(const Constraint& c) const {
+  if (c.op != Op::kEq) return nullptr;
+  const auto attr_it = attrs_.find(c.atom);
+  if (attr_it == attrs_.end()) return nullptr;
+  const AttrTables& t = attr_it->second;
+  if (c.value.is_string()) {
+    const auto it = t.eq_str.find(c.value.str());
+    return it == t.eq_str.end() ? nullptr : &it->second;
+  }
+  if (c.value.is_numeric()) {
+    const auto it = t.eq_num.find(c.value.as_real());  // NaN finds nothing
+    return it == t.eq_num.end() ? nullptr : &it->second;
+  }
+  return &t.eq_bool[c.value.boolean() ? 1 : 0];
+}
+
+void FilterIndex::covered_candidates(const Filter& r, std::vector<std::uint64_t>& out) const {
+  // r's equality `a = v` is implied only by an equal equality, so every
+  // filter r covers sits in the posting list of each of r's equalities.
+  const Ids* rarest = nullptr;
+  for (const Constraint& c : r.constraints()) {
+    if (c.op != Op::kEq) continue;
+    const EqIds* list = find_eq(c);
+    if (list == nullptr) return;  // no stored filter holds it: r covers none
+    if (rarest == nullptr || list->slots.size() < rarest->size()) rarest = &list->slots;
+  }
+  if (rarest == nullptr) {
+    for (const auto& [id, stored] : filters_) out.push_back(id);
+    return;
+  }
+  for (Slot slot : *rarest) out.push_back(slot_id_[slot]);
 }
 
 std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out) const {
@@ -253,7 +347,7 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
     hit(t.exists);
     if (value.is_string()) {
       const std::string& s = value.str();
-      if (auto eq = t.eq_str.find(s); eq != t.eq_str.end()) hit(eq->second);
+      if (auto eq = t.eq_str.find(s); eq != t.eq_str.end()) hit(eq->second.slots);
       scan_upper(t.upper_str, s, hit);
       scan_lower(t.lower_str, s, hit);
       if (!t.prefix.empty()) {
@@ -264,11 +358,13 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
       }
     } else if (value.is_numeric()) {
       const double x = value.as_real();
-      if (auto eq = t.eq_num.find(x); eq != t.eq_num.end()) hit(eq->second);
-      scan_upper(t.upper_num, x, hit);
-      scan_lower(t.lower_num, x, hit);
+      if (!std::isnan(x)) {
+        if (auto eq = t.eq_num.find(x); eq != t.eq_num.end()) hit(eq->second.slots);
+        scan_upper(t.upper_num, x, hit);
+        scan_lower(t.lower_num, x, hit);
+      }
     } else {
-      hit(t.eq_bool[value.boolean() ? 1 : 0]);
+      hit(t.eq_bool[value.boolean() ? 1 : 0].slots);
     }
     for (const Residual& r : t.residual) {
       ++probes;

@@ -31,9 +31,24 @@
 // walking an event's attributes probes the index with integer hashes —
 // no string hashing on the match path.
 //
+// NaN-valued constraints go to the residual list, and a NaN event value
+// skips the equality and range tables: NaN compares with nothing
+// (AttrValue::compare), so it satisfies only kExists.
+//
+// The same equality postings answer Siena's two covering questions for
+// the router (DESIGN.md §5.1).  Only an equal equality implies an
+// equality, so every filter with an equality constraint is reachable
+// through one of them: add() marks the equality whose posting list is
+// shortest at that moment as the filter's *access predicate*, kept in a
+// counted prefix of that list.  covering_candidates(f) reads the marked
+// prefixes under f's equalities plus the filters with no equality;
+// covered_candidates(r) reads the whole list of r's rarest equality.
+// Both return supersets, which callers confirm with Filter::covers.
+//
 // FilterIndex is semantics-identical to the linear scan by
 // construction; tests/event_test.cpp cross-checks it against the oracle
-// over randomized filters and events covering every Op.
+// over randomized filters and events covering every Op, and the
+// covering probes against a brute-force covers() scan.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +80,19 @@ class FilterIndex {
   /// probes this match performed.
   std::uint64_t match(const Event& e, std::vector<std::uint64_t>& out) const;
 
+  /// Calls `visit(id)` on a superset of the stored filters that cover
+  /// `f`: those whose access predicate is one of f's equalities, then
+  /// every filter with no equality (the empty filter included).  Stops
+  /// at the first `visit` returning true and returns whether one did.
+  /// An id can be visited twice when `f` repeats an equality.
+  template <typename Visit>
+  bool covering_candidates(const Filter& f, Visit&& visit) const;
+
+  /// Appends to `out` a superset of the stored filters `r` covers: the
+  /// posting list of r's rarest equality, or every stored filter when
+  /// `r` has none.  `r` need not be stored; ids may repeat.
+  void covered_candidates(const Filter& r, std::vector<std::uint64_t>& out) const;
+
  private:
   // Posting lists hold dense slot numbers, not 64-bit ids: the counting
   // pass then runs over flat arrays (counts_/stamp_ indexed by slot)
@@ -81,6 +109,13 @@ class FilterIndex {
     bool empty() const { return strict.empty() && nonstrict.empty(); }
   };
 
+  /// An equality posting list.  Its first `marked` slots are the
+  /// filters whose access predicate this equality is.
+  struct EqIds {
+    Ids slots;
+    Slot marked = 0;
+  };
+
   /// Residual constraint evaluated directly against the event value.
   struct Residual {
     Constraint constraint;
@@ -90,9 +125,9 @@ class FilterIndex {
   /// Per-attribute operator tables.
   struct AttrTables {
     Ids exists;
-    std::unordered_map<std::string, Ids> eq_str;
-    std::unordered_map<double, Ids> eq_num;
-    Ids eq_bool[2];
+    std::unordered_map<std::string, EqIds> eq_str;
+    std::unordered_map<double, EqIds> eq_num;
+    EqIds eq_bool[2];
     // Upper-bound constraints (v < bound, v <= bound), keyed by bound.
     std::map<double, Bucket> upper_num;
     std::map<std::string, Bucket, std::less<>> upper_str;
@@ -111,8 +146,14 @@ class FilterIndex {
     Slot slot;
   };
 
-  void post(const Constraint& c, Slot slot);
-  void unpost(const Constraint& c, Slot slot);
+  static constexpr std::uint32_t kNoAccess = ~std::uint32_t{0};
+
+  /// `access`: `c` is its filter's access predicate.
+  void post(const Constraint& c, Slot slot, bool access);
+  void unpost(const Constraint& c, Slot slot, bool access);
+  /// The posting list of equality `c`, or nullptr when `c` is not an
+  /// equality or no stored filter holds it.
+  const EqIds* find_eq(const Constraint& c) const;
 
   std::unordered_map<AtomId, AttrTables> attrs_;
   // Stored filters, kept so remove() can locate every posting and
@@ -121,9 +162,13 @@ class FilterIndex {
   // Slot-indexed filter metadata; freed slots are recycled.
   std::vector<std::uint64_t> slot_id_;
   std::vector<std::uint32_t> slot_needed_;  // constraint count to satisfy
+  // Index of the access predicate in the filter, or kNoAccess.
+  std::vector<std::uint32_t> slot_access_;
   std::vector<Slot> free_slots_;
   // Filters with no constraints match every event (raw ids).
   std::vector<std::uint64_t> match_all_;
+  // Non-empty filters with no access predicate (no posted equality).
+  Ids unkeyed_;
   // Per-match scratch: satisfied-constraint counts, validity stamped by
   // epoch so nothing is cleared between matches.
   mutable std::vector<std::uint32_t> counts_;
@@ -131,5 +176,25 @@ class FilterIndex {
   mutable std::vector<Slot> touched_;
   mutable std::uint32_t epoch_ = 0;
 };
+
+template <typename Visit>
+bool FilterIndex::covering_candidates(const Filter& f, Visit&& visit) const {
+  // A covering filter's access predicate is implied by one of f's
+  // equalities, so it has the same key: it sits in that list's prefix.
+  for (const Constraint& c : f.constraints()) {
+    const EqIds* list = find_eq(c);
+    if (list == nullptr) continue;
+    for (Slot i = 0; i < list->marked; ++i) {
+      if (visit(slot_id_[list->slots[i]])) return true;
+    }
+  }
+  for (Slot slot : unkeyed_) {
+    if (visit(slot_id_[slot])) return true;
+  }
+  for (std::uint64_t id : match_all_) {
+    if (visit(id)) return true;
+  }
+  return false;
+}
 
 }  // namespace aa::event

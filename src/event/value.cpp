@@ -1,6 +1,7 @@
 #include "event/value.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -75,6 +76,7 @@ std::optional<int> AttrValue::compare(const AttrValue& other) const {
   if (is_numeric() && other.is_numeric()) {
     const double a = as_real();
     const double b = other.as_real();
+    if (std::isnan(a) || std::isnan(b)) return std::nullopt;  // NaN is unordered
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;

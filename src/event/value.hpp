@@ -3,7 +3,7 @@
 // Siena (the paper's chosen event-service model, §4.1) represents events
 // as sets of (name, type, value) tuples.  AttrValue is the typed value
 // part: string, integer, real or boolean, with a total order within each
-// type and string conversions used by the XML encoding.
+// type (NaN excepted) and string conversions used by the XML encoding.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,8 @@ class AttrValue {
   bool operator==(const AttrValue& other) const { return v_ == other.v_; }
 
   /// Three-way comparison within comparable types; numeric types compare
-  /// across int/real.  Returns nullopt for incomparable types.
+  /// across int/real.  Returns nullopt for incomparable types and for a
+  /// NaN operand, so NaN satisfies no constraint but kExists.
   std::optional<int> compare(const AttrValue& other) const;
 
  private:

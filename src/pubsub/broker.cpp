@@ -51,30 +51,25 @@ void Broker::remove_neighbour(sim::HostId broker_host) {
     std::erase_if(summaries_,
                   [&](const auto& kv) { return kv.first.first == broker_host; });
   }
-  // Routing state learned over the severed link is no longer reachable.
-  std::vector<std::uint64_t> gone_ids;
-  std::erase_if(table_, [&](const auto& entry) {
-    const bool gone = entry.second.source.kind == Iface::Kind::kBroker &&
-                      entry.second.source.host == broker_host;
-    if (gone) {
-      index_.remove(entry.first);
-      gone_ids.push_back(entry.first);
-    }
-    return gone;
-  });
-  if (aggregation_) {
-    for (std::uint64_t id : gone_ids) {
-      auto git = member_group_.find(id);
-      if (git == member_group_.end()) continue;
-      const std::size_t group = git->second;
-      member_group_.erase(git);
-      aggregate_erase(id, group);
-    }
-  }
   std::erase_if(adverts_, [&](const auto& entry) {
     return entry.second.source.kind == Iface::Kind::kBroker &&
            entry.second.source.host == broker_host;
   });
+  // Routing state learned over the severed link is no longer reachable:
+  // erase all of it first, so no severed entry is re-forwarded while
+  // another is withdrawn, then withdraw each as an unsubscribe would.
+  const Iface severed{Iface::Kind::kBroker, broker_host};
+  std::vector<std::pair<std::uint64_t, event::Filter>> gone;
+  for (auto it = table_.begin(); it != table_.end();) {
+    if (it->second.source != severed) {
+      ++it;
+      continue;
+    }
+    index_.remove(it->first);
+    gone.emplace_back(it->first, std::move(it->second.filter));
+    it = table_.erase(it);
+  }
+  for (const auto& [id, filter] : gone) withdraw(id, filter);
   checkpoint();
 }
 
@@ -106,14 +101,54 @@ void Broker::on_message(const sim::Packet& packet) {
 
 bool Broker::covered_at(sim::HostId neighbour, const event::Filter& filter,
                         std::uint64_t ignore_id) const {
-  auto it = forwarded_.find(neighbour);
-  if (it == forwarded_.end()) return false;
-  for (std::uint64_t fid : it->second) {
-    if (fid == ignore_id) continue;
-    auto entry = table_.find(fid);
-    if (entry != table_.end() && entry->second.filter.covers(filter)) return true;
+  const auto fwd = forwarded_.find(neighbour);
+  if (fwd == forwarded_.end()) return false;
+  // index_ mirrors table_, and its probe yields every entry that may
+  // cover `filter`.
+  return index_.covering_candidates(filter, [&](std::uint64_t id) {
+    return id != ignore_id && fwd->second.contains(id) && table_.at(id).filter.covers(filter);
+  });
+}
+
+void Broker::reforward_covered(sim::HostId neighbour, const event::Filter& departed) {
+  // By the forwarding invariant (broker.hpp), an entry can have lost its
+  // last coverer toward `neighbour` only if `departed` covered it.
+  std::vector<std::uint64_t> ids;
+  index_.covered_candidates(departed, ids);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::set<std::uint64_t>& fwd = forwarded_[neighbour];
+
+  // Re-forward in one batch: first collect every entry now uncovered in
+  // this direction, then forward only the covering-maximal candidates —
+  // a candidate covered by a sibling rides along under the sibling and
+  // stays suppressed, exactly as if the sibling had arrived first.
+  std::vector<std::pair<std::uint64_t, const Entry*>> candidates;
+  for (std::uint64_t tid : ids) {
+    const Entry& entry = table_.at(tid);
+    if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == neighbour) continue;
+    if (fwd.contains(tid)) continue;
+    if (!departed.covers(entry.filter)) continue;
+    if (!advert_allows(neighbour, entry.filter)) continue;
+    if (covered_at(neighbour, entry.filter, tid)) continue;
+    candidates.emplace_back(tid, &entry);
   }
-  return false;
+  for (const auto& [tid, entry] : candidates) {
+    bool suppressed = false;
+    for (const auto& [oid, other] : candidates) {
+      if (oid == tid || !other->filter.covers(entry->filter)) continue;
+      // Mutually covering candidates: the lowest id represents the set.
+      if (entry->filter.covers(other->filter) && tid < oid) continue;
+      suppressed = true;
+      break;
+    }
+    if (suppressed) {
+      ++stats_.subscriptions_suppressed;
+      continue;
+    }
+    fwd.insert(tid);
+    send_subscribe(neighbour, tid, entry->filter);
+  }
 }
 
 void Broker::send_broker(sim::HostId neighbour, std::any body, std::size_t wire_size) {
@@ -151,6 +186,10 @@ void Broker::handle_subscribe(std::uint64_t id, const event::Filter& filter, Ifa
   // and must replace the stale one everywhere (table, index, and any
   // forwarding of our own derived from it).
   const bool changed = existing == table_.end() || !(existing->second.filter == filter);
+  // The filter a changed re-subscribe replaces, which may have been
+  // covering entries held back toward the neighbours it was forwarded to.
+  std::optional<event::Filter> replaced;
+  if (changed && existing != table_.end()) replaced = std::move(existing->second.filter);
   table_[id] = Entry{filter, source};
   if (changed) index_.add(id, filter);  // add() replaces a re-added id
   if (aggregation_) {
@@ -162,8 +201,12 @@ void Broker::handle_subscribe(std::uint64_t id, const event::Filter& filter, Ifa
     if (source.kind == Iface::Kind::kBroker && source.host == n) continue;
     if (forwarded_[n].contains(id)) {
       // Idempotent re-subscribe; a *changed* filter re-sends so the
-      // neighbour routes on the fresh one.
-      if (changed) send_subscribe(n, id, filter);
+      // neighbour routes on the fresh one, and releases what only the
+      // old one covered.
+      if (changed) {
+        send_subscribe(n, id, filter);
+        if (replaced) reforward_covered(n, *replaced);
+      }
       continue;
     }
     if (!advert_allows(n, filter)) {
@@ -237,14 +280,18 @@ void Broker::handle_advertise(std::uint64_t id, const event::Filter& filter, Ifa
 void Broker::handle_unsubscribe(std::uint64_t id, Iface source) {
   auto it = table_.find(id);
   if (it == table_.end()) return;
-  // Only the interface that installed an entry may remove it: when a
-  // client moves to a new access broker reusing its subscription ids,
-  // the unsubscribe propagating along the old path must not tear down
-  // the subscription just re-issued over the new one.
+  // Only the interface that installed an entry may remove it: an
+  // unsubscribe from elsewhere names an id this broker learned another
+  // way.
   if (it->second.source != source) return;
+  const event::Filter filter = std::move(it->second.filter);
   table_.erase(it);
   index_.remove(id);
+  withdraw(id, filter);
+  checkpoint();
+}
 
+void Broker::withdraw(std::uint64_t id, const event::Filter& filter) {
   if (aggregation_) {
     auto git = member_group_.find(id);
     if (git != member_group_.end()) {
@@ -252,51 +299,15 @@ void Broker::handle_unsubscribe(std::uint64_t id, Iface source) {
       member_group_.erase(git);
       aggregate_erase(id, group);
     }
-    checkpoint();
     return;
   }
-
   for (sim::HostId n : neighbours_) {
     auto fwd = forwarded_.find(n);
-    if (fwd == forwarded_.end() || !fwd->second.contains(id)) continue;
-    fwd->second.erase(id);
+    if (fwd == forwarded_.end() || fwd->second.erase(id) == 0) continue;
     send_broker(n, std::any(UnsubscribeMsg{id}),
                 codec().size(UnsubscribeMsg{id}));
-
-    // The removed subscription may have been covering others.  Re-forward
-    // in one batch: first collect every entry now uncovered in direction
-    // n, then forward only the covering-maximal candidates — a candidate
-    // covered by a sibling rides along under the sibling and stays
-    // suppressed, exactly as if the sibling had arrived first.  (The old
-    // per-entry loop forwarded candidates in table order, so a narrow
-    // filter with a lower id escaped upstream alongside the wide one
-    // that covers it.)
-    std::vector<std::pair<std::uint64_t, const Entry*>> candidates;
-    for (const auto& [tid, entry] : table_) {
-      if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == n) continue;
-      if (fwd->second.contains(tid)) continue;
-      if (!advert_allows(n, entry.filter)) continue;
-      if (covered_at(n, entry.filter, tid)) continue;
-      candidates.emplace_back(tid, &entry);
-    }
-    for (const auto& [tid, entry] : candidates) {
-      bool suppressed = false;
-      for (const auto& [oid, other] : candidates) {
-        if (oid == tid || !other->filter.covers(entry->filter)) continue;
-        // Mutually covering candidates: the lowest id represents the set.
-        if (entry->filter.covers(other->filter) && tid < oid) continue;
-        suppressed = true;
-        break;
-      }
-      if (suppressed) {
-        ++stats_.subscriptions_suppressed;
-        continue;
-      }
-      fwd->second.insert(tid);
-      send_subscribe(n, tid, entry->filter);
-    }
+    reforward_covered(n, filter);
   }
-  checkpoint();
 }
 
 // --- Subscription aggregation ---------------------------------------------

@@ -12,11 +12,26 @@
 // sent a covering subscription from this broker — the covering filter
 // already attracts every event the covered one needs.  Unsubscription
 // restores any forwarding the removed subscription was suppressing.
+//
+// Forwarding invariant (outside aggregation mode).  For every neighbour
+// n, a table entry not learned from n and not in forwarded_[n] is
+// covered by a filter in forwarded_[n], or advert_allows(n, ·) rejects
+// it.  A subscribe establishes this for its own entry; only withdrawing
+// a forwarded filter (an unsubscribe, a re-subscribe that changes it,
+// remove_neighbour) can break it, and then only for entries that filter
+// covered.  So reforward_covered re-examines just those, found through
+// FilterIndex::covered_candidates, and covered_at probes the index's
+// covering candidates instead of scanning forwarded_[n] (DESIGN.md
+// §5.1).  Neighbours are linked before subscriptions flow
+// (SienaNetwork::connect): add_neighbour does not replay the table.  An
+// id always arrives from one direction: a moved client re-subscribes
+// under fresh ids (SienaNetwork::attach_client).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -183,6 +198,16 @@ class Broker {
   /// True if a filter already forwarded to `neighbour` covers `filter`.
   bool covered_at(sim::HostId neighbour, const event::Filter& filter,
                   std::uint64_t ignore_id) const;
+
+  /// `departed` no longer travels toward `neighbour`: forwards there, in
+  /// ascending id order, the covering-maximal entries it covered that
+  /// nothing forwarded that way still covers.
+  void reforward_covered(sim::HostId neighbour, const event::Filter& departed);
+
+  /// Unsubscribes `id`, already erased from table_ and index_, toward
+  /// every neighbour it was forwarded to (or unmerges it from the
+  /// aggregates), re-forwarding what `filter` covered.
+  void withdraw(std::uint64_t id, const event::Filter& filter);
 
   void send_subscribe(sim::HostId neighbour, std::uint64_t id, const event::Filter& filter);
 

@@ -77,10 +77,14 @@ void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_hos
   // The client moved: its live subscriptions are still routed at the old
   // access broker.  Tear them down there and re-issue them at the new
   // one, or events keep flowing to a broker the client no longer reads.
-  for (const auto& [id, sub] : state.subs) {
-    net_.send(client_host, previous, broker_proto_, UnsubscribeMsg{id},
-              codec().size(UnsubscribeMsg{id}));
-    SubscribeMsg msg{id, sub.filter};
+  // They travel under fresh ids, so no broker sees one id arrive from
+  // two directions: a re-forward of the old id racing along the old path
+  // (its covering sibling withdrawn first) cannot overwrite the new entry.
+  for (auto& [id, sub] : state.subs) {
+    net_.send(client_host, previous, broker_proto_, UnsubscribeMsg{sub.wire_id},
+              codec().size(UnsubscribeMsg{sub.wire_id}));
+    sub.wire_id = next_sub_id_++;
+    SubscribeMsg msg{sub.wire_id, sub.filter};
     const std::size_t size = codec().size(msg);
     net_.send(client_host, broker_host, broker_proto_, std::move(msg), size);
   }
@@ -114,7 +118,7 @@ std::uint64_t SienaNetwork::subscribe(sim::HostId client, const event::Filter& f
                                       Deliver deliver) {
   ClientState& state = client_state(client);
   const std::uint64_t id = next_sub_id_++;
-  state.subs.emplace(id, ClientSub{filter, std::move(deliver)});
+  state.subs.emplace(id, ClientSub{filter, std::move(deliver), id});
   state.index.add(id, filter);
   SubscribeMsg msg{id, filter};
   const std::size_t size = codec().size(msg);
@@ -124,10 +128,14 @@ std::uint64_t SienaNetwork::subscribe(sim::HostId client, const event::Filter& f
 
 void SienaNetwork::unsubscribe(sim::HostId client, std::uint64_t subscription_id) {
   ClientState& state = client_state(client);
-  state.subs.erase(subscription_id);
+  std::uint64_t wire_id = subscription_id;
+  if (const auto it = state.subs.find(subscription_id); it != state.subs.end()) {
+    wire_id = it->second.wire_id;
+    state.subs.erase(it);
+  }
   state.index.remove(subscription_id);
-  net_.send(client, state.access_broker, broker_proto_, UnsubscribeMsg{subscription_id},
-            codec().size(UnsubscribeMsg{subscription_id}));
+  net_.send(client, state.access_broker, broker_proto_, UnsubscribeMsg{wire_id},
+            codec().size(UnsubscribeMsg{wire_id}));
 }
 
 void SienaNetwork::publish(sim::HostId client, const event::Event& e) {

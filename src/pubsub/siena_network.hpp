@@ -90,7 +90,8 @@ class SienaNetwork final : public EventService {
   /// publish calls for that client.  Re-attaching an already-attached
   /// client moves it: its live subscriptions are unsubscribed at the
   /// old access broker and re-issued at the new one, so delivery
-  /// follows the client.
+  /// follows the client.  The moved subscriptions travel under fresh
+  /// broker-side ids; subscribe()'s return value stays the handle.
   void attach_client(sim::HostId client_host, sim::HostId broker_host);
 
   /// Access broker chosen as the topologically nearest broker.
@@ -126,6 +127,8 @@ class SienaNetwork final : public EventService {
   struct ClientSub {
     event::Filter filter;
     Deliver deliver;
+    // The id brokers route it under: the handle until a move renews it.
+    std::uint64_t wire_id;
   };
   struct ClientState {
     sim::HostId access_broker = sim::kNoHost;

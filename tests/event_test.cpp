@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <set>
 
 #include "common/hash.hpp"
 #include "common/ids.hpp"
@@ -46,6 +50,14 @@ TEST(AttrValue, CompareAcrossNumericTypes) {
   EXPECT_EQ(AttrValue(3).compare(AttrValue(3.0)).value(), 0);
   EXPECT_EQ(AttrValue(2).compare(AttrValue(2.5)).value(), -1);
   EXPECT_FALSE(AttrValue(3).compare(AttrValue("3")).has_value());
+}
+
+TEST(AttrValue, NaNComparesWithNothing) {
+  // Decoded input can carry NaN: the real parser accepts "nan".
+  const AttrValue nan = AttrValue::from_text(ValueType::kReal, "nan").value();
+  EXPECT_FALSE(nan.compare(AttrValue(5)).has_value());
+  EXPECT_FALSE(AttrValue(5.0).compare(nan).has_value());
+  EXPECT_FALSE(nan.compare(nan).has_value());
 }
 
 // --- Event ---
@@ -293,6 +305,23 @@ TEST(Filter, TypeMismatchNeverMatches) {
   EXPECT_FALSE(Filter().where("user", Op::kNe, 5).matches(e));  // incomparable
 }
 
+TEST(Filter, NaNSatisfiesOnlyExists) {
+  const AttrValue nan = std::numeric_limits<double>::quiet_NaN();
+  Event five;
+  five.set("v", 5);
+  Event not_a_number;
+  not_a_number.set("v", nan);
+  EXPECT_FALSE(Filter().where("v", Op::kEq, nan).matches(five));
+  EXPECT_FALSE(Filter().where("v", Op::kNe, 5).matches(not_a_number));
+  EXPECT_FALSE(Filter().where("v", Op::kNe, nan).matches(not_a_number));
+  EXPECT_TRUE(Filter().where("v", Op::kExists).matches(not_a_number));
+  // Neither equality implies the other, so neither filter covers.
+  const Filter eq5 = Filter().where("v", Op::kEq, 5);
+  const Filter eq_nan = Filter().where("v", Op::kEq, nan);
+  EXPECT_FALSE(eq5.covers(eq_nan));
+  EXPECT_FALSE(eq_nan.covers(eq5));
+}
+
 // --- Covering: directed cases ---
 
 TEST(Covering, EmptyFilterCoversAll) {
@@ -348,6 +377,7 @@ TEST(Covering, ExtraConstraintsMakeNarrower) {
 // Randomised over a small attribute/value universe so matches happen.
 
 AttrValue random_value(Rng& rng) {
+  if (rng.chance(0.05)) return std::numeric_limits<double>::quiet_NaN();
   switch (rng.below(4)) {
     case 0: return AttrValue(static_cast<std::int64_t>(rng.range(0, 9)));
     case 1: return AttrValue(static_cast<double>(rng.range(0, 9)) / 2.0);
@@ -357,16 +387,19 @@ AttrValue random_value(Rng& rng) {
   }
 }
 
-Filter random_filter(Rng& rng) {
+Constraint random_constraint(Rng& rng) {
   static const Op kOps[] = {Op::kEq, Op::kNe, Op::kLt, Op::kLe, Op::kGt,
                             Op::kGe, Op::kPrefix, Op::kSuffix, Op::kSubstring, Op::kExists};
-  Filter f;
+  const std::string attribute(1, static_cast<char>('p' + rng.below(3)));
+  const Op op = kOps[rng.below(10)];
+  return Constraint(attribute, op, random_value(rng));
+}
+
+Filter random_filter(Rng& rng) {
+  std::vector<Constraint> cs;
   const int n = 1 + static_cast<int>(rng.below(3));
-  for (int i = 0; i < n; ++i) {
-    f.where(std::string(1, static_cast<char>('p' + rng.below(3))), kOps[rng.below(10)],
-            random_value(rng));
-  }
-  return f;
+  for (int i = 0; i < n; ++i) cs.push_back(random_constraint(rng));
+  return Filter(std::move(cs));
 }
 
 Event random_event(Rng& rng) {
@@ -542,6 +575,30 @@ TEST(FilterIndex, NumericEqualityWidensLikeCompare) {
   EXPECT_EQ(index_match(index, as_real), (std::vector<std::uint64_t>{1, 2}));
 }
 
+TEST(FilterIndex, NaNAgreesWithOracle) {
+  // NaN bounds must not share a range bucket with real bounds, and a NaN
+  // event value must not satisfy equality or range constraints.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FilterIndex index;
+  index.add(1, Filter().where("v", Op::kLt, 5));
+  index.add(2, Filter().where("v", Op::kLt, nan));
+  index.add(3, Filter().where("v", Op::kEq, nan));
+  index.add(4, Filter().where("v", Op::kExists));
+  index.add(5, Filter().where("v", Op::kEq, 5));
+  Event three;
+  three.set("v", 3);
+  Event five;
+  five.set("v", 5.0);
+  Event not_a_number;
+  not_a_number.set("v", nan);
+  EXPECT_EQ(index_match(index, three), (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(index_match(index, five), (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(index_match(index, not_a_number), (std::vector<std::uint64_t>{4}));
+  index.remove(2);
+  index.remove(3);
+  EXPECT_EQ(index_match(index, three), (std::vector<std::uint64_t>{1, 4}));
+}
+
 TEST(FilterIndex, RemoveAndReAdd) {
   FilterIndex index;
   index.add(1, Filter().where("a", Op::kEq, 1));
@@ -594,6 +651,110 @@ TEST(FilterIndex, RandomizedAgreesWithLinearScanOracle) {
       }
       EXPECT_EQ(index_match(index, e), expected)
           << "event: " << e.describe() << " (round " << round << ")";
+    }
+  }
+}
+
+// Covering-rich filters for the probe test: equalities are common, so
+// covering pairs are too, and a share of filters derive from stored ones
+// (exact duplicates, one constraint more or one fewer).
+Filter covering_filter(Rng& rng, const std::map<std::uint64_t, Filter>& stored) {
+  const std::uint64_t kind = rng.below(10);
+  if (kind == 0) return Filter();
+  std::vector<Constraint> cs;
+  if (kind <= 3 && !stored.empty()) {
+    cs = std::next(stored.begin(), static_cast<long>(rng.below(stored.size())))
+             ->second.constraints();
+    if (kind == 2) cs.push_back(random_constraint(rng));
+    if (kind == 3 && !cs.empty()) cs.erase(cs.begin() + static_cast<long>(rng.below(cs.size())));
+    return Filter(std::move(cs));
+  }
+  const int n = 1 + static_cast<int>(rng.below(3));
+  for (int i = 0; i < n; ++i) {
+    cs.push_back(random_constraint(rng));
+    if (rng.chance(0.5)) cs.back().op = Op::kEq;
+  }
+  // Repeat one constraint: an equality posted twice for one slot.
+  if (rng.chance(0.1)) cs.push_back(cs[rng.below(cs.size())]);
+  return Filter(std::move(cs));
+}
+
+TEST(FilterIndex, RandomizedCoveringProbesMatchScanOracle) {
+  // Random add / re-add / remove sequences (slot reuse, duplicates,
+  // repeated equalities, int/real widening, bools, NaN, empty filters and
+  // filters with no equality).  Both probes must return a superset of a
+  // brute-force covers() scan, and a probe holding every stored equality
+  // once must reach each stored filter exactly once — one access
+  // predicate per filter.
+  Rng rng(97);
+  for (int round = 0; round < 20; ++round) {
+    FilterIndex index;
+    std::map<std::uint64_t, Filter> stored;
+    std::uint64_t next_id = 1;
+    for (int step = 0; step < 120; ++step) {
+      const std::uint64_t op = rng.below(4);
+      const auto it = std::next(stored.begin(), static_cast<long>(rng.below(stored.size() + 1)));
+      if (op == 0 && it != stored.end()) {
+        index.remove(it->first);
+        stored.erase(it);
+      } else if (op == 1 && it != stored.end()) {
+        it->second = covering_filter(rng, stored);
+        index.add(it->first, it->second);
+      } else {
+        const Filter f = covering_filter(rng, stored);
+        index.add(next_id, f);
+        stored.emplace(next_id++, f);
+      }
+      ASSERT_EQ(index.size(), stored.size());
+
+      for (int probe = 0; probe < 4; ++probe) {
+        const Filter f = covering_filter(rng, stored);
+        std::set<std::uint64_t> covering;
+        EXPECT_FALSE(index.covering_candidates(f, [&](std::uint64_t id) {
+          covering.insert(id);
+          return false;
+        }));
+        std::vector<std::uint64_t> covered_list;
+        index.covered_candidates(f, covered_list);
+        const std::set<std::uint64_t> covered(covered_list.begin(), covered_list.end());
+        for (const auto& [id, g] : stored) {
+          if (g.covers(f)) {
+            EXPECT_TRUE(covering.contains(id))
+                << "[" << g.describe() << "] covers [" << f.describe() << "] (round " << round
+                << ", step " << step << ")";
+          }
+          if (f.covers(g)) {
+            EXPECT_TRUE(covered.contains(id))
+                << "[" << f.describe() << "] covers [" << g.describe() << "] (round " << round
+                << ", step " << step << ")";
+          }
+        }
+        for (std::uint64_t id : covering) EXPECT_TRUE(stored.contains(id));
+        for (std::uint64_t id : covered) EXPECT_TRUE(stored.contains(id));
+      }
+
+      // Every distinct stored equality once (int 3 and real 3.0 are one).
+      Filter all_keys;
+      for (const auto& [id, g] : stored) {
+        for (const Constraint& c : g.constraints()) {
+          if (c.op != Op::kEq) continue;
+          const auto& have = all_keys.constraints();
+          const bool seen = std::any_of(have.begin(), have.end(), [&](const Constraint& d) {
+            return d.atom == c.atom && d.matches(c.value);
+          });
+          if (!seen) all_keys.where(c.atom, Op::kEq, c.value);
+        }
+      }
+      std::map<std::uint64_t, int> visits;
+      index.covering_candidates(all_keys, [&](std::uint64_t id) {
+        ++visits[id];
+        return false;
+      });
+      ASSERT_EQ(visits.size(), stored.size()) << "round " << round << ", step " << step;
+      for (const auto& [id, count] : visits) {
+        EXPECT_TRUE(stored.contains(id));
+        EXPECT_EQ(count, 1) << stored[id].describe() << " (round " << round << ")";
+      }
     }
   }
 }

@@ -121,6 +121,40 @@ TEST(Broker, RemoveNeighbourStopsForwarding) {
   ps.publish(5, event::Event("x"));
   sched.run();
   EXPECT_EQ(got, 0);
+
+  // Chain 0 - 1 - 2: broker 1 forwards the subscriber's wide filter from
+  // 2 on to 0, holding back its own client's narrower one.  Severing the
+  // link to 2 must unsubscribe the wide filter at 0, as an unsubscribe
+  // from 2 would, and release the narrow one in its place.
+  sim::Scheduler chain_sched;
+  sim::Network chain_net(chain_sched, topo);
+  pubsub::SienaNetwork chain(chain_net, {0, 1, 2});
+  ASSERT_TRUE(chain.connect(0, 1).is_ok());
+  ASSERT_TRUE(chain.connect(1, 2).is_ok());
+  chain.attach_client(4, 2);
+  chain.attach_client(5, 1);
+  chain.attach_client(6, 0);
+  chain.subscribe(4, event::Filter().where("celsius", event::Op::kGt, 0.0),
+                  [](const event::Event&) {});
+  chain_sched.run();
+  int narrow = 0;
+  chain.subscribe(5, event::Filter().where("celsius", event::Op::kGt, 10.0),
+                  [&](const event::Event&) { ++narrow; });
+  chain_sched.run();
+  ASSERT_EQ(chain.broker(0)->table_size(), 1u);
+  chain.broker(1)->remove_neighbour(2);
+  chain_sched.run();
+  EXPECT_EQ(chain.broker(1)->table_size(), 1u);
+  EXPECT_EQ(chain.broker(0)->table_size(), 1u);  // the narrow filter, not the wide one
+  event::Event warm("reading");
+  warm.set("celsius", 20.0);
+  event::Event mild("reading");
+  mild.set("celsius", 5.0);
+  chain.publish(6, warm);
+  chain.publish(6, mild);
+  chain_sched.run();
+  EXPECT_EQ(narrow, 1);
+  EXPECT_EQ(chain.broker(1)->stats().publications_routed, 1u);
 }
 
 TEST(Histogram, ValuesAccessAndClear) {

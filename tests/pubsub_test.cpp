@@ -4,11 +4,15 @@
 // baseline, and mobility proxies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "event/filter_parser.hpp"
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/mobility.hpp"
@@ -311,6 +315,124 @@ TEST(Siena, UnsubscribeReforwardBatchIsOrderIndependent) {
   f.sched.run();
   EXPECT_EQ(mid, 2);
   EXPECT_EQ(narrow, 1);
+}
+
+TEST(Siena, ChangedFilterReforwardsWhatTheOldFilterCovered) {
+  // A re-subscribe that narrows an already-forwarded filter must release
+  // the subscriptions the old filter held back, at once — not whenever
+  // some unrelated unsubscribe toward that neighbour happens to rescan.
+  Fixture f;
+  SienaNetwork ps(f.net, {0, 1});
+  ps.connect_tree();
+  ps.attach_client(10, 0);
+  ps.attach_client(11, 0);
+  ps.attach_client(12, 1);
+  const auto wide_id = ps.subscribe(10, Filter().where("celsius", Op::kGt, 0.0),
+                                    [](const Event&) {});
+  f.sched.run();
+  int narrow = 0;
+  ps.subscribe(11, Filter().where("celsius", Op::kGt, 10.0), [&](const Event&) { ++narrow; });
+  f.sched.run();
+  EXPECT_EQ(ps.broker(1)->table_size(), 1u);  // the narrow one is held back
+
+  // The client re-sends its subscription id with a disjoint filter.
+  const SubscribeMsg changed{wide_id, Filter().where("celsius", Op::kLt, -5.0)};
+  f.net.send(10, 0, kBrokerProto, changed, wire::xml_codec().size(changed));
+  f.sched.run();
+  EXPECT_EQ(ps.broker(1)->table_size(), 2u);
+
+  ps.publish(12, temp_event(20.0));
+  f.sched.run();
+  EXPECT_EQ(narrow, 1);
+}
+
+TEST(Siena, CoveringChurnDeliversExactlyTheOracle) {
+  // Covering-rich subscriptions on a 7-broker tree under random
+  // subscribe, unsubscribe and move rounds.  After each quiescent round a
+  // publication from every broker must reach exactly the live
+  // subscriptions whose filters match it, once each, whatever covering
+  // held back and re-forwarded along the way.  The operations of a round
+  // run concurrently.
+  Fixture f(64);
+  const std::vector<sim::HostId> brokers{0, 1, 2, 3, 4, 5, 6};
+  SienaNetwork ps(f.net, brokers);
+  ps.connect_tree();
+  constexpr sim::HostId kFirstPublisher = 10;
+  constexpr sim::HostId kFirstClient = 20;
+  constexpr std::uint64_t kClients = 12;
+  for (sim::HostId b : brokers) ps.attach_client(kFirstPublisher + b, b);
+  for (std::uint64_t c = 0; c < kClients; ++c) {
+    ps.attach_client(kFirstClient + static_cast<sim::HostId>(c), brokers[c % brokers.size()]);
+  }
+
+  Rng rng(2024);
+  const std::vector<std::string> types{"temperature", "humidity"};
+  auto bound = [&rng] { return static_cast<double>(10 * rng.below(4)); };
+  auto random_filter = [&]() -> Filter {
+    const std::string& type = types[rng.below(types.size())];
+    switch (rng.below(5)) {
+      case 0: return Filter().where("celsius", Op::kGt, bound());
+      case 1: return Filter().where("type", Op::kEq, type);
+      case 2:
+        return Filter()
+            .where("type", Op::kEq, type)
+            .where("user", Op::kEq, "u" + std::to_string(rng.below(3)));
+      case 3:
+        return Filter().where("room", Op::kPrefix,
+                              rng.chance(0.5) ? "lab" : "lab-" + std::to_string(rng.below(2)));
+      default: return Filter().where("type", Op::kEq, type).where("celsius", Op::kGt, bound());
+    }
+  };
+
+  struct Live {
+    sim::HostId client;
+    std::uint64_t id;
+    Filter filter;
+  };
+  std::map<int, Live> live;  // by test key
+  std::map<int, std::vector<std::int64_t>> got;
+  int next_key = 0;
+  std::int64_t seq = 0;
+  for (int round = 0; round < 80; ++round) {
+    for (int op = 0; op < 4; ++op) {
+      const std::uint64_t kind = rng.below(4);
+      const auto client = kFirstClient + static_cast<sim::HostId>(rng.below(kClients));
+      if (kind == 0 && !live.empty()) {
+        const auto it = std::next(live.begin(), static_cast<long>(rng.below(live.size())));
+        ps.unsubscribe(it->second.client, it->second.id);
+        live.erase(it);
+      } else if (kind == 1) {
+        ps.attach_client(client, brokers[rng.below(brokers.size())]);
+      } else {
+        const int key = next_key++;
+        Filter filter = random_filter();
+        const std::uint64_t id = ps.subscribe(client, filter, [&got, key](const Event& e) {
+          got[key].push_back(e.get_int("seq").value());
+        });
+        live.emplace(key, Live{client, id, std::move(filter)});
+      }
+    }
+    f.sched.run();
+
+    got.clear();
+    std::map<int, std::vector<std::int64_t>> expected;
+    for (sim::HostId b : brokers) {
+      Event e(types[rng.below(types.size())]);
+      e.set("celsius", static_cast<double>(rng.below(40)))
+          .set("user", "u" + std::to_string(rng.below(3)))
+          .set("room", rng.chance(0.7) ? "lab-" + std::to_string(rng.below(3)) : "office")
+          .set("seq", seq);
+      for (const auto& [key, sub] : live) {
+        if (sub.filter.matches(e)) expected[key].push_back(seq);
+      }
+      ++seq;
+      ps.publish(kFirstPublisher + b, e);
+    }
+    f.sched.run();
+    for (auto& [key, seqs] : got) std::sort(seqs.begin(), seqs.end());  // arrival order varies
+    ASSERT_EQ(got, expected) << "round " << round;
+  }
+  EXPECT_GT(ps.total_broker_stats().subscriptions_suppressed, 0u);
 }
 
 // Brokers and client dispatch match through FilterIndex; the oracle is
