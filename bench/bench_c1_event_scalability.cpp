@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n(c) Matching economics (16 brokers; 16 event types x 16 topics so\n"
-              "    filters are selective): counting FilterIndex probes vs the cost of a\n"
+              "    filters are selective): FilterIndex probes vs the cost of a\n"
               "    linear scan (every table entry tested per publication routed), total\n"
               "    across all brokers per published event:\n");
   {
@@ -312,9 +312,9 @@ int main(int argc, char** argv) {
         std::printf("  WARNING: deliveries differ from the Filter::matches oracle!\n");
       }
     }
-    std::printf("(delivery digests verified against Filter::matches; the counting index\n"
-                " only probes filters sharing a constrained attribute value with the\n"
-                " event.)\n");
+    std::printf("(delivery digests verified against Filter::matches; the index verifies\n"
+                " only filters whose access predicate, one equality, the event\n"
+                " satisfies.)\n");
   }
 
   std::printf("\n(e) Broker-tier client scaling (the million-client trajectory): 16\n"

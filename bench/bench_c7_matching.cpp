@@ -9,11 +9,9 @@
 // facts, against the naive full-rescan baseline (run at small scale
 // only; its cost explodes exactly as the paper warns).
 #include <chrono>
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "baselines/naive_engine.hpp"
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
@@ -26,35 +24,9 @@
 #include "wire/codec.hpp"
 #include "xml/xml.hpp"
 
-// --- Global allocation counter (section d) ---
-//
-// Every heap allocation in this binary bumps g_alloc_count, so the
-// representation micro-bench can report allocations per event for the
-// old map-based layout vs the interned COW core.  Counting happens in
-// the bench only; the library itself is untouched.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Section (d) reports allocations per event for the old map-based
+// layout vs the interned COW core with bench_e2e's process-wide counter
+// (alloc_counter.cpp, linked into this binary only).
 
 using namespace aa;
 
@@ -263,7 +235,7 @@ int main(int argc, char** argv) {
     snap.add_scaled(bench::fmt("vs.events%d.speedup", events), naive_us / incr_us);
   }
 
-  std::printf("\n(c) Broker forwarding table: counting FilterIndex vs linear scan\n"
+  std::printf("\n(c) Broker forwarding table: FilterIndex vs linear scan\n"
               "    (2000 events against N two-constraint subscription filters):\n");
   bench::Table idx({"filters", "index us/ev", "scan us/ev", "speedup", "probes/ev",
                     "tests/ev", "same matches"});
@@ -354,7 +326,7 @@ int main(int argc, char** argv) {
     // Map layout: every set allocates a tree node, every fan-out hop
     // deep-copies the map and re-renders the XML to price the packet.
     std::uint64_t map_matches = 0, map_bytes = 0;
-    const std::uint64_t map_alloc_start = g_alloc_count.load();
+    const std::uint64_t map_alloc_start = bench_e2e::allocations();
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kEvents; ++i) {
       MapEvent e;
@@ -372,12 +344,12 @@ int main(int argc, char** argv) {
       }
     }
     const double map_us = wall_us(start) / kEvents;
-    const std::uint64_t map_allocs = g_alloc_count.load() - map_alloc_start;
+    const std::uint64_t map_allocs = bench_e2e::allocations() - map_alloc_start;
 
     // COW core: one shared payload per event, handle copies per hop,
     // one cached XML rendering regardless of fan-out.
     std::uint64_t cow_matches = 0, cow_bytes = 0;
-    const std::uint64_t cow_alloc_start = g_alloc_count.load();
+    const std::uint64_t cow_alloc_start = bench_e2e::allocations();
     start = std::chrono::steady_clock::now();
     for (int i = 0; i < kEvents; ++i) {
       event::Event e("t" + std::to_string(i % 4));
@@ -393,7 +365,7 @@ int main(int argc, char** argv) {
       }
     }
     const double cow_us = wall_us(start) / kEvents;
-    const std::uint64_t cow_allocs = g_alloc_count.load() - cow_alloc_start;
+    const std::uint64_t cow_allocs = bench_e2e::allocations() - cow_alloc_start;
 
     const double alloc_ratio =
         static_cast<double>(map_allocs) / static_cast<double>(cow_allocs ? cow_allocs : 1);

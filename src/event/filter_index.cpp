@@ -20,6 +20,9 @@ void remove_one(std::vector<T>& ids, T id) {
 /// NaN compares with nothing, so no table keyed by value can hold it.
 bool is_nan(const AttrValue& v) { return v.is_real() && std::isnan(v.real()); }
 
+/// An equality a hash table can key: the postings of keyed filters.
+bool is_key(const Constraint& c) { return c.op == Op::kEq && !is_nan(c.value); }
+
 /// Removes one posting of `slot`: from the marked prefix when it is the
 /// filter's access predicate (the prefix stays contiguous), else from
 /// the rest of the list.
@@ -231,21 +234,24 @@ void FilterIndex::add(std::uint64_t id, const Filter& filter) {
   if (free_slots_.empty()) {
     slot = static_cast<Slot>(slot_id_.size());
     slot_id_.push_back(id);
+    slot_filter_.push_back(filter);
     slot_needed_.push_back(0);
     slot_access_.push_back(kNoAccess);
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
     slot_id_[slot] = id;
+    slot_filter_[slot] = filter;
   }
   const std::vector<Constraint>& cs = filter.constraints();
   slot_needed_[slot] = static_cast<std::uint32_t>(cs.size());
-  // The access predicate: the posted equality whose list is shortest
-  // now, so the covering probe's marked prefixes stay short.
+  // The access predicate: the equality whose list is shortest now, so
+  // match()'s candidates and the covering probe's marked prefixes stay
+  // short.
   std::uint32_t access = kNoAccess;
   std::size_t shortest = 0;
   for (std::uint32_t i = 0; i < cs.size(); ++i) {
-    if (cs[i].op != Op::kEq || is_nan(cs[i].value)) continue;
+    if (!is_key(cs[i])) continue;
     const EqIds* list = find_eq(cs[i]);
     const std::size_t length = list == nullptr ? 0 : list->slots.size();
     if (access == kNoAccess || length < shortest) {
@@ -257,24 +263,31 @@ void FilterIndex::add(std::uint64_t id, const Filter& filter) {
   if (filter.empty()) {
     match_all_.push_back(id);
   } else {
-    for (std::uint32_t i = 0; i < cs.size(); ++i) post(cs[i], slot, i == access);
+    // A keyed filter posts only its equalities; match() verifies the
+    // rest on each candidate.
+    for (std::uint32_t i = 0; i < cs.size(); ++i) {
+      if (access == kNoAccess || is_key(cs[i])) post(cs[i], slot, i == access);
+    }
     if (access == kNoAccess) unkeyed_.push_back(slot);
   }
-  filters_.emplace(id, Stored{filter, slot});
+  filters_.emplace(id, slot);
 }
 
 void FilterIndex::remove(std::uint64_t id) {
   auto it = filters_.find(id);
   if (it == filters_.end()) return;
-  const Slot slot = it->second.slot;
-  const std::vector<Constraint>& cs = it->second.filter.constraints();
+  const Slot slot = it->second;
+  const std::vector<Constraint>& cs = slot_filter_[slot].constraints();
   if (cs.empty()) {
     remove_one(match_all_, id);
   } else {
     const std::uint32_t access = slot_access_[slot];
-    for (std::uint32_t i = 0; i < cs.size(); ++i) unpost(cs[i], slot, i == access);
+    for (std::uint32_t i = 0; i < cs.size(); ++i) {
+      if (access == kNoAccess || is_key(cs[i])) unpost(cs[i], slot, i == access);
+    }
     if (access == kNoAccess) remove_one(unkeyed_, slot);
   }
+  slot_filter_[slot] = Filter();
   free_slots_.push_back(slot);
   filters_.erase(it);
 }
@@ -306,10 +319,21 @@ void FilterIndex::covered_candidates(const Filter& r, std::vector<std::uint64_t>
     if (rarest == nullptr || list->slots.size() < rarest->size()) rarest = &list->slots;
   }
   if (rarest == nullptr) {
-    for (const auto& [id, stored] : filters_) out.push_back(id);
+    for (const auto& [id, slot] : filters_) out.push_back(id);
     return;
   }
   for (Slot slot : *rarest) out.push_back(slot_id_[slot]);
+}
+
+bool FilterIndex::verify(Slot slot, const Event& e) const {
+  const std::vector<Constraint>& cs = slot_filter_[slot].constraints();
+  const std::uint32_t access = slot_access_[slot];
+  for (std::uint32_t i = 0; i < cs.size(); ++i) {
+    if (i == access) continue;  // the key the candidate was found under
+    const AttrValue* v = e.get(cs[i].atom);
+    if (v == nullptr || !cs[i].matches(*v)) return false;
+  }
+  return true;
 }
 
 std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out) const {
@@ -338,6 +362,15 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
       ++probes;
     }
   };
+  // A keyed filter's one marked posting sits under a single key, and
+  // event attributes are unique, so each is a candidate at most once.
+  auto candidates = [&](const EqIds& list) {
+    for (Slot i = 0; i < list.marked; ++i) {
+      const Slot slot = list.slots[i];
+      ++probes;
+      if (verify(slot, e)) out.push_back(slot_id_[slot]);
+    }
+  };
 
   for (const auto& [atom, value] : e.attributes()) {
     auto attr_it = attrs_.find(atom);
@@ -347,7 +380,7 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
     hit(t.exists);
     if (value.is_string()) {
       const std::string& s = value.str();
-      if (auto eq = t.eq_str.find(s); eq != t.eq_str.end()) hit(eq->second.slots);
+      if (auto eq = t.eq_str.find(s); eq != t.eq_str.end()) candidates(eq->second);
       scan_upper(t.upper_str, s, hit);
       scan_lower(t.lower_str, s, hit);
       if (!t.prefix.empty()) {
@@ -359,12 +392,12 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
     } else if (value.is_numeric()) {
       const double x = value.as_real();
       if (!std::isnan(x)) {
-        if (auto eq = t.eq_num.find(x); eq != t.eq_num.end()) hit(eq->second.slots);
+        if (auto eq = t.eq_num.find(x); eq != t.eq_num.end()) candidates(eq->second);
         scan_upper(t.upper_num, x, hit);
         scan_lower(t.lower_num, x, hit);
       }
     } else {
-      hit(t.eq_bool[value.boolean() ? 1 : 0].slots);
+      candidates(t.eq_bool[value.boolean() ? 1 : 0]);
     }
     for (const Residual& r : t.residual) {
       ++probes;
@@ -373,9 +406,10 @@ std::uint64_t FilterIndex::match(const Event& e, std::vector<std::uint64_t>& out
   }
 
   for (Slot slot : touched_) {
-    // Each constraint is posted under exactly one attribute and event
-    // attributes are unique, so a count can only reach the filter's
-    // constraint total when every constraint is satisfied.
+    // Each constraint of an unkeyed filter is posted under exactly one
+    // attribute and event attributes are unique, so a count can only
+    // reach the filter's constraint total when every constraint is
+    // satisfied.
     if (counts_[slot] == slot_needed_[slot]) out.push_back(slot_id_[slot]);
   }
   out.insert(out.end(), match_all_.begin(), match_all_.end());

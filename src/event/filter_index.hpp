@@ -1,49 +1,65 @@
-// Counting-algorithm predicate index over filters (Yan & Garcia-Molina,
-// "Index Structures for Selective Dissemination of Information").
+// Predicate index over filters.  Filters with an equality constraint are
+// found through one *access predicate* each (Fabret et al., "Filtering
+// Algorithms and Implementation for Very Fast Publish/Subscribe
+// Systems", SIGMOD 2001); the others through the counting algorithm
+// (Yan & Garcia-Molina, "Index Structures for Selective Dissemination of
+// Information").
 //
 // The naive matching path tests every stored filter against every event,
 // so per-publish cost grows as publications × subscriptions.  The index
-// decomposes each filter into its attribute constraints and posts each
-// constraint into a per-attribute, per-operator table:
+// splits the stored filters by their own shape (DESIGN.md §5.1):
 //
-//   * kEq / kExists      — hash tables keyed by the constraint value
-//                          (numerics keyed by their widened double, the
-//                          same widening AttrValue::compare applies, so
-//                          index results are exactly the oracle's);
-//   * kLt/kLe/kGt/kGe    — ordered maps keyed by the bound, answered
-//                          with a range scan from the event value;
-//   * kPrefix            — a sorted prefix table probed once per prefix
-//                          of the event string;
-//   * everything else    — a per-attribute residual list tested with
-//                          Constraint::matches (kNe, kSuffix,
-//                          kSubstring, and odd-typed constraints).
+//   * Keyed filters: at least one equality with a non-NaN value.  add()
+//     marks the equality whose posting list is shortest at that moment
+//     as the filter's access predicate.  A keyed filter posts only its
+//     equalities, into per-attribute hash tables keyed by the value
+//     (numerics by their widened double, the same widening
+//     AttrValue::compare applies, so a key is exactly one equivalence
+//     class of equality).  The access posting sits in a counted,
+//     "marked" prefix of its list.  match() walks only the marked prefix
+//     under each key the event hits and verifies each candidate's other
+//     constraints against the event with Constraint::matches.  Cost:
+//     the candidates under the event's equalities.
+//   * Unkeyed filters: every constraint is posted into a per-attribute,
+//     per-operator counting table:
+//       kExists           — a posting list;
+//       kLt/kLe/kGt/kGe   — ordered maps keyed by the bound, answered
+//                           with a range scan from the event value;
+//       kPrefix           — a sorted prefix table probed once per prefix
+//                           of the event string;
+//       everything else   — a per-attribute residual list tested with
+//                           Constraint::matches (kNe, kSuffix,
+//                           kSubstring, NaN-valued and odd-typed
+//                           constraints).
+//     match() counts the satisfied constraints per filter; a filter
+//     matches exactly when its count equals its constraint count.
+//     Cost: the constraints satisfied.
 //
-// Matching an event walks its attributes, collects the satisfied
-// constraints from each table, and counts per filter id; a filter
-// matches exactly when its satisfied count equals its constraint count.
-// Cost is proportional to the constraints *satisfied*, not the filters
+// Either way the cost follows what the event can match, not the filters
 // *stored* — the sublinearity Carzaniga et al. require of a scalable
-// content-based router.  Every posting-list entry visited is one
-// "probe"; callers surface the probe count so benchmarks can compare it
-// with the cost of a linear scan over the same filters.
+// content-based router.  Every candidate verified, counting posting
+// visited and residual tested is one "probe"; callers surface the probe
+// count so benchmarks can compare it with the cost of a linear scan over
+// the same filters.
 //
 // Attribute tables are keyed by interned AtomId (event/atom.hpp), so
 // walking an event's attributes probes the index with integer hashes —
 // no string hashing on the match path.
 //
-// NaN-valued constraints go to the residual list, and a NaN event value
-// skips the equality and range tables: NaN compares with nothing
-// (AttrValue::compare), so it satisfies only kExists.
+// NaN compares with nothing (AttrValue::compare): a NaN-valued
+// constraint is never an access predicate and goes to the residual
+// list, and a NaN event value skips the equality and range tables, so
+// it satisfies only kExists.
 //
 // The same equality postings answer Siena's two covering questions for
-// the router (DESIGN.md §5.1).  Only an equal equality implies an
-// equality, so every filter with an equality constraint is reachable
-// through one of them: add() marks the equality whose posting list is
-// shortest at that moment as the filter's *access predicate*, kept in a
-// counted prefix of that list.  covering_candidates(f) reads the marked
-// prefixes under f's equalities plus the filters with no equality;
-// covered_candidates(r) reads the whole list of r's rarest equality.
-// Both return supersets, which callers confirm with Filter::covers.
+// the router.  Only an equal equality implies an equality, so a filter
+// covering f has its access predicate among f's equalities, or has no
+// equality at all: covering_candidates(f) reads the marked prefixes
+// under f's equalities plus the unkeyed filters.  A keyed filter's other
+// equalities stay posted after the marked prefix, so every filter r
+// covers sits in the posting list of each of r's equalities:
+// covered_candidates(r) reads the whole list of r's rarest one.  Both
+// return supersets, which callers confirm with Filter::covers.
 //
 // FilterIndex is semantics-identical to the linear scan by
 // construction; tests/event_test.cpp cross-checks it against the oracle
@@ -75,9 +91,9 @@ class FilterIndex {
   std::size_t size() const { return filters_.size(); }
   bool empty() const { return filters_.empty(); }
 
-  /// Appends the ids of every filter matching `e` to `out` (unordered;
-  /// sort if dispatch order matters).  Returns the number of index
-  /// probes this match performed.
+  /// Appends the ids of every filter matching `e` to `out` (unordered,
+  /// each once; sort if dispatch order matters).  Returns the number of
+  /// index probes this match performed.
   std::uint64_t match(const Event& e, std::vector<std::uint64_t>& out) const;
 
   /// Calls `visit(id)` on a superset of the stored filters that cover
@@ -94,10 +110,10 @@ class FilterIndex {
   void covered_candidates(const Filter& r, std::vector<std::uint64_t>& out) const;
 
  private:
-  // Posting lists hold dense slot numbers, not 64-bit ids: the counting
-  // pass then runs over flat arrays (counts_/stamp_ indexed by slot)
-  // instead of hashing ids, which is what keeps a probe cheaper than a
-  // naive Constraint::matches call even at 100k stored filters.
+  // Posting lists hold dense slot numbers, not 64-bit ids: candidates
+  // and the counting pass then read flat arrays (slot_filter_, counts_,
+  // stamp_ indexed by slot) instead of hashing ids, which is what keeps a
+  // probe cheap even at 100k stored filters.
   using Slot = std::uint32_t;
   using Ids = std::vector<Slot>;
 
@@ -109,8 +125,9 @@ class FilterIndex {
     bool empty() const { return strict.empty() && nonstrict.empty(); }
   };
 
-  /// An equality posting list.  Its first `marked` slots are the
-  /// filters whose access predicate this equality is.
+  /// An equality posting list; it holds keyed filters only.  Its first
+  /// `marked` slots are the filters whose access predicate this
+  /// equality is — match()'s candidates for an event with this value.
   struct EqIds {
     Ids slots;
     Slot marked = 0;
@@ -141,11 +158,6 @@ class FilterIndex {
     bool empty() const;
   };
 
-  struct Stored {
-    Filter filter;
-    Slot slot;
-  };
-
   static constexpr std::uint32_t kNoAccess = ~std::uint32_t{0};
 
   /// `access`: `c` is its filter's access predicate.
@@ -154,13 +166,17 @@ class FilterIndex {
   /// The posting list of equality `c`, or nullptr when `c` is not an
   /// equality or no stored filter holds it.
   const EqIds* find_eq(const Constraint& c) const;
+  /// Whether keyed candidate `slot` satisfies every constraint of its
+  /// filter other than its access predicate.
+  bool verify(Slot slot, const Event& e) const;
 
   std::unordered_map<AtomId, AttrTables> attrs_;
-  // Stored filters, kept so remove() can locate every posting and
-  // match() knows each filter's slot.
-  std::unordered_map<std::uint64_t, Stored> filters_;
-  // Slot-indexed filter metadata; freed slots are recycled.
+  std::unordered_map<std::uint64_t, Slot> filters_;
+  // Slot-indexed filters and metadata; freed slots are recycled.  The
+  // filter is kept so remove() can locate every posting and match() can
+  // verify keyed candidates.
   std::vector<std::uint64_t> slot_id_;
+  std::vector<Filter> slot_filter_;
   std::vector<std::uint32_t> slot_needed_;  // constraint count to satisfy
   // Index of the access predicate in the filter, or kNoAccess.
   std::vector<std::uint32_t> slot_access_;
@@ -169,8 +185,8 @@ class FilterIndex {
   std::vector<std::uint64_t> match_all_;
   // Non-empty filters with no access predicate (no posted equality).
   Ids unkeyed_;
-  // Per-match scratch: satisfied-constraint counts, validity stamped by
-  // epoch so nothing is cleared between matches.
+  // Per-match scratch for unkeyed filters: satisfied-constraint counts,
+  // validity stamped by epoch so nothing is cleared between matches.
   mutable std::vector<std::uint32_t> counts_;
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::vector<Slot> touched_;

@@ -461,35 +461,39 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   }
   ++stats_.publications_routed;
   sim::Network::SpanScope route_span(net_, host_, "broker", "route");
-  std::set<sim::HostId> forward_to;
-  std::set<sim::HostId> deliver_to;
-  auto route_match = [&](const Entry& entry) {
-    if (entry.source.kind == Iface::Kind::kBroker) {
-      if (!arrival_broker || entry.source.host != *arrival_broker) {
-        forward_to.insert(entry.source.host);
-      }
-    } else {
-      deliver_to.insert(entry.source.host);
-    }
-  };
   {
     sim::Network::SpanScope match_span(net_, host_, "broker", "match");
-    std::vector<std::uint64_t> matched;
-    stats_.index_probes += index_.match(e, matched);
-    for (std::uint64_t id : matched) {
+    matched_.clear();
+    forward_to_.clear();
+    deliver_to_.clear();
+    stats_.index_probes += index_.match(e, matched_);
+    for (std::uint64_t id : matched_) {
       auto it = table_.find(id);
-      if (it != table_.end()) route_match(it->second);
+      if (it == table_.end()) continue;
+      const Iface& source = it->second.source;
+      if (source.kind == Iface::Kind::kClient) {
+        deliver_to_.push_back(source.host);
+      } else if (!arrival_broker || source.host != *arrival_broker) {
+        forward_to_.push_back(source.host);
+      }
+    }
+    // Each destination once, in ascending host order.
+    for (std::vector<sim::HostId>* hosts : {&forward_to_, &deliver_to_}) {
+      std::sort(hosts->begin(), hosts->end());
+      hosts->erase(std::unique(hosts->begin(), hosts->end()), hosts->end());
     }
     if (match_span.active()) {
-      match_span.annotate("type=" + e.type() + ";fwd=" + std::to_string(forward_to.size()) +
-                          ";local=" + std::to_string(deliver_to.size()));
+      match_span.annotate("type=" + e.type() + ";fwd=" + std::to_string(forward_to_.size()) +
+                          ";local=" + std::to_string(deliver_to_.size()));
     }
   }
-  for (sim::HostId n : forward_to) {
+  // Every send is posted through the scheduler, so nothing below
+  // re-enters route_publish while the scratch vectors are iterated.
+  for (sim::HostId n : forward_to_) {
     send_broker(n, std::any(PublishMsg{e, pub_id}),
                 codec().size(PublishMsg{e, pub_id}));
   }
-  for (sim::HostId c : deliver_to) {
+  for (sim::HostId c : deliver_to_) {
     net_.send(host_, c, client_proto_, DeliverMsg{e}, codec().size(DeliverMsg{e}));
     ++stats_.deliveries;
   }

@@ -55,7 +55,9 @@ struct BrokerStats {
   std::uint64_t deliveries = 0;
   std::uint64_t subscriptions_forwarded = 0;
   std::uint64_t subscriptions_suppressed = 0;  // covering prunes
-  std::uint64_t index_probes = 0;  // FilterIndex posting entries visited
+  // FilterIndex probes (FilterIndex::match): keyed candidates verified
+  // plus counting postings visited and residuals tested.
+  std::uint64_t index_probes = 0;
   // Crash durability (enable_checkpoints / recover):
   std::uint64_t checkpoints = 0;        // routing-table checkpoint writes
   std::uint64_t checkpoint_bytes = 0;   // bytes issued for those writes
@@ -290,6 +292,11 @@ class Broker {
   // process would — downstream brokers' sets catch what the crash
   // forgot.
   std::set<std::uint64_t> seen_publishes_;
+  // route_publish's scratch, reused so routing a publication allocates
+  // nothing here: matched subscription ids and destination hosts.
+  std::vector<std::uint64_t> matched_;
+  std::vector<sim::HostId> forward_to_;
+  std::vector<sim::HostId> deliver_to_;
   // Crash durability (nullptr when checkpointing is off).
   sim::DurableDisk* disk_ = nullptr;
   BrokerDurabilityParams dur_params_;

@@ -282,12 +282,16 @@ void SienaNetwork::on_client_message(sim::HostId client_host, const sim::Packet&
     ev = &stamped;
   }
   // One network delivery per client; dispatch locally to each matching
-  // subscription's callback, in subscription-id order.
+  // subscription's callback, in subscription-id order.  A callback may
+  // subscribe or unsubscribe: the ids are fixed before the first call,
+  // and each is looked up again before its own.  Callbacks cannot
+  // re-enter this function (every send is posted through the
+  // scheduler), so the scratch vector is not overwritten mid-loop.
   std::size_t dispatched = 0;
-  std::vector<std::uint64_t> matched;
-  it->second.index.match(msg->event, matched);
-  std::sort(matched.begin(), matched.end());
-  for (std::uint64_t id : matched) {
+  dispatch_ids_.clear();
+  it->second.index.match(msg->event, dispatch_ids_);
+  std::sort(dispatch_ids_.begin(), dispatch_ids_.end());
+  for (std::uint64_t id : dispatch_ids_) {
     auto sub = it->second.subs.find(id);
     if (sub != it->second.subs.end()) {
       sub->second.deliver(*ev);

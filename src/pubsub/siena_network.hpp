@@ -160,6 +160,8 @@ class SienaNetwork final : public EventService {
   std::vector<std::vector<sim::Packet>> stalled_;
   std::map<sim::HostId, std::unique_ptr<Broker>> brokers_;
   std::map<sim::HostId, ClientState> clients_;
+  // on_client_message's matched subscription ids, reused per delivery.
+  std::vector<std::uint64_t> dispatch_ids_;
   std::vector<event::Advertisement> advertisements_;
   std::uint64_t next_sub_id_ = 1;
   std::uint64_t next_adv_id_ = 1;

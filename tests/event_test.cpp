@@ -619,20 +619,129 @@ TEST(FilterIndex, RemoveAndReAdd) {
   EXPECT_TRUE(index.empty());
 }
 
+TEST(FilterIndex, KeyedMatchProbesOnlyAccessCandidates) {
+  // heat's device table: every filter names the suggestion type, and one
+  // user.  Counting would visit all 1000 `type = suggestion` postings;
+  // the access path verifies only the filters marked under the event's
+  // keys — here the first filter (marked under the type, its lists
+  // being equally empty when it arrived) and user17's.
+  FilterIndex devices;
+  for (std::uint64_t n = 0; n < 1000; ++n) {
+    devices.add(n, Filter()
+                       .where("type", Op::kEq, "suggestion")
+                       .where("user", Op::kEq, "user" + std::to_string(n)));
+  }
+  devices.add(1000, Filter().where("source", Op::kEq, "sensor"));
+  Event suggestion("suggestion");
+  suggestion.set("user", "user17").set_source("matchlet");
+  std::vector<std::uint64_t> out;
+  EXPECT_LE(devices.match(suggestion, out), 2u);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{17}));
+
+  // fanout's table: a topic key plus a 30-wide value window.  Each
+  // filter's one equality is its access predicate, so an event verifies
+  // exactly the filters on its topic, and its value probes no table.
+  Rng rng(5);
+  FilterIndex windows;
+  std::vector<Filter> filters;
+  std::map<std::string, std::uint64_t> per_topic;
+  for (std::uint64_t id = 0; id < 400; ++id) {
+    const std::string topic = "t" + std::to_string(rng.below(8));
+    const auto lo = static_cast<double>(rng.range(0, 70));
+    Filter f = Filter()
+                   .where("topic", Op::kEq, topic)
+                   .where("value", Op::kGe, lo)
+                   .where("value", Op::kLe, lo + 30);
+    windows.add(id, f);
+    filters.push_back(std::move(f));
+    ++per_topic[topic];
+  }
+  for (int i = 0; i < 50; ++i) {
+    const std::string topic = "t" + std::to_string(rng.below(8));
+    Event e("reading");
+    e.set("topic", topic).set("value", static_cast<double>(rng.range(0, 100)));
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t id = 0; id < filters.size(); ++id) {
+      if (filters[id].matches(e)) expected.push_back(id);
+    }
+    std::vector<std::uint64_t> got;
+    EXPECT_EQ(windows.match(e, got), per_topic[topic]) << e.describe();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << e.describe();
+  }
+}
+
+// A fresh filter for an id being re-added: often its previous filter
+// with the equalities dropped or one added (flipping it between the
+// counting and the access path), or a shape at the access path's edges.
+Filter readd_filter(Rng& rng, const Filter& previous) {
+  const auto is_eq = [](const Constraint& c) { return c.op == Op::kEq; };
+  const std::string attribute(1, static_cast<char>('p' + rng.below(3)));
+  std::vector<Constraint> cs = previous.constraints();
+  switch (rng.below(6)) {
+    case 0:  // loses every equality: keyed -> unkeyed
+      std::erase_if(cs, is_eq);
+      break;
+    case 1:  // gains an equality: unkeyed -> keyed
+      cs.emplace_back(attribute, Op::kEq, random_value(rng));
+      break;
+    case 2:  // its only equality is NaN, which no key can hold
+      std::erase_if(cs, is_eq);
+      cs.emplace_back(attribute, Op::kEq, std::numeric_limits<double>::quiet_NaN());
+      break;
+    case 3:  // two equalities on one attribute (a = 1 and a = 2, or a = 1 and a = 1.0)
+      cs = {Constraint(attribute, Op::kEq, random_value(rng)),
+            Constraint(attribute, Op::kEq, random_value(rng))};
+      break;
+    case 4:  // a repeated equality
+      cs = random_filter(rng).constraints();
+      cs.emplace_back(attribute, Op::kEq, random_value(rng));
+      cs.push_back(cs.back());
+      break;
+    default:  // equality-rich
+      cs.clear();
+      for (int i = 0, n = 1 + static_cast<int>(rng.below(3)); i < n; ++i) {
+        cs.push_back(random_constraint(rng));
+        if (rng.chance(0.5)) cs.back().op = Op::kEq;
+      }
+  }
+  return Filter(std::move(cs));
+}
+
+// An event that sets most of `target`'s equalities, so keyed candidates
+// reach verification; the rest of the event is random.
+Event aimed_event(Rng& rng, const Filter& target) {
+  Event e = random_event(rng);
+  for (const Constraint& c : target.constraints()) {
+    if (c.op == Op::kEq && rng.chance(0.9)) e.set(c.atom, c.value);
+  }
+  return e;
+}
+
 TEST(FilterIndex, RandomizedAgreesWithLinearScanOracle) {
   // Property test: over generated filters and events covering every Op
   // kind and value type (reusing the covering-soundness generators,
   // whose small attribute/value pool forces collisions), the index
   // returns exactly the filters the linear-scan oracle accepts —
-  // including empty filters and after random removals.
+  // including empty filters, after random removals, and after re-adding
+  // ids with fresh filters (freed slots reused, keyed <-> unkeyed flips,
+  // NaN-only, conflicting and repeated equalities).
   Rng rng(41);
   for (int round = 0; round < 20; ++round) {
     FilterIndex index;
-    std::vector<std::pair<std::uint64_t, Filter>> oracle;
+    std::map<std::uint64_t, Filter> oracle;
+    auto expect_oracle = [&](const Event& e, const char* phase) {
+      std::vector<std::uint64_t> expected;
+      for (const auto& [id, f] : oracle) {
+        if (f.matches(e)) expected.push_back(id);
+      }
+      EXPECT_EQ(index_match(index, e), expected)
+          << "event: " << e.describe() << " (" << phase << ", round " << round << ")";
+    };
     for (std::uint64_t id = 1; id <= 60; ++id) {
       Filter f = rng.chance(0.1) ? Filter() : random_filter(rng);
       index.add(id, f);
-      oracle.emplace_back(id, std::move(f));
+      oracle.emplace(id, std::move(f));
     }
     // Drop a random third to exercise unpost across every table kind.
     for (auto it = oracle.begin(); it != oracle.end();) {
@@ -643,14 +752,23 @@ TEST(FilterIndex, RandomizedAgreesWithLinearScanOracle) {
         ++it;
       }
     }
+    for (int i = 0; i < 50; ++i) expect_oracle(random_event(rng), "removed");
+
+    // Re-add a random third of the ids, stored or removed, with fresh
+    // filters.
+    for (std::uint64_t id = 1; id <= 60; ++id) {
+      if (!rng.chance(1.0 / 3.0)) continue;
+      const auto old = oracle.find(id);
+      Filter f = readd_filter(rng, old == oracle.end() ? Filter() : old->second);
+      index.add(id, f);
+      oracle[id] = std::move(f);
+    }
+    ASSERT_EQ(index.size(), oracle.size());
+    ASSERT_FALSE(oracle.empty());
     for (int i = 0; i < 50; ++i) {
-      const Event e = random_event(rng);
-      std::vector<std::uint64_t> expected;
-      for (const auto& [id, f] : oracle) {
-        if (f.matches(e)) expected.push_back(id);
-      }
-      EXPECT_EQ(index_match(index, e), expected)
-          << "event: " << e.describe() << " (round " << round << ")";
+      expect_oracle(random_event(rng), "re-added");
+      const auto target = std::next(oracle.begin(), static_cast<long>(rng.below(oracle.size())));
+      expect_oracle(aimed_event(rng, target->second), "re-added, aimed");
     }
   }
 }

@@ -175,6 +175,42 @@ TEST(Siena, MultipleSubscriptionsOneClientOneDeliveryEach) {
   EXPECT_EQ(b, 1);
 }
 
+TEST(Siena, CallbackMayUnsubscribeDuringDispatch) {
+  // Client dispatch fixes the matching ids before the first callback and
+  // looks each one up again before calling it.  So a callback that
+  // unsubscribes a later sibling stops that sibling's copy of the event
+  // being dispatched, and a subscription it adds sees only later events.
+  Fixture f;
+  SienaNetwork ps(f.net, {0});
+  ps.attach_client(10, 0);
+  ps.attach_client(11, 0);
+  const Filter warm = Filter().where("celsius", Op::kGt, 0.0);
+  int first = 0, second = 0, third = 0, fourth = 0;
+  std::uint64_t second_id = 0;
+  ps.subscribe(10, warm, [&](const Event&) {
+    if (++first > 1) return;
+    ps.unsubscribe(10, second_id);
+    ps.subscribe(10, warm, [&](const Event&) { ++fourth; });
+  });
+  second_id = ps.subscribe(10, warm, [&](const Event&) { ++second; });
+  ps.subscribe(10, warm, [&](const Event&) { ++third; });
+  f.sched.run();
+
+  ps.publish(11, temp_event(20.0));
+  f.sched.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(third, 1);
+  EXPECT_EQ(fourth, 0);
+
+  ps.publish(11, temp_event(21.0));
+  f.sched.run();
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(third, 2);
+  EXPECT_EQ(fourth, 1);
+}
+
 TEST(Siena, ReattachedClientReceivesAfterMove) {
   // Regression: re-attaching an attached client used to silently switch
   // its access broker, leaving its live subscriptions routed at the old
