@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
     const std::uint64_t map_allocs = bench_e2e::allocations() - map_alloc_start;
 
     // COW core: one shared payload per event, handle copies per hop,
-    // one cached XML rendering regardless of fan-out.
+    // one cached XML size (summed, not rendered) regardless of fan-out.
     std::uint64_t cow_matches = 0, cow_bytes = 0;
     const std::uint64_t cow_alloc_start = bench_e2e::allocations();
     start = std::chrono::steady_clock::now();
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
       }
       for (int hop = 0; hop < kFanOut; ++hop) {
         event::Event packet = e;  // handle copy, payload shared
-        cow_bytes += packet.wire_size();  // rendered once, then cached
+        cow_bytes += packet.wire_size();  // sized once, then cached
       }
     }
     const double cow_us = wall_us(start) / kEvents;

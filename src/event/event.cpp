@@ -186,12 +186,31 @@ Result<Event> Event::parse(std::string_view xml_text) {
   return from_xml(doc.value());
 }
 
-std::size_t Event::wire_size() const {
-  if (data_ == nullptr) {
-    static const std::size_t kEmptySize = Event().to_xml_string().size();
-    return kEmptySize;
+namespace {
+
+/// Length of to_xml_string()'s document, from the attributes alone:
+/// "<event/>" when empty, else "<event>" ... "</event>" around one
+///   <attr name="N" type="T" value="V"/>
+/// per attribute — 32 fixed bytes plus the three escaped attribute
+/// values.  Only string values can hold an escapable character; every
+/// other value's text (digits, sign, '.', 'e', nan, inf, true, false)
+/// is its own escape.
+std::size_t xml_size(const Event::AttrList& attrs) {
+  if (attrs.empty()) return 8;
+  std::size_t size = 15;
+  for (const auto& [atom, value] : attrs) {
+    size += 32 + xml::escaped_size(atom_name(atom)) +
+            xml::escaped_size(value_type_name(value.type())) +
+            (value.is_string() ? xml::escaped_size(value.str()) : value.text_size());
   }
-  if (data_->wire_cache == 0) data_->wire_cache = to_xml_string().size();
+  return size;
+}
+
+}  // namespace
+
+std::size_t Event::wire_size() const {
+  if (data_ == nullptr) return xml_size(AttrList{});
+  if (data_->wire_cache == 0) data_->wire_cache = xml_size(data_->attrs);
   return data_->wire_cache;
 }
 

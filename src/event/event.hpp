@@ -22,9 +22,10 @@
 // The in-memory order (by AtomId) is canonical within a process but
 // depends on interning order, so the XML encoder re-orders attributes
 // by *name* — the exact bytes the old std::map-based representation
-// produced.  wire_size() is computed lazily from the XML rendering and
-// cached in the payload; every handle sharing the payload reuses it,
-// so an event crossing k brokers serialises once, not k times.
+// produced.  wire_size() is that rendering's length, summed from the
+// attributes without rendering and cached in the payload; every handle
+// sharing the payload reuses it, so an event crossing k brokers is
+// sized once and never serialised for accounting.
 #pragma once
 
 #include <cstdint>
@@ -122,9 +123,10 @@ class Event {
   std::string to_xml_string() const;
   static Result<Event> parse(std::string_view xml_text);
 
-  /// Bytes this event occupies on the simulated wire (its XML length).
-  /// Lazily computed and cached in the shared payload: one
-  /// serialisation per event, not per send.
+  /// Bytes this event occupies on the simulated wire: exactly
+  /// to_xml_string().size(), computed from the attributes (arithmetic,
+  /// no rendering) and cached in the shared payload, so it is summed
+  /// once per payload, not once per send.
   std::size_t wire_size() const;
 
   /// Compact binary form (wire::Codec's kBinary encoding): varint
@@ -149,9 +151,9 @@ class Event {
     return data_ != nullptr && data_ == other.data_;
   }
 
-  /// Process-wide count of XML renderings performed (serialisation
-  /// regression tests: forwarding an event across k hops must not
-  /// re-serialise it k times).
+  /// Process-wide count of XML renderings performed (to_xml_string
+  /// calls).  Sizing never renders, so forwarding an event across k
+  /// hops adds nothing here; only real encodes do.
   static std::uint64_t serializations();
 
  private:

@@ -1,6 +1,7 @@
 #include "event/filter.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <string>
 
 namespace aa::event {
 
@@ -44,6 +45,8 @@ bool ends_with(const std::string& s, const std::string& p) {
 bool contains(const std::string& s, const std::string& p) {
   return s.find(p) != std::string::npos;
 }
+/// Characters describe() backslash-escapes inside a quoted string.
+bool needs_backslash(char c) { return c == '"' || c == '\\'; }
 }  // namespace
 
 bool Constraint::matches(const AttrValue& v) const {
@@ -136,17 +139,39 @@ bool Constraint::implies(const Constraint& weaker) const {
 
 std::string Constraint::describe() const {
   // The rendering is re-parseable by parse_filter (string values are
-  // quoted), which is what lets rules serialise filters to XML.
-  std::ostringstream out;
-  out << attribute() << ' ' << op_name(op);
+  // quoted and escaped), which is what lets rules serialise filters to
+  // XML.
+  std::string out = attribute();
+  out += ' ';
+  out += op_name(op);
   if (op != Op::kExists) {
+    out += ' ';
     if (value.is_string()) {
-      out << " \"" << value.str() << '"';
+      out += '"';
+      for (char c : value.str()) {
+        if (needs_backslash(c)) out += '\\';
+        out += c;
+      }
+      out += '"';
     } else {
-      out << ' ' << value.to_text();
+      out += value.to_text();
     }
   }
-  return out.str();
+  return out;
+}
+
+std::size_t Constraint::describe_size() const {
+  std::size_t size = attribute().size() + 1 + std::char_traits<char>::length(op_name(op));
+  if (op != Op::kExists) {
+    size += 1;
+    if (value.is_string()) {
+      const std::string& s = value.str();
+      size += 2 + s.size() + static_cast<std::size_t>(std::ranges::count_if(s, needs_backslash));
+    } else {
+      size += value.text_size();
+    }
+  }
+  return size;
 }
 
 Filter& Filter::where(std::string_view attribute, Op op, AttrValue value) {
@@ -221,14 +246,20 @@ bool Filter::overlaps(const Filter& other) const {
 }
 
 std::string Filter::describe() const {
-  std::ostringstream out;
-  bool first = true;
+  if (constraints_.empty()) return "<any>";
+  std::string out;
   for (const Constraint& c : constraints_) {
-    if (!first) out << " and ";
-    first = false;
-    out << c.describe();
+    if (&c != &constraints_.front()) out += " and ";
+    out += c.describe();
   }
-  return first ? "<any>" : out.str();
+  return out;
+}
+
+std::size_t Filter::describe_size() const {
+  if (constraints_.empty()) return 5;  // "<any>"
+  std::size_t size = 5 * (constraints_.size() - 1);  // " and " separators
+  for (const Constraint& c : constraints_) size += c.describe_size();
+  return size;
 }
 
 void write_filter(BufWriter& w, const Filter& f) {

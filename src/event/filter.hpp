@@ -67,7 +67,12 @@ struct Constraint {
   /// (both constraints are on the same attribute).
   bool implies(const Constraint& weaker) const;
 
+  /// `attr op value`, re-parseable by parse_filter: string values are
+  /// double-quoted, with each '"' and backslash inside escaped by a
+  /// backslash.
   std::string describe() const;
+  /// describe().size(), computed without building the string.
+  std::size_t describe_size() const;
 
   bool operator==(const Constraint&) const = default;
 };
@@ -95,7 +100,11 @@ class Filter {
   /// advertisement/subscription overlap in the router.
   bool overlaps(const Filter& other) const;
 
+  /// Constraints joined by " and "; "<any>" for the empty filter.
   std::string describe() const;
+  /// describe().size(), computed without building the string (the XML
+  /// codec's filter size).
+  std::size_t describe_size() const;
 
   bool operator==(const Filter&) const = default;
 

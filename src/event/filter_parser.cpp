@@ -54,10 +54,19 @@ class Lexer {
     while (pos_ < in_.size() && std::isspace(static_cast<unsigned char>(in_[pos_]))) ++pos_;
   }
 
+  /// A quoted string; a backslash before the quote character or
+  /// another backslash escapes it (Constraint::describe writes both),
+  /// and any other backslash is literal.
   Result<Token> lex_string(char quote) {
     ++pos_;
     std::string out;
-    while (pos_ < in_.size() && in_[pos_] != quote) out.push_back(in_[pos_++]);
+    while (pos_ < in_.size() && in_[pos_] != quote) {
+      if (in_[pos_] == '\\' && pos_ + 1 < in_.size() &&
+          (in_[pos_ + 1] == quote || in_[pos_ + 1] == '\\')) {
+        ++pos_;
+      }
+      out.push_back(in_[pos_++]);
+    }
     if (pos_ >= in_.size()) return Status(Code::kInvalidArgument, "unterminated string");
     ++pos_;
     return Token{Token::Kind::kString, std::move(out)};

@@ -9,6 +9,9 @@
 //   value      := "quoted string" | 'quoted string' | number |
 //                 true | false | bareword
 //
+// Inside a quoted string a backslash escapes the enclosing quote or a
+// second backslash; any other backslash is literal.
+//
 // Examples:
 //   type = "temperature" and celsius > 20
 //   type = "user-location" and street prefix "North" and user exists

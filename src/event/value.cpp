@@ -1,11 +1,39 @@
 #include "event/value.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 namespace aa::event {
+
+namespace {
+
+// Room for any double at 17 significant digits (the longest, such as
+// "-1.2345678901234567e-308", are 24 characters).
+using RealChars = std::array<char, 32>;
+
+/// Writes `v` as printf's "%.17g" would — the wire form's spelling of
+/// a real, nan and inf in lower case — and returns the length.
+std::size_t real_chars(double v, RealChars& buf) {
+  const char* end =
+      std::to_chars(buf.data(), buf.data() + buf.size(), v, std::chars_format::general, 17).ptr;
+  return static_cast<std::size_t>(end - buf.data());
+}
+
+/// Decimal digits of |v| plus the sign.
+std::size_t int_chars(std::int64_t v) {
+  const auto bits = static_cast<std::uint64_t>(v);
+  std::uint64_t magnitude = v < 0 ? 0 - bits : bits;  // exact for INT64_MIN too
+  std::size_t n = v < 0 ? 2 : 1;
+  while (magnitude >= 10) {
+    magnitude /= 10;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
 
 const char* value_type_name(ValueType t) {
   switch (t) {
@@ -32,15 +60,29 @@ std::string AttrValue::to_text() const {
     case ValueType::kInt:
       return std::to_string(integer());
     case ValueType::kReal: {
-      std::ostringstream out;
-      out.precision(17);
-      out << real();
-      return out.str();
+      RealChars buf;
+      return std::string(buf.data(), real_chars(real(), buf));
     }
     case ValueType::kBool:
       return boolean() ? "true" : "false";
   }
   return {};
+}
+
+std::size_t AttrValue::text_size() const {
+  switch (type()) {
+    case ValueType::kString:
+      return str().size();
+    case ValueType::kInt:
+      return int_chars(integer());
+    case ValueType::kReal: {
+      RealChars buf;
+      return real_chars(real(), buf);
+    }
+    case ValueType::kBool:
+      return boolean() ? 4 : 5;
+  }
+  return 0;
 }
 
 Result<AttrValue> AttrValue::from_text(ValueType type, const std::string& text) {

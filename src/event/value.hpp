@@ -49,6 +49,8 @@ class AttrValue {
 
   /// Value rendered as text (used by the XML event encoding).
   std::string to_text() const;
+  /// to_text().size(), computed without building the string.
+  std::size_t text_size() const;
   /// Inverse of to_text given the declared type.
   static Result<AttrValue> from_text(ValueType type, const std::string& text);
 

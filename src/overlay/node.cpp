@@ -135,9 +135,7 @@ std::optional<NodeRef> OverlayNode::next_hop(const ObjectId& key) {
     NodeRef& slot = table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(key.digit(row))];
     if (slot.valid()) {
       if (alive(slot)) return slot;
-      // remove() clears this very slot before it searches the pool, so
-      // the dead peer stays pooled until the leaf rule meets it.
-      repair(slot);
+      repair(NodeRef(slot));  // a copy: remove() clears this very slot
     }
   }
 

@@ -24,7 +24,8 @@
 // round-trips are exercised separately by the bytes/xml/bundle tests.)
 // Event-carrying bodies hold COW Event handles (event/event.hpp):
 // duplicating a packet across a fan-out copies shared_ptr handles, and
-// every hop reuses the one cached wire_size of the shared payload.
+// every hop reuses the one cached wire_size of the shared payload —
+// the XML length, summed from the attributes, never rendered.
 #pragma once
 
 #include <any>

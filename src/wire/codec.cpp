@@ -35,7 +35,7 @@ class XmlCodec final : public Codec {
   WireCodec id() const override { return WireCodec::kXml; }
 
   static std::size_t filter_size(const event::Filter& f) {
-    return f.describe().size() + 16;
+    return f.describe_size() + 16;
   }
 
   std::size_t size(const SubscribeMsg& m) const override {
@@ -160,7 +160,7 @@ class XmlCodec final : public Codec {
 std::size_t filter_body_size(const event::Filter& f) {
   std::size_t total = 4;
   for (const event::Constraint& c : f.constraints()) {
-    total += 4 + c.attribute().size() + 1 + 1 + 4 + c.value.to_text().size();
+    total += 4 + c.attribute().size() + 1 + 1 + 4 + c.value.text_size();
   }
   return total;
 }

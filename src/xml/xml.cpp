@@ -162,6 +162,19 @@ std::string escape(std::string_view text) {
   return out;
 }
 
+std::size_t escaped_size(std::string_view text) {
+  std::size_t size = text.size();
+  for (char c : text) {
+    switch (c) {
+      case '<': case '>': size += 3; break;   // &lt; &gt;
+      case '&': size += 4; break;             // &amp;
+      case '"': case '\'': size += 5; break;  // &quot; &apos;
+      default: break;
+    }
+  }
+  return size;
+}
+
 namespace {
 
 class Parser {
@@ -246,12 +259,30 @@ class Parser {
       } else if (ent == "apos") {
         out.push_back('\'');
       } else if (!ent.empty() && ent[0] == '#') {
-        // Numeric character reference; ASCII range only.
+        // Numeric character reference; ASCII range only.  The bound is
+        // checked per digit, so a long digit run cannot overflow.
+        const bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+        const std::string_view digits = ent.substr(hex ? 2 : 1);
+        if (digits.empty()) {
+          return Status(Code::kInvalidArgument, "empty character reference");
+        }
         int code = 0;
-        if (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X')) {
-          for (char c : ent.substr(2)) code = code * 16 + (std::isdigit(static_cast<unsigned char>(c)) ? c - '0' : (std::tolower(c) - 'a' + 10));
-        } else {
-          for (char c : ent.substr(1)) code = code * 10 + (c - '0');
+        for (char c : digits) {
+          const auto u = static_cast<unsigned char>(c);
+          int digit = -1;
+          if (std::isdigit(u)) {
+            digit = c - '0';
+          } else if (hex && std::isxdigit(u)) {
+            digit = std::tolower(u) - 'a' + 10;
+          }
+          if (digit < 0) {
+            return Status(Code::kInvalidArgument, "bad character reference: " + std::string(ent));
+          }
+          code = code * (hex ? 16 : 10) + digit;
+          if (code > 0x7F) {
+            return Status(Code::kInvalidArgument,
+                          "character reference outside ASCII: " + std::string(ent));
+          }
         }
         out.push_back(static_cast<char>(code));
       } else {

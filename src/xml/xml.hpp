@@ -88,5 +88,7 @@ std::string to_string(const Element& root, const WriteOptions& options = {});
 
 /// Escapes the five predefined entities in character data.
 std::string escape(std::string_view text);
+/// escape(text).size(), counted without building the string.
+std::size_t escaped_size(std::string_view text);
 
 }  // namespace aa::xml

@@ -342,6 +342,35 @@ TEST(XmlCodec, LegacySizeFormulasArePinned) {
   reply.subscriptions.push_back(SubscribeMsg{1, f});
   reply.advertisements.push_back(AdvertiseMsg{2, f});
   EXPECT_EQ(xml.size(reply), 24 + 2 * (filter_size + 8));
+
+  // The filter term is counted without rendering: pin it against
+  // describe() over the empty filter ("<any>") and random filters of
+  // every operator, with string values that describe() must escape and
+  // reals from the formatting edge cases.
+  EXPECT_EQ(xml.size(SubscribeMsg{1, Filter()}), Filter().describe().size() + 16 + 8);
+  EXPECT_EQ(Filter().describe(), "<any>");
+  static const char* kStrings[] = {"", "r1", "say \"hi\"", "back\\slash", "<&>'", "lab-"};
+  static const double kReals[] = {20.5, -0.0, 1e308, 5e-324,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  -std::numeric_limits<double>::infinity()};
+  Rng rng(3301);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Filter random;
+    for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+      const auto op = static_cast<Op>(rng.below(static_cast<std::uint64_t>(Op::kExists) + 1));
+      AttrValue value;
+      switch (rng.below(4)) {
+        case 0: value = kStrings[rng.below(std::size(kStrings))]; break;
+        case 1: value = static_cast<std::int64_t>(rng.next()); break;
+        case 2: value = kReals[rng.below(std::size(kReals))]; break;
+        default: value = rng.chance(0.5); break;
+      }
+      random.where("attr" + std::to_string(rng.below(6)), op, value);
+    }
+    ASSERT_EQ(xml.size(SubscribeMsg{1, random}), random.describe().size() + 16 + 8)
+        << random.describe();
+    ASSERT_EQ(xml.size(AdvertiseMsg{1, random}), random.describe().size() + 16 + 8);
+  }
 }
 
 TEST(XmlCodec, BodiesRoundTrip) {

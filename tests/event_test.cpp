@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/hash.hpp"
 #include "common/ids.hpp"
@@ -58,6 +60,81 @@ TEST(AttrValue, NaNComparesWithNothing) {
   EXPECT_FALSE(nan.compare(AttrValue(5)).has_value());
   EXPECT_FALSE(AttrValue(5.0).compare(nan).has_value());
   EXPECT_FALSE(nan.compare(nan).has_value());
+}
+
+// Values that stress the XML encoding: strings holding every escapable
+// character, the real edge cases (NaN, infinities, negative zero,
+// denormals, the largest magnitudes) and the int extremes.
+AttrValue random_edge_value(Rng& rng) {
+  static const char* kPieces[] = {"<", ">", "&", "\"", "'", "\\", "a", "Zz", "0", " ", "&amp;"};
+  static const double kReals[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      1e308,
+      -1e-308,
+      0.1,
+      17.25,
+      1e16,
+      123456789012345678.0,
+  };
+  static const std::int64_t kInts[] = {std::numeric_limits<std::int64_t>::min(),
+                                       std::numeric_limits<std::int64_t>::max(), 0, -1, 9, 10,
+                                       -10, 999, 1000};
+  switch (rng.below(6)) {
+    case 0: {
+      std::string text;
+      for (std::uint64_t i = rng.below(6); i > 0; --i) {
+        text += kPieces[rng.below(std::size(kPieces))];
+      }
+      return AttrValue(text);
+    }
+    case 1:
+      return AttrValue(kInts[rng.below(std::size(kInts))]);
+    case 2:
+      return AttrValue(static_cast<std::int64_t>(rng.next()));
+    case 3:
+      return AttrValue(kReals[rng.below(std::size(kReals))]);
+    case 4:
+      return AttrValue(std::bit_cast<double>(rng.next()));  // any bit pattern
+    default:
+      return AttrValue(rng.chance(0.5));
+  }
+}
+
+TEST(AttrValue, TextSizeEqualsRendering) {
+  Rng rng(6021);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const AttrValue v = random_edge_value(rng);
+    ASSERT_EQ(v.text_size(), v.to_text().size()) << v.to_text();
+  }
+}
+
+TEST(AttrValue, RealTextMatchesStreamRendering) {
+  // to_text() renders reals with std::to_chars; the wire form (and the
+  // golden digests over it) was defined by a precision-17 stream, so
+  // the two must agree byte for byte, special values included.
+  auto stream_text = [](double v) {
+    std::ostringstream out;
+    out.precision(17);
+    out << v;
+    return out.str();
+  };
+  Rng rng(6022);
+  for (int trial = 0; trial < 50000; ++trial) {
+    const AttrValue v = trial % 2 == 0 ? random_edge_value(rng)
+                                       : AttrValue(std::bit_cast<double>(rng.next()));
+    if (!v.is_real()) continue;
+    ASSERT_EQ(v.to_text(), stream_text(v.real()));
+  }
 }
 
 // --- Event ---
@@ -172,22 +249,25 @@ TEST(EventWire, OneSerializationPerEventNotPerSend) {
   e.set("key", "value");
   const std::uint64_t before = Event::serializations();
   const std::size_t size = e.wire_size();
-  // Fan-out: shared handles reuse the cached rendering — repeated
-  // wire_size() calls across eight copies cost zero further renders.
+  // Fan-out: shared handles reuse the cached size, and sizing never
+  // renders — eight copies' wire_size() calls cost zero renders.
   for (int i = 0; i < 8; ++i) {
     Event hop = e;
     hop.set_trace(1, static_cast<std::uint64_t>(i));  // stamping must not invalidate
     EXPECT_EQ(hop.wire_size(), size);
   }
   EXPECT_EQ(e.wire_size(), size);
-  EXPECT_EQ(Event::serializations() - before, 1u);
+  EXPECT_EQ(Event::serializations() - before, 0u);
 
-  // Mutation invalidates: exactly one re-render, not one per reader.
+  // Mutation invalidates the cached size; re-sizing still renders
+  // nothing.
   e.set("key", "other");
   const std::size_t resized = e.wire_size();
   e.wire_size();
-  EXPECT_EQ(Event::serializations() - before, 2u);
+  EXPECT_EQ(Event::serializations() - before, 0u);
   EXPECT_NE(resized, 0u);
+  EXPECT_EQ(size, 104u);
+  EXPECT_EQ(resized, 104u);
 }
 
 // Golden pin: the COW/interned representation must keep the XML wire
@@ -220,6 +300,42 @@ TEST(EventWire, GoldenXmlBytesPinned) {
   }
   EXPECT_EQ(Uid160::from_content(all).to_hex(),
             "07a4799ded31cd11d8acbdbee0e8d2d71a49a3a8");
+
+  // The events above hold no escapable character; pin one that holds
+  // all five in its name and in its value.
+  Event escaped;
+  escaped.set("say<&>\"'", "<&>\"'");
+  EXPECT_EQ(escaped.to_xml_string(),
+            "<event><attr name=\"say&lt;&amp;&gt;&quot;&apos;\" type=\"string\" "
+            "value=\"&lt;&amp;&gt;&quot;&apos;\"/></event>");
+  EXPECT_EQ(escaped.wire_size(), 106u);
+}
+
+TEST(EventWire, XmlSizeEqualsRendering) {
+  // wire_size() is arithmetic over the attributes; the rendering is its
+  // oracle.  Events of 0..12 attributes (past the small-vector's eight
+  // inline slots), names and values drawn from the escape and number
+  // edge cases, re-sized after each mutation.
+  static const char* kNames[] = {"type", "a", "<b>", "c&d", "q\"", "it's", "e", "f",
+                                 "g",    "h", "i",   "j",   "k",    "longer_name"};
+  EXPECT_EQ(Event().wire_size(), Event().to_xml_string().size());
+  EXPECT_EQ(Event().wire_size(), 8u);
+  Rng rng(6023);
+  int spilled = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Event e;
+    const std::uint64_t n = rng.below(13);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      e.set(kNames[rng.below(std::size(kNames))], random_edge_value(rng));
+    }
+    spilled += e.attributes().size() > 8 ? 1 : 0;
+    ASSERT_EQ(e.wire_size(), e.to_xml_string().size()) << e.to_xml_string();
+    Event copy = e;  // a shared payload keeps the size; a mutated clone re-sizes
+    copy.set(kNames[rng.below(std::size(kNames))], random_edge_value(rng));
+    ASSERT_EQ(copy.wire_size(), copy.to_xml_string().size()) << copy.to_xml_string();
+    ASSERT_EQ(e.wire_size(), e.to_xml_string().size());
+  }
+  EXPECT_GT(spilled, 100);
 }
 
 TEST(EventXml, RandomizedRoundTripPreservesEquality) {
@@ -508,12 +624,17 @@ TEST(FilterParser, Errors) {
 }
 
 TEST(FilterParser, RoundTripThroughDescribe) {
-  // describe() output is itself parseable for simple filters.
+  // describe() output is itself parseable for simple filters, string
+  // values holding quotes and backslashes included.
   Filter f;
   f.where("a", Op::kGt, 5).where("b", Op::kPrefix, "xy");
-  auto back = parse_filter(f.describe());
-  ASSERT_TRUE(back.is_ok()) << f.describe();
-  EXPECT_EQ(back.value(), f);
+  Filter quoted;
+  quoted.where("name", Op::kEq, "say \"hi\" \\ 'bye' \\\"");
+  for (const Filter& want : {f, quoted}) {
+    auto back = parse_filter(want.describe());
+    ASSERT_TRUE(back.is_ok()) << want.describe();
+    EXPECT_EQ(back.value(), want);
+  }
 }
 
 // --- FilterIndex ---

@@ -29,7 +29,8 @@ std::string random_bytes_string(Rng& rng, std::size_t max_len) {
 std::string random_xmlish(Rng& rng, std::size_t max_len) {
   static const char* kAtoms[] = {"<",  ">",   "</", "/>", "a",    "bc",  "=",
                                  "\"", "'",   " ",  "&",  "&lt;", ";",   "<!--",
-                                 "-->", "<?", "?>", "\n", "x=\"y\"", "zz"};
+                                 "-->", "<?", "?>", "\n", "x=\"y\"", "zz",
+                                 "&#", "&#x", "7", "65", "99999999999999"};
   std::string s;
   const std::size_t n = rng.below(max_len + 1);
   for (std::size_t i = 0; i < n; ++i) {

@@ -81,6 +81,44 @@ TEST(OverlayNode, ReplicaSetClosestFirst) {
   }
 }
 
+TEST(OverlayNode, RoutingRuleRepairPurgesDeadPeerFromPool) {
+  // A dead peer met by the routing-table rule (not the leaf rule) must
+  // leave the candidate pool too, not only its table slot: otherwise it
+  // resurfaces in the leaf set once nearer peers go.  The pool is not
+  // observable directly, so remove every other peer and look at what
+  // the leaf set draws from it.
+  constexpr sim::HostId kHosts = 41;
+  Fixture f(kHosts);
+  OverlayNode node(f.net, {Uid160::from_content("self"), 0}, false);
+  Rng rng(77);
+  std::vector<NodeRef> peers;
+  for (sim::HostId h = 1; h < kHosts; ++h) {
+    peers.push_back(NodeRef{rng.uid(), h});  // one peer per host
+    node.consider(peers.back());
+  }
+  // A table entry outside the leaf set: keying on its own id misses the
+  // leaf span, so next_hop reaches it through the routing-table rule.
+  const std::vector<NodeRef> leaf = node.leaf_set();
+  const auto known = node.known_peers();
+  const auto dead = std::find_if(known.begin(), known.end(), [&](const NodeRef& p) {
+    return std::find(leaf.begin(), leaf.end(), p) == leaf.end();
+  });
+  ASSERT_NE(dead, known.end());
+  const NodeRef victim = *dead;
+  f.net.set_host_up(victim.host, false);
+
+  const std::uint64_t repairs_before = node.stats().repairs;
+  const auto hop = node.next_hop(victim.id);
+  ASSERT_EQ(node.stats().repairs, repairs_before + 1);  // the table rule's repair
+  ASSERT_TRUE(!hop.has_value() || hop->id != victim.id);
+  EXPECT_EQ(node.leaf_set(), leaf);
+
+  for (const NodeRef& p : peers) {
+    if (p.id != victim.id) node.remove(p.id);
+  }
+  EXPECT_TRUE(node.leaf_set().empty()) << "the dead peer is still pooled";
+}
+
 // The re-sorting leaf-set upkeep the ordered candidate pool replaced,
 // kept whole as its oracle: an unordered pool trimmed by a sort on ring
 // distance, successors and predecessors found by sorting two copies,
@@ -158,7 +196,7 @@ class SortOracleNode {
       NodeRef& slot = table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(key.digit(row))];
       if (slot.valid()) {
         if (alive(slot)) return slot;
-        repair(slot);
+        repair(NodeRef(slot));
       }
     }
     NodeRef best{};

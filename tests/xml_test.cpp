@@ -79,6 +79,22 @@ TEST(XmlParse, RejectsUnknownEntity) {
   EXPECT_FALSE(parse("<a>&bogus;</a>").is_ok());
 }
 
+TEST(XmlParse, RejectsBadNumericReferences) {
+  // Empty, non-digit, and beyond-ASCII references fail; a long digit
+  // run fails on its bound instead of overflowing the accumulator.
+  for (const char* doc : {"<a v=\"&#99999999999999;\"/>", "<a v=\"&#xFFFFFFFFFFFFFFFFFF;\"/>",
+                          "<a v=\"&#zz;\"/>", "<a v=\"&#;\"/>", "<a v=\"&#x;\"/>",
+                          "<a v=\"&#xg1;\"/>", "<a v=\"&#1a;\"/>", "<a v=\"&#-1;\"/>",
+                          "<a v=\"&#128;\"/>", "<a v=\"&#x80;\"/>", "<a>&#200;</a>"}) {
+    auto r = parse(doc);
+    ASSERT_FALSE(r.is_ok()) << doc;
+    EXPECT_EQ(r.status().code(), Code::kInvalidArgument) << doc;
+  }
+  auto ok = parse("<a v=\"&#65;&#x42;&#X63;&#127;&#x7f;&#0065;\"/>");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().attribute("v").value(), "ABc\x7f\x7f" "A");
+}
+
 // --- Writer / round-trip ---
 
 TEST(XmlWrite, EscapesSpecials) {
@@ -90,6 +106,20 @@ TEST(XmlWrite, EscapesSpecials) {
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().attribute("a").value(), "<\"&'>");
   EXPECT_EQ(back.value().text(), "x < y & z");
+}
+
+TEST(XmlWrite, EscapedSizeEqualsEscape) {
+  static const char* kPieces[] = {"<", ">", "&", "\"", "'", "a", "bc", " ", ";", "&amp;", "\n"};
+  EXPECT_EQ(escaped_size(""), 0u);
+  EXPECT_EQ(escaped_size("<>&\"'"), escape("<>&\"'").size());
+  Rng rng(4417);
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string text;
+    for (std::uint64_t n = rng.below(12); n > 0; --n) {
+      text += kPieces[rng.below(std::size(kPieces))];
+    }
+    ASSERT_EQ(escaped_size(text), escape(text).size()) << text;
+  }
 }
 
 Element random_element(Rng& rng, int depth) {
