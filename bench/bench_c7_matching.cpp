@@ -26,7 +26,8 @@
 
 // Section (d) reports allocations per event for the old map-based
 // layout vs the interned COW core with bench_e2e's process-wide counter
-// (alloc_counter.cpp, linked into this binary only).
+// (alloc_counter.cpp, linked into this binary only).  Section (a)'s
+// rows count the engine's allocations with it too.
 
 using namespace aa;
 
@@ -130,6 +131,7 @@ double wall_us(const std::chrono::steady_clock::time_point& start) {
 struct EngineRun {
   int matches = 0;
   double us = 0;
+  std::uint64_t allocs = 0;  // operator-new calls across the on_event loop
   match::EngineStats stats;
 };
 
@@ -144,11 +146,13 @@ EngineRun run_engine(int facts, int users, const match::Rule& rule) {
   const auto stream = make_stream(2000, users, rng);
 
   EngineRun run;
+  const std::uint64_t allocs = bench_e2e::allocations();
   const auto start = std::chrono::steady_clock::now();
   for (const auto& e : stream) {
     engine.on_event(e, e.time(), [&](const event::Event&) { ++run.matches; });
   }
   run.us = wall_us(start);
+  run.allocs = bench_e2e::allocations() - allocs;
   run.stats = engine.stats();
   return run;
 }
@@ -163,13 +167,14 @@ int main(int argc, char** argv) {
 
   std::printf("\n(a) Incremental engine, knowledge-base scale sweep (2000 events; the\n"
               "    last row adds F1's cooldown over 100 users):\n");
-  bench::Table table({"facts", "events/s", "us/event", "matches", "candidates"});
+  bench::Table table({"facts", "events/s", "us/event", "matches", "candidates", "allocs"});
   for (int facts : {1000, 10000, 100000}) {
     const EngineRun run = run_engine(facts, facts / 3, scenario_rule());
     const std::uint64_t candidates = run.stats.candidate_bindings;
     table.row({bench::fmt("%d", facts), bench::fmt("%.0f", 2000.0 / (run.us / 1e6)),
                bench::fmt("%.1f", run.us / 2000.0), bench::fmt("%d", run.matches),
-               bench::fmt("%llu", (unsigned long long)candidates)});
+               bench::fmt("%llu", (unsigned long long)candidates),
+               bench::fmt("%llu", (unsigned long long)run.allocs)});
     sim::MetricsRegistry reg;
     reg.add("match.facts", static_cast<std::uint64_t>(facts));
     reg.add("match.events", 2000);
@@ -179,6 +184,7 @@ int main(int argc, char** argv) {
     bench::metrics_line(bench::fmt("C7 facts=%d", facts), reg);
     snap.add(bench::fmt("match.facts%d.matches", facts), static_cast<std::uint64_t>(run.matches));
     snap.add(bench::fmt("match.facts%d.candidate_bindings", facts), candidates);
+    snap.add(bench::fmt("match.facts%d.allocs", facts), run.allocs);
     snap.add_scaled(bench::fmt("match.facts%d.us_per_event", facts), run.us / 2000.0);
   }
   {
@@ -190,12 +196,14 @@ int main(int argc, char** argv) {
     const EngineRun run = run_engine(10000, 100, rule);
     table.row({"10000+cooldown", bench::fmt("%.0f", 2000.0 / (run.us / 1e6)),
                bench::fmt("%.1f", run.us / 2000.0), bench::fmt("%d", run.matches),
-               bench::fmt("%llu", (unsigned long long)run.stats.candidate_bindings)});
+               bench::fmt("%llu", (unsigned long long)run.stats.candidate_bindings),
+               bench::fmt("%llu", (unsigned long long)run.allocs)});
     std::printf("  cooldown row: %llu bindings suppressed\n",
                 (unsigned long long)run.stats.cooldown_suppressed);
     snap.add("match.cooldown.matches", static_cast<std::uint64_t>(run.matches));
     snap.add("match.cooldown.candidate_bindings", run.stats.candidate_bindings);
     snap.add("match.cooldown.cooldown_suppressed", run.stats.cooldown_suppressed);
+    snap.add("match.cooldown.allocs", run.allocs);
   }
 
   std::printf("\n(b) Incremental vs naive full-rescan (10k facts; event-count sweep —\n"

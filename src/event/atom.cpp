@@ -1,20 +1,17 @@
 #include "event/atom.hpp"
 
 #include <deque>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 
 namespace aa::event {
 
 namespace {
 
-// The table lives behind a shared_mutex: reads (the hot path — every
-// by-name get and every atom_name render) take the shared lock, the
-// occasional first-sight intern upgrades to exclusive.  Names are kept
-// in a deque so the strings atom_name() hands out never move.
+// The table is single-threaded, like the rest of the simulator: nothing
+// interns or reads names from a second thread, so no call takes a lock.
+// Names are kept in a deque so the strings atom_name() hands out never
+// move.
 struct AtomTable {
-  std::shared_mutex mu;
   std::unordered_map<std::string_view, AtomId> ids;  // views into names
   std::deque<std::string> names;
 };
@@ -29,13 +26,7 @@ AtomTable& table() {
 
 AtomId intern(std::string_view name) {
   AtomTable& t = table();
-  {
-    std::shared_lock lock(t.mu);
-    auto it = t.ids.find(name);
-    if (it != t.ids.end()) return it->second;
-  }
-  std::unique_lock lock(t.mu);
-  auto it = t.ids.find(name);  // re-check: raced with another intern
+  auto it = t.ids.find(name);
   if (it != t.ids.end()) return it->second;
   const AtomId id = static_cast<AtomId>(t.names.size());
   t.names.emplace_back(name);
@@ -45,16 +36,11 @@ AtomId intern(std::string_view name) {
 
 AtomId lookup_atom(std::string_view name) {
   AtomTable& t = table();
-  std::shared_lock lock(t.mu);
   auto it = t.ids.find(name);
   return it == t.ids.end() ? kNoAtom : it->second;
 }
 
-const std::string& atom_name(AtomId id) {
-  AtomTable& t = table();
-  std::shared_lock lock(t.mu);
-  return t.names[id];
-}
+const std::string& atom_name(AtomId id) { return table().names[id]; }
 
 AtomId type_atom() {
   static const AtomId id = intern("type");

@@ -1,6 +1,7 @@
 #include "event/filter.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace aa::event {
@@ -47,22 +48,31 @@ bool contains(const std::string& s, const std::string& p) {
 }
 /// Characters describe() backslash-escapes inside a quoted string.
 bool needs_backslash(char c) { return c == '"' || c == '\\'; }
+/// True when `v` is a real whose to_text() spelling has no point,
+/// exponent or letter ("20", "-0"), so parse_filter would read it back
+/// as an int; describe() appends ".0" to it.  Shorter finite integers
+/// print in full under to_text's 17 significant digits, longer ones
+/// with an exponent.
+bool spelled_as_int(const AttrValue& v) {
+  return v.is_real() && std::isfinite(v.real()) && v.real() == std::trunc(v.real()) &&
+         std::fabs(v.real()) < 1e17;
+}
 }  // namespace
 
-bool Constraint::matches(const AttrValue& v) const {
+bool op_matches(Op op, const AttrValue& v, const AttrValue& operand) {
   switch (op) {
     case Op::kExists:
       return true;
     case Op::kPrefix:
-      return v.is_string() && value.is_string() && starts_with(v.str(), value.str());
+      return v.is_string() && operand.is_string() && starts_with(v.str(), operand.str());
     case Op::kSuffix:
-      return v.is_string() && value.is_string() && ends_with(v.str(), value.str());
+      return v.is_string() && operand.is_string() && ends_with(v.str(), operand.str());
     case Op::kSubstring:
-      return v.is_string() && value.is_string() && contains(v.str(), value.str());
+      return v.is_string() && operand.is_string() && contains(v.str(), operand.str());
     default:
       break;
   }
-  const auto c = v.compare(value);
+  const auto c = v.compare(operand);
   if (!c.has_value()) return false;  // incomparable types never match
   switch (op) {
     case Op::kEq: return *c == 0;
@@ -74,6 +84,8 @@ bool Constraint::matches(const AttrValue& v) const {
     default: return false;
   }
 }
+
+bool Constraint::matches(const AttrValue& v) const { return op_matches(op, v, value); }
 
 const std::string& Constraint::attribute() const {
   static const std::string kEmpty;
@@ -139,8 +151,8 @@ bool Constraint::implies(const Constraint& weaker) const {
 
 std::string Constraint::describe() const {
   // The rendering is re-parseable by parse_filter (string values are
-  // quoted and escaped), which is what lets rules serialise filters to
-  // XML.
+  // quoted and escaped, reals always read back as reals), which is what
+  // lets rules serialise filters to XML.
   std::string out = attribute();
   out += ' ';
   out += op_name(op);
@@ -154,7 +166,8 @@ std::string Constraint::describe() const {
       }
       out += '"';
     } else {
-      out += value.to_text();
+      value.append_text(out);
+      if (spelled_as_int(value)) out += ".0";
     }
   }
   return out;
@@ -168,7 +181,7 @@ std::size_t Constraint::describe_size() const {
       const std::string& s = value.str();
       size += 2 + s.size() + static_cast<std::size_t>(std::ranges::count_if(s, needs_backslash));
     } else {
-      size += value.text_size();
+      size += value.text_size() + (spelled_as_int(value) ? 2 : 0);
     }
   }
   return size;

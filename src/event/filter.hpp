@@ -43,6 +43,11 @@ enum class Op {
 const char* op_name(Op op);
 Result<Op> op_from_name(std::string_view name);
 
+/// True when `v op operand` holds: Constraint::matches with `operand` as
+/// the constraint's value (the matching engine's joins compare two
+/// bound values with it in place).
+bool op_matches(Op op, const AttrValue& v, const AttrValue& operand);
+
 /// One attribute constraint.  The attribute is held as an interned
 /// AtomId (event/atom.hpp), so matching probes events by integer key;
 /// the spelling is recovered via attribute() only for serialisation and
@@ -69,7 +74,8 @@ struct Constraint {
 
   /// `attr op value`, re-parseable by parse_filter: string values are
   /// double-quoted, with each '"' and backslash inside escaped by a
-  /// backslash.
+  /// backslash, and a real reads back as a real — to_text's spelling,
+  /// with ".0" after an integral one ("20.0"), and inf, -inf, nan.
   std::string describe() const;
   /// describe().size(), computed without building the string.
   std::size_t describe_size() const;
@@ -88,6 +94,11 @@ class Filter {
 
   const std::vector<Constraint>& constraints() const { return constraints_; }
   bool empty() const { return constraints_.empty(); }
+  /// Keeps the first `n` constraints and drops the rest, keeping the
+  /// storage, so a probe rewritten per query reuses its buffer.
+  void truncate(std::size_t n) {
+    if (n < constraints_.size()) constraints_.resize(n);
+  }
 
   bool matches(const Event& e) const;
 

@@ -72,9 +72,19 @@ class Lexer {
     return Token{Token::Kind::kString, std::move(out)};
   }
 
+  /// A number: digits with an optional sign, point and exponent, or a
+  /// signed "inf" or "nan" (Constraint::describe writes "-inf"; the
+  /// unsigned spellings lex as words and read back as reals).
   Token lex_number() {
     std::string out;
     if (in_[pos_] == '-' || in_[pos_] == '+') out.push_back(in_[pos_++]);
+    for (const std::string_view special : {"inf", "nan"}) {
+      if (in_.substr(pos_, special.size()) == special) {
+        out += special;
+        pos_ += special.size();
+        return Token{Token::Kind::kNumber, std::move(out)};
+      }
+    }
     while (pos_ < in_.size() &&
            (std::isdigit(static_cast<unsigned char>(in_[pos_])) || in_[pos_] == '.' ||
             in_[pos_] == 'e' || in_[pos_] == 'E' ||
@@ -102,8 +112,9 @@ Result<AttrValue> token_to_value(const Token& t) {
     case Token::Kind::kString:
       return AttrValue(t.text);
     case Token::Kind::kNumber: {
-      if (t.text.find('.') == std::string::npos && t.text.find('e') == std::string::npos &&
-          t.text.find('E') == std::string::npos) {
+      // Digits alone read as an int; a point, exponent, inf or nan as a
+      // real.
+      if (t.text.find_first_of(".eEin") == std::string::npos) {
         return AttrValue(static_cast<std::int64_t>(std::strtoll(t.text.c_str(), nullptr, 10)));
       }
       return AttrValue(std::strtod(t.text.c_str(), nullptr));
@@ -111,6 +122,7 @@ Result<AttrValue> token_to_value(const Token& t) {
     case Token::Kind::kWord:
       if (t.text == "true") return AttrValue(true);
       if (t.text == "false") return AttrValue(false);
+      if (t.text == "inf" || t.text == "nan") return AttrValue(std::strtod(t.text.c_str(), nullptr));
       return AttrValue(t.text);  // bareword string
     default:
       return Status(Code::kInvalidArgument, "expected a value");

@@ -8,6 +8,8 @@
 //                 'prefix' | 'suffix' | 'contains'
 //   value      := "quoted string" | 'quoted string' | number |
 //                 true | false | bareword
+//   number     := an int ("20"), or a real: one with a point or an
+//                 exponent ("20.0", "1e+308"), or [sign] inf | nan
 //
 // Inside a quoted string a backslash escapes the enclosing quote or a
 // second backslash; any other backslash is literal.

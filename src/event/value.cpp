@@ -54,19 +54,30 @@ Result<ValueType> value_type_from_name(std::string_view name) {
 }
 
 std::string AttrValue::to_text() const {
+  std::string out;
+  append_text(out);
+  return out;
+}
+
+void AttrValue::append_text(std::string& out) const {
   switch (type()) {
     case ValueType::kString:
-      return str();
-    case ValueType::kInt:
-      return std::to_string(integer());
+      out += str();
+      return;
+    case ValueType::kInt: {
+      std::array<char, 24> buf{};  // "-9223372036854775808" is 20
+      out.append(buf.data(), std::to_chars(buf.data(), buf.data() + buf.size(), integer()).ptr);
+      return;
+    }
     case ValueType::kReal: {
       RealChars buf;
-      return std::string(buf.data(), real_chars(real(), buf));
+      out.append(buf.data(), real_chars(real(), buf));
+      return;
     }
     case ValueType::kBool:
-      return boolean() ? "true" : "false";
+      out += boolean() ? "true" : "false";
+      return;
   }
-  return {};
 }
 
 std::size_t AttrValue::text_size() const {

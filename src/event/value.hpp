@@ -49,6 +49,8 @@ class AttrValue {
 
   /// Value rendered as text (used by the XML event encoding).
   std::string to_text() const;
+  /// Appends to_text() to `out` without building a temporary.
+  void append_text(std::string& out) const;
   /// to_text().size(), computed without building the string.
   std::size_t text_size() const;
   /// Inverse of to_text given the declared type.

@@ -1,6 +1,9 @@
 #include "match/engine.hpp"
 
 #include <algorithm>
+#include <optional>
+
+#include "common/geo.hpp"
 
 namespace aa::match {
 
@@ -9,78 +12,154 @@ namespace {
 // unbounded state; oldest events are shed first.
 constexpr std::size_t kMaxWindowEvents = 4096;
 
-const std::string kTypeName = "type";
-const std::string kTimeName = "time";
-const std::string kRuleName = "rule";
+// The cooldown table is swept no sooner than at this many keys.
+constexpr std::size_t kMinSweep = 64;
 
-// Join pushdown: equality joins between `pattern` and an already-bound
-// alias become extra probe constraints, so the knowledge-base index
-// narrows candidates to the joined value instead of every fact matching
-// the base filter ("pref.user = loc.user" probes user=bob, not all
-// preferences).
-event::Filter fact_probe(const Rule& rule, const FactPattern& pattern, const Binding& binding) {
-  event::Filter probe = pattern.filter;
-  for (const auto& join : rule.joins) {
-    if (join.op != event::Op::kEq) continue;
-    const Operand* fact_side = nullptr;
-    const Operand* other_side = nullptr;
-    if (join.left.alias == pattern.alias && !join.left.constant.has_value()) {
-      fact_side = &join.left;
-      other_side = &join.right;
-    } else if (join.right.alias == pattern.alias && !join.right.constant.has_value()) {
-      fact_side = &join.right;
-      other_side = &join.left;
-    } else {
-      continue;
-    }
-    if (other_side->constant.has_value()) {
-      probe.where(fact_side->attr, event::Op::kEq, *other_side->constant);
-      continue;
-    }
-    const event::Event* bound_event = bound(binding, other_side->alias);
-    if (bound_event == nullptr) continue;
-    const event::AttrValue* v = bound_event->get(other_side->attr);
-    if (v != nullptr) probe.where(fact_side->attr, event::Op::kEq, *v);
-  }
-  return probe;
+// CompiledRule::names' first two entries.
+constexpr std::size_t kTypeName = 0;
+constexpr std::size_t kRuleName = 1;
+
+std::optional<double> real_of(const event::AttrValue* v) {
+  if (v == nullptr || !v->is_numeric()) return std::nullopt;
+  return v->as_real();
 }
 }  // namespace
 
+bool MatchEngine::Attr::resolved() {
+  if (atom == event::kNoAtom) atom = event::lookup_atom(name);
+  return atom != event::kNoAtom;
+}
+
+const event::AttrValue* MatchEngine::Attr::in(const event::Event& e) {
+  return resolved() ? e.get(atom) : nullptr;
+}
+
+event::AtomId MatchEngine::Attr::interned() {
+  if (atom == event::kNoAtom) atom = event::intern(name);
+  return atom;
+}
+
 void MatchEngine::add_rule(Rule rule) {
-  RuleState state;
-  state.rule = std::move(rule);
-  const Rule& r = state.rule;
-  for (const auto& t : r.triggers) state.windows[t.alias];
-  // A binding grows as: the seed trigger, the other triggers in order,
-  // then the facts.  bound() reads an alias's first entry, so the key is
-  // fixed once the first entry of every alias an assignment reads is in.
-  for (std::size_t seed = 0; seed < r.triggers.size(); ++seed) {
-    std::vector<const std::string*> order{&r.triggers[seed].alias};
-    for (std::size_t t = 0; t < r.triggers.size(); ++t) {
-      if (t != seed) order.push_back(&r.triggers[t].alias);
+  CompiledRule r;
+  r.rule = std::move(rule);
+  const Rule& spec = r.rule;
+  const std::size_t triggers = spec.triggers.size();
+  const std::size_t slots = triggers + spec.facts.size();
+  auto slot_of = [&](const std::string& alias) {
+    for (std::size_t t = 0; t < triggers; ++t) {
+      if (spec.triggers[t].alias == alias) return t;
     }
-    for (const FactPattern& f : r.facts) order.push_back(&f.alias);
-    std::size_t depth = 1;
-    for (const Assignment& a : r.emit.sets) {
-      if (a.constant.has_value()) continue;
-      const auto it = std::find_if(order.begin(), order.end(),
-                                   [&](const std::string* alias) { return *alias == a.from_alias; });
-      // An alias the rule never binds contributes nothing to the event.
-      if (it != order.end()) {
-        depth = std::max(depth, static_cast<std::size_t>(it - order.begin()) + 1);
+    for (std::size_t f = 0; f < spec.facts.size(); ++f) {
+      if (spec.facts[f].alias == alias) return triggers + f;
+    }
+    return kUnbound;
+  };
+  auto operand = [&](const match::Operand& op) {
+    if (op.constant.has_value()) return Operand{kConstant, {}, *op.constant};
+    return Operand{slot_of(op.alias), Attr{op.attr}, {}};
+  };
+  r.windows.resize(triggers);
+  r.binding.assign(slots, nullptr);
+
+  for (std::size_t seed = 0; seed < triggers; ++seed) {
+    SeedPlan plan;
+    plan.levels.resize(slots);
+    std::vector<std::size_t> level_of(slots);
+    std::size_t next = 0;
+    auto place = [&](std::size_t slot) {
+      level_of[slot] = next;
+      plan.levels[next++].slot = slot;
+    };
+    place(seed);
+    for (std::size_t t = 0; t < triggers; ++t) {
+      if (t != seed) place(t);
+    }
+    for (std::size_t f = 0; f < spec.facts.size(); ++f) place(triggers + f);
+    // The level at which both slots are bound; kUnbound when one never
+    // is, so the condition waits forever and never fails.
+    auto last_level = [&](std::size_t a, std::size_t b) {
+      std::size_t at = 0;
+      for (std::size_t slot : {a, b}) {
+        if (slot == kUnbound) return kUnbound;
+        if (slot != kConstant) at = std::max(at, level_of[slot]);
+      }
+      return at;
+    };
+    for (const JoinCondition& j : spec.joins) {
+      Join join{operand(j.left), j.op, operand(j.right)};
+      const std::size_t at = last_level(join.left.slot, join.right.slot);
+      if (at != kUnbound) plan.levels[at].joins.push_back(std::move(join));
+    }
+    for (const SpatialCondition& s : spec.spatials) {
+      const Near near{slot_of(s.left_alias), slot_of(s.right_alias), s.max_meters,
+                      s.max_walk_seconds};
+      const std::size_t at = last_level(near.left, near.right);
+      if (at != kUnbound) plan.levels[at].nears.push_back(near);
+    }
+    if (spec.cooldown > 0) {
+      // The emitted event depends only on the aliases its <set>s read.
+      plan.key_level = 0;
+      for (const Assignment& a : spec.emit.sets) {
+        if (a.constant.has_value()) continue;
+        const std::size_t slot = slot_of(a.from_alias);
+        if (slot != kUnbound) plan.key_level = std::max(plan.key_level, level_of[slot]);
+      }
+      const std::size_t key_slot = plan.levels[plan.key_level].slot;
+      plan.key_memo = key_slot < triggers;
+      for (const Assignment& a : spec.emit.sets) {
+        const std::size_t slot = a.constant.has_value() ? kConstant : slot_of(a.from_alias);
+        if (slot < slots && slot != key_slot) plan.key_memo = false;
       }
     }
-    state.key_depth.push_back(r.cooldown > 0 ? depth : kNoKey);
+    r.seeds.push_back(std::move(plan));
   }
-  state.type_value = r.emit.type;
-  state.name_value = r.name;
-  states_.push_back(std::move(state));
+
+  // Join pushdown: an equality join between a fact and a constant or an
+  // alias bound before it becomes an extra probe constraint, so the
+  // knowledge-base index narrows candidates to the joined value instead
+  // of every fact matching the base filter ("pref.user = loc.user"
+  // probes user=bob, not all preferences).
+  for (std::size_t f = 0; f < spec.facts.size(); ++f) {
+    const FactPattern& pattern = spec.facts[f];
+    FactProbe fact;
+    fact.probe = pattern.filter;
+    fact.base = pattern.filter.constraints().size();
+    for (const JoinCondition& j : spec.joins) {
+      if (j.op != event::Op::kEq) continue;
+      const match::Operand* fact_side = &j.left;
+      const match::Operand* other_side = &j.right;
+      if (j.left.constant.has_value() || j.left.alias != pattern.alias) {
+        if (j.right.constant.has_value() || j.right.alias != pattern.alias) continue;
+        std::swap(fact_side, other_side);
+      }
+      Operand other = operand(*other_side);
+      if (other.slot != kConstant && (other.slot == kUnbound || other.slot >= triggers + f)) {
+        continue;  // not bound before this fact
+      }
+      fact.pushdowns.push_back(Pushdown{Attr{fact_side->attr}, std::move(other)});
+    }
+    r.facts.push_back(std::move(fact));
+  }
+
+  r.names = {EmitName{Attr{"type"}}, EmitName{Attr{"rule"}}};
+  for (const Assignment& a : spec.emit.sets) {
+    std::size_t name = 0;
+    while (name < r.names.size() && r.names[name].attr.name != a.name) ++name;
+    if (name == r.names.size()) r.names.push_back(EmitName{Attr{a.name}, a.name != "time"});
+    r.sets.push_back(Assign{name, a.constant.has_value()
+                                      ? Operand{kConstant, {}, *a.constant}
+                                      : Operand{slot_of(a.from_alias), Attr{a.from_attr}, {}}});
+  }
+  r.type_value = spec.emit.type;
+  r.name_value = spec.name;
+  max_cooldown_ = std::max(max_cooldown_, spec.cooldown);
+  rules_.push_back(std::move(r));
 }
 
 bool MatchEngine::remove_rule(const std::string& name) {
-  for (auto it = states_.begin(); it != states_.end(); ++it) {
+  for (auto it = rules_.begin(); it != rules_.end(); ++it) {
     if (it->rule.name == name) {
-      states_.erase(it);
+      rules_.erase(it);
       return true;
     }
   }
@@ -88,17 +167,48 @@ bool MatchEngine::remove_rule(const std::string& name) {
 }
 
 bool MatchEngine::handles_type(const std::string& type) const {
-  for (const RuleState& state : states_) {
-    if (state.rule.could_handle_type(type)) return true;
+  for (const CompiledRule& r : rules_) {
+    if (r.rule.could_handle_type(type)) return true;
   }
   return false;
 }
 
-void MatchEngine::expire(RuleState& state, SimTime now) {
-  for (const auto& t : state.rule.triggers) {
-    auto& window = state.windows[t.alias];
+const event::AttrValue* MatchEngine::read(Operand& op,
+                                          const std::vector<const event::Event*>& binding) {
+  if (op.slot == kConstant) return &op.constant;
+  if (op.slot == kUnbound) return nullptr;
+  return op.attr.in(*binding[op.slot]);
+}
+
+// A bound alias lacking a joined attribute fails the condition.
+bool MatchEngine::holds(Level& level, const std::vector<const event::Event*>& binding) {
+  for (Join& j : level.joins) {
+    const event::AttrValue* left = read(j.left, binding);
+    const event::AttrValue* right = read(j.right, binding);
+    if (left == nullptr || right == nullptr || !event::op_matches(j.op, *left, *right)) {
+      return false;
+    }
+  }
+  for (const Near& near : level.nears) {
+    const event::Event& l = *binding[near.left];
+    const event::Event& r = *binding[near.right];
+    const auto llat = real_of(lat_.in(l)), llon = real_of(lon_.in(l));
+    const auto rlat = real_of(lat_.in(r)), rlon = real_of(lon_.in(r));
+    if (!llat || !llon || !rlat || !rlon) return false;
+    const GeoPoint a{*llat, *llon};
+    const GeoPoint b{*rlat, *rlon};
+    if (near.max_meters >= 0 && geo_distance_m(a, b) > near.max_meters) return false;
+    if (near.max_walk_seconds >= 0 && walking_time_s(a, b) > near.max_walk_seconds) return false;
+  }
+  return true;
+}
+
+void MatchEngine::expire(CompiledRule& r, SimTime now) {
+  for (std::size_t t = 0; t < r.windows.size(); ++t) {
+    auto& window = r.windows[t];
+    const SimTime oldest = now - r.rule.triggers[t].window;
     while (!window.empty() &&
-           (window.front().time() < now - t.window || window.size() > kMaxWindowEvents)) {
+           (window.front().time < oldest || window.size() > kMaxWindowEvents)) {
       window.pop_front();
     }
   }
@@ -106,137 +216,164 @@ void MatchEngine::expire(RuleState& state, SimTime now) {
 
 void MatchEngine::on_event(const event::Event& e, SimTime now, const Sink& sink) {
   ++stats_.events_processed;
-  for (RuleState& state : states_) {
-    expire(state, now);
+  for (CompiledRule& r : rules_) {
+    expire(r, now);
     // An arriving event seeds at most one firing attempt per trigger it
     // matches; it joins other aliases only via their windows, so a
     // single event never binds two aliases of the same firing.
-    std::vector<std::size_t> matching;
-    for (std::size_t i = 0; i < state.rule.triggers.size(); ++i) {
-      if (state.rule.triggers[i].filter.matches(e)) matching.push_back(i);
+    seeds_.clear();
+    for (std::size_t i = 0; i < r.rule.triggers.size(); ++i) {
+      if (r.rule.triggers[i].filter.matches(e)) seeds_.push_back(i);
     }
-    for (std::size_t i : matching) {
+    for (std::size_t i : seeds_) {
       ++stats_.trigger_matches;
-      try_fire(state, i, e, now, sink);
+      SeedPlan& seed = r.seeds[i];
+      r.binding[i] = &e;
+      if (holds(seed.levels[0], r.binding)) descend(r, seed, 0, now, sink, nullptr);
     }
-    for (std::size_t i : matching) {
-      state.windows[state.rule.triggers[i].alias].push_back(e);
-    }
+    for (std::size_t i : seeds_) r.windows[i].push_back(WindowEntry{e, e.time()});
   }
 }
 
-void MatchEngine::try_fire(RuleState& state, std::size_t seed_trigger, const event::Event& seed,
-                           SimTime now, const Sink& sink) {
-  Binding binding;
-  binding.emplace_back(state.rule.triggers[seed_trigger].alias, &seed);
-  if (conditions_hold(state.rule, binding)) descend(state, binding, seed_trigger, now, sink);
-}
-
-// `binding` satisfies the rule's conditions so far.  Returns true when a
-// completion fired beneath the depth where its key was decided: every
-// other completion up to that depth would emit the same, cooling event.
-bool MatchEngine::descend(RuleState& state, Binding& binding, std::size_t seed_trigger,
-                          SimTime now, const Sink& sink) {
-  if (binding.size() != state.key_depth[seed_trigger]) {
-    return extend(state, binding, seed_trigger, now, sink);
-  }
+// Levels 0..`level` of `seed` are bound and hold; `cooling_until` is
+// the memo of the window entry bound at `level`, if any.  Returns true
+// when a completion fired beneath the level where its key was decided:
+// every other completion up to that level would emit the same, cooling
+// event.
+bool MatchEngine::descend(CompiledRule& r, SeedPlan& seed, std::size_t level, SimTime now,
+                          const Sink& sink, SimTime* cooling_until) {
+  if (level != seed.key_level) return extend(r, seed, level + 1, now, sink);
   // Every completion of this binding has one key, and `now` is fixed for
   // the whole call, so a cooling key stays cooling for all of them.
-  render_key(state, binding);
-  const auto it = last_fired_.find(key_);
-  if (it != last_fired_.end() && now - it->second < state.rule.cooldown) {
+  const bool memo = seed.key_memo && cooling_until != nullptr;
+  if (memo && now < *cooling_until) {
     ++stats_.cooldown_suppressed;
+    return false;
+  }
+  const bool settled = render_key(r);
+  const auto it = last_fired_.find(key_);
+  if (it != last_fired_.end() && now - it->second < r.rule.cooldown) {
+    ++stats_.cooldown_suppressed;
+    // The key is this window event's alone and, its names all interned,
+    // renders the same from now on; its fire time only grows, and `now`
+    // never decreases, so it cools at least this long.
+    if (memo && settled) *cooling_until = it->second + r.rule.cooldown;
   } else {
-    extend(state, binding, seed_trigger, now, sink);
+    extend(r, seed, level + 1, now, sink);
   }
   return false;
 }
 
-bool MatchEngine::extend(RuleState& state, Binding& binding, std::size_t seed_trigger,
-                         SimTime now, const Sink& sink) {
-  const Rule& rule = state.rule;
-  const std::size_t depth = binding.size();
-  auto try_candidate = [&](const std::string& alias, const event::Event* candidate) {
+// Binds `level` of `seed` to each candidate in turn: the window's live
+// events for a trigger, the probe's facts for a fact pattern.
+bool MatchEngine::extend(CompiledRule& r, SeedPlan& seed, std::size_t level, SimTime now,
+                         const Sink& sink) {
+  if (level == seed.levels.size()) return fire(r, now, sink);
+  Level& at = seed.levels[level];
+  auto try_candidate = [&](const event::Event* candidate, SimTime* cooling_until) {
     ++stats_.candidate_bindings;
-    binding.emplace_back(alias, candidate);
-    const bool done =
-        conditions_hold(rule, binding) && descend(state, binding, seed_trigger, now, sink);
-    binding.pop_back();
-    return done;
+    r.binding[at.slot] = candidate;
+    return holds(at, r.binding) && descend(r, seed, level, now, sink, cooling_until);
   };
-  if (depth < rule.triggers.size()) {
-    // The triggers in index order, skipping the seed's.
-    const auto& trigger = rule.triggers[depth - 1 < seed_trigger ? depth - 1 : depth];
-    for (const event::Event& candidate : state.windows[trigger.alias]) {
-      if (candidate.time() < now - trigger.window) continue;  // stale
-      if (try_candidate(trigger.alias, &candidate)) return true;
+  if (at.slot < r.windows.size()) {
+    const SimTime oldest = now - r.rule.triggers[at.slot].window;
+    for (WindowEntry& candidate : r.windows[at.slot]) {
+      if (candidate.time < oldest) continue;  // stale
+      if (try_candidate(&candidate.event, &candidate.cooling_until)) return true;
     }
     return false;
   }
-  if (depth < rule.triggers.size() + rule.facts.size()) {
-    const FactPattern& pattern = rule.facts[depth - rule.triggers.size()];
-    for (const Fact* fact : kb_.query(fact_probe(rule, pattern, binding))) {
-      if (try_candidate(pattern.alias, fact)) return true;
-    }
-    return false;
+  for (const Fact* fact : probe(r, r.facts[at.slot - r.windows.size()])) {
+    if (try_candidate(fact, nullptr)) return true;
   }
-  return fire(state, binding, now, sink);
+  return false;
 }
 
-// Renders into key_ the cooldown key of the event `binding` would emit,
-// byte for byte rule.name + "|" + each attribute of
-// emitted_event(rule, binding, now) in AtomId order as "name=value;",
-// "time" left out — without building the event.  Later assignments
-// overwrite earlier ones, and "rule" is stamped last.  A name nothing
-// has interned yet sorts after every interned one, in the order
-// emitted_event's set() calls would intern it.
-void MatchEngine::render_key(const RuleState& state, const Binding& binding) {
-  key_parts_.clear();
-  std::uint64_t unseen = std::uint64_t{1} << 32;
-  auto put = [&](const std::string& name, const event::AttrValue& value) {
-    if (name == kTimeName) return;  // overwritten by the emission time
-    for (KeyPart& part : key_parts_) {
-      if (*part.name == name) {
-        part.value = &value;
-        return;
-      }
+const std::vector<const Fact*>& MatchEngine::probe(CompiledRule& r, FactProbe& fact) {
+  fact.probe.truncate(fact.base);
+  for (Pushdown& p : fact.pushdowns) {
+    if (const event::AttrValue* v = read(p.other, r.binding)) {
+      fact.probe.where(p.fact_attr.interned(), event::Op::kEq, *v);
     }
-    const event::AtomId atom = event::lookup_atom(name);
-    key_parts_.push_back({atom == event::kNoAtom ? unseen++ : atom, &name, &value});
-  };
-  put(kTypeName, state.type_value);
-  for (const Assignment& a : state.rule.emit.sets) {
-    if (const event::AttrValue* v = assigned_value(a, binding)) put(a.name, *v);
   }
-  put(kRuleName, state.name_value);
+  kb_.query(fact.probe, fact.found);
+  return fact.found;
+}
+
+// Renders into key_ the cooldown key of the event the binding would
+// emit, byte for byte rule.name + "|" + each attribute of that event in
+// AtomId order as "name=value;", "time" left out — without building the
+// event.  Later assignments overwrite earlier ones (a missing source
+// leaves the earlier value), and "rule" is stamped last.  A name nothing
+// has interned yet sorts after every interned one, in the order fire()'s
+// set() calls would intern it.  Returns true when every part's name
+// was interned, so the binding renders this key from now on.
+bool MatchEngine::render_key(CompiledRule& r) {
+  for (EmitName& n : r.names) n.value = nullptr;
+  const std::uint64_t first_unseen = std::uint64_t{1} << 32;
+  std::uint64_t unseen = first_unseen;
+  auto put = [&](EmitName& n, const event::AttrValue& value) {
+    if (!n.in_key) return;
+    if (n.value == nullptr) n.order = n.attr.resolved() ? n.attr.atom : unseen++;
+    n.value = &value;
+  };
+  put(r.names[kTypeName], r.type_value);
+  for (Assign& a : r.sets) {
+    if (const event::AttrValue* v = read(a.source, r.binding)) put(r.names[a.name], *v);
+  }
+  put(r.names[kRuleName], r.name_value);
+  key_parts_.clear();
+  for (const EmitName& n : r.names) {
+    if (n.value != nullptr) key_parts_.push_back(&n);
+  }
   std::sort(key_parts_.begin(), key_parts_.end(),
-            [](const KeyPart& a, const KeyPart& b) { return a.order < b.order; });
-  key_.assign(state.rule.name);
+            [](const EmitName* a, const EmitName* b) { return a->order < b->order; });
+  key_.assign(r.rule.name);
   key_ += '|';
-  for (const KeyPart& part : key_parts_) {
-    key_ += *part.name;
+  for (const EmitName* n : key_parts_) {
+    key_ += n->attr.name;
     key_ += '=';
-    if (part.value->is_string()) {
-      key_ += part.value->str();
-    } else {
-      key_ += part.value->to_text();
-    }
+    n->value->append_text(key_);
     key_ += ';';
   }
+  return unseen == first_unseen;
 }
 
-bool MatchEngine::fire(RuleState& state, const Binding& binding, SimTime now,
-                       const Sink& sink) {
-  const event::Event out = emitted_event(state.rule, binding, now);
-  if (state.rule.cooldown > 0) {
+// Records that key_ fired at `now`.  A key idle for the longest cooldown
+// of any rule added can cool no binding again (`now` never decreases),
+// so the sweep drops exactly the entries no lookup could find cooling.
+void MatchEngine::remember_key(SimTime now) {
+  last_fired_.insert_or_assign(key_, now);
+  if (last_fired_.size() >= sweep_at_) {
+    std::erase_if(last_fired_,
+                  [&](const auto& entry) { return now - entry.second >= max_cooldown_; });
+    sweep_at_ = std::max(kMinSweep, 2 * last_fired_.size());
+  }
+  stats_.cooldown_keys = last_fired_.size();
+}
+
+// The event is built with the oracle's emitted_event steps in its order
+// (type, each present <set>, time, rule), so names are interned as
+// they always were.
+bool MatchEngine::fire(CompiledRule& r, SimTime now, const Sink& sink) {
+  event::Event out(r.rule.emit.type);
+  for (Assign& a : r.sets) {
+    if (const event::AttrValue* v = read(a.source, r.binding)) {
+      out.set(r.names[a.name].attr.interned(), *v);
+    }
+  }
+  out.set_time(now);
+  out.set(r.names[kRuleName].attr.interned(), r.name_value);
+  const bool cooled = r.rule.cooldown > 0;
+  if (cooled) {
     // descend() found this key idle; re-render it now that the event's
     // names are interned, so the stored key is exactly the emitted one's.
-    render_key(state, binding);
-    last_fired_[key_] = now;
+    render_key(r);
+    remember_key(now);
   }
   ++stats_.matches_emitted;
   sink(out);
-  return state.rule.cooldown > 0;
+  return cooled;
 }
 
 }  // namespace aa::match

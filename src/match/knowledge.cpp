@@ -67,6 +67,13 @@ std::vector<std::pair<FactId, const Fact*>> KnowledgeBase::snapshot() const {
 }
 
 std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const {
+  std::vector<const Fact*> out;
+  query(filter, out);
+  return out;
+}
+
+void KnowledgeBase::query(const event::Filter& filter, std::vector<const Fact*>& out) const {
+  out.clear();
   // Choose the most selective string-equality constraint as the index
   // probe.
   const std::set<FactId>* candidates = nullptr;
@@ -76,14 +83,13 @@ std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const
     if (it == index_.end()) {
       // Indexed attribute with no entry: nothing can match.
       ++stats_.indexed_queries;
-      return {};
+      return;
     }
     if (candidates == nullptr || it->second.size() < candidates->size()) {
       candidates = &it->second;
     }
   }
 
-  std::vector<const Fact*> out;
   if (candidates != nullptr) {
     ++stats_.indexed_queries;
     for (FactId id : *candidates) {
@@ -98,7 +104,6 @@ std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const
       if (filter.matches(f)) out.push_back(&f);
     }
   }
-  return out;
 }
 
 }  // namespace aa::match

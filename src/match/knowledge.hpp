@@ -45,10 +45,13 @@ class KnowledgeBase {
   const Fact* fact(FactId id) const;
   std::size_t size() const { return facts_.size(); }
 
-  /// All facts matching the filter.  Uses the inverted index when the
-  /// filter has at least one string-equality constraint; scans
-  /// otherwise.
+  /// All facts matching the filter, in id order.  Uses the inverted
+  /// index when the filter has at least one string-equality constraint;
+  /// scans otherwise.
   std::vector<const Fact*> query(const event::Filter& filter) const;
+  /// The same, written into `out` (cleared first), so a caller probing
+  /// per event reuses one buffer.
+  void query(const event::Filter& filter, std::vector<const Fact*>& out) const;
 
   /// Every (id, fact) pair in id order (replication state transfer, and
   /// the naive baseline's unindexed scan).

@@ -2,14 +2,12 @@
 
 #include <cstdlib>
 
-#include "common/geo.hpp"
 #include "event/filter_parser.hpp"
 
 namespace aa::match {
 
 bool Rule::could_handle_type(const std::string& type) const {
   for (const TriggerPattern& t : triggers) {
-    event::Event probe(type);
     // A trigger "could handle" the type if its constraints on the type
     // attribute accept it (other attributes unconstrained here).
     bool type_ok = true;
@@ -23,78 +21,6 @@ bool Rule::could_handle_type(const std::string& type) const {
     if (type_ok) return true;
   }
   return false;
-}
-
-const event::Event* bound(const Binding& binding, const std::string& alias) {
-  for (const auto& [a, e] : binding) {
-    if (a == alias) return e;
-  }
-  return nullptr;
-}
-
-namespace {
-std::optional<event::AttrValue> resolve(const Operand& op, const Binding& binding) {
-  if (op.constant.has_value()) return op.constant;
-  const event::Event* e = bound(binding, op.alias);
-  if (e == nullptr) return std::nullopt;
-  const event::AttrValue* v = e->get(op.attr);
-  if (v == nullptr) return std::nullopt;
-  return *v;
-}
-}  // namespace
-
-bool join_holds(const JoinCondition& join, const Binding& binding) {
-  // Unbound alias: defer (vacuously true for partial bindings).
-  if (!join.left.constant.has_value() && bound(binding, join.left.alias) == nullptr) return true;
-  if (!join.right.constant.has_value() && bound(binding, join.right.alias) == nullptr) {
-    return true;
-  }
-  const auto left = resolve(join.left, binding);
-  const auto right = resolve(join.right, binding);
-  // Bound but attribute missing: the condition fails.
-  if (!left.has_value() || !right.has_value()) return false;
-  const event::Constraint c{"", join.op, *right};
-  return c.matches(*left);
-}
-
-bool spatial_holds(const SpatialCondition& cond, const Binding& binding) {
-  const event::Event* l = bound(binding, cond.left_alias);
-  const event::Event* r = bound(binding, cond.right_alias);
-  if (l == nullptr || r == nullptr) return true;  // defer
-  const auto llat = l->get_real("lat"), llon = l->get_real("lon");
-  const auto rlat = r->get_real("lat"), rlon = r->get_real("lon");
-  if (!llat || !llon || !rlat || !rlon) return false;
-  const GeoPoint a{*llat, *llon};
-  const GeoPoint b{*rlat, *rlon};
-  if (cond.max_meters >= 0 && geo_distance_m(a, b) > cond.max_meters) return false;
-  if (cond.max_walk_seconds >= 0 && walking_time_s(a, b) > cond.max_walk_seconds) return false;
-  return true;
-}
-
-bool conditions_hold(const Rule& rule, const Binding& binding) {
-  for (const auto& j : rule.joins) {
-    if (!join_holds(j, binding)) return false;
-  }
-  for (const auto& s : rule.spatials) {
-    if (!spatial_holds(s, binding)) return false;
-  }
-  return true;
-}
-
-const event::AttrValue* assigned_value(const Assignment& a, const Binding& binding) {
-  if (a.constant.has_value()) return &*a.constant;
-  const event::Event* src = bound(binding, a.from_alias);
-  return src == nullptr ? nullptr : src->get(a.from_attr);
-}
-
-event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now) {
-  event::Event out(rule.emit.type);
-  for (const auto& a : rule.emit.sets) {
-    if (const event::AttrValue* v = assigned_value(a, binding)) out.set(a.name, *v);
-  }
-  out.set_time(now);
-  out.set("rule", rule.name);
-  return out;
 }
 
 // --- XML form ---
@@ -216,6 +142,19 @@ Result<Rule> Rule::from_xml(const xml::Element& element) {
     auto filter = event::parse_filter(*filter_text);
     if (!filter.is_ok()) return filter.status();
     rule.facts.push_back(FactPattern{*alias, std::move(filter).value()});
+  }
+
+  // Joins, spatial conditions and <set>s name bound events by alias, so
+  // a repeated one would be ambiguous.
+  std::vector<const std::string*> aliases;
+  for (const TriggerPattern& t : rule.triggers) aliases.push_back(&t.alias);
+  for (const FactPattern& f : rule.facts) aliases.push_back(&f.alias);
+  for (std::size_t i = 0; i < aliases.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (*aliases[i] == *aliases[j]) {
+        return Status(Code::kInvalidArgument, "<rule> repeats alias '" + *aliases[i] + "'");
+      }
+    }
   }
 
   for (const xml::Element* j : element.children_named("join")) {

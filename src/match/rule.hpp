@@ -19,6 +19,13 @@
 //     meaningful) than the input events"), with a cooldown to suppress
 //     repeated identical suggestions.
 //
+// Every trigger and fact names a distinct alias: joins, spatial
+// conditions and <set>s refer to bound events by alias, so a repeat
+// would be ambiguous.  from_xml rejects one, and MatchEngine::add_rule
+// takes distinct aliases as its precondition.  MatchEngine compiles a
+// rule once into slot-indexed form; baselines::NaiveEngine interprets
+// it by alias as the tests' oracle.
+//
 // Rules serialise to XML, which is what lets handler code travel as
 // bundles through the storage architecture to discovery matchlets (§5).
 #pragma once
@@ -105,27 +112,5 @@ class Rule {
   std::string to_xml_string() const;
   static Result<Rule> parse(std::string_view text);
 };
-
-/// A consistent binding of aliases to events/facts during evaluation.
-using Binding = std::vector<std::pair<std::string, const event::Event*>>;
-
-const event::Event* bound(const Binding& binding, const std::string& alias);
-
-/// Evaluates one join condition; conditions over unbound aliases are
-/// vacuously true (they are re-checked once everything is bound).
-bool join_holds(const JoinCondition& join, const Binding& binding);
-/// Evaluates one spatial condition under the same convention.
-bool spatial_holds(const SpatialCondition& cond, const Binding& binding);
-/// True when every join and spatial condition of `rule` holds for a
-/// (possibly partial) binding.
-bool conditions_hold(const Rule& rule, const Binding& binding);
-
-/// The value `a` assigns under `binding`: its constant, or the bound
-/// alias's attribute; null when the alias is unbound or lacks it.
-const event::AttrValue* assigned_value(const Assignment& a, const Binding& binding);
-
-/// The event `rule` synthesises from a complete binding at `now`: the
-/// emit spec's assignments, stamped with `now` and the rule's name.
-event::Event emitted_event(const Rule& rule, const Binding& binding, SimTime now);
 
 }  // namespace aa::match

@@ -592,8 +592,12 @@ void store_crash_recover_round(storage::StoreTier tier, std::uint64_t seed) {
     EXPECT_GE(dur.recoveries, 1u);
     EXPECT_GT(dur.write_amplification(), 0.0);
   }
-  if (tier == storage::StoreTier::kLogged) EXPECT_GT(dur.wal_appends, 0u);
-  if (tier == storage::StoreTier::kPersistent) EXPECT_GT(dur.checkpoints, 0u);
+  if (tier == storage::StoreTier::kLogged) {
+    EXPECT_GT(dur.wal_appends, 0u);
+  }
+  if (tier == storage::StoreTier::kPersistent) {
+    EXPECT_GT(dur.checkpoints, 0u);
+  }
 }
 
 TEST(Chaos, StoreNodeCrashRecoverConvergesInAllTiers) {

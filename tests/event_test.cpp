@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -34,7 +35,7 @@ TEST(AttrValue, TypesAndAccessors) {
 }
 
 TEST(AttrValue, TextRoundTrip) {
-  for (const AttrValue v :
+  for (const AttrValue& v :
        {AttrValue("hello"), AttrValue(-42), AttrValue(3.25), AttrValue(true)}) {
     auto back = AttrValue::from_text(v.type(), v.to_text());
     ASSERT_TRUE(back.is_ok());
@@ -635,6 +636,40 @@ TEST(FilterParser, RoundTripThroughDescribe) {
     ASSERT_TRUE(back.is_ok()) << want.describe();
     EXPECT_EQ(back.value(), want);
   }
+
+  // A real reads back as the same real, never as an int or a bareword
+  // string: integral ones, -0.0, the infinities, NaN, and the edges of
+  // to_text's exponent-free spelling.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {20.0, -3.0, -0.0, 0.0, kInf, -kInf, 1e308, 20.5, 5e-324,
+                         99999999999999984.0, 1e17, -1e17,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    Filter real;
+    real.where("celsius", Op::kGt, v).where("type", Op::kEq, "temp");
+    const std::string text = real.describe();
+    EXPECT_EQ(real.describe_size(), text.size()) << text;
+    auto back = parse_filter(text);
+    ASSERT_TRUE(back.is_ok()) << text << ": " << back.status().to_string();
+    ASSERT_EQ(back.value().constraints().size(), 2u) << text;
+    const AttrValue& got = back.value().constraints()[0].value;
+    ASSERT_TRUE(got.is_real()) << text;
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(got.real())) << text;
+    } else {
+      EXPECT_EQ(got.real(), v) << text;
+      EXPECT_EQ(std::signbit(got.real()), std::signbit(v)) << text;
+      EXPECT_EQ(back.value(), real) << text;
+    }
+  }
+  EXPECT_EQ(Filter().where("celsius", Op::kGt, 20.0).describe(), "celsius > 20.0");
+  EXPECT_EQ(Filter().where("celsius", Op::kGt, -kInf).describe(), "celsius > -inf");
+  // The unsigned spellings still lex as words, so they may name an
+  // attribute; as a value they read as reals.
+  auto named = parse_filter("inf = nan");
+  ASSERT_TRUE(named.is_ok());
+  EXPECT_EQ(named.value().constraints()[0].attribute(), "inf");
+  EXPECT_TRUE(named.value().constraints()[0].value.is_real());
 }
 
 // --- FilterIndex ---

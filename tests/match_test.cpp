@@ -129,6 +129,23 @@ TEST(RuleXml, RejectsMalformed) {
       Rule::parse("<rule name=\"x\"><trigger alias=\"a\" filter=\"t = 1\"/></rule>").is_ok());
 }
 
+TEST(RuleXml, RejectsRepeatedAlias) {
+  // Conditions and <set>s name bound events by alias, so each trigger
+  // and fact needs its own.
+  const std::string emit = "<emit type=\"e\"/>";
+  EXPECT_TRUE(Rule::parse("<rule name=\"x\"><trigger alias=\"a\" filter=\"t = 1\"/>"
+                          "<trigger alias=\"b\" filter=\"t = 2\"/>" + emit + "</rule>")
+                  .is_ok());
+  const auto twice = Rule::parse("<rule name=\"x\"><trigger alias=\"a\" filter=\"t = 1\"/>"
+                                 "<trigger alias=\"a\" filter=\"t = 2\"/>" + emit + "</rule>");
+  ASSERT_FALSE(twice.is_ok());
+  EXPECT_EQ(twice.status().code(), Code::kInvalidArgument);
+  const auto fact = Rule::parse("<rule name=\"x\"><trigger alias=\"a\" filter=\"t = 1\"/>"
+                                "<fact alias=\"a\" filter=\"kind = k\"/>" + emit + "</rule>");
+  ASSERT_FALSE(fact.is_ok());
+  EXPECT_EQ(fact.status().code(), Code::kInvalidArgument);
+}
+
 // --- Engine semantics ---
 
 struct EngineFixture {
@@ -477,6 +494,252 @@ TEST(NaiveEquivalence, SameSuggestionsUnderCooldown) {
     EXPECT_EQ(got, want) << rule.to_xml_string();
     EXPECT_GT(engine.stats().cooldown_suppressed, 0u);
   }
+}
+
+TEST(Engine, JoinsOnAttributeInternedAfterAddRule) {
+  // Compiling interns nothing: a joined (and emitted) name no event has
+  // carried yet is resolved once something interns it, and the rule
+  // joins from then on.
+  const std::string attr = "badge_first_seen_after_add_rule";
+  const std::string emitted = "badge_emitted_after_add_rule";
+  ASSERT_EQ(event::lookup_atom(attr), event::kNoAtom);
+  ASSERT_EQ(event::lookup_atom(emitted), event::kNoAtom);
+  EngineFixture fx;
+  Rule rule;
+  rule.name = "late";
+  rule.cooldown = duration::minutes(1);
+  rule.triggers = {
+      {"a", f("type = alpha"), duration::minutes(5)},
+      {"b", f("type = beta"), duration::minutes(5)},
+  };
+  rule.joins = {{Operand::ref("a", attr), Op::kEq, Operand::ref("b", attr)}};
+  rule.emit.type = "pair";
+  rule.emit.sets = {{emitted, std::nullopt, "b", attr}};
+  fx.engine.add_rule(rule);
+  EXPECT_EQ(event::lookup_atom(attr), event::kNoAtom);
+  EXPECT_EQ(event::lookup_atom(emitted), event::kNoAtom);
+
+  // Events lacking the attribute: the join is tested and fails, and
+  // testing it interns nothing either.
+  fx.engine.on_event(Event("beta").set_time(500), 500, fx.sink);
+  fx.engine.on_event(Event("alpha").set_time(1000), 1000, fx.sink);
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 1u);
+  EXPECT_EQ(event::lookup_atom(attr), event::kNoAtom);
+  Event alpha("alpha");
+  alpha.set(attr, "b7").set_time(2000);
+  fx.engine.on_event(alpha, 2000, fx.sink);
+  Event beta("beta");
+  beta.set(attr, "b7").set_time(3000);
+  fx.engine.on_event(beta, 3000, fx.sink);
+  ASSERT_EQ(fx.out.size(), 1u);
+  EXPECT_EQ(fx.out[0].get_string(emitted).value(), "b7");
+  // The emitted name is interned now, and the key rendered before that
+  // is the one the repeat finds cooling.
+  beta.set_time(4000);
+  fx.engine.on_event(beta, 4000, fx.sink);
+  EXPECT_EQ(fx.out.size(), 1u);
+  EXPECT_EQ(fx.engine.stats().cooldown_suppressed, 1u);
+}
+
+TEST(Engine, CooldownKeysAreSweptOnceIdle) {
+  // A new user a minute, each repeated four minutes later, inside its
+  // five-minute cooldown: the table keeps the keys still cooling, not
+  // all 10^4 that fired, and no sweep drops a key a repeat would find
+  // cooling.
+  constexpr int kUsers = 10000;
+  EngineFixture fx;
+  Rule rule;
+  rule.name = "per-user";
+  rule.cooldown = duration::minutes(5);
+  rule.triggers = {{"loc", f("type = user-location"), duration::minutes(1)}};
+  rule.emit.type = "seen";
+  rule.emit.sets = {{"user", std::nullopt, "loc", "user"}};
+  fx.engine.add_rule(rule);
+  std::uint64_t most_keys = 0;
+  for (int i = 0; i < kUsers + 4; ++i) {
+    const SimTime t = i * duration::minutes(1);
+    if (i < kUsers) {
+      fx.engine.on_event(loc_event("u" + std::to_string(i), 56.0, -2.0, t), t, fx.sink);
+    }
+    if (i >= 4) {
+      fx.engine.on_event(loc_event("u" + std::to_string(i - 4), 56.0, -2.0, t), t, fx.sink);
+    }
+    most_keys = std::max(most_keys, fx.engine.stats().cooldown_keys);
+  }
+  EXPECT_EQ(fx.out.size(), static_cast<std::size_t>(kUsers));
+  EXPECT_EQ(fx.engine.stats().cooldown_suppressed, static_cast<std::uint64_t>(kUsers));
+  EXPECT_GE(most_keys, 5u);
+  EXPECT_LE(most_keys, 64u);  // the sweep's floor
+}
+
+TEST(Engine, FactProbesPushDownBoundJoinValues) {
+  // An equality join against a bound alias or a constant narrows the
+  // fact probe to the joined value.  A bound event lacking the joined
+  // attribute pushes nothing, so every fact the rest of the probe
+  // admits is a candidate, and each fails the join.
+  EngineFixture fx;
+  for (int u = 0; u < 20; ++u) {
+    Fact pref;
+    pref.set("kind", "preference").set("user", "u" + std::to_string(u)).set("tier", u % 2);
+    fx.kb.add(pref);
+  }
+  Rule rule;
+  rule.name = "probe";
+  rule.triggers = {{"loc", f("type = user-location"), duration::minutes(5)}};
+  rule.facts = {{"pref", f("kind = preference")}};
+  rule.joins = {{Operand::ref("loc", "user"), Op::kEq, Operand::ref("pref", "user")},
+                {Operand::ref("pref", "tier"), Op::kEq, Operand::lit(1)}};
+  rule.emit.type = "hit";
+  rule.emit.sets = {{"user", std::nullopt, "pref", "user"}};
+  fx.engine.add_rule(rule);
+
+  fx.engine.on_event(loc_event("u3", 56.0, -2.0, 1000), 1000, fx.sink);
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 1u);  // user = u3 and tier = 1
+  EXPECT_EQ(fx.out.size(), 1u);
+  fx.engine.on_event(loc_event("u4", 56.0, -2.0, 2000), 2000, fx.sink);
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 1u);  // u4's tier is 0
+  Event anonymous("user-location");
+  anonymous.set_time(3000);
+  fx.engine.on_event(anonymous, 3000, fx.sink);
+  EXPECT_EQ(fx.engine.stats().candidate_bindings, 11u);  // the ten tier-1 preferences
+  EXPECT_EQ(fx.out.size(), 1u);
+}
+
+// A random value of the "user" attribute: the string "5", the int 5
+// and the real 5.0 render the same in an emission key, and join
+// according to AttrValue::compare.
+event::AttrValue random_user(Rng& rng) {
+  switch (rng.below(6)) {
+    case 0: return event::AttrValue("5");
+    case 1: return event::AttrValue(5);
+    case 2: return event::AttrValue(5.0);
+    case 3: return event::AttrValue(7);
+    default: return event::AttrValue("u" + std::to_string(rng.below(2)));
+  }
+}
+
+// Sets each attribute with probability 0.8, so some events and facts
+// lack a joined, emitted or spatial attribute.
+void random_attrs(Event& e, Rng& rng) {
+  if (rng.chance(0.8)) e.set("user", random_user(rng));
+  if (rng.chance(0.8)) e.set("v", static_cast<std::int64_t>(rng.below(4)));
+  if (rng.chance(0.8)) e.set("w", rng.uniform(0.0, 4.0));
+  if (rng.chance(0.8)) e.set("lat", 56.0 + rng.uniform(0.0, 0.01));
+  if (rng.chance(0.8)) e.set("lon", -2.0 + rng.uniform(0.0, 0.01));
+}
+
+// A random rule over aliases t0..t2 (triggers) and f0..f1 (facts).
+// Operands may name "ghost", which the rule never binds, or "zz",
+// which no event carries.
+Rule random_rule(Rng& rng) {
+  static const char* kTypes[] = {"alpha", "beta", "gamma"};
+  static const char* kAttrs[] = {"user", "v", "w", "zz"};
+  static const char* kNames[] = {"user", "x", "type", "rule", "time"};
+  Rule rule;
+  rule.name = "rand";
+  rule.cooldown = rng.chance(0.5) ? 0 : duration::seconds(static_cast<std::int64_t>(30 + rng.below(300)));
+  std::vector<std::string> aliases;
+  const std::uint64_t triggers = 1 + rng.below(3);
+  for (std::uint64_t t = 0; t < triggers; ++t) {
+    aliases.push_back("t" + std::to_string(t));
+    rule.triggers.push_back({aliases.back(), f(std::string("type = ") + kTypes[rng.below(3)]),
+                             duration::seconds(static_cast<std::int64_t>(60 + rng.below(240)))});
+  }
+  // Three triggers take at most one fact, so the oracle's rescans stay
+  // small.
+  const std::uint64_t facts = rng.below(triggers == 3 ? 2 : 3);
+  for (std::uint64_t k = 0; k < facts; ++k) {
+    aliases.push_back("f" + std::to_string(k));
+    rule.facts.push_back({aliases.back(), f(rng.chance(0.5) ? "kind = pref" : "kind exists")});
+  }
+  aliases.push_back("ghost");
+  auto ref = [&] {
+    return Operand::ref(aliases[rng.below(aliases.size())], kAttrs[rng.below(4)]);
+  };
+  auto constant = [&]() -> Operand {
+    switch (rng.below(3)) {
+      case 0: return Operand::lit(random_user(rng));
+      case 1: return Operand::lit(static_cast<std::int64_t>(rng.below(4)));
+      default: return Operand::lit(rng.uniform(0.0, 4.0));
+    }
+  };
+  for (std::uint64_t j = rng.below(4); j > 0; --j) {
+    const auto op = static_cast<Op>(rng.below(static_cast<std::uint64_t>(Op::kExists) + 1));
+    switch (rng.below(4)) {
+      case 0: rule.joins.push_back({constant(), op, ref()}); break;
+      case 1: rule.joins.push_back({ref(), op, constant()}); break;
+      default: rule.joins.push_back({ref(), op, ref()}); break;
+    }
+  }
+  if (rng.chance(0.4)) {
+    rule.spatials.push_back({aliases[rng.below(aliases.size())],
+                             aliases[rng.below(aliases.size())],
+                             rng.chance(0.5) ? rng.uniform(100.0, 1500.0) : -1.0,
+                             rng.chance(0.5) ? rng.uniform(60.0, 900.0) : -1.0});
+  }
+  rule.emit.type = "out";
+  for (std::uint64_t k = rng.below(4); k > 0; --k) {
+    Assignment a;
+    a.name = kNames[rng.below(5)];
+    if (rng.chance(0.3)) {
+      a.constant = random_user(rng);
+    } else {
+      a.from_alias = aliases[rng.below(aliases.size())];
+      a.from_attr = kAttrs[rng.below(4)];
+    }
+    rule.emit.sets.push_back(std::move(a));
+  }
+  if (rng.chance(0.3)) {
+    // A repeated name whose later source is missing keeps the earlier
+    // value.
+    rule.emit.sets.push_back({"x", std::nullopt, "t0", "user"});
+    rule.emit.sets.push_back({"x", std::nullopt, "t0", "zz"});
+  }
+  return rule;
+}
+
+TEST(NaiveEquivalence, RandomRuleShapes) {
+  // The compiled engine against the by-name oracle over random rule
+  // shapes and in-window streams: every Op with constants on either
+  // side, spatial conditions, an alias the rule never binds, <set>s
+  // overriding type, rule and time, a repeated name whose later source
+  // is missing, cooldowns of 0 and more, events lacking joined
+  // attributes, and "user" values "5", 5 and 5.0.
+  constexpr int kRules = 300;
+  constexpr int kEvents = 32;
+  Rng rng(2101);
+  KnowledgeBase kb;
+  for (int k = 0; k < 8; ++k) {
+    Fact fact;
+    fact.set("kind", rng.chance(0.7) ? "pref" : "shop");
+    random_attrs(fact, rng);
+    kb.add(fact);
+  }
+  std::size_t emitted = 0;
+  std::uint64_t suppressed = 0;
+  for (int r = 0; r < kRules; ++r) {
+    const Rule rule = random_rule(rng);
+    MatchEngine engine(kb);
+    engine.add_rule(rule);
+    baselines::NaiveEngine naive(kb);
+    naive.add_rule(rule);
+    std::vector<std::string> got, want;
+    SimTime t = 0;
+    for (int i = 0; i < kEvents; ++i) {
+      t += duration::seconds(static_cast<std::int64_t>(rng.below(40)));
+      static const char* kTypes[] = {"alpha", "beta", "gamma"};
+      Event e(kTypes[rng.below(3)]);
+      random_attrs(e, rng);
+      e.set_time(t);
+      engine.on_event(e, t, [&](const Event& out) { got.push_back(out.describe()); });
+      naive.on_event(e, t, [&](const Event& out) { want.push_back(out.describe()); });
+    }
+    ASSERT_EQ(got, want) << rule.to_xml_string();
+    emitted += got.size();
+    suppressed += engine.stats().cooldown_suppressed;
+  }
+  EXPECT_GT(emitted, 1000u);
+  EXPECT_GT(suppressed, 100u);
 }
 
 // --- Matchlet as pipeline component ---
