@@ -22,7 +22,6 @@
 #include "sim/metrics.hpp"
 #include "pubsub/flooding_network.hpp"
 #include "pubsub/scribe.hpp"
-#include "pubsub/shard_router.hpp"
 #include "pubsub/siena_network.hpp"
 #include "overlay/overlay_network.hpp"
 
@@ -317,15 +316,11 @@ int main(int argc, char** argv) {
                 " satisfies.)\n");
   }
 
-  std::printf("\n(e) Broker-tier client scaling (the million-client trajectory): 16\n"
-              "    brokers, 64 topics, one topic-pinned value-window subscription per\n"
-              "    client, 200 Zipf(s=0.9) publishes.  What must stay sub-linear is\n"
-              "    *interior* state — routing-table entries learned from neighbour\n"
-              "    brokers ('transit') — and per-publish filter evaluations:\n"
-              "    tree      : one overlay, per-subscription covering scans\n"
-              "                (capped at 10^3 clients: the scans are O(N^2))\n"
-              "    tree+agg  : one overlay + covering-based merging (DESIGN.md §11)\n"
-              "    shard+agg : BrokerShardRouter, 4 shards x 4 brokers + merging\n");
+  std::printf("\n(e) Broker-tier client scaling: one siena tree of 16 brokers, 64\n"
+              "    topics, one topic-pinned value-window subscription per client,\n"
+              "    200 Zipf(s=0.9) publishes.  'transit' counts routing-table\n"
+              "    entries learned from neighbour brokers (interior state);\n"
+              "    evals/pub counts FilterIndex probes per publication.\n");
   {
     struct ScaleResult {
       std::size_t transit = 0;    // sum of broker-sourced table entries
@@ -337,7 +332,7 @@ int main(int argc, char** argv) {
     constexpr std::size_t kScaleBrokers = 16;
     constexpr std::size_t kScalePublishers = 16;
     constexpr int kScalePublishes = 200;
-    auto run_scale = [&](std::size_t n, const std::string& mode) {
+    auto run_scale = [&](std::size_t n) {
       ScaleResult out;
       const auto t0 = std::chrono::steady_clock::now();
       sim::Scheduler sched;
@@ -348,60 +343,29 @@ int main(int argc, char** argv) {
       for (sim::HostId h = 0; h < kScaleBrokers; ++h) brokers.push_back(h);
 
       bench::HotspotWorkload workload(64, 0.9, /*seed=*/7);
-      std::unique_ptr<pubsub::BrokerShardRouter> router;
-      std::unique_ptr<pubsub::SienaNetwork> tree;
-      pubsub::EventService* service = nullptr;
-      if (mode == "shard+agg") {
-        pubsub::ShardRouterParams sp;
-        sp.partition_attribute = "topic";
-        sp.shards = 4;
-        sp.aggregation = true;
-        sp.aggregation_groups = 8;
-        router = std::make_unique<pubsub::BrokerShardRouter>(net, brokers, sp);
-        service = router.get();
-      } else {
-        tree = std::make_unique<pubsub::SienaNetwork>(net, brokers);
-        tree->connect_tree();
-        if (mode == "tree+agg") tree->enable_aggregation({"topic", 8});
-        service = tree.get();
-      }
+      pubsub::SienaNetwork tree(net, brokers);
+      tree.connect_tree();
 
       std::uint64_t delivered = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const sim::HostId host = static_cast<sim::HostId>(kScaleBrokers + i);
-        if (router) {
-          // Spread clients across each shard's brokers (auto-attach would
-          // tie-break every client onto the shard's first broker).  The
-          // first kScalePublishers clients also publish, so they attach in
-          // every shard — a Zipf-drawn topic can land on any partition.
-          const std::size_t pinned =
-              router->shard_of_value(event::AttrValue(workload.subscriber_topic(i)));
-          const std::size_t per_shard = kScaleBrokers / 4;
-          for (std::size_t s = 0; s < router->shard_count(); ++s) {
-            if (s != pinned && i >= kScalePublishers) continue;
-            router->shard(s).attach_client(
-                host, static_cast<sim::HostId>(s * per_shard + i % per_shard));
-          }
-        } else {
-          tree->attach_client(host, brokers[i % kScaleBrokers]);
-        }
-        service->subscribe(host, workload.subscriber_filter(i),
-                           [&delivered](const event::Event&) { ++delivered; });
+        tree.attach_client(host, brokers[i % kScaleBrokers]);
+        tree.subscribe(host, workload.subscriber_filter(i),
+                       [&delivered](const event::Event&) { ++delivered; });
         if (i % 4096 == 0) sched.run();  // drain in waves: bounds queue growth
       }
       sched.run();
 
-      const auto before = router ? router->total_broker_stats() : tree->total_broker_stats();
+      const auto before = tree.total_broker_stats();
       for (int p = 0; p < kScalePublishes; ++p) {
-        service->publish(
-            static_cast<sim::HostId>(kScaleBrokers + (p % kScalePublishers)),
-            workload.sample_event("k" + std::to_string(p)));
+        tree.publish(static_cast<sim::HostId>(kScaleBrokers + (p % kScalePublishers)),
+                     workload.sample_event("k" + std::to_string(p)));
         sched.run();
       }
-      const auto after = router ? router->total_broker_stats() : tree->total_broker_stats();
+      const auto after = tree.total_broker_stats();
 
-      out.transit = router ? router->total_transit_entries() : tree->total_transit_entries();
-      out.max_table = router ? router->max_table_entries() : tree->max_table_entries();
+      out.transit = tree.total_transit_entries();
+      out.max_table = tree.max_table_entries();
       out.evals_per_pub =
           static_cast<double>(after.index_probes - before.index_probes) / kScalePublishes;
       out.delivered = delivered;
@@ -411,41 +375,24 @@ int main(int argc, char** argv) {
       return out;
     };
 
-    bench::Table t({"clients", "service", "transit", "max table", "evals/pub", "delivered",
-                    "wall ms"});
+    bench::Table t({"clients", "transit", "max table", "evals/pub", "delivered", "wall ms"});
     for (std::size_t n : {std::size_t{1000}, std::size_t{10000}, std::size_t{100000}}) {
-      std::uint64_t ref_delivered = 0;
-      bool have_ref = false;
-      for (const std::string mode : {"tree", "tree+agg", "shard+agg"}) {
-        if (mode == "tree" && n > 1000) continue;
-        const auto r = run_scale(n, mode);
-        t.row({bench::fmt("%zu", n), mode, bench::fmt("%zu", r.transit),
-               bench::fmt("%zu", r.max_table), bench::fmt("%.1f", r.evals_per_pub),
-               bench::fmt("%llu", (unsigned long long)r.delivered),
-               bench::fmt("%.0f", r.wall_ms)});
-        if (!have_ref) {
-          ref_delivered = r.delivered;
-          have_ref = true;
-        } else if (r.delivered != ref_delivered) {
-          std::printf("  WARNING: %s delivered %llu events at n=%zu, expected %llu!\n",
-                      mode.c_str(), (unsigned long long)r.delivered, n,
-                      (unsigned long long)ref_delivered);
-        }
-        const std::string key = mode == "tree+agg"  ? "tree_agg"
-                                : mode == "shard+agg" ? "shard_agg"
-                                                      : "tree";
-        snap.add(bench::fmt("scale.%s.n%zu.transit", key.c_str(), n), r.transit);
-        snap.add(bench::fmt("scale.%s.n%zu.max_table", key.c_str(), n), r.max_table);
-        snap.add(bench::fmt("scale.%s.n%zu.delivered", key.c_str(), n), r.delivered);
-        snap.add(bench::fmt("scale.%s.n%zu.wall_us", key.c_str(), n),
-                 static_cast<std::uint64_t>(r.wall_ms * 1000.0));
-        snap.add_scaled(bench::fmt("scale.%s.n%zu.evals_per_pub", key.c_str(), n),
-                        r.evals_per_pub);
-      }
+      const auto r = run_scale(n);
+      t.row({bench::fmt("%zu", n), bench::fmt("%zu", r.transit),
+             bench::fmt("%zu", r.max_table), bench::fmt("%.1f", r.evals_per_pub),
+             bench::fmt("%llu", (unsigned long long)r.delivered),
+             bench::fmt("%.0f", r.wall_ms)});
+      snap.add(bench::fmt("scale.tree.n%zu.transit", n), r.transit);
+      snap.add(bench::fmt("scale.tree.n%zu.max_table", n), r.max_table);
+      snap.add(bench::fmt("scale.tree.n%zu.delivered", n), r.delivered);
+      snap.add(bench::fmt("scale.tree.n%zu.wall_us", n),
+               static_cast<std::uint64_t>(r.wall_ms * 1000.0));
+      snap.add_scaled(bench::fmt("scale.tree.n%zu.evals_per_pub", n), r.evals_per_pub);
     }
-    std::printf("(transit entries under aggregation are bounded by groups x overlay\n"
-                " links — flat from 10^3 to 10^5 clients while the unmerged tree's grow\n"
-                " with N; sharding also divides per-broker load by the shard count.)\n");
+    std::printf("(covering bounds transit: the clients share 320 distinct filters\n"
+                " (64 topics x 5 windows), and a filter already forwarded over a link\n"
+                " covers every identical one, so transit stays flat from 10^3 to 10^5\n"
+                " clients.)\n");
   }
 
   std::printf("\n(f) Per-link batching (siena tree, binary codec, bursty publishers —\n"

@@ -19,12 +19,11 @@
 
 namespace aa::bench {
 
-/// Zipf-skewed hotspot workload (the C1 scaling sweep and the
-/// shard-crash chaos scenario): `topics` ranked by popularity with
-/// exponent `s`, so the publish load concentrates on the head ranks
-/// while subscribers pin topics uniformly.  Each subscriber filter adds
-/// a value window on top of its topic pin, keeping edge-exact matching
-/// selective (an aggregated interior hull is strictly wider).
+/// Zipf-skewed hotspot workload (the C1 client-scaling sweep): `topics`
+/// ranked by popularity with exponent `s`, so the publish load
+/// concentrates on the head ranks while subscribers pin topics
+/// uniformly.  Each subscriber filter adds a value window on top of its
+/// topic pin, so the window, not the topic alone, decides delivery.
 class HotspotWorkload {
  public:
   HotspotWorkload(std::size_t topics, double exponent, std::uint64_t seed)
@@ -32,15 +31,12 @@ class HotspotWorkload {
 
   static std::string topic_name(std::size_t rank) { return "topic" + std::to_string(rank); }
 
-  /// The topic of the i-th subscriber (uniform over ranks).
-  std::string subscriber_topic(std::size_t i) const { return topic_name(i % topics_); }
-
-  /// The i-th subscriber's filter: topic pin + value window
-  /// [10*(i%5), 10*(i%5)+30] over published values in [0, 80).
+  /// The i-th subscriber's filter: a topic pin (uniform over ranks) +
+  /// value window [10*(i%5), 10*(i%5)+30] over published values in [0, 80).
   event::Filter subscriber_filter(std::size_t i) const {
     const double lo = static_cast<double>(i % 5) * 10.0;
     event::Filter f;
-    f.where("topic", event::Op::kEq, subscriber_topic(i))
+    f.where("topic", event::Op::kEq, topic_name(i % topics_))
         .where("value", event::Op::kGe, lo)
         .where("value", event::Op::kLe, lo + 30.0);
     return f;
@@ -54,8 +50,6 @@ class HotspotWorkload {
     e.set("key", key);
     return e;
   }
-
-  std::size_t topics() const { return topics_; }
 
  private:
   std::size_t topics_;

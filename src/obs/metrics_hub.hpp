@@ -116,9 +116,6 @@ inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
   reg.add(ns + ".sync_replies", s.sync_replies);
   reg.add(ns + ".sync_retries", s.sync_retries);
   reg.add(ns + ".sync_give_ups", s.sync_give_ups);
-  reg.add(ns + ".aggregate_updates", s.aggregate_updates);
-  reg.add(ns + ".aggregate_retractions", s.aggregate_retractions);
-  reg.add(ns + ".aggregate_absorbed", s.aggregate_absorbed);
   reg.add(ns + ".duplicate_publishes_discarded", s.duplicate_publishes_discarded);
 }
 

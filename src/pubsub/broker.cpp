@@ -8,9 +8,6 @@ namespace aa::pubsub {
 
 namespace {
 constexpr const char* kCkptBase = "broker.ckpt";
-// High bit marks ids of aggregated entries (see Broker::aggregate_id);
-// client subscription ids count up from 1 and never reach it.
-constexpr std::uint64_t kAggregateTag = 1ULL << 63;
 }  // namespace
 
 BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
@@ -27,30 +24,18 @@ BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
   sync_replies += o.sync_replies;
   sync_retries += o.sync_retries;
   sync_give_ups += o.sync_give_ups;
-  aggregate_updates += o.aggregate_updates;
-  aggregate_retractions += o.aggregate_retractions;
-  aggregate_absorbed += o.aggregate_absorbed;
   duplicate_publishes_discarded += o.duplicate_publishes_discarded;
   return *this;
 }
 
-Broker::Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec,
-               std::string broker_proto, std::string client_proto)
-    : net_(net),
-      host_(host),
-      broker_proto_(std::move(broker_proto)),
-      client_proto_(std::move(client_proto)),
-      codec_(codec) {}
+Broker::Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec)
+    : net_(net), host_(host), codec_(codec) {}
 
 void Broker::add_neighbour(sim::HostId broker_host) { neighbours_.insert(broker_host); }
 
 void Broker::remove_neighbour(sim::HostId broker_host) {
   neighbours_.erase(broker_host);
   forwarded_.erase(broker_host);
-  if (aggregation_) {
-    std::erase_if(summaries_,
-                  [&](const auto& kv) { return kv.first.first == broker_host; });
-  }
   std::erase_if(adverts_, [&](const auto& entry) {
     return entry.second.source.kind == Iface::Kind::kBroker &&
            entry.second.source.host == broker_host;
@@ -156,7 +141,7 @@ void Broker::send_broker(sim::HostId neighbour, std::any body, std::size_t wire_
     transport_->send(sim::Packet{host_, neighbour, transport_->protocol(), std::move(body),
                                  wire_size});
   } else {
-    net_.send(sim::Packet{host_, neighbour, broker_proto_, std::move(body), wire_size});
+    net_.send(sim::Packet{host_, neighbour, kBrokerProto, std::move(body), wire_size});
   }
 }
 
@@ -181,10 +166,10 @@ bool Broker::advert_allows(sim::HostId neighbour, const event::Filter& filter) c
 
 void Broker::handle_subscribe(std::uint64_t id, const event::Filter& filter, Iface source) {
   const auto existing = table_.find(id);
-  // An aggregated upstream entry is *updated in place* whenever its
-  // member set shifts: the same id re-arrives with a different filter
-  // and must replace the stale one everywhere (table, index, and any
-  // forwarding of our own derived from it).
+  // A known id can re-arrive with a different filter: a recovery sync
+  // re-installs a peer's current entries, and a client may re-send an
+  // id with a new filter.  The fresh filter replaces the stale one
+  // everywhere (table, index, and any forwarding derived from it).
   const bool changed = existing == table_.end() || !(existing->second.filter == filter);
   // The filter a changed re-subscribe replaces, which may have been
   // covering entries held back toward the neighbours it was forwarded to.
@@ -192,11 +177,6 @@ void Broker::handle_subscribe(std::uint64_t id, const event::Filter& filter, Ifa
   if (changed && existing != table_.end()) replaced = std::move(existing->second.filter);
   table_[id] = Entry{filter, source};
   if (changed) index_.add(id, filter);  // add() replaces a re-added id
-  if (aggregation_) {
-    aggregate_member(id, table_.at(id));
-    checkpoint();
-    return;
-  }
   for (sim::HostId n : neighbours_) {
     if (source.kind == Iface::Kind::kBroker && source.host == n) continue;
     if (forwarded_[n].contains(id)) {
@@ -248,24 +228,6 @@ void Broker::handle_advertise(std::uint64_t id, const event::Filter& filter, Ifa
   // source: re-evaluate everything not yet forwarded that direction.
   if (source.kind != Iface::Kind::kBroker) return;
   const sim::HostId n = source.host;
-  if (aggregation_) {
-    for (const auto& [sid, entry] : table_) {
-      if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == n) continue;
-      if (!advert_allows(n, entry.filter)) continue;
-      const std::size_t group = member_tier_group(entry);
-      auto& summary = summaries_[{n, group}];
-      if (summary.contains(sid)) continue;
-      member_group_[sid] = group;
-      const bool fresh = summary.empty();
-      if (summary.add(sid, entry.filter) || fresh) {
-        aggregate_send(n, group);
-      } else {
-        ++stats_.aggregate_absorbed;
-      }
-    }
-    checkpoint();
-    return;
-  }
   for (const auto& [sid, entry] : table_) {
     if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == n) continue;
     if (forwarded_[n].contains(sid)) continue;
@@ -292,15 +254,6 @@ void Broker::handle_unsubscribe(std::uint64_t id, Iface source) {
 }
 
 void Broker::withdraw(std::uint64_t id, const event::Filter& filter) {
-  if (aggregation_) {
-    auto git = member_group_.find(id);
-    if (git != member_group_.end()) {
-      const std::size_t group = git->second;
-      member_group_.erase(git);
-      aggregate_erase(id, group);
-    }
-    return;
-  }
   for (sim::HostId n : neighbours_) {
     auto fwd = forwarded_.find(n);
     if (fwd == forwarded_.end() || fwd->second.erase(id) == 0) continue;
@@ -308,137 +261,6 @@ void Broker::withdraw(std::uint64_t id, const event::Filter& filter) {
                 codec().size(UnsubscribeMsg{id}));
     reforward_covered(n, filter);
   }
-}
-
-// --- Subscription aggregation ---------------------------------------------
-
-void Broker::enable_aggregation(const BrokerAggregationParams& params) {
-  aggregation_ = true;
-  agg_params_ = params;
-  if (agg_params_.groups == 0) agg_params_.groups = 1;
-  agg_atom_ = event::intern(agg_params_.partition_attribute);
-  // Normally enabled on an empty broker; a populated one re-announces
-  // its state in merged form (stale per-entry forwards upstream keep
-  // attracting events — harmless false positives — until they expire
-  // through a recovery sync).
-  if (!table_.empty()) rebuild_aggregates();
-}
-
-std::size_t Broker::group_of(const event::Filter& filter) const {
-  if (const auto g = event::filter_partition(filter, agg_atom_, agg_params_.groups)) {
-    return *g;
-  }
-  // No equality pin on the partition attribute: an overflow group keyed
-  // by the set of constrained attributes (order-independent), so
-  // dissimilar wildcard shapes don't all merge toward match-all.
-  std::uint64_t h = 0;
-  for (const event::Constraint& c : filter.constraints()) h += fnv1a(c.attribute());
-  return agg_params_.groups + static_cast<std::size_t>(h % agg_params_.groups);
-}
-
-std::size_t Broker::member_tier_group(const Entry& entry) const {
-  const std::size_t group = group_of(entry.filter);
-  // Transit entries fold in a tier of their own (2 * groups covers the
-  // pinned + overflow ranges group_of produces).
-  return entry.source.kind == Iface::Kind::kBroker ? group + 2 * agg_params_.groups : group;
-}
-
-std::uint64_t Broker::aggregate_id(sim::HostId neighbour, std::size_t group) const {
-  return kAggregateTag | (static_cast<std::uint64_t>(host_) << 40) |
-         (static_cast<std::uint64_t>(neighbour) << 20) | static_cast<std::uint64_t>(group);
-}
-
-void Broker::aggregate_member(std::uint64_t id, const Entry& entry) {
-  const std::size_t group = member_tier_group(entry);
-  const auto prev = member_group_.find(id);
-  if (prev != member_group_.end() && prev->second != group) {
-    // A re-subscribe whose filter moved partitions: unmerge from the
-    // old group before joining the new one.
-    aggregate_erase(id, prev->second);
-  }
-  member_group_[id] = group;
-  for (sim::HostId n : neighbours_) {
-    if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == n) {
-      // A re-install that changed direction must not stay aggregated
-      // toward its own source.
-      aggregate_drop(n, group, id);
-      continue;
-    }
-    if (!advert_allows(n, entry.filter)) {
-      ++stats_.subscriptions_suppressed;
-      continue;
-    }
-    auto& summary = summaries_[{n, group}];
-    const bool fresh = summary.empty();
-    if (summary.add(id, entry.filter) || fresh) {
-      aggregate_send(n, group);
-    } else {
-      // The merged filter already covered this member: the refcount
-      // moved but nothing travels upstream — the covering prune, in
-      // aggregate form.
-      ++stats_.aggregate_absorbed;
-    }
-  }
-}
-
-void Broker::aggregate_erase(std::uint64_t id, std::size_t group) {
-  for (sim::HostId n : neighbours_) aggregate_drop(n, group, id);
-}
-
-void Broker::aggregate_drop(sim::HostId neighbour, std::size_t group, std::uint64_t id) {
-  const auto it = summaries_.find({neighbour, group});
-  if (it == summaries_.end() || !it->second.contains(id)) return;
-  const bool changed = it->second.remove(id);
-  if (it->second.empty()) {
-    summaries_.erase(it);
-    aggregate_retract(neighbour, group);
-  } else if (changed) {
-    // The departing member was load-bearing: the summary narrowed, and
-    // the neighbour must stop attracting the wider event set.  Members
-    // it still stands for are unaffected (the new summary covers them
-    // by construction) — unmerge never strands a sibling.
-    aggregate_send(neighbour, group);
-  } else {
-    ++stats_.aggregate_absorbed;
-  }
-}
-
-void Broker::aggregate_send(sim::HostId neighbour, std::size_t group) {
-  forwarded_[neighbour].insert(aggregate_id(neighbour, group));
-  ++stats_.aggregate_updates;
-  send_subscribe(neighbour, aggregate_id(neighbour, group),
-                 summaries_.at({neighbour, group}).summary());
-}
-
-void Broker::aggregate_retract(sim::HostId neighbour, std::size_t group) {
-  const auto fwd = forwarded_.find(neighbour);
-  if (fwd != forwarded_.end()) fwd->second.erase(aggregate_id(neighbour, group));
-  ++stats_.aggregate_retractions;
-  send_broker(neighbour, std::any(UnsubscribeMsg{aggregate_id(neighbour, group)}),
-              codec().size(UnsubscribeMsg{aggregate_id(neighbour, group)}));
-}
-
-void Broker::rebuild_aggregates() {
-  summaries_.clear();
-  member_group_.clear();
-  // Aggregate ids in forwarded_ (restored from a checkpoint, or left by
-  // a previous rebuild) are re-derived below; stale ones must not
-  // linger as forwarded markers for groups that no longer exist.
-  for (auto& [n, ids] : forwarded_) {
-    std::erase_if(ids, [](std::uint64_t id) { return (id & kAggregateTag) != 0; });
-  }
-  // Rebuild membership quietly, then announce each live aggregate once
-  // — re-sending per member add would spray O(members) updates.
-  for (const auto& [id, entry] : table_) {
-    const std::size_t group = member_tier_group(entry);
-    member_group_[id] = group;
-    for (sim::HostId n : neighbours_) {
-      if (entry.source.kind == Iface::Kind::kBroker && entry.source.host == n) continue;
-      if (!advert_allows(n, entry.filter)) continue;
-      summaries_[{n, group}].add(id, entry.filter);
-    }
-  }
-  for (const auto& [key, summary] : summaries_) aggregate_send(key.first, key.second);
 }
 
 std::size_t Broker::transit_entries() const {
@@ -494,7 +316,7 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
                 codec().size(PublishMsg{e, pub_id}));
   }
   for (sim::HostId c : deliver_to_) {
-    net_.send(host_, c, client_proto_, DeliverMsg{e}, codec().size(DeliverMsg{e}));
+    net_.send(host_, c, kClientProto, DeliverMsg{e}, codec().size(DeliverMsg{e}));
     ++stats_.deliveries;
   }
 }
@@ -577,8 +399,6 @@ void Broker::recover() {
   adverts_.clear();
   forwarded_.clear();
   index_ = event::FilterIndex{};
-  summaries_.clear();
-  member_group_.clear();
   seen_publishes_.clear();  // in-memory: a restarted process forgets it
   sim::Network::TraceScope root_trace(net_, net_.start_trace());
   sim::Network::SpanScope span(net_, host_, "broker", "recover");
@@ -588,10 +408,6 @@ void Broker::recover() {
     ckpt_seq_ = ckpt.seq;
   }
   stats_.recovered_entries += table_.size() + adverts_.size();
-  // Aggregation state is derived, not checkpointed: rebuild it from the
-  // restored table and re-announce each merged entry (idempotent at the
-  // neighbour — same aggregate id, freshest filter wins).
-  if (aggregation_) rebuild_aggregates();
   if (span.active()) {
     span.annotate("ckpt=" + std::string(ckpt.ok ? "ok" : "none") +
                   ";subs=" + std::to_string(table_.size()) +
@@ -636,23 +452,13 @@ void Broker::handle_sync_request(sim::HostId peer, std::uint64_t round) {
   SyncReplyMsg reply;
   reply.round = round;
   // Everything we forwarded toward the requester: the authoritative
-  // version of the table entries it attributes to us.  Aggregated
-  // entries live in summaries_, not table_, so the merged form is
-  // reported directly.
-  if (aggregation_) {
-    for (const auto& [key, summary] : summaries_) {
-      if (key.first != peer) continue;
-      reply.subscriptions.push_back(
-          SubscribeMsg{aggregate_id(peer, key.second), summary.summary()});
-    }
-  } else {
-    auto fwd = forwarded_.find(peer);
-    if (fwd != forwarded_.end()) {
-      for (std::uint64_t id : fwd->second) {
-        auto entry = table_.find(id);
-        if (entry != table_.end()) {
-          reply.subscriptions.push_back(SubscribeMsg{id, entry->second.filter});
-        }
+  // version of the table entries it attributes to us.
+  auto fwd = forwarded_.find(peer);
+  if (fwd != forwarded_.end()) {
+    for (std::uint64_t id : fwd->second) {
+      auto entry = table_.find(id);
+      if (entry != table_.end()) {
+        reply.subscriptions.push_back(SubscribeMsg{id, entry->second.filter});
       }
     }
   }

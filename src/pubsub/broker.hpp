@@ -13,19 +13,20 @@
 // already attracts every event the covered one needs.  Unsubscription
 // restores any forwarding the removed subscription was suppressing.
 //
-// Forwarding invariant (outside aggregation mode).  For every neighbour
-// n, a table entry not learned from n and not in forwarded_[n] is
-// covered by a filter in forwarded_[n], or advert_allows(n, ·) rejects
-// it.  A subscribe establishes this for its own entry; only withdrawing
-// a forwarded filter (an unsubscribe, a re-subscribe that changes it,
+// Forwarding invariant.  For every neighbour n, a table entry not
+// learned from n and not in forwarded_[n] is covered by a filter in
+// forwarded_[n], or advert_allows(n, ·) rejects it.  A subscribe
+// establishes this for its own entry; only withdrawing a forwarded
+// filter (an unsubscribe, a re-subscribe that changes it,
 // remove_neighbour) can break it, and then only for entries that filter
 // covered.  So reforward_covered re-examines just those, found through
 // FilterIndex::covered_candidates, and covered_at probes the index's
 // covering candidates instead of scanning forwarded_[n] (DESIGN.md
-// §5.1).  Neighbours are linked before subscriptions flow
-// (SienaNetwork::connect): add_neighbour does not replay the table.  An
-// id always arrives from one direction: a moved client re-subscribes
-// under fresh ids (SienaNetwork::attach_client).
+// §5.1).  add_neighbour does not replay the table, so every link must
+// exist before the first subscription flows: SienaNetwork::connect
+// returns kFailedPrecondition once its bus has issued a subscription or
+// an advertisement.  An id always arrives from one direction: a moved
+// client re-subscribes under fresh ids (SienaNetwork::attach_client).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@
 #include "event/event.hpp"
 #include "event/filter.hpp"
 #include "event/filter_index.hpp"
-#include "event/filter_summary.hpp"
 #include "pubsub/messages.hpp"
 #include "sim/durable_disk.hpp"
 #include "sim/network.hpp"
@@ -67,27 +67,13 @@ struct BrokerStats {
   std::uint64_t sync_replies = 0;       // peer replies applied
   std::uint64_t sync_retries = 0;       // resends after timeout (stale peer)
   std::uint64_t sync_give_ups = 0;      // peers that never answered
-  // Subscription aggregation (enable_aggregation):
-  std::uint64_t aggregate_updates = 0;      // merged entries (re)sent upstream
-  std::uint64_t aggregate_retractions = 0;  // merged entries withdrawn (last member gone)
-  std::uint64_t aggregate_absorbed = 0;     // member changes absorbed with no upstream send
   /// Stamped publications discarded as already routed here — nonzero
   /// only when a crash/fault overlap re-injected a processed packet
   /// (messages.hpp: PublishMsg::pub_id).
   std::uint64_t duplicate_publishes_discarded = 0;
 
-  /// Field-wise sum (overlay and shard-tier totals).
+  /// Field-wise sum (SienaNetwork::total_broker_stats).
   BrokerStats& operator+=(const BrokerStats& o);
-};
-
-/// Knobs for covering-based subscription merging (DESIGN.md §11).
-struct BrokerAggregationParams {
-  /// Filters carrying an equality constraint on this attribute are
-  /// grouped by a stable hash of its value; filters without one fall
-  /// into overflow groups keyed by their constrained-attribute shape.
-  std::string partition_attribute = "type";
-  /// Hash buckets per neighbour (the overflow groups double this).
-  std::size_t groups = 8;
 };
 
 /// Knobs for broker checkpointing and the recovery sync protocol.
@@ -103,12 +89,8 @@ class Broker {
  public:
   /// `codec` is the bus-wide wire codec, owned by SienaNetwork and read
   /// at every send, so a later SienaNetwork::set_codec reprices all
-  /// subsequent traffic.  `broker_proto`/`client_proto` default to the
-  /// overlay-wide protocol names; a BrokerShardRouter runs several
-  /// independent overlays on one simulated network by giving each shard
-  /// a suffixed pair (the network keeps one handler per (host, protocol)).
-  Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec,
-         std::string broker_proto = kBrokerProto, std::string client_proto = kClientProto);
+  /// subsequent traffic.
+  Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec);
 
   sim::HostId host() const { return host_; }
 
@@ -120,19 +102,6 @@ class Broker {
   /// of an overlay must agree on the mode.
   void set_advertisement_forwarding(bool on) { advertisement_forwarding_ = on; }
 
-  /// Covering-based subscription merging (DESIGN.md §11): instead of
-  /// forwarding per-subscription entries pruned by covering, the broker
-  /// keeps one FilterSummary per (neighbour, partition group) and
-  /// forwards a single merged entry per live group.  Generalization is
-  /// false-positive-only — the merged filter covers every member, and
-  /// exact matching still happens at the edge broker and in client
-  /// dispatch — so delivery sets are unchanged while interior routing
-  /// state stays proportional to neighbours x groups, not clients.
-  /// All brokers of an overlay must agree on the mode, and it must be
-  /// enabled before subscriptions exist (SienaNetwork::enable_aggregation
-  /// does both).
-  void enable_aggregation(const BrokerAggregationParams& params);
-
   /// Routes all broker-to-broker traffic through `transport` (ack +
   /// retry, sim/reliable.hpp) instead of raw datagrams, so forwarding
   /// survives link faults and partitions.  Client-facing sends are
@@ -141,7 +110,9 @@ class Broker {
   void set_transport(sim::ReliableTransport* transport) { transport_ = transport; }
 
   /// Declares a neighbour broker (call on both endpoints; the overlay
-  /// must remain acyclic — SienaNetwork enforces a tree).
+  /// must remain acyclic — SienaNetwork enforces a tree).  The table is
+  /// not replayed toward the new neighbour, so link before any
+  /// subscription arrives (SienaNetwork::connect enforces this).
   void add_neighbour(sim::HostId broker_host);
   void remove_neighbour(sim::HostId broker_host);
   const std::set<sim::HostId>& neighbours() const { return neighbours_; }
@@ -153,11 +124,8 @@ class Broker {
 
   /// Number of routing-table entries (for table-size scaling metrics).
   std::size_t table_size() const { return table_.size(); }
-  /// Entries learned from neighbour brokers — the interior routing
-  /// state the aggregation tier keeps sub-linear in client count.
+  /// Entries learned from neighbour brokers (interior routing state).
   std::size_t transit_entries() const;
-  /// Live aggregated entries this broker forwards to neighbours.
-  std::size_t aggregate_count() const { return summaries_.size(); }
 
   /// Checkpoints the subscription/advertisement tables to `disk` after
   /// every routing-state mutation (ping-pong format, sim/durable_disk).
@@ -207,44 +175,13 @@ class Broker {
   void reforward_covered(sim::HostId neighbour, const event::Filter& departed);
 
   /// Unsubscribes `id`, already erased from table_ and index_, toward
-  /// every neighbour it was forwarded to (or unmerges it from the
-  /// aggregates), re-forwarding what `filter` covered.
+  /// every neighbour it was forwarded to, re-forwarding what `filter`
+  /// covered.
   void withdraw(std::uint64_t id, const event::Filter& filter);
 
   void send_subscribe(sim::HostId neighbour, std::uint64_t id, const event::Filter& filter);
 
   const wire::Codec& codec() const { return wire::codec(codec_); }
-
-  // --- Aggregation internals (enable_aggregation) ---
-  /// The partition group a member filter belongs to.
-  std::size_t group_of(const event::Filter& filter) const;
-  /// The summary a member *entry* folds into: its filter's group, with
-  /// broker-sourced (transit) entries offset into a disjoint tier.
-  /// Client subscription ids arrive in ascending order, so a
-  /// clients-only summary extends by one incremental merge per add
-  /// (FilterSummary's append path); one huge kAggregateTag member id in
-  /// the same summary would force a full O(members) refold on every
-  /// later client add — quadratic install cost at an edge broker.
-  /// Transit-tier summaries stay small (one member per downstream
-  /// aggregate), so their refolds are cheap.
-  std::size_t member_tier_group(const Entry& entry) const;
-  /// The stable id an aggregated entry travels under: unique per
-  /// (origin broker, neighbour, group) and disjoint from client ids.
-  std::uint64_t aggregate_id(sim::HostId neighbour, std::size_t group) const;
-  /// Adds/updates member `id` in the summaries toward every eligible
-  /// neighbour, re-sending each summary that changed.
-  void aggregate_member(std::uint64_t id, const Entry& entry);
-  /// Removes member `id` from group `group` toward every neighbour.
-  void aggregate_erase(std::uint64_t id, std::size_t group);
-  /// Removes member `id` from the summary toward one neighbour,
-  /// re-sending or retracting the aggregate as needed.
-  void aggregate_drop(sim::HostId neighbour, std::size_t group, std::uint64_t id);
-  void aggregate_send(sim::HostId neighbour, std::size_t group);
-  void aggregate_retract(sim::HostId neighbour, std::size_t group);
-  /// Rebuilds summaries_/member_group_ from table_ (recovery, or
-  /// enabling aggregation on a populated broker), then announces each
-  /// live aggregate once.
-  void rebuild_aggregates();
 
   /// Broker-to-broker send: reliable transport when configured, raw
   /// kBrokerProto datagram otherwise.
@@ -262,22 +199,9 @@ class Broker {
 
   sim::Network& net_;
   sim::HostId host_;
-  std::string broker_proto_;
-  std::string client_proto_;
   const wire::WireCodec& codec_;
   sim::ReliableTransport* transport_ = nullptr;
   bool advertisement_forwarding_ = false;
-  bool aggregation_ = false;
-  BrokerAggregationParams agg_params_;
-  event::AtomId agg_atom_ = event::kNoAtom;
-  // (neighbour, tiered group) -> the merged member filters forwarded
-  // that way; client members and transit (broker-sourced) members fold
-  // in disjoint tiers (member_tier_group).
-  std::map<std::pair<sim::HostId, std::size_t>, event::FilterSummary> summaries_;
-  // Member subscription id -> its partition group (the same toward
-  // every neighbour), kept so unsubscribes find their summary after the
-  // table entry is gone.
-  std::map<std::uint64_t, std::size_t> member_group_;
   std::set<sim::HostId> neighbours_;
   std::map<std::uint64_t, Entry> table_;
   // Predicate index over table_ filters; maintained alongside every

@@ -16,7 +16,6 @@
 //                         (ablation: overlay without content-based
 //                         routing).
 //   * ScribeNetwork     — rendezvous multicast over the Plaxton overlay.
-//   * BrokerShardRouter — SienaNetwork shards partitioned by attribute.
 #pragma once
 
 #include <cstdint>

@@ -6,17 +6,12 @@
 
 namespace aa::pubsub {
 
-SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts,
-                           std::string proto_suffix)
-    : net_(net),
-      broker_hosts_(std::move(broker_hosts)),
-      broker_proto_(std::string(kBrokerProto) + proto_suffix),
-      client_proto_(std::string(kClientProto) + proto_suffix),
-      stalled_(net.host_count()) {
+SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts)
+    : net_(net), broker_hosts_(std::move(broker_hosts)), stalled_(net.host_count()) {
   for (sim::HostId h : broker_hosts_) {
-    auto broker = std::make_unique<Broker>(net_, h, codec_, broker_proto_, client_proto_);
+    auto broker = std::make_unique<Broker>(net_, h, codec_);
     Broker* raw = broker.get();
-    net_.register_handler(h, broker_proto_,
+    net_.register_handler(h, kBrokerProto,
                           [raw](const sim::Packet& p) { raw->on_message(p); });
     brokers_.emplace(h, std::move(broker));
   }
@@ -25,10 +20,10 @@ SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_ho
 SienaNetwork::~SienaNetwork() {
   if (watcher_id_ != 0) net_.remove_host_watcher(watcher_id_);
   for (const auto& [h, broker] : brokers_) {
-    net_.unregister_handler(h, broker_proto_);
+    net_.unregister_handler(h, kBrokerProto);
   }
   for (const auto& [h, state] : clients_) {
-    net_.unregister_handler(h, client_proto_);
+    net_.unregister_handler(h, kClientProto);
   }
 }
 
@@ -37,6 +32,12 @@ Status SienaNetwork::connect(sim::HostId broker_a, sim::HostId broker_b) {
   Broker* b = broker(broker_b);
   if (a == nullptr || b == nullptr) {
     return Status(Code::kInvalidArgument, "not a broker host");
+  }
+  // Brokers do not replay their tables to a new neighbour, so a link
+  // added after routing state exists would carry none of it.
+  if (next_sub_id_ > 1 || next_adv_id_ > 1) {
+    return Status(Code::kFailedPrecondition,
+                  "brokers must be linked before the first subscription or advertisement");
   }
   // Cycle check: is broker_b already reachable from broker_a?
   std::vector<sim::HostId> stack{broker_a};
@@ -70,7 +71,7 @@ void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_hos
   ClientState& state = clients_[client_host];
   const sim::HostId previous = state.access_broker;
   state.access_broker = broker_host;
-  net_.register_handler(client_host, client_proto_, [this, client_host](const sim::Packet& p) {
+  net_.register_handler(client_host, kClientProto, [this, client_host](const sim::Packet& p) {
     on_client_message(client_host, p);
   });
   if (previous == sim::kNoHost || previous == broker_host) return;
@@ -81,12 +82,12 @@ void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_hos
   // two directions: a re-forward of the old id racing along the old path
   // (its covering sibling withdrawn first) cannot overwrite the new entry.
   for (auto& [id, sub] : state.subs) {
-    net_.send(client_host, previous, broker_proto_, UnsubscribeMsg{sub.wire_id},
+    net_.send(client_host, previous, kBrokerProto, UnsubscribeMsg{sub.wire_id},
               codec().size(UnsubscribeMsg{sub.wire_id}));
     sub.wire_id = next_sub_id_++;
     SubscribeMsg msg{sub.wire_id, sub.filter};
     const std::size_t size = codec().size(msg);
-    net_.send(client_host, broker_host, broker_proto_, std::move(msg), size);
+    net_.send(client_host, broker_host, kBrokerProto, std::move(msg), size);
   }
 }
 
@@ -122,7 +123,7 @@ std::uint64_t SienaNetwork::subscribe(sim::HostId client, const event::Filter& f
   state.index.add(id, filter);
   SubscribeMsg msg{id, filter};
   const std::size_t size = codec().size(msg);
-  net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
+  net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
   return id;
 }
 
@@ -134,7 +135,7 @@ void SienaNetwork::unsubscribe(sim::HostId client, std::uint64_t subscription_id
     state.subs.erase(it);
   }
   state.index.remove(subscription_id);
-  net_.send(client, state.access_broker, broker_proto_, UnsubscribeMsg{wire_id},
+  net_.send(client, state.access_broker, kBrokerProto, UnsubscribeMsg{wire_id},
             codec().size(UnsubscribeMsg{wire_id}));
 }
 
@@ -151,20 +152,17 @@ void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
   // re-injected (see PublishMsg::pub_id).
   PublishMsg pub{e, ++next_pub_id_};
   const std::size_t size = codec().size(pub);
-  net_.send(client, state.access_broker, broker_proto_, std::move(pub), size);
+  net_.send(client, state.access_broker, kBrokerProto, std::move(pub), size);
 }
 
 void SienaNetwork::set_advertisement_forwarding(bool on) {
   for (const auto& [h, broker] : brokers_) broker->set_advertisement_forwarding(on);
 }
 
-void SienaNetwork::enable_aggregation(const BrokerAggregationParams& params) {
-  for (const auto& [h, broker] : brokers_) broker->enable_aggregation(params);
-}
-
 void SienaNetwork::enable_reliable_transport(const sim::ReliableParams& params) {
   if (transport_ != nullptr) return;
-  transport_ = std::make_unique<sim::ReliableTransport>(net_, broker_proto_ + ".r", params);
+  transport_ =
+      std::make_unique<sim::ReliableTransport>(net_, std::string(kBrokerProto) + ".r", params);
   for (const auto& [h, broker] : brokers_) {
     Broker* raw = broker.get();
     transport_->register_handler(h, [raw](const sim::Packet& p) { raw->on_message(p); });
@@ -252,7 +250,7 @@ void SienaNetwork::advertise(sim::HostId client, const event::Filter& filter) {
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
   const std::size_t size = codec().size(msg);
-  net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
+  net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
 }
 
 void SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
@@ -263,7 +261,7 @@ void SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
   const std::size_t size = codec().size(msg);
-  net_.send(client, state.access_broker, broker_proto_, std::move(msg), size);
+  net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
 }
 
 void SienaNetwork::on_client_message(sim::HostId client_host, const sim::Packet& packet) {

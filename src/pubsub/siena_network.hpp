@@ -20,23 +20,24 @@ class SienaNetwork final : public EventService {
  public:
   /// Creates one broker on each of `broker_hosts`.  Clients may live on
   /// any other host (or share a broker's host — they still talk to it
-  /// through the network, at loopback latency).  `proto_suffix`
-  /// namespaces this overlay's protocols ("ps.broker<suffix>" /
-  /// "ps.client<suffix>"): the network keeps one handler per
-  /// (host, protocol), so independent overlays sharing hosts — the
-  /// shards of a BrokerShardRouter — each need their own pair.
-  SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts,
-               std::string proto_suffix = "");
+  /// through the network, at loopback latency).  The bus speaks
+  /// kBrokerProto and kClientProto, so one network carries one bus.
+  SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts);
   ~SienaNetwork() override;
 
   SienaNetwork(const SienaNetwork&) = delete;
   SienaNetwork& operator=(const SienaNetwork&) = delete;
 
   /// Connects two brokers.  Rejects links that would create a cycle
-  /// (the routing scheme requires an acyclic overlay).
+  /// (the routing scheme requires an acyclic overlay), and any link once
+  /// this bus has issued a subscription or an advertisement
+  /// (kFailedPrecondition): Broker::add_neighbour does not replay
+  /// routing state, so a later link would carry no routes.
   Status connect(sim::HostId broker_a, sim::HostId broker_b);
 
   /// Builds a balanced k-ary tree over all brokers (in creation order).
+  /// Like connect(), it must run before the first subscribe() or
+  /// advertise(); later links are rejected.
   void connect_tree(int fanout = 2);
 
   /// Enables Siena's advertisement semantics on every broker: once on,
@@ -44,14 +45,6 @@ class SienaNetwork final : public EventService {
   /// publishers must advertise() before their events can travel beyond
   /// their access broker.  Enable before any subscribe/advertise calls.
   void set_advertisement_forwarding(bool on);
-
-  /// Enables covering-based subscription merging on every broker
-  /// (Broker::enable_aggregation): interior brokers forward one merged
-  /// entry per (neighbour, partition group) instead of one per client
-  /// subscription.  Delivery sets are unchanged — the merged filter
-  /// only over-approximates, and edge brokers plus client dispatch
-  /// still match exactly.  Call before any subscribe().
-  void enable_aggregation(const BrokerAggregationParams& params = {});
 
   /// Routes broker-to-broker forwarding through an ack/retry reliable
   /// transport (protocol "ps.broker.r", sim/reliable.hpp), so routing
@@ -115,7 +108,7 @@ class SienaNetwork final : public EventService {
   /// Sum of broker stats across the overlay.
   BrokerStats total_broker_stats() const;
   /// Total routing-table entries across brokers, and the subset learned
-  /// from neighbour brokers (the interior state aggregation compresses).
+  /// from neighbour brokers (interior routing state).
   std::size_t total_table_entries() const;
   std::size_t total_transit_entries() const;
   /// Largest single broker routing table in the overlay.
@@ -147,8 +140,6 @@ class SienaNetwork final : public EventService {
 
   sim::Network& net_;
   std::vector<sim::HostId> broker_hosts_;
-  std::string broker_proto_;
-  std::string client_proto_;
   wire::WireCodec codec_ = wire::WireCodec::kXml;
   std::unique_ptr<sim::ReliableTransport> transport_;
   sim::DurableDisk* disk_ = nullptr;

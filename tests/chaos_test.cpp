@@ -614,7 +614,9 @@ struct BrokerCrashResult {
   Digest digest;
   std::uint64_t deliveries = 0;
   pubsub::BrokerStats broker;
+  std::uint64_t give_ups = 0;
   std::uint64_t incarnation_give_ups = 0;
+  std::uint64_t dropped_by_fault = 0;
   std::size_t stalled_left = 0;
 };
 
@@ -681,7 +683,9 @@ BrokerCrashResult run_broker_crash_scenario(SimDuration crash_at, SimDuration re
   for (const auto& [h, keys] : digest) result.deliveries += keys.size();
   for (auto& [h, keys] : digest) std::sort(keys.begin(), keys.end());
   result.broker = ps.total_broker_stats();
+  result.give_ups = ps.reliable_transport()->stats().give_ups;
   result.incarnation_give_ups = ps.reliable_transport()->stats().incarnation_give_ups;
+  result.dropped_by_fault = net.stats().dropped_by_fault;
   result.stalled_left = ps.stalled_packets();
   return result;
 }
@@ -778,6 +782,101 @@ TEST(Chaos, BrokerCrashDuringSubscriptionPropagationConverges) {
     EXPECT_GE(crash.broker.checkpoints, 1u);
     EXPECT_EQ(crash.stalled_left, 0u);
   }
+}
+
+// The chaos tree of run_scenario with all three faults at once: link
+// faults and two partition windows (install_chaos), and interior broker
+// 1 crashing mid-publish and recovering from its checkpoint.  Broker 1
+// has no client, so its crash cannot eat deliveries of its own host.
+// `chaos` == false runs the fault-free oracle over the raw path.
+BrokerCrashResult run_crash_under_faults_scenario(bool chaos, std::uint64_t seed) {
+  BrokerCrashResult result;
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(kHosts, duration::millis(5));
+  sim::Network net(sched, topo);
+  SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
+  ps.connect_tree(2);  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
+  if (chaos) ps.enable_reliable_transport(chaos_reliable_params());
+  sim::DiskParams dp;
+  dp.fsync_latency = duration::millis(5);
+  dp.seed = seed * 7 + 3;
+  sim::DurableDisk disk(net, dp);
+  sim::ChurnInjector churn(net, {});
+  if (chaos) {
+    ps.enable_broker_checkpoints(disk);
+    ps.attach_churn(churn);
+  }
+
+  const std::vector<sim::HostId> client_hosts{0, 2, 3, 4, 5, 6, 7};
+  Digest& digest = result.digest;
+  for (sim::HostId h : client_hosts) {
+    digest[h];
+    ps.attach_client(h, h);
+    ps.subscribe(h, Filter().where("type", Op::kEq, "t" + std::to_string(h % 4)),
+                 [&digest, h](const Event& e) {
+                   digest[h].push_back(e.get_string("key").value_or("?"));
+                 });
+  }
+  sched.run();  // quiesce subscriptions on a clean network
+  net.reset_stats();
+
+  if (chaos) {
+    install_chaos(seed, net, sched);
+    sched.after(duration::millis(420) + duration::micros(137),
+                [&churn] { churn.kill(1, /*graceful=*/false); });
+    sched.after(duration::millis(560), [&churn] { churn.revive(1); });
+  }
+
+  // 7 publishers x 25 rounds, one publish every 5 ms (about 5-880 ms,
+  // spanning both partition windows and the crash).
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < client_hosts.size(); ++i) {
+      const sim::HostId p = client_hosts[i];
+      const SimDuration when = duration::millis(5) * static_cast<SimDuration>(
+                                   r * static_cast<int>(client_hosts.size()) +
+                                   static_cast<int>(i) + 1);
+      sched.after(when, [&ps, p, r] {
+        Event e("t" + std::to_string((static_cast<int>(p) + r) % 4));
+        e.set("key", "p" + std::to_string(p) + "r" + std::to_string(r));
+        ps.publish(p, e);
+      });
+    }
+  }
+  sched.run();
+
+  for (const auto& [h, keys] : digest) result.deliveries += keys.size();
+  for (auto& [h, keys] : digest) std::sort(keys.begin(), keys.end());
+  if (ps.reliable_transport() != nullptr) {
+    result.give_ups = ps.reliable_transport()->stats().give_ups;
+    result.incarnation_give_ups = ps.reliable_transport()->stats().incarnation_give_ups;
+  }
+  result.dropped_by_fault = net.stats().dropped_by_fault;
+  result.stalled_left = ps.stalled_packets();
+  result.broker = ps.total_broker_stats();
+  return result;
+}
+
+TEST(Chaos, BrokerCrashUnderLinkFaultsMatchesFaultFreeOracle) {
+  const BrokerCrashResult oracle = run_crash_under_faults_scenario(/*chaos=*/false, 1);
+  // 175 events: types t0, t2 and t3 match two subscribers each, t1 one.
+  ASSERT_EQ(oracle.deliveries, 307u);
+  std::uint64_t incarnation_give_ups = 0;
+  for (std::uint64_t seed = 1; seed <= 21; ++seed) {
+    const BrokerCrashResult chaos = run_crash_under_faults_scenario(/*chaos=*/true, seed);
+    EXPECT_EQ(chaos.digest, oracle.digest) << "seed " << seed;
+    // Every transport give-up was an incarnation change (the crash),
+    // never retry exhaustion, and everything parked was flushed.
+    EXPECT_EQ(chaos.give_ups, chaos.incarnation_give_ups) << "seed " << seed;
+    EXPECT_EQ(chaos.stalled_left, 0u) << "seed " << seed;
+    // The faults were real: packets dropped, and the broker crashed and
+    // recovered from its checkpoint.
+    EXPECT_GT(chaos.dropped_by_fault, 0u) << "seed " << seed;
+    EXPECT_GE(chaos.broker.recoveries, 1u) << "seed " << seed;
+    incarnation_give_ups += chaos.incarnation_give_ups;
+  }
+  // Some seeds crash the broker with traffic in flight toward it, so the
+  // park-and-flush path ran (not every seed does).
+  EXPECT_GT(incarnation_give_ups, 0u);
 }
 
 // --- Pinned one-shard results ---

@@ -549,6 +549,113 @@ TEST_P(CoveringSoundness, CoversImpliesSupersetOfMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CoveringSoundness, ::testing::Range(0, 10));
 
+// --- Covering: lattice property ---
+// Transitivity and mutual covering, which the covering prune and
+// Broker::reforward_covered rely on.  Four attributes and small value
+// pools make covering chains common; the generators above form only a
+// few per thousand random triples.  Longer sweep under ASan.
+namespace lattice {
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr int kFuzzIters = 5000;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr int kFuzzIters = 5000;
+#else
+constexpr int kFuzzIters = 800;
+#endif
+#else
+constexpr int kFuzzIters = 800;
+#endif
+
+const std::vector<std::string>& attr_pool() {
+  static const std::vector<std::string> attrs{"type", "value", "name", "zone"};
+  return attrs;
+}
+
+const std::vector<std::string>& string_pool() {
+  static const std::vector<std::string> strings{"t0",    "t1",   "t12",  "alpha",
+                                                "alp",   "beta", "north", "no"};
+  return strings;
+}
+
+AttrValue random_value(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0: return AttrValue(string_pool()[rng.below(string_pool().size())]);
+    case 1: return AttrValue(static_cast<std::int64_t>(rng.below(16)) - 5);
+    case 2: return AttrValue((static_cast<double>(rng.below(32)) - 10.0) / 2.0);
+    default: return AttrValue(rng.chance(0.5));
+  }
+}
+
+Constraint random_constraint(Rng& rng) {
+  const std::string& attr = attr_pool()[rng.below(attr_pool().size())];
+  const Op op = static_cast<Op>(rng.below(10));
+  switch (op) {
+    case Op::kExists:
+      return Constraint(attr, op);
+    case Op::kPrefix:
+    case Op::kSuffix:
+    case Op::kSubstring:
+      return Constraint(attr, op, AttrValue(string_pool()[rng.below(string_pool().size())]));
+    default:
+      return Constraint(attr, op, random_value(rng));
+  }
+}
+
+Filter random_filter(Rng& rng) {
+  std::vector<Constraint> cs;
+  const std::size_t n = 1 + rng.below(3);
+  for (std::size_t i = 0; i < n; ++i) cs.push_back(random_constraint(rng));
+  return Filter(std::move(cs));
+}
+
+Event random_event(Rng& rng) {
+  Event e("fuzz");
+  for (const std::string& attr : attr_pool()) {
+    if (rng.chance(0.2)) continue;  // sometimes absent: exercises kExists
+    e.set(attr, random_value(rng));
+  }
+  return e;
+}
+
+}  // namespace lattice
+
+TEST(Covering, LatticeFuzz) {
+  Rng rng(0xC0FEu);
+  std::uint64_t covering_pairs = 0;
+  for (int iter = 0; iter < lattice::kFuzzIters; ++iter) {
+    const Filter a = lattice::random_filter(rng);
+    const Filter b = lattice::random_filter(rng);
+    const Filter c = lattice::random_filter(rng);
+
+    // Soundness: covers(a, b) means every b-match is an a-match.
+    if (a.covers(b)) {
+      ++covering_pairs;
+      for (int s = 0; s < 16; ++s) {
+        const Event e = lattice::random_event(rng);
+        if (b.matches(e)) {
+          EXPECT_TRUE(a.matches(e)) << a.describe() << " claims to cover " << b.describe();
+        }
+      }
+    }
+    // Antisymmetry (up to semantic equivalence): mutual covering means
+    // the two filters match the same events.
+    if (a.covers(b) && b.covers(a)) {
+      for (int s = 0; s < 16; ++s) {
+        const Event e = lattice::random_event(rng);
+        EXPECT_EQ(a.matches(e), b.matches(e)) << a.describe() << " <-> " << b.describe();
+      }
+    }
+    // Transitivity: covering chains along the broker overlay compose.
+    if (a.covers(b) && b.covers(c)) {
+      EXPECT_TRUE(a.covers(c)) << a.describe() << " -> " << b.describe() << " -> "
+                               << c.describe();
+    }
+  }
+  EXPECT_GT(covering_pairs, 0u);
+}
+
 class OverlapSoundness : public ::testing::TestWithParam<int> {};
 
 // overlaps() is conservative: it may say true when filters are disjoint,

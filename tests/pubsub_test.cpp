@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -560,6 +561,27 @@ TEST(Siena, RejectsCyclicOverlayLinks) {
   EXPECT_TRUE(ps.connect(0, 1).is_ok());
   EXPECT_TRUE(ps.connect(1, 2).is_ok());
   EXPECT_FALSE(ps.connect(2, 0).is_ok());
+}
+
+// Brokers do not replay their tables to a new neighbour, so a link added
+// once routing state exists would carry no routes: connect refuses it,
+// after a subscription and after an advertisement alike.
+TEST(Siena, ConnectAfterSubscribeIsRejected) {
+  Fixture f;
+  SienaNetwork ps(f.net, {0, 1, 2});
+  ASSERT_TRUE(ps.connect(0, 1).is_ok());
+  ps.attach_client(10, 0);
+  ps.subscribe(10, Filter().where("type", Op::kEq, "temperature"), [](const Event&) {});
+  f.sched.run();
+  EXPECT_EQ(ps.connect(1, 2).code(), Code::kFailedPrecondition);
+  EXPECT_TRUE(ps.broker(2)->neighbours().empty());
+  EXPECT_EQ(ps.broker(1)->neighbours(), std::set<sim::HostId>{0});
+
+  Fixture g;
+  SienaNetwork advertised(g.net, {0, 1});
+  advertised.advertise(10, Filter().where("type", Op::kEq, "temperature"));
+  EXPECT_EQ(advertised.connect(0, 1).code(), Code::kFailedPrecondition);
+  EXPECT_TRUE(advertised.broker(0)->neighbours().empty());
 }
 
 TEST(Siena, AutoAttachesUnattachedClients) {
