@@ -89,7 +89,7 @@ RunResult run(const Workload& w, const std::string& mode,
     auto s = std::make_unique<pubsub::SienaNetwork>(
         net, mode == "central" ? std::vector<sim::HostId>{0} : broker_hosts);
     s->connect_tree();
-    if (mode == "siena-adv") s->set_advertisement_forwarding(true);
+    if (mode == "siena-adv") (void)s->set_advertisement_forwarding(true);
     s->set_codec(codec);
     if (batching) {
       net.enable_batching(0, [codec](std::span<const std::size_t> sizes) {

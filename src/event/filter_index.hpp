@@ -1,9 +1,7 @@
-// Predicate index over filters.  Filters with an equality constraint are
-// found through one *access predicate* each (Fabret et al., "Filtering
-// Algorithms and Implementation for Very Fast Publish/Subscribe
-// Systems", SIGMOD 2001); the others through the counting algorithm
-// (Yan & Garcia-Molina, "Index Structures for Selective Dissemination of
-// Information").
+// Predicate index over filters.  A filter holding an equality is found
+// through one *access predicate* (Fabret et al., "Filtering Algorithms
+// and Implementation for Very Fast Publish/Subscribe Systems", SIGMOD
+// 2001).
 //
 // The naive matching path tests every stored filter against every event,
 // so per-publish cost grows as publications × subscriptions.  The index
@@ -20,36 +18,24 @@
 //     under each key the event hits and verifies each candidate's other
 //     constraints against the event with Constraint::matches.  Cost:
 //     the candidates under the event's equalities.
-//   * Unkeyed filters: every constraint is posted into a per-attribute,
-//     per-operator counting table:
-//       kExists           — a posting list;
-//       kLt/kLe/kGt/kGe   — ordered maps keyed by the bound, answered
-//                           with a range scan from the event value;
-//       kPrefix           — a sorted prefix table probed once per prefix
-//                           of the event string;
-//       everything else   — a per-attribute residual list tested with
-//                           Constraint::matches (kNe, kSuffix,
-//                           kSubstring, NaN-valued and odd-typed
-//                           constraints).
-//     match() counts the satisfied constraints per filter; a filter
-//     matches exactly when its count equals its constraint count.
-//     Cost: the constraints satisfied.
+//   * Unkeyed filters: no equality, or only NaN ones.  They post
+//     nothing; match() verifies every constraint of each one against
+//     the event.  Cost: one probe per unkeyed filter.
+//   * The empty filter matches every event at no probe.
 //
-// Either way the cost follows what the event can match, not the filters
-// *stored* — the sublinearity Carzaniga et al. require of a scalable
-// content-based router.  Every candidate verified, counting posting
-// visited and residual tested is one "probe"; callers surface the probe
-// count so benchmarks can compare it with the cost of a linear scan over
-// the same filters.
+// For keyed filters the cost follows what the event can match, not the
+// filters *stored* — the sublinearity Carzaniga et al. require of a
+// scalable content-based router.  Every filter verified is one "probe";
+// callers surface the probe count so benchmarks can compare it with the
+// cost of a linear scan over the same filters.
 //
-// Attribute tables are keyed by interned AtomId (event/atom.hpp), so
-// walking an event's attributes probes the index with integer hashes —
-// no string hashing on the match path.
+// Attribute tables are keyed by interned AtomId (event/atom.hpp), and
+// the equality tables under them by value: match() hashes each value
+// the event carries under an indexed attribute, a string value as a
+// string.
 //
-// NaN compares with nothing (AttrValue::compare): a NaN-valued
-// constraint is never an access predicate and goes to the residual
-// list, and a NaN event value skips the equality and range tables, so
-// it satisfies only kExists.
+// NaN compares with nothing (AttrValue::compare): a NaN equality is
+// never a key, and a NaN event value finds none.
 //
 // The same equality postings answer Siena's two covering questions for
 // the router.  Only an equal equality implies an equality, so a filter
@@ -68,7 +54,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -111,19 +96,11 @@ class FilterIndex {
 
  private:
   // Posting lists hold dense slot numbers, not 64-bit ids: candidates
-  // and the counting pass then read flat arrays (slot_filter_, counts_,
-  // stamp_ indexed by slot) instead of hashing ids, which is what keeps a
-  // probe cheap even at 100k stored filters.
+  // then read flat arrays (slot_filter_, slot_access_ indexed by slot)
+  // instead of hashing ids, which is what keeps a probe cheap even at
+  // 100k stored filters.
   using Slot = std::uint32_t;
   using Ids = std::vector<Slot>;
-
-  /// Posting lists for one ordered-map key: constraints whose bound is
-  /// this key, split by bound strictness (kLt/kGt vs kLe/kGe).
-  struct Bucket {
-    Ids strict;
-    Ids nonstrict;
-    bool empty() const { return strict.empty() && nonstrict.empty(); }
-  };
 
   /// An equality posting list; it holds keyed filters only.  Its first
   /// `marked` slots are the filters whose access predicate this
@@ -133,51 +110,38 @@ class FilterIndex {
     Slot marked = 0;
   };
 
-  /// Residual constraint evaluated directly against the event value.
-  struct Residual {
-    Constraint constraint;
-    Slot slot;
-  };
-
-  /// Per-attribute operator tables.
+  /// Per-attribute equality tables, by value type.
   struct AttrTables {
-    Ids exists;
     std::unordered_map<std::string, EqIds> eq_str;
     std::unordered_map<double, EqIds> eq_num;
     EqIds eq_bool[2];
-    // Upper-bound constraints (v < bound, v <= bound), keyed by bound.
-    std::map<double, Bucket> upper_num;
-    std::map<std::string, Bucket, std::less<>> upper_str;
-    // Lower-bound constraints (v > bound, v >= bound).
-    std::map<double, Bucket> lower_num;
-    std::map<std::string, Bucket, std::less<>> lower_str;
-    // kPrefix constraints keyed by the required prefix.
-    std::map<std::string, Ids, std::less<>> prefix;
-    std::vector<Residual> residual;
 
+    /// The posting list for value `v`, or nullptr when none is stored
+    /// (a NaN finds nothing).
+    const EqIds* find(const AttrValue& v) const;
     bool empty() const;
   };
 
   static constexpr std::uint32_t kNoAccess = ~std::uint32_t{0};
 
-  /// `access`: `c` is its filter's access predicate.
+  /// Posts equality `c` of the filter in `slot`; `access`: `c` is its
+  /// access predicate.
   void post(const Constraint& c, Slot slot, bool access);
   void unpost(const Constraint& c, Slot slot, bool access);
   /// The posting list of equality `c`, or nullptr when `c` is not an
   /// equality or no stored filter holds it.
   const EqIds* find_eq(const Constraint& c) const;
-  /// Whether keyed candidate `slot` satisfies every constraint of its
-  /// filter other than its access predicate.
+  /// Whether candidate `slot` satisfies every constraint of its filter
+  /// other than its access predicate (every one, when it has none).
   bool verify(Slot slot, const Event& e) const;
 
   std::unordered_map<AtomId, AttrTables> attrs_;
   std::unordered_map<std::uint64_t, Slot> filters_;
   // Slot-indexed filters and metadata; freed slots are recycled.  The
   // filter is kept so remove() can locate every posting and match() can
-  // verify keyed candidates.
+  // verify candidates.
   std::vector<std::uint64_t> slot_id_;
   std::vector<Filter> slot_filter_;
-  std::vector<std::uint32_t> slot_needed_;  // constraint count to satisfy
   // Index of the access predicate in the filter, or kNoAccess.
   std::vector<std::uint32_t> slot_access_;
   std::vector<Slot> free_slots_;
@@ -185,12 +149,6 @@ class FilterIndex {
   std::vector<std::uint64_t> match_all_;
   // Non-empty filters with no access predicate (no posted equality).
   Ids unkeyed_;
-  // Per-match scratch for unkeyed filters: satisfied-constraint counts,
-  // validity stamped by epoch so nothing is cleared between matches.
-  mutable std::vector<std::uint32_t> counts_;
-  mutable std::vector<std::uint32_t> stamp_;
-  mutable std::vector<Slot> touched_;
-  mutable std::uint32_t epoch_ = 0;
 };
 
 template <typename Visit>

@@ -55,8 +55,8 @@ struct BrokerStats {
   std::uint64_t deliveries = 0;
   std::uint64_t subscriptions_forwarded = 0;
   std::uint64_t subscriptions_suppressed = 0;  // covering prunes
-  // FilterIndex probes (FilterIndex::match): keyed candidates verified
-  // plus counting postings visited and residuals tested.
+  // FilterIndex probes (FilterIndex::match): keyed candidates and
+  // unkeyed filters verified.
   std::uint64_t index_probes = 0;
   // Crash durability (enable_checkpoints / recover):
   std::uint64_t checkpoints = 0;        // routing-table checkpoint writes

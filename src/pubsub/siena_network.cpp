@@ -35,7 +35,7 @@ Status SienaNetwork::connect(sim::HostId broker_a, sim::HostId broker_b) {
   }
   // Brokers do not replay their tables to a new neighbour, so a link
   // added after routing state exists would carry none of it.
-  if (next_sub_id_ > 1 || next_adv_id_ > 1) {
+  if (routing_started()) {
     return Status(Code::kFailedPrecondition,
                   "brokers must be linked before the first subscription or advertisement");
   }
@@ -155,8 +155,14 @@ void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
   net_.send(client, state.access_broker, kBrokerProto, std::move(pub), size);
 }
 
-void SienaNetwork::set_advertisement_forwarding(bool on) {
+Status SienaNetwork::set_advertisement_forwarding(bool on) {
+  if (routing_started()) {
+    return Status(Code::kFailedPrecondition,
+                  "the advertisement mode must be set before the first subscription or "
+                  "advertisement");
+  }
   for (const auto& [h, broker] : brokers_) broker->set_advertisement_forwarding(on);
+  return Status::ok();
 }
 
 void SienaNetwork::enable_reliable_transport(const sim::ReliableParams& params) {
@@ -253,15 +259,19 @@ void SienaNetwork::advertise(sim::HostId client, const event::Filter& filter) {
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
 }
 
-void SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
-                                const event::Filter& filter) {
-  for (event::Advertisement& adv : advertisements_) {
-    if (adv.id == id) adv.filter = filter;
-  }
+Status SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
+                                  const event::Filter& filter) {
+  const auto adv = std::find_if(advertisements_.begin(), advertisements_.end(),
+                                [id](const event::Advertisement& a) { return a.id == id; });
+  // Flooding an unknown id would install a phantom advertisement at
+  // every broker, under an id advertise() may mint later.
+  if (adv == advertisements_.end()) return Status(Code::kNotFound, "unknown advertisement id");
+  adv->filter = filter;
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
   const std::size_t size = codec().size(msg);
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
+  return Status::ok();
 }
 
 void SienaNetwork::on_client_message(sim::HostId client_host, const sim::Packet& packet) {

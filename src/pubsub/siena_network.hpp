@@ -43,8 +43,11 @@ class SienaNetwork final : public EventService {
   /// Enables Siena's advertisement semantics on every broker: once on,
   /// subscriptions propagate only toward overlapping advertisements, so
   /// publishers must advertise() before their events can travel beyond
-  /// their access broker.  Enable before any subscribe/advertise calls.
-  void set_advertisement_forwarding(bool on);
+  /// their access broker.  Like connect(), it is rejected
+  /// (kFailedPrecondition) once this bus has issued a subscription or an
+  /// advertisement: subscriptions already forwarded under the other mode
+  /// would stay where it put them.
+  Status set_advertisement_forwarding(bool on);
 
   /// Routes broker-to-broker forwarding through an ack/retry reliable
   /// transport (protocol "ps.broker.r", sim/reliable.hpp), so routing
@@ -98,9 +101,10 @@ class SienaNetwork final : public EventService {
   void advertise(sim::HostId client, const event::Filter& filter) override;
 
   /// Re-issues an existing advertisement with a new filter (a publisher
-  /// widening or narrowing its declared event class).  `id` must come
-  /// from advertisements(); the update is flooded through the overlay.
-  void re_advertise(sim::HostId client, std::uint64_t id, const event::Filter& filter);
+  /// widening or narrowing its declared event class); the update is
+  /// flooded through the overlay.  An `id` not in advertisements() is
+  /// rejected (kNotFound) and nothing is sent.
+  Status re_advertise(sim::HostId client, std::uint64_t id, const event::Filter& filter);
 
   Broker* broker(sim::HostId host);
   const std::vector<sim::HostId>& broker_hosts() const { return broker_hosts_; }
@@ -131,6 +135,9 @@ class SienaNetwork final : public EventService {
     event::FilterIndex index;
   };
 
+  /// Whether the bus has issued a subscription or an advertisement, after
+  /// which links and the advertisement mode are fixed.
+  bool routing_started() const { return next_sub_id_ > 1 || next_adv_id_ > 1; }
   void on_client_message(sim::HostId client_host, const sim::Packet& packet);
   const wire::Codec& codec() const { return wire::codec(codec_); }
   ClientState& client_state(sim::HostId client_host);

@@ -290,8 +290,8 @@ TEST(BinaryFrame, TruncationNeverCrashesAndAlwaysFails) {
   }
 }
 
-// Seeded corruption loop (runs under the asan preset via the `sanitize`
-// label): flip random bytes in a valid frame; decode must never read
+// Seeded corruption loop (label `sanitize`; the asan preset runs it with
+// bounds checking on): flip random bytes in a valid frame; decode must never read
 // out of bounds, loop, or crash — any result is acceptable as long as
 // re-encoding a successful decode is itself well-formed.
 TEST(BinaryFrame, CorruptionFuzzLoop) {

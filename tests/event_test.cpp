@@ -839,8 +839,8 @@ TEST(FilterIndex, NumericEqualityWidensLikeCompare) {
 }
 
 TEST(FilterIndex, NaNAgreesWithOracle) {
-  // NaN bounds must not share a range bucket with real bounds, and a NaN
-  // event value must not satisfy equality or range constraints.
+  // A NaN bound or equality matches nothing, and a NaN event value must
+  // not satisfy equality or range constraints.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   FilterIndex index;
   index.add(1, Filter().where("v", Op::kLt, 5));
@@ -884,10 +884,10 @@ TEST(FilterIndex, RemoveAndReAdd) {
 
 TEST(FilterIndex, KeyedMatchProbesOnlyAccessCandidates) {
   // heat's device table: every filter names the suggestion type, and one
-  // user.  Counting would visit all 1000 `type = suggestion` postings;
-  // the access path verifies only the filters marked under the event's
-  // keys — here the first filter (marked under the type, its lists
-  // being equally empty when it arrived) and user17's.
+  // user.  A linear scan would test all 1000 filters; the access path
+  // verifies only the filters marked under the event's keys — here the
+  // first filter (marked under the type, its lists being equally empty
+  // when it arrived) and user17's.
   FilterIndex devices;
   for (std::uint64_t n = 0; n < 1000; ++n) {
     devices.add(n, Filter()
@@ -934,9 +934,74 @@ TEST(FilterIndex, KeyedMatchProbesOnlyAccessCandidates) {
   }
 }
 
+TEST(FilterIndex, UnkeyedFiltersCostOneProbeEach) {
+  // A filter with no non-NaN equality has no access predicate: match()
+  // verifies every constraint of each such filter, one probe apiece,
+  // whether or not the event satisfies it.  The empty filter costs no
+  // probe; keyed filters cost the candidates under the event's keys.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Filter> unkeyed = {
+      Filter().where("celsius", Op::kGt, 20.0),
+      Filter().where("celsius", Op::kLe, 25).where("room", Op::kPrefix, "lab-"),
+      Filter().where("room", Op::kSuffix, "-7"),
+      Filter().where("room", Op::kSubstring, "ab"),
+      Filter().where("type", Op::kNe, "humidity"),
+      Filter().where("celsius", Op::kExists),
+      Filter().where("celsius", Op::kEq, nan),  // a NaN equality is no key
+      Filter().where("room", Op::kGe, "lab-5").where("celsius", Op::kLt, 30.0),
+  };
+  const std::vector<Filter> keyed = {
+      Filter().where("type", Op::kEq, "temp").where("celsius", Op::kGt, 22.0),
+      Filter().where("type", Op::kEq, "temp"),
+      Filter().where("type", Op::kEq, "humidity").where("room", Op::kPrefix, "lab-"),
+  };
+  // Keyed candidates per event type: the filters marked under it.
+  const std::map<std::string, std::uint64_t> candidates = {
+      {"temp", 2}, {"humidity", 1}, {"door", 0}};
+
+  FilterIndex index;
+  std::map<std::uint64_t, Filter> oracle;
+  for (const auto* group : {&unkeyed, &keyed}) {
+    for (const Filter& f : *group) {
+      const std::uint64_t id = oracle.size();
+      index.add(id, f);
+      oracle.emplace(id, f);
+    }
+  }
+  index.add(oracle.size(), Filter());
+  oracle.emplace(oracle.size(), Filter());
+
+  Event warm("temp");
+  warm.set("celsius", 22.5).set("room", "lab-7");
+  Event cold("temp");
+  cold.set("celsius", 10);
+  Event damp("humidity");
+  damp.set("room", "lab-2");
+  Event bare("door");
+  Event not_a_number("temp");
+  not_a_number.set("celsius", nan);
+  for (const Event* e : {&warm, &cold, &damp, &bare, &not_a_number}) {
+    std::vector<std::uint64_t> expected;
+    std::size_t unkeyed_matched = 0;
+    for (const auto& [id, f] : oracle) {
+      if (!f.matches(*e)) continue;
+      expected.push_back(id);
+      if (id < unkeyed.size()) ++unkeyed_matched;
+    }
+    // Every event here satisfies some unkeyed filters and fails others.
+    EXPECT_GT(unkeyed_matched, 0u) << e->describe();
+    EXPECT_LT(unkeyed_matched, unkeyed.size()) << e->describe();
+    std::vector<std::uint64_t> got;
+    EXPECT_EQ(index.match(*e, got), candidates.at(e->type()) + unkeyed.size()) << e->describe();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << e->describe();
+  }
+}
+
 // A fresh filter for an id being re-added: often its previous filter
 // with the equalities dropped or one added (flipping it between the
-// counting and the access path), or a shape at the access path's edges.
+// unkeyed list and the access path), or a shape at the access path's
+// edges.
 Filter readd_filter(Rng& rng, const Filter& previous) {
   const auto is_eq = [](const Constraint& c) { return c.op == Op::kEq; };
   const std::string attribute(1, static_cast<char>('p' + rng.below(3)));
@@ -1006,7 +1071,7 @@ TEST(FilterIndex, RandomizedAgreesWithLinearScanOracle) {
       index.add(id, f);
       oracle.emplace(id, std::move(f));
     }
-    // Drop a random third to exercise unpost across every table kind.
+    // Drop a random third to exercise removal from every list kind.
     for (auto it = oracle.begin(); it != oracle.end();) {
       if (rng.chance(1.0 / 3.0)) {
         index.remove(it->first);

@@ -249,7 +249,7 @@ TEST(Siena, ReadvertisementWithChangedFilterPropagates) {
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
   ps.connect_tree();
-  ps.set_advertisement_forwarding(true);
+  ASSERT_TRUE(ps.set_advertisement_forwarding(true).is_ok());
   ps.attach_client(10, 0);  // publisher
   ps.attach_client(11, 1);  // subscriber
   ps.advertise(10, Filter().where("type", Op::kEq, "temperature"));
@@ -264,7 +264,7 @@ TEST(Siena, ReadvertisementWithChangedFilterPropagates) {
   EXPECT_GE(ps.broker(1)->stats().subscriptions_suppressed, 1u);
 
   // The publisher widens its declared event class to everything.
-  ps.re_advertise(10, adv_id, Filter().where("type", Op::kExists));
+  ASSERT_TRUE(ps.re_advertise(10, adv_id, Filter().where("type", Op::kExists)).is_ok());
   f.sched.run();
   Event e("humidity");
   e.set("percent", 60.0);
@@ -584,6 +584,70 @@ TEST(Siena, ConnectAfterSubscribeIsRejected) {
   EXPECT_TRUE(advertised.broker(0)->neighbours().empty());
 }
 
+TEST(Siena, AdvertisementModeAfterSubscribeIsRejected) {
+  // Enabled late, the mode would leave the subscriptions already
+  // forwarded under flooding rules while later ones wait for
+  // advertisements.
+  Fixture f;
+  SienaNetwork ps(f.net, {0, 1});
+  ps.connect_tree();
+  ps.attach_client(10, 0);  // a publisher that never advertises
+  ps.attach_client(11, 1);
+  int temperature = 0, humidity = 0;
+  ps.subscribe(11, Filter().where("type", Op::kEq, "temperature"),
+               [&](const Event&) { ++temperature; });
+  f.sched.run();
+  EXPECT_EQ(ps.set_advertisement_forwarding(true).code(), Code::kFailedPrecondition);
+  // The mode stayed off, so a later subscription still floods.
+  ps.subscribe(11, Filter().where("type", Op::kEq, "humidity"),
+               [&](const Event&) { ++humidity; });
+  f.sched.run();
+  Event damp("humidity");
+  damp.set("percent", 60.0);
+  ps.publish(10, temp_event(20.0));
+  ps.publish(10, damp);
+  f.sched.run();
+  EXPECT_EQ(temperature, 1);
+  EXPECT_EQ(humidity, 1);
+
+  Fixture g;
+  SienaNetwork advertised(g.net, {0});
+  advertised.advertise(10, Filter().where("type", Op::kEq, "temperature"));
+  EXPECT_EQ(advertised.set_advertisement_forwarding(true).code(), Code::kFailedPrecondition);
+}
+
+TEST(Siena, ReAdvertiseUnknownIdIsRejected) {
+  // Flooding an unknown id would install a phantom advertisement at
+  // every broker, under an id advertise() may mint later.
+  Fixture f;
+  SienaNetwork ps(f.net, {0, 1});
+  ps.connect_tree();
+  ASSERT_TRUE(ps.set_advertisement_forwarding(true).is_ok());
+  ps.attach_client(10, 0);  // publisher
+  ps.attach_client(11, 1);  // subscriber
+  const Filter temperature = Filter().where("type", Op::kEq, "temperature");
+  ps.advertise(10, temperature);
+  f.sched.run();
+  const std::uint64_t unknown = ps.advertisements().back().id + 1;
+  const std::uint64_t sent = f.net.stats().messages_sent;
+  EXPECT_EQ(ps.re_advertise(10, unknown, Filter().where("type", Op::kExists)).code(),
+            Code::kNotFound);
+  f.sched.run();
+  EXPECT_EQ(f.net.stats().messages_sent, sent);
+  ASSERT_EQ(ps.advertisements().size(), 1u);
+  EXPECT_EQ(ps.advertisements().back().filter, temperature);
+  // Only the temperature advertisement exists, so a humidity
+  // subscription stays at its access broker.
+  int got = 0;
+  ps.subscribe(11, Filter().where("type", Op::kEq, "humidity"), [&](const Event&) { ++got; });
+  f.sched.run();
+  Event damp("humidity");
+  damp.set("percent", 60.0);
+  ps.publish(10, damp);
+  f.sched.run();
+  EXPECT_EQ(got, 0);
+}
+
 TEST(Siena, AutoAttachesUnattachedClients) {
   Fixture f;
   SienaNetwork ps(f.net, {0});
@@ -638,16 +702,20 @@ TEST(Central, UnsubscribeStopsDelivery) {
 
 TEST(Central, AllTrafficTouchesServer) {
   // Every subscribe and publish lands on the one broker, and it still
-  // matches through FilterIndex instead of scanning its table.
+  // matches through FilterIndex instead of scanning its table: each
+  // publication verifies only the filter keyed under its type.
   Fixture f;
   SienaNetwork ps(f.net, {0});
   int got = 0;
-  ps.subscribe(10, Filter().where("celsius", Op::kGt, 2.5), [&](const Event&) { ++got; });
+  ps.subscribe(10,
+               Filter().where("type", Op::kEq, "temperature").where("celsius", Op::kGt, 2.5),
+               [&](const Event&) { ++got; });
+  ps.subscribe(12, Filter().where("type", Op::kEq, "humidity"), [](const Event&) {});
   f.sched.run();
   for (int i = 0; i < 5; ++i) ps.publish(11, temp_event(i));
   f.sched.run();
   EXPECT_EQ(got, 2);
-  EXPECT_EQ(f.net.delivered_to(0), 6u);  // 1 subscribe + 5 publishes
+  EXPECT_EQ(f.net.delivered_to(0), 7u);  // 2 subscribes + 5 publishes
   const BrokerStats stats = ps.total_broker_stats();
   EXPECT_LT(stats.index_probes, stats.publications_routed * ps.broker(0)->table_size());
 }

@@ -39,7 +39,7 @@ struct AdvFixture {
     EXPECT_TRUE(ps.connect(0, 1).is_ok());
     EXPECT_TRUE(ps.connect(1, 2).is_ok());
     EXPECT_TRUE(ps.connect(2, 3).is_ok());
-    ps.set_advertisement_forwarding(true);
+    EXPECT_TRUE(ps.set_advertisement_forwarding(true).is_ok());
     ps.attach_client(10, 0);  // publisher at one end
     ps.attach_client(11, 3);  // subscriber at the other
     ps.attach_client(12, 1);  // bystander broker 1 client
