@@ -8,6 +8,7 @@
 // per-event latency while the knowledge base scales from 1k to 100k
 // facts, against the naive full-rescan baseline (run at small scale
 // only; its cost explodes exactly as the paper warns).
+#include <any>
 #include <chrono>
 #include <map>
 
@@ -415,12 +416,15 @@ int main(int argc, char** argv) {
       xml_bytes += xml.size(pub);
       bin_bytes += bin.size(pub);
       // The binary bytes must decode back to the same payload — the
-      // reduction only counts if nothing is lost.
-      BufWriter w;
-      bin.encode(w, pub);
-      BufReader r(w.data());
-      const auto back = bin.decode_publish(r);
-      if (!back.is_ok() || back.value().event.to_xml_string() != e.to_xml_string()) {
+      // reduction only counts if nothing is lost.  A standalone binary
+      // datagram is a one-member frame.
+      const std::any member = pub;
+      const auto frame = wire::encode_frame({&member, 1});
+      const auto back = wire::decode_frame(frame.value_or(Bytes{}));
+      const auto* decoded = back.is_ok() && back.value().size() == 1
+                                ? std::any_cast<pubsub::PublishMsg>(&back.value()[0])
+                                : nullptr;
+      if (decoded == nullptr || decoded->event.to_xml_string() != e.to_xml_string()) {
         ++roundtrip_failures;
       }
       ++count;

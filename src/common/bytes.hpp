@@ -80,10 +80,6 @@ class BufWriter {
 
   void uid(const Uid160& id) { raw(id.bytes().data(), 20); }
 
-  /// Appends raw bytes with no length prefix (frame bodies whose length
-  /// the caller has already written).
-  void append(std::span<const std::uint8_t> b) { raw(b.data(), b.size()); }
-
   const Bytes& data() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
@@ -192,8 +188,10 @@ class BufReader {
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  // `n` may come from a corrupt varint: compare against what remains,
+  // since pos_ + n can wrap.
   bool check(std::size_t n) {
-    if (failed_ || pos_ + n > data_.size()) {
+    if (failed_ || n > data_.size() - pos_) {
       failed_ = true;
       return false;
     }

@@ -30,7 +30,6 @@
 #include "pipeline/component.hpp"
 #include "pipeline/pipeline_network.hpp"
 #include "pubsub/broker.hpp"
-#include "pubsub/scribe.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -117,14 +116,6 @@ inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
   reg.add(ns + ".sync_retries", s.sync_retries);
   reg.add(ns + ".sync_give_ups", s.sync_give_ups);
   reg.add(ns + ".duplicate_publishes_discarded", s.duplicate_publishes_discarded);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const pubsub::ScribeStats& s) {
-  reg.add(ns + ".joins_routed", s.joins_routed);
-  reg.add(ns + ".publishes_routed", s.publishes_routed);
-  reg.add(ns + ".multicast_messages", s.multicast_messages);
-  reg.add(ns + ".pruned_children", s.pruned_children);
 }
 
 inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,

@@ -6,6 +6,8 @@ namespace aa::pipeline {
 
 namespace {
 constexpr const char* kPipeProto = "pipe";
+/// CPU cost a component charges per event before downstream dispatch.
+constexpr SimDuration kProcessingDelay = duration::micros(50);
 
 /// Inter-node event: XML text plus the destination component name.
 struct PipeMsg {
@@ -21,8 +23,7 @@ void Component::emit(const event::Event& e) {
 
 SimTime Component::now() const { return network_ != nullptr ? network_->now() : 0; }
 
-PipelineNetwork::PipelineNetwork(sim::Network& net, Params params)
-    : net_(net), params_(params) {}
+PipelineNetwork::PipelineNetwork(sim::Network& net) : net_(net) {}
 
 PipelineNetwork::~PipelineNetwork() {
   for (const auto& [h, on] : handlers_) {
@@ -95,7 +96,7 @@ void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) 
       // payload.  The scheduler hop breaks the synchronous call chain,
       // so carry the ambient trace context across it explicitly.
       ++stats_.intra_node_hops;
-      net_.scheduler().after(params_.processing_delay,
+      net_.scheduler().after(kProcessingDelay,
                              [this, to, e, ctx = net_.current_trace()]() {
                                sim::Network::TraceScope scope(net_, ctx);
                                deliver_local(to, e);
@@ -135,7 +136,7 @@ void PipelineNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
   // Charge the receive-side processing cost, then deliver (carrying the
   // arrival's trace context across the scheduler hop).
   const ComponentRef to{host, msg->to_component};
-  net_.scheduler().after(params_.processing_delay,
+  net_.scheduler().after(kProcessingDelay,
                          [this, to, e = std::move(parsed).value(),
                           ctx = net_.current_trace()]() {
                            sim::Network::TraceScope scope(net_, ctx);

@@ -25,14 +25,7 @@ struct PipelineStats {
 
 class PipelineNetwork {
  public:
-  struct Params {
-    /// CPU cost a component charges per event before downstream
-    /// dispatch.
-    SimDuration processing_delay = duration::micros(50);
-  };
-
-  PipelineNetwork(sim::Network& net, Params params);
-  explicit PipelineNetwork(sim::Network& net) : PipelineNetwork(net, Params{}) {}
+  explicit PipelineNetwork(sim::Network& net);
   ~PipelineNetwork();
 
   PipelineNetwork(const PipelineNetwork&) = delete;
@@ -72,7 +65,6 @@ class PipelineNetwork {
   void ensure_host(sim::HostId host);
 
   sim::Network& net_;
-  Params params_;
   std::map<ComponentRef, std::unique_ptr<Component>> components_;
   std::map<ComponentRef, std::vector<ComponentRef>> links_;
   std::map<sim::HostId, bool> handlers_;

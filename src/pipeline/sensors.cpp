@@ -66,12 +66,14 @@ std::optional<event::Event> GpsSensor::sample() {
 }
 
 std::optional<event::Event> PresenceSensor::sample() {
-  if (rng_.chance(params_.move_probability) && params_.places.size() > 1) {
+  constexpr double kMoveProbability = 0.2;
+  constexpr double kSightingProbability = 0.8;
+  if (rng_.chance(kMoveProbability) && params_.places.size() > 1) {
     std::size_t next = rng_.below(params_.places.size());
     if (next == place_) next = (next + 1) % params_.places.size();
     place_ = next;
   }
-  if (!rng_.chance(params_.sighting_probability)) return std::nullopt;
+  if (!rng_.chance(kSightingProbability)) return std::nullopt;
   event::Event e("presence");
   e.set("user", params_.user).set("place", params_.places[place_]);
   return e;

@@ -90,16 +90,13 @@ class GpsSensor final : public SensorSource {
 };
 
 /// Emits sightings of a user at named places (an RFID/badge model):
-/// each tick the user is seen at the current place with probability
-/// `sighting_probability`, and moves to a random other place with
-/// probability `move_probability`.
+/// each tick the user moves to a random other place with probability
+/// 0.2, then is seen at the current place with probability 0.8.
 class PresenceSensor final : public SensorSource {
  public:
   struct Params {
     std::string user = "anna";
     std::vector<std::string> places{"library", "lab", "cafe"};
-    double sighting_probability = 0.8;
-    double move_probability = 0.2;
     std::uint64_t seed = 3;
   };
   PresenceSensor(std::string name, SimDuration period, Params params)

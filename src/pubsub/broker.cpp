@@ -8,6 +8,12 @@ namespace aa::pubsub {
 
 namespace {
 constexpr const char* kCkptBase = "broker.ckpt";
+// Recovery sync retry schedule: the first reply timeout per peer
+// doubles per retry (a just-crashed or partitioned peer answers late or
+// never), and a peer still silent after six attempts is given up on.
+constexpr SimDuration kSyncTimeout = duration::millis(300);
+constexpr double kSyncBackoff = 2.0;
+constexpr int kSyncMaxAttempts = 6;
 }  // namespace
 
 BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
@@ -323,9 +329,8 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
 
 // --- Crash durability ----------------------------------------------------
 
-void Broker::enable_checkpoints(sim::DurableDisk& disk, BrokerDurabilityParams params) {
+void Broker::enable_checkpoints(sim::DurableDisk& disk) {
   disk_ = &disk;
-  dur_params_ = params;
   checkpoint();  // persist whatever routing state already exists
 }
 
@@ -422,7 +427,7 @@ void Broker::recover() {
 
 void Broker::send_sync_request(sim::HostId peer) {
   SyncState& sync = pending_sync_[peer];
-  if (sync.delay == 0) sync.delay = dur_params_.sync_timeout;
+  if (sync.delay == 0) sync.delay = kSyncTimeout;
   ++stats_.sync_requests;
   send_broker(peer, std::any(SyncRequestMsg{sync_round_}),
               codec().size(SyncRequestMsg{sync_round_}));
@@ -435,7 +440,7 @@ void Broker::on_sync_timeout(sim::HostId peer) {
   if (it == pending_sync_.end()) return;
   SyncState& sync = it->second;
   sync.timer = sim::kInvalidTask;
-  if (++sync.attempts >= dur_params_.sync_max_attempts) {
+  if (++sync.attempts >= kSyncMaxAttempts) {
     // A peer that never answers is likely down itself; its subscriptions
     // will re-arrive through its own recovery sync when it returns.
     ++stats_.sync_give_ups;
@@ -443,8 +448,7 @@ void Broker::on_sync_timeout(sim::HostId peer) {
     return;
   }
   ++stats_.sync_retries;
-  sync.delay = static_cast<SimDuration>(static_cast<double>(sync.delay) *
-                                             dur_params_.sync_backoff);
+  sync.delay = static_cast<SimDuration>(static_cast<double>(sync.delay) * kSyncBackoff);
   send_sync_request(peer);
 }
 

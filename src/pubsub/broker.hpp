@@ -76,15 +76,6 @@ struct BrokerStats {
   BrokerStats& operator+=(const BrokerStats& o);
 };
 
-/// Knobs for broker checkpointing and the recovery sync protocol.
-struct BrokerDurabilityParams {
-  /// First reply timeout per peer; doubles per retry (a just-crashed or
-  /// partitioned peer answers late or never).
-  SimDuration sync_timeout = duration::millis(300);
-  double sync_backoff = 2.0;
-  int sync_max_attempts = 6;
-};
-
 class Broker {
  public:
   /// `codec` is the bus-wide wire codec, owned by SienaNetwork and read
@@ -130,7 +121,7 @@ class Broker {
   /// Checkpoints the subscription/advertisement tables to `disk` after
   /// every routing-state mutation (ping-pong format, sim/durable_disk).
   /// Wired up by SienaNetwork::enable_broker_checkpoints().
-  void enable_checkpoints(sim::DurableDisk& disk, BrokerDurabilityParams params = {});
+  void enable_checkpoints(sim::DurableDisk& disk);
 
   /// Crash recovery: wipes routing state (the crash lost it), restores
   /// the last durable checkpoint, then reconciles with each neighbour
@@ -223,7 +214,6 @@ class Broker {
   std::vector<sim::HostId> deliver_to_;
   // Crash durability (nullptr when checkpointing is off).
   sim::DurableDisk* disk_ = nullptr;
-  BrokerDurabilityParams dur_params_;
   std::uint64_t ckpt_seq_ = 0;
   std::uint64_t sync_round_ = 0;  // bumped per recover(); stale replies ignored
   struct SyncState {

@@ -181,10 +181,9 @@ void SienaNetwork::enable_reliable_transport(const sim::ReliableParams& params) 
   }
 }
 
-void SienaNetwork::enable_broker_checkpoints(sim::DurableDisk& disk,
-                                             const BrokerDurabilityParams& params) {
+void SienaNetwork::enable_broker_checkpoints(sim::DurableDisk& disk) {
   disk_ = &disk;
-  for (const auto& [h, broker] : brokers_) broker->enable_checkpoints(disk, params);
+  for (const auto& [h, broker] : brokers_) broker->enable_checkpoints(disk);
   if (transport_ != nullptr) {
     transport_->set_give_up([this](const sim::Packet& p) { on_transport_give_up(p); });
   }

@@ -71,8 +71,7 @@ class SienaNetwork final : public EventService {
   /// gave up on (peer crashed — incarnation give-up) in a stalled queue
   /// that is re-sent when the peer rejoins, so publications outlive a
   /// broker crash instead of retrying into a void.
-  void enable_broker_checkpoints(sim::DurableDisk& disk,
-                                 const BrokerDurabilityParams& params = {});
+  void enable_broker_checkpoints(sim::DurableDisk& disk);
 
   /// Registers per-broker recovery hooks: a broker host rejoining via
   /// `churn` restores its routing state (checkpoint + peer sync) before

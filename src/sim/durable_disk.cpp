@@ -8,6 +8,14 @@
 
 namespace aa::sim {
 
+namespace {
+// Sequential throughputs: writes scale the per-byte cost of an op;
+// reads price read_latency(), the replay time recovery paths charge to
+// the virtual clock.
+constexpr double kWriteBytesPerUs = 200.0;
+constexpr double kReadBytesPerUs = 400.0;
+}  // namespace
+
 DurableDisk::DurableDisk(Network& net, DiskParams params)
     : net_(net),
       params_(params),
@@ -81,8 +89,7 @@ std::vector<std::string> DurableDisk::files(HostId host) const {
 }
 
 SimDuration DurableDisk::read_latency(std::size_t bytes) const {
-  if (params_.read_bytes_per_us <= 0) return 0;
-  return static_cast<SimDuration>(static_cast<double>(bytes) / params_.read_bytes_per_us);
+  return static_cast<SimDuration>(static_cast<double>(bytes) / kReadBytesPerUs);
 }
 
 std::size_t DurableDisk::in_flight(HostId host) const {
@@ -98,10 +105,7 @@ void DurableDisk::schedule_completion(HostId host) {
   auto& q = queues_[host];
   if (q.empty()) return;
   const Op& head = q.front();
-  const double tx_us =
-      params_.write_bytes_per_us > 0
-          ? static_cast<double>(head.data.size()) / params_.write_bytes_per_us
-          : 0.0;
+  const double tx_us = static_cast<double>(head.data.size()) / kWriteBytesPerUs;
   const SimDuration latency = params_.fsync_latency + static_cast<SimDuration>(tx_us);
   head_timer_[host] = net_.scheduler().after(latency, [this, host]() { complete_head(host); });
 }

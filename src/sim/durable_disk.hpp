@@ -10,10 +10,11 @@
 //
 // I/O model: writes and appends are asynchronous — the data becomes
 // durable only when the operation's fsync completes, after a latency of
-// `fsync_latency + bytes / write_bytes_per_us`.  Operations on one host
-// are FIFO (one disk head): an op's fsync cannot complete before the
-// previous op's.  Reads are synchronous and free — recovery code runs
-// locally on the host and models its cost separately (read_latency()).
+// `fsync_latency + bytes / 200` µs (a 200 bytes/µs sequential write).
+// Operations on one host are FIFO (one disk head): an op's fsync cannot
+// complete before the previous op's.  Reads are synchronous and free —
+// recovery code runs locally on the host and models its cost separately
+// (read_latency()).
 //
 // Crash semantics (the part worth simulating): the disk watches host
 // up/down transitions via Network::add_host_watcher.  When a host
@@ -51,11 +52,6 @@ namespace aa::sim {
 struct DiskParams {
   /// Fixed cost per durable operation (the fsync barrier).
   SimDuration fsync_latency = duration::micros(500);
-  /// Sequential write throughput; scales the per-byte cost of an op.
-  double write_bytes_per_us = 200.0;
-  /// Sequential read throughput; used by read_latency() so recovery
-  /// paths can charge replay time to the virtual clock.
-  double read_bytes_per_us = 400.0;
   /// Given a crash with the head op mid-flush: probability a torn
   /// prefix landed, and probability the op fully landed unacked
   /// (ghost).  The remainder is lost outright.  torn + ghost <= 1.
@@ -109,8 +105,9 @@ class DurableDisk {
   bool exists(HostId host, const std::string& file) const;
   std::vector<std::string> files(HostId host) const;
 
-  /// Modelled time to read `bytes` back during recovery; recovery code
-  /// charges this to the virtual clock (or annotates its span with it).
+  /// Modelled time to read `bytes` back during recovery at 400 bytes/µs;
+  /// recovery code charges this to the virtual clock (or annotates its
+  /// span with it).
   SimDuration read_latency(std::size_t bytes) const;
 
   /// Operations not yet durable for `host` (all hosts when kNoHost).

@@ -4,6 +4,14 @@
 
 namespace aa::sim {
 
+namespace {
+// Transit-stub latency terms: each stub's uplink to its region router,
+// and the range the core latency between two routers is drawn from.
+constexpr SimDuration kUplink = duration::millis(5);
+constexpr SimDuration kCoreMin = duration::millis(10);
+constexpr SimDuration kCoreMax = duration::millis(80);
+}  // namespace
+
 EuclideanTopology::EuclideanTopology(std::size_t hosts, double side, SimDuration base,
                                      SimDuration per_unit, std::uint64_t seed)
     : base_(base), per_unit_(per_unit) {
@@ -27,13 +35,12 @@ SimDuration EuclideanTopology::latency(HostId a, HostId b) const {
 TransitStubTopology::TransitStubTopology(std::size_t hosts, const Params& params)
     : hosts_(hosts),
       regions_(params.regions),
-      intra_(params.intra),
-      uplink_(params.uplink) {
+      intra_(params.intra) {
   Rng rng(params.seed);
   core_.assign(static_cast<std::size_t>(regions_) * static_cast<std::size_t>(regions_), 0);
   for (int i = 0; i < regions_; ++i) {
     for (int j = i + 1; j < regions_; ++j) {
-      const SimDuration d = rng.range(params.core_min, params.core_max);
+      const SimDuration d = rng.range(kCoreMin, kCoreMax);
       core_[static_cast<std::size_t>(i * regions_ + j)] = d;
       core_[static_cast<std::size_t>(j * regions_ + i)] = d;
     }
@@ -45,7 +52,7 @@ SimDuration TransitStubTopology::latency(HostId a, HostId b) const {
   const int ra = region_of(a);
   const int rb = region_of(b);
   if (ra == rb) return intra_;
-  return 2 * uplink_ + core_[static_cast<std::size_t>(ra * regions_ + rb)];
+  return 2 * kUplink + core_[static_cast<std::size_t>(ra * regions_ + rb)];
 }
 
 }  // namespace aa::sim

@@ -81,16 +81,14 @@ class EuclideanTopology final : public Topology {
 };
 
 /// Transit-stub model: `regions` stubs; hosts assigned round-robin.
-/// Latency: intra-region = intra; inter-region = 2*uplink + core latency
-/// between the two region routers (randomised per pair, deterministic).
+/// Latency: intra-region = intra; inter-region = 2 * 5 ms of stub uplink
+/// plus the core latency between the two region routers, drawn per pair
+/// from [10 ms, 80 ms] (seeded, deterministic).
 class TransitStubTopology final : public Topology {
  public:
   struct Params {
     int regions = 4;
     SimDuration intra = duration::millis(2);
-    SimDuration uplink = duration::millis(5);
-    SimDuration core_min = duration::millis(10);
-    SimDuration core_max = duration::millis(80);
     std::uint64_t seed = 42;
   };
 
@@ -104,7 +102,6 @@ class TransitStubTopology final : public Topology {
   std::size_t hosts_;
   int regions_;
   SimDuration intra_;
-  SimDuration uplink_;
   std::vector<SimDuration> core_;  // regions x regions matrix
 };
 

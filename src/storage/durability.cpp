@@ -67,7 +67,7 @@ void StoreJournal::record_replica_put(const ObjectId& id, const Bytes& data) {
   w.u8(static_cast<std::uint8_t>(WalOp::kReplicaPut));
   w.uid(id);
   w.bytes(data);
-  log_record(std::move(w).take(), data.size() + 20);
+  log_record(std::move(w).take());
 }
 
 void StoreJournal::record_replica_drop(const ObjectId& id) {
@@ -80,7 +80,7 @@ void StoreJournal::record_replica_drop(const ObjectId& id) {
   BufWriter w;
   w.u8(static_cast<std::uint8_t>(WalOp::kReplicaDrop));
   w.uid(id);
-  log_record(std::move(w).take(), 20);
+  log_record(std::move(w).take());
 }
 
 void StoreJournal::record_fragment_put(const ObjectId& id, const Fragment& fragment) {
@@ -95,7 +95,7 @@ void StoreJournal::record_fragment_put(const ObjectId& id, const Fragment& fragm
   w.uid(id);
   w.u32(static_cast<std::uint32_t>(fragment.index));
   w.bytes(fragment.data);
-  log_record(std::move(w).take(), fragment.data.size() + 24);
+  log_record(std::move(w).take());
 }
 
 void StoreJournal::record_fragment_drop(const ObjectId& id) {
@@ -108,11 +108,10 @@ void StoreJournal::record_fragment_drop(const ObjectId& id) {
   BufWriter w;
   w.u8(static_cast<std::uint8_t>(WalOp::kFragmentDrop));
   w.uid(id);
-  log_record(std::move(w).take(), 20);
+  log_record(std::move(w).take());
 }
 
-void StoreJournal::log_record(Bytes payload, std::size_t logical_bytes) {
-  (void)logical_bytes;  // already accounted by the caller
+void StoreJournal::log_record(Bytes payload) {
   const Bytes framed = frame_record(payload);
   ++stats_.wal_appends;
   stats_.wal_bytes += framed.size();
@@ -129,7 +128,7 @@ void StoreJournal::initiate_checkpoint() {
   // covers every epoch below `seq`, and nothing after it.
   current_epoch_ = seq;
   records_since_ckpt_ = 0;
-  Bytes data = serialize_checkpoint(seq);
+  Bytes data = serialize_checkpoint();  // seq rides in the ping-pong frame
   ++stats_.checkpoints;
   stats_.checkpoint_bytes += data.size() + 24;  // + ping-pong frame
   sim::checkpoint_write(disk_, host_, kCkptBase, seq, std::move(data),
@@ -138,8 +137,7 @@ void StoreJournal::initiate_checkpoint() {
                         });
 }
 
-Bytes StoreJournal::serialize_checkpoint(std::uint64_t seq) const {
-  (void)seq;  // carried by the ping-pong frame
+Bytes StoreJournal::serialize_checkpoint() const {
   BufWriter w;
   const auto replica_ids = node_->replica_ids();
   w.u32(static_cast<std::uint32_t>(replica_ids.size()));

@@ -121,9 +121,9 @@ class StoreJournal {
   const DurabilityStats& stats() const { return stats_; }
 
  private:
-  void log_record(Bytes payload, std::size_t logical_bytes);
+  void log_record(Bytes payload);
   void initiate_checkpoint();
-  Bytes serialize_checkpoint(std::uint64_t seq) const;
+  Bytes serialize_checkpoint() const;
   void on_checkpoint_durable(std::uint64_t seq);
   std::string wal_file(std::uint64_t epoch) const;
 

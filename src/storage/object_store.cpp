@@ -215,12 +215,7 @@ bool ObjectStore::on_route_intercept(sim::HostId host, const ObjectId& key,
 
   StoreNode& node = *nodes_.at(host);
   const Bytes* hit = node.replica(key);
-  bool from_cache = false;
-  if (hit == nullptr && params_.promiscuous_cache) {
-    hit = node.cache_get(key);
-    from_cache = hit != nullptr;
-  }
-  (void)from_cache;
+  if (hit == nullptr && params_.promiscuous_cache) hit = node.cache_get(key);
   if (hit == nullptr) return false;  // keep routing toward the root
   ++stats_.intercept_hits;
   reply(host, requester, request_id, key, hit);
@@ -248,7 +243,7 @@ void ObjectStore::on_route_deliver(sim::HostId host, const ObjectId& key, const 
       // the remaining option.
       StoreNode& node = *nodes_.at(host);
       if (params_.erasure && node.fragment(key) != nullptr) {
-        start_reconstruction(host, key, request_id, requester);
+        start_reconstruction(host, key, request_id);
       } else {
         ++stats_.misses;
         reply(host, requester, request_id, key, nullptr);
@@ -309,7 +304,7 @@ void ObjectStore::reply(sim::HostId from, sim::HostId requester, std::uint64_t r
 }
 
 void ObjectStore::start_reconstruction(sim::HostId root, const ObjectId& id,
-                                       std::uint64_t request_id, sim::HostId requester) {
+                                       std::uint64_t request_id) {
   // Piggyback onto an existing gather for the same object if one is in
   // flight at this root.
   for (auto& [gid, gather] : gathers_) {
@@ -334,10 +329,9 @@ void ObjectStore::start_reconstruction(sim::HostId root, const ObjectId& id,
     net_.send(root, target.host, kDirectProto, FragRequestMsg{id, gather_id, root}, 36);
   }
   // NOTE: the pending get's timeout covers the failure case (not enough
-  // live fragments) — the requester times out rather than hanging.
-  // `requester` identifies who gets the reply once decode succeeds; it
-  // is recoverable from the pending table via request_id at that time.
-  (void)requester;
+  // live fragments) — the requester times out rather than hanging.  Who
+  // gets the reply once decode succeeds is looked up in the pending
+  // table via request_id at that time.
 }
 
 void ObjectStore::on_direct(sim::HostId host, const sim::Packet& packet) {

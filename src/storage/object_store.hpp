@@ -163,8 +163,7 @@ class ObjectStore {
                           sim::HostId requester, std::uint64_t request_id);
   void reply(sim::HostId from, sim::HostId requester, std::uint64_t request_id,
              const ObjectId& id, const Bytes* data);
-  void start_reconstruction(sim::HostId root, const ObjectId& id, std::uint64_t request_id,
-                            sim::HostId requester);
+  void start_reconstruction(sim::HostId root, const ObjectId& id, std::uint64_t request_id);
   void healing_sweep();
   /// One host's healing pass: re-push every object this host roots.
   void heal_host(sim::HostId host, StoreNode& store_node);

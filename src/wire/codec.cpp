@@ -21,13 +21,23 @@ constexpr std::uint8_t kFrameVersion = 0x01;
 // drive allocation (the fuzz loop feeds arbitrary bytes here).
 constexpr std::uint64_t kMaxFrameMembers = 1 << 16;
 
+/// Member kind tags of the binary frame layout.  Wire-stable: append
+/// only.
+enum class Kind : std::uint8_t {
+  kSubscribe = 1,
+  kAdvertise = 2,
+  kUnsubscribe = 3,
+  kPublish = 4,
+  kDeliver = 5,
+  kSyncRequest = 6,
+  kSyncReply = 7,
+};
+
 // ---------------------------------------------------------------------
-// XML codec: the interop/golden form.  Sizes reproduce the pre-codec
-// accounting formulas exactly — the chaos suite pins exact byte
-// counters for clean unbatched XML runs, so these constants are
-// golden.  The byte encodings carry events as their golden-pinned XML
-// documents; filters and envelopes use the typed buffered form (a
-// filter never had a pinned XML byte layout, only a size model).
+// XML codec: the paper's XML wire form as a size model.  Sizes
+// reproduce the pre-codec accounting formulas exactly — the chaos suite
+// pins exact byte counters for clean unbatched XML runs, so these
+// constants are golden.
 // ---------------------------------------------------------------------
 
 class XmlCodec final : public Codec {
@@ -55,89 +65,9 @@ class XmlCodec final : public Codec {
     return total;
   }
 
-  void encode(BufWriter& w, const SubscribeMsg& m) const override {
-    w.u64(m.id);
-    event::write_filter(w, m.filter);
-  }
-  void encode(BufWriter& w, const AdvertiseMsg& m) const override {
-    w.u64(m.id);
-    event::write_filter(w, m.filter);
-  }
-  void encode(BufWriter& w, const UnsubscribeMsg& m) const override { w.u64(m.id); }
   void encode(BufWriter& w, const PublishMsg& m) const override {
     w.u64(m.pub_id);
     w.str(m.event.to_xml_string());
-  }
-  void encode(BufWriter& w, const DeliverMsg& m) const override {
-    w.str(m.event.to_xml_string());
-  }
-  void encode(BufWriter& w, const SyncRequestMsg& m) const override { w.u64(m.round); }
-  void encode(BufWriter& w, const SyncReplyMsg& m) const override {
-    w.u64(m.round);
-    w.u32(static_cast<std::uint32_t>(m.subscriptions.size()));
-    for (const SubscribeMsg& s : m.subscriptions) encode(w, s);
-    w.u32(static_cast<std::uint32_t>(m.advertisements.size()));
-    for (const AdvertiseMsg& a : m.advertisements) encode(w, a);
-  }
-
-  Result<SubscribeMsg> decode_subscribe(BufReader& r) const override {
-    SubscribeMsg m;
-    m.id = r.u64();
-    m.filter = event::read_filter(r);
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated subscribe");
-    return m;
-  }
-  Result<AdvertiseMsg> decode_advertise(BufReader& r) const override {
-    AdvertiseMsg m;
-    m.id = r.u64();
-    m.filter = event::read_filter(r);
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated advertise");
-    return m;
-  }
-  Result<UnsubscribeMsg> decode_unsubscribe(BufReader& r) const override {
-    UnsubscribeMsg m{r.u64()};
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated unsubscribe");
-    return m;
-  }
-  Result<PublishMsg> decode_publish(BufReader& r) const override {
-    PublishMsg m;
-    m.pub_id = r.u64();
-    const std::string xml = r.str();
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated publish");
-    auto e = event::Event::parse(xml);
-    if (!e.is_ok()) return e.status();
-    m.event = std::move(e).value();
-    return m;
-  }
-  Result<DeliverMsg> decode_deliver(BufReader& r) const override {
-    const std::string xml = r.str();
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated deliver");
-    auto e = event::Event::parse(xml);
-    if (!e.is_ok()) return e.status();
-    return DeliverMsg{std::move(e).value()};
-  }
-  Result<SyncRequestMsg> decode_sync_request(BufReader& r) const override {
-    SyncRequestMsg m{r.u64()};
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated sync request");
-    return m;
-  }
-  Result<SyncReplyMsg> decode_sync_reply(BufReader& r) const override {
-    SyncReplyMsg m;
-    m.round = r.u64();
-    const std::uint32_t nsubs = r.u32();
-    for (std::uint32_t i = 0; i < nsubs && !r.failed(); ++i) {
-      auto s = decode_subscribe(r);
-      if (!s.is_ok()) return s.status();
-      m.subscriptions.push_back(std::move(s).value());
-    }
-    const std::uint32_t nadvs = r.u32();
-    for (std::uint32_t i = 0; i < nadvs && !r.failed(); ++i) {
-      auto a = decode_advertise(r);
-      if (!a.is_ok()) return a.status();
-      m.advertisements.push_back(std::move(a).value());
-    }
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated sync reply");
-    return m;
   }
 
   /// Model: a 16-byte frame header plus a 2-byte length prefix per
@@ -151,9 +81,11 @@ class XmlCodec final : public Codec {
 };
 
 // ---------------------------------------------------------------------
-// Binary codec.  Every size is the exact encoded byte length; the
-// datagram form is a frame of one member, so standalone and batched
-// accounting share one layout.
+// Binary member bodies: the kind-specific payload inside a frame member
+// (the member header carries the kind tag and length).  body_size() is
+// the exact length write_body() produces.  read_body() fails soft
+// through the reader on truncation; only a malformed event or an absurd
+// count is an error of its own.
 // ---------------------------------------------------------------------
 
 /// Exact byte length of event::write_filter's output.
@@ -165,130 +97,125 @@ std::size_t filter_body_size(const event::Filter& f) {
   return total;
 }
 
+std::size_t body_size(const SubscribeMsg& m) {
+  return varint_size(m.id) + filter_body_size(m.filter);
+}
+std::size_t body_size(const AdvertiseMsg& m) {
+  return varint_size(m.id) + filter_body_size(m.filter);
+}
+std::size_t body_size(const UnsubscribeMsg& m) { return varint_size(m.id); }
+std::size_t body_size(const PublishMsg& m) {
+  return varint_size(m.pub_id) + m.event.binary_wire_size();
+}
+std::size_t body_size(const DeliverMsg& m) { return m.event.binary_wire_size(); }
+std::size_t body_size(const SyncRequestMsg& m) { return varint_size(m.round); }
+std::size_t body_size(const SyncReplyMsg& m) {
+  std::size_t total = varint_size(m.round);
+  total += varint_size(m.subscriptions.size());
+  for (const SubscribeMsg& s : m.subscriptions) total += body_size(s);
+  total += varint_size(m.advertisements.size());
+  for (const AdvertiseMsg& a : m.advertisements) total += body_size(a);
+  return total;
+}
+
+void write_body(BufWriter& w, const SubscribeMsg& m) {
+  w.varint(m.id);
+  event::write_filter(w, m.filter);
+}
+void write_body(BufWriter& w, const AdvertiseMsg& m) {
+  w.varint(m.id);
+  event::write_filter(w, m.filter);
+}
+void write_body(BufWriter& w, const UnsubscribeMsg& m) { w.varint(m.id); }
+void write_body(BufWriter& w, const PublishMsg& m) {
+  w.varint(m.pub_id);
+  m.event.to_binary(w);
+}
+void write_body(BufWriter& w, const DeliverMsg& m) { m.event.to_binary(w); }
+void write_body(BufWriter& w, const SyncRequestMsg& m) { w.varint(m.round); }
+void write_body(BufWriter& w, const SyncReplyMsg& m) {
+  w.varint(m.round);
+  w.varint(m.subscriptions.size());
+  for (const SubscribeMsg& s : m.subscriptions) write_body(w, s);
+  w.varint(m.advertisements.size());
+  for (const AdvertiseMsg& a : m.advertisements) write_body(w, a);
+}
+
+Status read_event(BufReader& r, event::Event& e) {
+  auto decoded = event::Event::from_binary(r);
+  if (!decoded.is_ok()) return decoded.status();
+  e = std::move(decoded).value();
+  return Status::ok();
+}
+
+Status read_body(BufReader& r, SubscribeMsg& m) {
+  m.id = r.varint();
+  m.filter = event::read_filter(r);
+  return Status::ok();
+}
+Status read_body(BufReader& r, AdvertiseMsg& m) {
+  m.id = r.varint();
+  m.filter = event::read_filter(r);
+  return Status::ok();
+}
+Status read_body(BufReader& r, UnsubscribeMsg& m) {
+  m.id = r.varint();
+  return Status::ok();
+}
+Status read_body(BufReader& r, PublishMsg& m) {
+  m.pub_id = r.varint();
+  return read_event(r, m.event);
+}
+Status read_body(BufReader& r, DeliverMsg& m) { return read_event(r, m.event); }
+Status read_body(BufReader& r, SyncRequestMsg& m) {
+  m.round = r.varint();
+  return Status::ok();
+}
+
+/// A sync reply's varint-counted list, capped like the frame's members.
+template <typename Msg>
+Status read_list(BufReader& r, std::vector<Msg>& out) {
+  const std::uint64_t n = r.varint();
+  if (n > kMaxFrameMembers) {
+    return Status(Code::kInvalidArgument, "absurd sync reply count");
+  }
+  for (std::uint64_t i = 0; i < n && !r.failed(); ++i) {
+    if (Status s = read_body(r, out.emplace_back()); !s.is_ok()) return s;
+  }
+  return Status::ok();
+}
+
+Status read_body(BufReader& r, SyncReplyMsg& m) {
+  m.round = r.varint();
+  if (Status s = read_list(r, m.subscriptions); !s.is_ok()) return s;
+  return read_list(r, m.advertisements);
+}
+
+// ---------------------------------------------------------------------
+// Binary codec.  Every size is the exact encoded byte length; the
+// datagram form is a frame of one member, so standalone and batched
+// accounting share one layout.
+// ---------------------------------------------------------------------
+
 class BinaryCodec final : public Codec {
  public:
   WireCodec id() const override { return WireCodec::kBinary; }
 
-  // Body sizes (the bytes encode() writes).
-  static std::size_t body(const SubscribeMsg& m) {
-    return varint_size(m.id) + filter_body_size(m.filter);
-  }
-  static std::size_t body(const AdvertiseMsg& m) {
-    return varint_size(m.id) + filter_body_size(m.filter);
-  }
-  static std::size_t body(const UnsubscribeMsg& m) { return varint_size(m.id); }
-  static std::size_t body(const PublishMsg& m) {
-    return varint_size(m.pub_id) + m.event.binary_wire_size();
-  }
-  static std::size_t body(const DeliverMsg& m) { return m.event.binary_wire_size(); }
-  static std::size_t body(const SyncRequestMsg& m) { return varint_size(m.round); }
-  static std::size_t body(const SyncReplyMsg& m) {
-    std::size_t total = varint_size(m.round);
-    total += varint_size(m.subscriptions.size());
-    for (const SubscribeMsg& s : m.subscriptions) total += body(s);
-    total += varint_size(m.advertisements.size());
-    for (const AdvertiseMsg& a : m.advertisements) total += body(a);
-    return total;
-  }
-
   /// A standalone datagram is a one-member frame:
   /// magic + version + count(=1) + kind + varint(len) + body.
-  static std::size_t datagram(std::size_t body_size) {
-    return 4 + varint_size(body_size) + body_size;
+  static std::size_t datagram(std::size_t body) {
+    return 4 + varint_size(body) + body;
   }
 
-  std::size_t size(const SubscribeMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const AdvertiseMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const UnsubscribeMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const PublishMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const DeliverMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const SyncRequestMsg& m) const override { return datagram(body(m)); }
-  std::size_t size(const SyncReplyMsg& m) const override { return datagram(body(m)); }
+  std::size_t size(const SubscribeMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const AdvertiseMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const UnsubscribeMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const PublishMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const DeliverMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const SyncRequestMsg& m) const override { return datagram(body_size(m)); }
+  std::size_t size(const SyncReplyMsg& m) const override { return datagram(body_size(m)); }
 
-  void encode(BufWriter& w, const SubscribeMsg& m) const override {
-    w.varint(m.id);
-    event::write_filter(w, m.filter);
-  }
-  void encode(BufWriter& w, const AdvertiseMsg& m) const override {
-    w.varint(m.id);
-    event::write_filter(w, m.filter);
-  }
-  void encode(BufWriter& w, const UnsubscribeMsg& m) const override { w.varint(m.id); }
-  void encode(BufWriter& w, const PublishMsg& m) const override {
-    w.varint(m.pub_id);
-    m.event.to_binary(w);
-  }
-  void encode(BufWriter& w, const DeliverMsg& m) const override { m.event.to_binary(w); }
-  void encode(BufWriter& w, const SyncRequestMsg& m) const override { w.varint(m.round); }
-  void encode(BufWriter& w, const SyncReplyMsg& m) const override {
-    w.varint(m.round);
-    w.varint(m.subscriptions.size());
-    for (const SubscribeMsg& s : m.subscriptions) encode(w, s);
-    w.varint(m.advertisements.size());
-    for (const AdvertiseMsg& a : m.advertisements) encode(w, a);
-  }
-
-  Result<SubscribeMsg> decode_subscribe(BufReader& r) const override {
-    SubscribeMsg m;
-    m.id = r.varint();
-    m.filter = event::read_filter(r);
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated subscribe");
-    return m;
-  }
-  Result<AdvertiseMsg> decode_advertise(BufReader& r) const override {
-    AdvertiseMsg m;
-    m.id = r.varint();
-    m.filter = event::read_filter(r);
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated advertise");
-    return m;
-  }
-  Result<UnsubscribeMsg> decode_unsubscribe(BufReader& r) const override {
-    UnsubscribeMsg m{r.varint()};
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated unsubscribe");
-    return m;
-  }
-  Result<PublishMsg> decode_publish(BufReader& r) const override {
-    PublishMsg m;
-    m.pub_id = r.varint();
-    auto e = event::Event::from_binary(r);
-    if (!e.is_ok()) return e.status();
-    m.event = std::move(e).value();
-    return m;
-  }
-  Result<DeliverMsg> decode_deliver(BufReader& r) const override {
-    auto e = event::Event::from_binary(r);
-    if (!e.is_ok()) return e.status();
-    return DeliverMsg{std::move(e).value()};
-  }
-  Result<SyncRequestMsg> decode_sync_request(BufReader& r) const override {
-    SyncRequestMsg m{r.varint()};
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated sync request");
-    return m;
-  }
-  Result<SyncReplyMsg> decode_sync_reply(BufReader& r) const override {
-    SyncReplyMsg m;
-    m.round = r.varint();
-    const std::uint64_t nsubs = r.varint();
-    if (nsubs > kMaxFrameMembers) {
-      return Status(Code::kInvalidArgument, "absurd sync reply count");
-    }
-    for (std::uint64_t i = 0; i < nsubs && !r.failed(); ++i) {
-      auto s = decode_subscribe(r);
-      if (!s.is_ok()) return s.status();
-      m.subscriptions.push_back(std::move(s).value());
-    }
-    const std::uint64_t nadvs = r.varint();
-    if (nadvs > kMaxFrameMembers) {
-      return Status(Code::kInvalidArgument, "absurd sync reply count");
-    }
-    for (std::uint64_t i = 0; i < nadvs && !r.failed(); ++i) {
-      auto a = decode_advertise(r);
-      if (!a.is_ok()) return a.status();
-      m.advertisements.push_back(std::move(a).value());
-    }
-    if (r.failed()) return Status(Code::kInvalidArgument, "truncated sync reply");
-    return m;
-  }
+  void encode(BufWriter& w, const PublishMsg& m) const override { write_body(w, m); }
 
   /// Exact: recover each member's body length from its standalone
   /// datagram size (body + varint_size(body) is strictly increasing, so
@@ -316,12 +243,58 @@ const XmlCodec g_xml;
 const BinaryCodec g_binary;
 
 template <typename Msg>
-void write_member(BufWriter& w, const Codec& c, MsgKind kind, const Msg& m) {
+void write_member(BufWriter& w, Kind kind, const Msg& m) {
   w.u8(static_cast<std::uint8_t>(kind));
-  BufWriter body;
-  c.encode(body, m);
-  w.varint(body.size());
-  w.append(body.data());
+  w.varint(body_size(m));
+  write_body(w, m);
+}
+
+/// Writes one frame member from a packet's std::any body; false for a
+/// body that is not a pubsub message.
+bool write_member(BufWriter& w, const std::any& body) {
+  if (const auto* m = std::any_cast<SubscribeMsg>(&body)) {
+    write_member(w, Kind::kSubscribe, *m);
+  } else if (const auto* m = std::any_cast<AdvertiseMsg>(&body)) {
+    write_member(w, Kind::kAdvertise, *m);
+  } else if (const auto* m = std::any_cast<UnsubscribeMsg>(&body)) {
+    write_member(w, Kind::kUnsubscribe, *m);
+  } else if (const auto* m = std::any_cast<PublishMsg>(&body)) {
+    write_member(w, Kind::kPublish, *m);
+  } else if (const auto* m = std::any_cast<DeliverMsg>(&body)) {
+    write_member(w, Kind::kDeliver, *m);
+  } else if (const auto* m = std::any_cast<SyncRequestMsg>(&body)) {
+    write_member(w, Kind::kSyncRequest, *m);
+  } else if (const auto* m = std::any_cast<SyncReplyMsg>(&body)) {
+    write_member(w, Kind::kSyncReply, *m);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Decodes one member body, which must fill `body` exactly.
+template <typename Msg>
+Result<std::any> read_member(BufReader& body) {
+  Msg m;
+  if (Status s = read_body(body, m); !s.is_ok()) return s;
+  if (body.failed()) return Status(Code::kInvalidArgument, "truncated frame member");
+  if (!body.at_end()) {
+    return Status(Code::kInvalidArgument, "frame member has trailing bytes");
+  }
+  return std::any(std::move(m));
+}
+
+Result<std::any> read_member(std::uint8_t kind, BufReader& body) {
+  switch (static_cast<Kind>(kind)) {
+    case Kind::kSubscribe: return read_member<SubscribeMsg>(body);
+    case Kind::kAdvertise: return read_member<AdvertiseMsg>(body);
+    case Kind::kUnsubscribe: return read_member<UnsubscribeMsg>(body);
+    case Kind::kPublish: return read_member<PublishMsg>(body);
+    case Kind::kDeliver: return read_member<DeliverMsg>(body);
+    case Kind::kSyncRequest: return read_member<SyncRequestMsg>(body);
+    case Kind::kSyncReply: return read_member<SyncReplyMsg>(body);
+  }
+  return Status(Code::kInvalidArgument, "unknown member kind " + std::to_string(kind));
 }
 
 }  // namespace
@@ -350,50 +323,20 @@ const Codec& codec(WireCodec c) {
   return c == WireCodec::kBinary ? static_cast<const Codec&>(g_binary) : g_xml;
 }
 
-bool encode_member(BufWriter& w, const Codec& c, const std::any& body) {
-  if (const auto* m = std::any_cast<SubscribeMsg>(&body)) {
-    write_member(w, c, MsgKind::kSubscribe, *m);
-  } else if (const auto* m = std::any_cast<AdvertiseMsg>(&body)) {
-    write_member(w, c, MsgKind::kAdvertise, *m);
-  } else if (const auto* m = std::any_cast<UnsubscribeMsg>(&body)) {
-    write_member(w, c, MsgKind::kUnsubscribe, *m);
-  } else if (const auto* m = std::any_cast<PublishMsg>(&body)) {
-    write_member(w, c, MsgKind::kPublish, *m);
-  } else if (const auto* m = std::any_cast<DeliverMsg>(&body)) {
-    write_member(w, c, MsgKind::kDeliver, *m);
-  } else if (const auto* m = std::any_cast<SyncRequestMsg>(&body)) {
-    write_member(w, c, MsgKind::kSyncRequest, *m);
-  } else if (const auto* m = std::any_cast<SyncReplyMsg>(&body)) {
-    write_member(w, c, MsgKind::kSyncReply, *m);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Result<Bytes> encode_frame(const Codec& c, std::span<const std::any> bodies) {
-  if (c.id() != WireCodec::kBinary) {
-    return Status(Code::kFailedPrecondition,
-                  "only the binary codec has a frame byte layout");
-  }
+Result<Bytes> encode_frame(std::span<const std::any> bodies) {
   BufWriter w;
   w.u8(kFrameMagic);
   w.u8(kFrameVersion);
   w.varint(bodies.size());
   for (const std::any& body : bodies) {
-    if (!encode_member(w, c, body)) {
+    if (!write_member(w, body)) {
       return Status(Code::kInvalidArgument, "frame member is not a pubsub message");
     }
   }
   return std::move(w).take();
 }
 
-Result<std::vector<std::any>> decode_frame(const Codec& c,
-                                           std::span<const std::uint8_t> bytes) {
-  if (c.id() != WireCodec::kBinary) {
-    return Status(Code::kFailedPrecondition,
-                  "only the binary codec has a frame byte layout");
-  }
+Result<std::vector<std::any>> decode_frame(std::span<const std::uint8_t> bytes) {
   BufReader r(bytes);
   const std::uint8_t magic = r.u8();
   const std::uint8_t version = r.u8();
@@ -413,61 +356,11 @@ Result<std::vector<std::any>> decode_frame(const Codec& c,
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t kind = r.u8();
     const std::uint64_t len = r.varint();
-    auto view = r.view(len);
+    BufReader body(r.view(len));
     if (r.failed()) return Status(Code::kInvalidArgument, "truncated frame member");
-    BufReader body(view);
-    std::any decoded;
-    switch (static_cast<MsgKind>(kind)) {
-      case MsgKind::kSubscribe: {
-        auto m = c.decode_subscribe(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kAdvertise: {
-        auto m = c.decode_advertise(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kUnsubscribe: {
-        auto m = c.decode_unsubscribe(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kPublish: {
-        auto m = c.decode_publish(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kDeliver: {
-        auto m = c.decode_deliver(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kSyncRequest: {
-        auto m = c.decode_sync_request(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      case MsgKind::kSyncReply: {
-        auto m = c.decode_sync_reply(body);
-        if (!m.is_ok()) return m.status();
-        decoded = std::move(m).value();
-        break;
-      }
-      default:
-        return Status(Code::kInvalidArgument,
-                      "unknown member kind " + std::to_string(kind));
-    }
-    if (!body.at_end()) {
-      return Status(Code::kInvalidArgument, "frame member has trailing bytes");
-    }
-    out.push_back(std::move(decoded));
+    auto member = read_member(kind, body);
+    if (!member.is_ok()) return member.status();
+    out.push_back(std::move(member).value());
   }
   if (!r.at_end()) {
     return Status(Code::kInvalidArgument, "frame has trailing bytes");

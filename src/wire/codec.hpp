@@ -1,34 +1,34 @@
-// Negotiable wire codecs for the pub/sub message set.
+// Wire codecs for the pub/sub message set.
 //
-// XML is a serialization-only concern (the golden SHA-1 pins the byte
-// form behind to_xml/parse); this layer makes the *choice* of wire form
-// a property of the event bus.  Two codecs exist:
+// The choice of wire form is a property of the event bus: one bus
+// speaks one codec on every link (SienaNetwork::set_codec).  The
+// simulator ships message structs and charges each send the size its
+// codec gives; no simulated send encodes a message.  Two codecs exist:
 //
-//   * kXml    — the interop/golden form.  Datagram sizes reproduce the
-//     pre-codec accounting formulas byte-for-byte (the chaos suite pins
-//     exact traffic counters against them), and events encode as the
-//     golden-pinned XML documents.
+//   * kXml    — the paper's XML-encoded events (§4.2), as a size model.
+//     Datagram sizes reproduce the pre-codec accounting formulas
+//     byte-for-byte (the chaos suite pins exact traffic counters
+//     against them) and are computed from the attributes without
+//     rendering.  Its frame_size() models a 16-byte frame header plus
+//     2-byte member length prefixes.
 //   * kBinary — a length-prefixed binary form: varint integers, events
 //     and filters as tagged (name, type, value) tuples.  Attribute
 //     names travel as spelled — AtomIds are process-local interning
 //     handles and must never leak to the wire — so the byte form is
-//     stable across processes and pinned by a golden fixture of its
-//     own.  Every size() here is the exact encoded length (asserted by
-//     tests), so traffic accounting equals real serialisation cost.
+//     stable across processes and pinned by a golden fixture.  Every
+//     size() is the exact encoded length (asserted by tests), so
+//     traffic accounting equals real serialisation cost.
 //
-// One event bus speaks one codec on every link (SienaNetwork::set_codec).
-//
-// Framing: per-link batching (sim/network.hpp) coalesces packets for
-// one neighbour into a single physical frame; frame_size() gives the
-// frame's byte cost from its members' standalone datagram sizes, and
-// encode_frame()/decode_frame() realise the binary frame layout
+// The binary frame is the only byte format, realised by
+// encode_frame()/decode_frame():
 //
 //   magic 0xB5 | version 0x01 | varint member count |
 //   repeat: kind u8 | varint body length | body bytes
 //
-// for the golden/fuzz tests.  XML stays a datagram-per-message interop
-// form; its frame_size() models a 16-byte frame header plus 2-byte
-// member length prefixes but has no byte-level frame encoding.
+// A standalone binary datagram is a frame of one member.  Per-link
+// batching (sim/network.hpp) coalesces packets for one neighbour into a
+// single physical frame; frame_size() gives the frame's byte cost from
+// its members' standalone datagram sizes.
 #pragma once
 
 #include <any>
@@ -47,18 +47,6 @@ enum class WireCodec : std::uint8_t { kXml = 0, kBinary = 1 };
 
 const char* codec_name(WireCodec c);
 Result<WireCodec> codec_from_name(std::string_view name);
-
-/// Message kind tags of the binary frame layout.  Wire-stable: append
-/// only.
-enum class MsgKind : std::uint8_t {
-  kSubscribe = 1,
-  kAdvertise = 2,
-  kUnsubscribe = 3,
-  kPublish = 4,
-  kDeliver = 5,
-  kSyncRequest = 6,
-  kSyncReply = 7,
-};
 
 class Codec {
  public:
@@ -80,29 +68,10 @@ class Codec {
   virtual std::size_t size(const pubsub::SyncRequestMsg& m) const = 0;
   virtual std::size_t size(const pubsub::SyncReplyMsg& m) const = 0;
 
-  // --- message body encode/decode ---
-  //
-  // The body is the kind-specific payload inside a frame member (the
-  // frame header carries the kind tag and length).  For the binary
-  // codec the encoded body length is exactly size(m) minus the
-  // one-member frame envelope; tests assert the equality.
-  virtual void encode(BufWriter& w, const pubsub::SubscribeMsg& m) const = 0;
-  virtual void encode(BufWriter& w, const pubsub::AdvertiseMsg& m) const = 0;
-  virtual void encode(BufWriter& w, const pubsub::UnsubscribeMsg& m) const = 0;
+  /// Writes a publication in this codec's form: the binary publish
+  /// body, or the u64 pub_id and the event's XML document.  Only
+  /// bench_e2e's codec_encode probe calls it; the bus charges size().
   virtual void encode(BufWriter& w, const pubsub::PublishMsg& m) const = 0;
-  virtual void encode(BufWriter& w, const pubsub::DeliverMsg& m) const = 0;
-  virtual void encode(BufWriter& w, const pubsub::SyncRequestMsg& m) const = 0;
-  virtual void encode(BufWriter& w, const pubsub::SyncReplyMsg& m) const = 0;
-
-  virtual Result<pubsub::SubscribeMsg> decode_subscribe(BufReader& r) const = 0;
-  virtual Result<pubsub::AdvertiseMsg> decode_advertise(BufReader& r) const = 0;
-  virtual Result<pubsub::UnsubscribeMsg> decode_unsubscribe(BufReader& r) const = 0;
-  virtual Result<pubsub::PublishMsg> decode_publish(BufReader& r) const = 0;
-  virtual Result<pubsub::DeliverMsg> decode_deliver(BufReader& r) const = 0;
-  virtual Result<pubsub::SyncRequestMsg> decode_sync_request(BufReader& r) const = 0;
-  virtual Result<pubsub::SyncReplyMsg> decode_sync_reply(BufReader& r) const = 0;
-
-  // --- framing ---
 
   /// Byte cost of one physical frame coalescing members whose
   /// *standalone datagram* sizes are given.  Exact for the binary
@@ -115,17 +84,12 @@ const Codec& xml_codec();
 const Codec& binary_codec();
 const Codec& codec(WireCodec c);
 
-/// Encodes one frame member (kind tag + length + body) from a packet's
-/// std::any body.  Returns false for non-pubsub bodies (overlay,
-/// storage, transport internals) — those batch by size accounting only.
-bool encode_member(BufWriter& w, const Codec& c, const std::any& body);
-
-/// Full binary frame over pubsub message bodies (golden fixture, fuzz
-/// and round-trip tests; the simulator itself ships structs and charges
-/// sizes).  Fails on bodies encode_member() rejects and, for the XML
-/// codec, always (XML has no frame byte layout).
-Result<Bytes> encode_frame(const Codec& c, std::span<const std::any> bodies);
-Result<std::vector<std::any>> decode_frame(const Codec& c,
-                                           std::span<const std::uint8_t> bytes);
+/// The binary frame over pubsub message bodies (golden fixture, fuzz and
+/// round-trip checks).  encode_frame fails on a body that is not a
+/// pubsub message: overlay, storage and transport structs batch by size
+/// accounting only.  decode_frame fails on any malformed frame and never
+/// reads outside `bytes`.
+Result<Bytes> encode_frame(std::span<const std::any> bodies);
+Result<std::vector<std::any>> decode_frame(std::span<const std::uint8_t> bytes);
 
 }  // namespace aa::wire

@@ -10,7 +10,6 @@
 #include "event/filter_parser.hpp"
 #include "match/rule.hpp"
 #include "storage/erasure.hpp"
-#include "xml/path.hpp"
 #include "xml/xml.hpp"
 
 namespace aa {
@@ -173,13 +172,6 @@ TEST_P(FuzzCase, ErasureDecodeOnCorruptedFragments) {
       frags[rng.below(frags.size())].index = static_cast<int>(rng.below(20)) - 5;
     }
     (void)coder.decode(frags);  // must not crash; may fail or mis-decode
-  }
-}
-
-TEST_P(FuzzCase, PathCompilerNeverCrashes) {
-  for (int i = 0; i < 300; ++i) {
-    (void)xml::Path::compile(random_bytes_string(rng, 40));
-    (void)xml::Path::compile(random_xmlish(rng, 20));
   }
 }
 

@@ -1,9 +1,8 @@
-// Unit + property tests for the XML document model, parser, paths and
-// type projection.
+// Unit + property tests for the XML document model, parser and type
+// projection.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "xml/path.hpp"
 #include "xml/projection.hpp"
 #include "xml/xml.hpp"
 
@@ -158,53 +157,6 @@ TEST_P(XmlRoundTrip, ParsePrintIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomDocuments, XmlRoundTrip, ::testing::Range(0, 25));
-
-// --- Path queries ---
-
-const char* kDoc = R"(
-<menu place="janettas">
-  <item kind="icecream"><flavour>vanilla</flavour><price>2.5</price></item>
-  <item kind="icecream"><flavour>mint</flavour><price>2.8</price></item>
-  <item kind="coffee"><price>2.0</price></item>
-  <hours open="9.00" close="17.00"/>
-</menu>)";
-
-TEST(XmlPath, TextSelection) {
-  auto doc = parse(kDoc);
-  ASSERT_TRUE(doc.is_ok());
-  EXPECT_EQ(eval_path(doc.value(), "menu/item/flavour").value(), "vanilla");
-}
-
-TEST(XmlPath, AttributeSelection) {
-  auto doc = parse(kDoc);
-  EXPECT_EQ(eval_path(doc.value(), "menu/hours/@close").value(), "17.00");
-  EXPECT_EQ(eval_path(doc.value(), "menu/@place").value(), "janettas");
-}
-
-TEST(XmlPath, PredicateSelection) {
-  auto doc = parse(kDoc);
-  EXPECT_EQ(eval_path(doc.value(), "menu/item[kind=coffee]/price").value(), "2.0");
-}
-
-TEST(XmlPath, WildcardStep) {
-  auto doc = parse(kDoc);
-  auto path = Path::compile("menu/*/price");
-  ASSERT_TRUE(path.is_ok());
-  EXPECT_EQ(path.value().find_all(doc.value()).size(), 3u);
-}
-
-TEST(XmlPath, NoMatchReturnsNullopt) {
-  auto doc = parse(kDoc);
-  EXPECT_FALSE(eval_path(doc.value(), "menu/nothing/here").has_value());
-  EXPECT_FALSE(eval_path(doc.value(), "wrongroot/item").has_value());
-}
-
-TEST(XmlPath, CompileErrors) {
-  EXPECT_FALSE(Path::compile("").is_ok());
-  EXPECT_FALSE(Path::compile("a/@x/b").is_ok());
-  EXPECT_FALSE(Path::compile("a/[x=y]").is_ok());
-  EXPECT_FALSE(Path::compile("a/b[pred]").is_ok());
-}
 
 // --- Type projection ---
 
