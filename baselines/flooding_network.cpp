@@ -1,10 +1,21 @@
-#include "pubsub/flooding_network.hpp"
+#include "baselines/flooding_network.hpp"
 
 #include <set>
 
 #include "wire/codec.hpp"
 
-namespace aa::pubsub {
+namespace aa::baselines {
+
+using pubsub::DeliverMsg;
+using pubsub::kBrokerProto;
+using pubsub::kClientProto;
+using pubsub::PublishMsg;
+using pubsub::SubscribeMsg;
+using pubsub::UnsubscribeMsg;
+
+namespace {
+constexpr std::size_t kTreeFanout = 2;
+}  // namespace
 
 FloodingNetwork::FloodingNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts)
     : net_(net), broker_hosts_(std::move(broker_hosts)) {
@@ -25,9 +36,9 @@ void FloodingNetwork::connect(sim::HostId broker_a, sim::HostId broker_b) {
   brokers_[broker_b].neighbours.insert(broker_a);
 }
 
-void FloodingNetwork::connect_tree(int fanout) {
+void FloodingNetwork::connect_tree() {
   for (std::size_t i = 1; i < broker_hosts_.size(); ++i) {
-    connect(broker_hosts_[(i - 1) / static_cast<std::size_t>(fanout)], broker_hosts_[i]);
+    connect(broker_hosts_[(i - 1) / kTreeFanout], broker_hosts_[i]);
   }
 }
 
@@ -115,4 +126,4 @@ void FloodingNetwork::on_client_message(sim::HostId client_host, const sim::Pack
   }
 }
 
-}  // namespace aa::pubsub
+}  // namespace aa::baselines

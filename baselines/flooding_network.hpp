@@ -2,7 +2,8 @@
 // but publications are flooded to every broker regardless of
 // subscriptions; filtering happens only at the edge (access brokers
 // deliver to their matching local clients).  Ablation for C1: overlay
-// distribution *without* content-based routing state.
+// distribution *without* content-based routing state.  Every message is
+// priced as XML.
 #pragma once
 
 #include <map>
@@ -12,9 +13,9 @@
 #include "pubsub/event_service.hpp"
 #include "pubsub/messages.hpp"
 
-namespace aa::pubsub {
+namespace aa::baselines {
 
-class FloodingNetwork final : public EventService {
+class FloodingNetwork final : public pubsub::EventService {
  public:
   FloodingNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts);
   ~FloodingNetwork() override;
@@ -23,7 +24,8 @@ class FloodingNetwork final : public EventService {
   FloodingNetwork& operator=(const FloodingNetwork&) = delete;
 
   void connect(sim::HostId broker_a, sim::HostId broker_b);
-  void connect_tree(int fanout = 2);
+  /// Builds a binary tree over all brokers (in creation order).
+  void connect_tree();
   void attach_client(sim::HostId client_host, sim::HostId broker_host);
 
   std::uint64_t subscribe(sim::HostId client, const event::Filter& filter,
@@ -62,4 +64,4 @@ class FloodingNetwork final : public EventService {
   std::uint64_t broker_messages_ = 0;
 };
 
-}  // namespace aa::pubsub
+}  // namespace aa::baselines

@@ -1,10 +1,10 @@
-#include "pubsub/scribe.hpp"
+#include "baselines/scribe.hpp"
 
 #include <deque>
 
 #include "common/bytes.hpp"
 
-namespace aa::pubsub {
+namespace aa::baselines {
 
 namespace {
 constexpr const char* kScribeApp = "scribe";     // overlay-routed traffic
@@ -264,4 +264,4 @@ std::size_t ScribeNetwork::children_at(sim::HostId host, const std::string& topi
   return it == children_.end() ? 0 : it->second.size();
 }
 
-}  // namespace aa::pubsub
+}  // namespace aa::baselines

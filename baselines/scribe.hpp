@@ -31,7 +31,7 @@
 #include "overlay/overlay_network.hpp"
 #include "pubsub/event_service.hpp"
 
-namespace aa::pubsub {
+namespace aa::baselines {
 
 struct ScribeStats {
   std::uint64_t joins_routed = 0;
@@ -40,7 +40,7 @@ struct ScribeStats {
   std::uint64_t pruned_children = 0;
 };
 
-class ScribeNetwork final : public EventService {
+class ScribeNetwork final : public pubsub::EventService {
  public:
   struct Params {
     /// Subscription soft-state refresh period; 0 disables refresh
@@ -130,4 +130,4 @@ class ScribeNetwork final : public EventService {
   static constexpr int kRefreshMisses = 3;
 };
 
-}  // namespace aa::pubsub
+}  // namespace aa::baselines

@@ -16,12 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/flooding_network.hpp"
+#include "baselines/scribe.hpp"
 #include "bench_util.hpp"
 #include "wire/codec.hpp"
 #include "obs/metrics_hub.hpp"
 #include "sim/metrics.hpp"
-#include "pubsub/flooding_network.hpp"
-#include "pubsub/scribe.hpp"
 #include "pubsub/siena_network.hpp"
 #include "overlay/overlay_network.hpp"
 
@@ -70,11 +70,11 @@ RunResult run(const Workload& w, const std::string& mode,
     std::vector<sim::HostId> all;
     for (sim::HostId h = 0; h < hosts; ++h) all.push_back(h);
     overlay->build_ring(all);
-    pubsub::ScribeNetwork::Params sp;
+    baselines::ScribeNetwork::Params sp;
     sp.refresh_period = 0;
-    service = std::make_unique<pubsub::ScribeNetwork>(net, *overlay, sp);
+    service = std::make_unique<baselines::ScribeNetwork>(net, *overlay, sp);
   } else if (mode == "flooding") {
-    auto flooding = std::make_unique<pubsub::FloodingNetwork>(net, broker_hosts);
+    auto flooding = std::make_unique<baselines::FloodingNetwork>(net, broker_hosts);
     flooding->connect_tree();
     for (int s = 0; s < w.subscribers; ++s) {
       flooding->attach_client(static_cast<sim::HostId>(w.brokers + s),
@@ -87,10 +87,9 @@ RunResult run(const Workload& w, const std::string& mode,
     service = std::move(flooding);
   } else {
     auto s = std::make_unique<pubsub::SienaNetwork>(
-        net, mode == "central" ? std::vector<sim::HostId>{0} : broker_hosts);
+        net, mode == "central" ? std::vector<sim::HostId>{0} : broker_hosts, codec);
     s->connect_tree();
     if (mode == "siena-adv") (void)s->set_advertisement_forwarding(true);
-    s->set_codec(codec);
     if (batching) {
       net.enable_batching(0, [codec](std::span<const std::size_t> sizes) {
         return wire::codec(codec).frame_size(sizes);
@@ -413,9 +412,8 @@ int main(int argc, char** argv) {
       sim::Network net(sched, topo);
       std::vector<sim::HostId> brokers;
       for (sim::HostId h = 0; h < kBrokers; ++h) brokers.push_back(h);
-      pubsub::SienaNetwork ps(net, brokers);
+      pubsub::SienaNetwork ps(net, brokers, wire::WireCodec::kBinary);
       ps.connect_tree();
-      ps.set_codec(wire::WireCodec::kBinary);
       if (batching) {
         net.enable_batching(0, [](std::span<const std::size_t> sizes) {
           return wire::binary_codec().frame_size(sizes);

@@ -15,6 +15,8 @@ struct AckMsg {
   std::uint64_t request_id = 0;
   DeployResult result = DeployResult::kInstalled;
 };
+// How long a pusher waits for the ack.
+constexpr SimDuration kAckTimeout = duration::seconds(10);
 }  // namespace
 
 BundleDeployer::BundleDeployer(sim::Network& net, ThinServerRuntime& runtime)
@@ -34,21 +36,21 @@ void BundleDeployer::ensure_handler(sim::HostId host) {
 }
 
 void BundleDeployer::push(sim::HostId from, sim::HostId target, const CodeBundle& bundle,
-                          DeployCallback done, SimDuration timeout) {
+                          DeployCallback done) {
   push_with_seal(from, target, bundle, bundle.seal(runtime_.authority_secret()),
-                 std::move(done), timeout);
+                 std::move(done));
 }
 
 void BundleDeployer::push_with_seal(sim::HostId from, sim::HostId target,
                                     const CodeBundle& bundle, const Sha1Digest& seal,
-                                    DeployCallback done, SimDuration timeout) {
+                                    DeployCallback done) {
   ensure_handler(from);
   ensure_handler(target);
   ++pushes_;
   const std::uint64_t request_id = next_id_++;
   if (done) {
     Pending pending;
-    pending.timeout = net_.scheduler().after(timeout, [this, request_id]() {
+    pending.timeout = net_.scheduler().after(kAckTimeout, [this, request_id]() {
       auto it = pending_.find(request_id);
       if (it == pending_.end()) return;
       it->second.done(Status(Code::kTimeout, "bundle push timed out"));

@@ -23,15 +23,15 @@ class BundleDeployer {
 
   /// Seals `bundle` with the runtime's authority secret and pushes it
   /// from `from` to the thin server on `target`.  The callback runs at
-  /// the pusher once the ack returns (or on timeout).
+  /// the pusher once the ack returns, or with kTimeout when none has
+  /// after 10 s of virtual time.
   void push(sim::HostId from, sim::HostId target, const CodeBundle& bundle,
-            DeployCallback done = nullptr, SimDuration timeout = duration::seconds(10));
+            DeployCallback done = nullptr);
 
   /// Pushes a bundle sealed by an *impostor* secret — used by tests and
   /// the security example to show rejection.
   void push_with_seal(sim::HostId from, sim::HostId target, const CodeBundle& bundle,
-                      const Sha1Digest& seal, DeployCallback done = nullptr,
-                      SimDuration timeout = duration::seconds(10));
+                      const Sha1Digest& seal, DeployCallback done = nullptr);
 
   std::uint64_t pushes() const { return pushes_; }
 

@@ -184,6 +184,9 @@ class BufReader {
   }
 
   bool failed() const { return failed_; }
+  /// Marks the input corrupt: a decoder that reads a value out of range
+  /// fails the reader as truncation does, so every later read fails.
+  void fail() { failed_ = true; }
   bool at_end() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 

@@ -290,13 +290,23 @@ Filter read_filter(BufReader& r) {
   std::vector<Constraint> constraints;
   for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
     const std::string attribute = r.str();
-    const Op op = static_cast<Op>(r.u8());
-    const auto type = static_cast<ValueType>(r.u8());
+    const std::uint8_t op = r.u8();
+    const std::uint8_t type = r.u8();
     const std::string text = r.str();
     if (r.failed()) break;
-    auto value = AttrValue::from_text(type, text);
-    constraints.emplace_back(attribute, op,
-                             value.is_ok() ? value.value() : AttrValue(text));
+    // An operator or type byte out of range, or text its type refuses,
+    // is corruption: fail the reader as a short read does.
+    if (op > static_cast<std::uint8_t>(Op::kExists) ||
+        type > static_cast<std::uint8_t>(ValueType::kBool)) {
+      r.fail();
+      break;
+    }
+    auto value = AttrValue::from_text(static_cast<ValueType>(type), text);
+    if (!value.is_ok()) {
+      r.fail();
+      break;
+    }
+    constraints.emplace_back(attribute, static_cast<Op>(op), std::move(value).value());
   }
   return Filter(std::move(constraints));
 }

@@ -129,8 +129,9 @@ class Filter {
 /// across processes/incarnations; values travel as typed text
 /// (AttrValue::to_text/from_text).
 void write_filter(BufWriter& w, const Filter& f);
-/// Fail-soft like BufReader: a truncated/corrupt buffer sets the
-/// reader's failed() flag and returns what was parsed so far.
+/// Fail-soft like BufReader: a truncated buffer, an operator or type
+/// byte out of range, or value text its type refuses sets the reader's
+/// failed() flag and returns what was parsed so far.
 Filter read_filter(BufReader& r);
 
 /// A subscription: who wants events matching what.

@@ -40,11 +40,10 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
   for (std::size_t i = 0; i < config_.brokers && i < config_.hosts; ++i) {
     broker_hosts.push_back(static_cast<sim::HostId>(i));
   }
-  bus_ = std::make_unique<pubsub::SienaNetwork>(*net_, broker_hosts);
-  bus_->connect_tree();
   const wire::WireCodec bus_codec =
       wire::codec_from_name(config_.codec).value_or(wire::WireCodec::kXml);
-  bus_->set_codec(bus_codec);
+  bus_ = std::make_unique<pubsub::SienaNetwork>(*net_, broker_hosts, bus_codec);
+  bus_->connect_tree();
   if (config_.batch_window_us >= 0) {
     // Frames carry the bus codec.
     const wire::Codec& frame_codec = wire::codec(bus_codec);

@@ -59,12 +59,7 @@ constexpr std::uint64_t kTraceIdMask = (1ULL << 48) - 1;
 
 TraceContext TraceCollector::start_trace() {
   if (sample_every_ == 0) return {};
-  if (!provider_) {
-    // Unbound (bare collector): counter sampling, dense ids.
-    if ((start_calls_++ % sample_every_) != 0) return {};
-    return TraceContext{next_dense_++, 0};
-  }
-  const TaskKey key = provider_();
+  const TaskKey key = provider_ ? provider_() : TaskKey{};
   if (last_key_ != key) {
     last_key_ = key;
     calls_in_task_ = 0;
@@ -112,7 +107,7 @@ Span* TraceCollector::find_span(std::uint64_t span_id) {
 
 const Span* TraceCollector::span(std::uint64_t span_id) const { return find_span(span_id); }
 
-std::uint64_t TraceCollector::trace_count() const { return next_dense_ - 1 + admitted_; }
+std::uint64_t TraceCollector::trace_count() const { return admitted_; }
 
 std::vector<std::uint64_t> TraceCollector::trace_ids() const {
   std::vector<std::uint64_t> ids;
@@ -132,8 +127,6 @@ std::vector<const Span*> TraceCollector::trace(std::uint64_t trace_id) const {
 
 void TraceCollector::clear() {
   spans_.clear();
-  start_calls_ = 0;
-  next_dense_ = 1;
   admitted_ = 0;
   last_key_ = {};
   calls_in_task_ = 0;

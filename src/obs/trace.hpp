@@ -87,12 +87,11 @@ class TraceCollector {
   /// task's key (sim::Network wires the scheduler's in).
   void bind_task_keys(std::function<TaskKey()> provider) { provider_ = std::move(provider); }
 
-  /// Starts a new trace, subject to sampling.  When bound to a task-key
-  /// provider the decision and the trace id are a deterministic mix of
-  /// (task key, per-task call index): a candidate is admitted when that
-  /// mix is a multiple of `sample_every`.  Unbound (bare collectors in
-  /// unit tests), it falls back to a global call counter: exactly every
-  /// n-th call is admitted and ids are dense from 1.
+  /// Starts a new trace, subject to sampling.  The decision and the
+  /// trace id are a deterministic mix of (task key, per-task call
+  /// index): a candidate is admitted when that mix is a multiple of
+  /// `sample_every`.  A collector with no provider bound keys every call
+  /// as a root-context call (TaskKey{}).
   TraceContext start_trace();
 
   /// 1 = trace every root (default); n traces every n-th; 0 disables
@@ -162,9 +161,7 @@ class TraceCollector {
   }
 
   std::uint64_t sample_every_ = 1;
-  std::uint64_t start_calls_ = 0;  // unbound sampling
-  std::uint64_t next_dense_ = 1;   // unbound trace ids
-  std::uint64_t admitted_ = 0;     // keyed root traces admitted
+  std::uint64_t admitted_ = 0;  // root traces admitted
   // Keyed-sampling state: per-task call index, reset on key change.
   TaskKey last_key_{};
   std::uint64_t calls_in_task_ = 0;

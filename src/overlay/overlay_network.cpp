@@ -6,7 +6,9 @@ namespace aa::overlay {
 
 namespace {
 constexpr int kMaxHops = 100;  // safety TTL against transient routing loops
-}
+// build_ring's virtual time between consecutive joins.
+constexpr SimDuration kJoinGap = duration::millis(500);
+}  // namespace
 
 OverlayNetwork::OverlayNetwork(sim::Network& net, Params params)
     : net_(net), params_(params) {
@@ -52,7 +54,7 @@ void OverlayNetwork::join(sim::HostId host, NodeId id, sim::HostId bootstrap) {
   net_.send(host, bootstrap, kOverlayProto, std::move(req), ref_wire_size(1) + 8);
 }
 
-void OverlayNetwork::build_ring(const std::vector<sim::HostId>& hosts, SimDuration gap) {
+void OverlayNetwork::build_ring(const std::vector<sim::HostId>& hosts) {
   if (hosts.empty()) return;
   Rng rng(0xB007);
   seed(hosts[0], rng.uid());
@@ -60,10 +62,10 @@ void OverlayNetwork::build_ring(const std::vector<sim::HostId>& hosts, SimDurati
     const NodeId id = rng.uid();
     const sim::HostId host = hosts[i];
     const sim::HostId bootstrap = hosts[rng.below(i)];
-    net_.scheduler().after(gap * static_cast<SimDuration>(i),
+    net_.scheduler().after(kJoinGap * static_cast<SimDuration>(i),
                            [this, host, id, bootstrap]() { join(host, id, bootstrap); });
   }
-  net_.scheduler().run_for(gap * static_cast<SimDuration>(hosts.size()) +
+  net_.scheduler().run_for(kJoinGap * static_cast<SimDuration>(hosts.size()) +
                            duration::seconds(5));
 }
 

@@ -53,9 +53,9 @@ class OverlayNetwork {
   /// join completes asynchronously (run the scheduler).
   void join(sim::HostId host, NodeId id, sim::HostId bootstrap);
 
-  /// Convenience: seed on hosts[0], then join the rest sequentially with
-  /// `gap` of virtual time between joins; runs the scheduler forward.
-  void build_ring(const std::vector<sim::HostId>& hosts, SimDuration gap = duration::millis(500));
+  /// Convenience: seed on hosts[0], then join the rest sequentially,
+  /// 500 ms of virtual time apart; runs the scheduler forward.
+  void build_ring(const std::vector<sim::HostId>& hosts);
 
   /// Application upcall registered per (app, host): invoked when a
   /// routed message reaches the key's root node at that host.

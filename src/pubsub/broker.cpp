@@ -34,7 +34,7 @@ BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
   return *this;
 }
 
-Broker::Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec)
+Broker::Broker(sim::Network& net, sim::HostId host, const wire::Codec& codec)
     : net_(net), host_(host), codec_(codec) {}
 
 void Broker::add_neighbour(sim::HostId broker_host) { neighbours_.insert(broker_host); }
@@ -154,7 +154,7 @@ void Broker::send_broker(sim::HostId neighbour, std::any body, std::size_t wire_
 void Broker::send_subscribe(sim::HostId neighbour, std::uint64_t id,
                             const event::Filter& filter) {
   SubscribeMsg msg{id, filter};
-  const std::size_t size = codec().size(msg);
+  const std::size_t size = codec_.size(msg);
   send_broker(neighbour, std::any(std::move(msg)), size);
   ++stats_.subscriptions_forwarded;
 }
@@ -224,7 +224,7 @@ void Broker::handle_advertise(std::uint64_t id, const event::Filter& filter, Ifa
   for (sim::HostId n : neighbours_) {
     if (source.kind == Iface::Kind::kBroker && source.host == n) continue;
     send_broker(n, std::any(AdvertiseMsg{id, filter}),
-                codec().size(AdvertiseMsg{id, filter}));
+                codec_.size(AdvertiseMsg{id, filter}));
   }
   if (!advertisement_forwarding_) {
     checkpoint();
@@ -264,7 +264,7 @@ void Broker::withdraw(std::uint64_t id, const event::Filter& filter) {
     auto fwd = forwarded_.find(n);
     if (fwd == forwarded_.end() || fwd->second.erase(id) == 0) continue;
     send_broker(n, std::any(UnsubscribeMsg{id}),
-                codec().size(UnsubscribeMsg{id}));
+                codec_.size(UnsubscribeMsg{id}));
     reforward_covered(n, filter);
   }
 }
@@ -319,10 +319,10 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   // re-enters route_publish while the scratch vectors are iterated.
   for (sim::HostId n : forward_to_) {
     send_broker(n, std::any(PublishMsg{e, pub_id}),
-                codec().size(PublishMsg{e, pub_id}));
+                codec_.size(PublishMsg{e, pub_id}));
   }
   for (sim::HostId c : deliver_to_) {
-    net_.send(host_, c, kClientProto, DeliverMsg{e}, codec().size(DeliverMsg{e}));
+    net_.send(host_, c, kClientProto, DeliverMsg{e}, codec_.size(DeliverMsg{e}));
     ++stats_.deliveries;
   }
 }
@@ -430,7 +430,7 @@ void Broker::send_sync_request(sim::HostId peer) {
   if (sync.delay == 0) sync.delay = kSyncTimeout;
   ++stats_.sync_requests;
   send_broker(peer, std::any(SyncRequestMsg{sync_round_}),
-              codec().size(SyncRequestMsg{sync_round_}));
+              codec_.size(SyncRequestMsg{sync_round_}));
   sync.timer =
       net_.scheduler().after(sync.delay, [this, peer]() { on_sync_timeout(peer); });
 }
@@ -471,7 +471,7 @@ void Broker::handle_sync_request(sim::HostId peer, std::uint64_t round) {
     if (adv.source.kind == Iface::Kind::kBroker && adv.source.host == peer) continue;
     reply.advertisements.push_back(AdvertiseMsg{id, adv.filter});
   }
-  const std::size_t size = codec().size(reply);
+  const std::size_t size = codec_.size(reply);
   send_broker(peer, std::any(std::move(reply)), size);
 }
 

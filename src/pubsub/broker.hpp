@@ -78,10 +78,9 @@ struct BrokerStats {
 
 class Broker {
  public:
-  /// `codec` is the bus-wide wire codec, owned by SienaNetwork and read
-  /// at every send, so a later SienaNetwork::set_codec reprices all
-  /// subsequent traffic.
-  Broker(sim::Network& net, sim::HostId host, const wire::WireCodec& codec);
+  /// `codec` is the bus-wide wire codec (SienaNetwork's), which prices
+  /// every send.
+  Broker(sim::Network& net, sim::HostId host, const wire::Codec& codec);
 
   sim::HostId host() const { return host_; }
 
@@ -172,8 +171,6 @@ class Broker {
 
   void send_subscribe(sim::HostId neighbour, std::uint64_t id, const event::Filter& filter);
 
-  const wire::Codec& codec() const { return wire::codec(codec_); }
-
   /// Broker-to-broker send: reliable transport when configured, raw
   /// kBrokerProto datagram otherwise.
   void send_broker(sim::HostId neighbour, std::any body, std::size_t wire_size);
@@ -190,7 +187,7 @@ class Broker {
 
   sim::Network& net_;
   sim::HostId host_;
-  const wire::WireCodec& codec_;
+  const wire::Codec& codec_;
   sim::ReliableTransport* transport_ = nullptr;
   bool advertisement_forwarding_ = false;
   std::set<sim::HostId> neighbours_;

@@ -8,14 +8,19 @@
 // Implementations, matching the paper's state of the art survey (§3):
 //   * SienaNetwork      — distributed content-based routing over an
 //                         acyclic broker overlay with covering-based
-//                         subscription pruning (the paper's choice).
-//                         With one broker it is the Elvin-style single
-//                         server ("client-server architecture, limiting
-//                         its scalability"), C1's central baseline.
-//   * FloodingNetwork   — broker overlay that floods every publication
-//                         (ablation: overlay without content-based
-//                         routing).
-//   * ScribeNetwork     — rendezvous multicast over the Plaxton overlay.
+//                         subscription pruning (the paper's choice, and
+//                         the only router the system runs).  With one
+//                         broker it is the Elvin-style single server
+//                         ("client-server architecture, limiting its
+//                         scalability"), C1's central baseline.
+// C1's two comparison routers live in baselines/, outside the library:
+//   * baselines::FloodingNetwork — broker overlay that floods every
+//                         publication (ablation: overlay without
+//                         content-based routing).
+//   * baselines::ScribeNetwork   — rendezvous multicast over the Plaxton
+//                         overlay.
+// MobilityService (mobility.hpp) subscribes through any of them on a
+// mobile client's behalf.
 #pragma once
 
 #include <cstdint>

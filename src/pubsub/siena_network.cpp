@@ -6,8 +6,16 @@
 
 namespace aa::pubsub {
 
-SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts)
-    : net_(net), broker_hosts_(std::move(broker_hosts)), stalled_(net.host_count()) {
+namespace {
+constexpr std::size_t kTreeFanout = 2;
+}  // namespace
+
+SienaNetwork::SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts,
+                           wire::WireCodec codec)
+    : net_(net),
+      broker_hosts_(std::move(broker_hosts)),
+      codec_(wire::codec(codec)),
+      stalled_(net.host_count()) {
   for (sim::HostId h : broker_hosts_) {
     auto broker = std::make_unique<Broker>(net_, h, codec_);
     Broker* raw = broker.get();
@@ -60,10 +68,9 @@ Status SienaNetwork::connect(sim::HostId broker_a, sim::HostId broker_b) {
   return Status::ok();
 }
 
-void SienaNetwork::connect_tree(int fanout) {
+void SienaNetwork::connect_tree() {
   for (std::size_t i = 1; i < broker_hosts_.size(); ++i) {
-    const std::size_t parent = (i - 1) / static_cast<std::size_t>(fanout);
-    (void)connect(broker_hosts_[parent], broker_hosts_[i]);
+    (void)connect(broker_hosts_[(i - 1) / kTreeFanout], broker_hosts_[i]);
   }
 }
 
@@ -83,10 +90,10 @@ void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_hos
   // (its covering sibling withdrawn first) cannot overwrite the new entry.
   for (auto& [id, sub] : state.subs) {
     net_.send(client_host, previous, kBrokerProto, UnsubscribeMsg{sub.wire_id},
-              codec().size(UnsubscribeMsg{sub.wire_id}));
+              codec_.size(UnsubscribeMsg{sub.wire_id}));
     sub.wire_id = next_sub_id_++;
     SubscribeMsg msg{sub.wire_id, sub.filter};
-    const std::size_t size = codec().size(msg);
+    const std::size_t size = codec_.size(msg);
     net_.send(client_host, broker_host, kBrokerProto, std::move(msg), size);
   }
 }
@@ -122,7 +129,7 @@ std::uint64_t SienaNetwork::subscribe(sim::HostId client, const event::Filter& f
   state.subs.emplace(id, ClientSub{filter, std::move(deliver), id});
   state.index.add(id, filter);
   SubscribeMsg msg{id, filter};
-  const std::size_t size = codec().size(msg);
+  const std::size_t size = codec_.size(msg);
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
   return id;
 }
@@ -136,7 +143,7 @@ void SienaNetwork::unsubscribe(sim::HostId client, std::uint64_t subscription_id
   }
   state.index.remove(subscription_id);
   net_.send(client, state.access_broker, kBrokerProto, UnsubscribeMsg{wire_id},
-            codec().size(UnsubscribeMsg{wire_id}));
+            codec_.size(UnsubscribeMsg{wire_id}));
 }
 
 void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
@@ -151,7 +158,7 @@ void SienaNetwork::publish(sim::HostId client, const event::Event& e) {
   // run, so brokers can discard a publication a crash/fault overlap
   // re-injected (see PublishMsg::pub_id).
   PublishMsg pub{e, ++next_pub_id_};
-  const std::size_t size = codec().size(pub);
+  const std::size_t size = codec_.size(pub);
   net_.send(client, state.access_broker, kBrokerProto, std::move(pub), size);
 }
 
@@ -254,7 +261,7 @@ void SienaNetwork::advertise(sim::HostId client, const event::Filter& filter) {
       event::Advertisement{id, "host-" + std::to_string(client), filter});
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
-  const std::size_t size = codec().size(msg);
+  const std::size_t size = codec_.size(msg);
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
 }
 
@@ -268,7 +275,7 @@ Status SienaNetwork::re_advertise(sim::HostId client, std::uint64_t id,
   adv->filter = filter;
   ClientState& state = client_state(client);
   AdvertiseMsg msg{id, filter};
-  const std::size_t size = codec().size(msg);
+  const std::size_t size = codec_.size(msg);
   net_.send(client, state.access_broker, kBrokerProto, std::move(msg), size);
   return Status::ok();
 }

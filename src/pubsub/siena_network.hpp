@@ -22,7 +22,11 @@ class SienaNetwork final : public EventService {
   /// any other host (or share a broker's host — they still talk to it
   /// through the network, at loopback latency).  The bus speaks
   /// kBrokerProto and kClientProto, so one network carries one bus.
-  SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts);
+  /// `codec` (wire/codec.hpp) prices every send of this bus, client or
+  /// broker; it affects accounted wire sizes only — message bodies stay
+  /// in-memory structs in the simulator.
+  SienaNetwork(sim::Network& net, std::vector<sim::HostId> broker_hosts,
+               wire::WireCodec codec = wire::WireCodec::kXml);
   ~SienaNetwork() override;
 
   SienaNetwork(const SienaNetwork&) = delete;
@@ -35,10 +39,10 @@ class SienaNetwork final : public EventService {
   /// routing state, so a later link would carry no routes.
   Status connect(sim::HostId broker_a, sim::HostId broker_b);
 
-  /// Builds a balanced k-ary tree over all brokers (in creation order).
-  /// Like connect(), it must run before the first subscribe() or
-  /// advertise(); later links are rejected.
-  void connect_tree(int fanout = 2);
+  /// Builds a balanced binary tree over all brokers (in creation
+  /// order).  Like connect(), it must run before the first subscribe()
+  /// or advertise(); later links are rejected.
+  void connect_tree();
 
   /// Enables Siena's advertisement semantics on every broker: once on,
   /// subscriptions propagate only toward overlapping advertisements, so
@@ -58,13 +62,6 @@ class SienaNetwork final : public EventService {
   /// default, so benches on a clean network are unchanged.
   void enable_reliable_transport(const sim::ReliableParams& params = {});
   sim::ReliableTransport* reliable_transport() { return transport_.get(); }
-
-  /// The wire codec every link of this bus speaks (wire/codec.hpp; XML
-  /// by default).  May change at any time: each later send, client or
-  /// broker, is priced under the new codec.  Affects accounted wire
-  /// sizes only — message bodies stay in-memory structs in the
-  /// simulator.
-  void set_codec(wire::WireCodec c) { codec_ = c; }
 
   /// Checkpoints every broker's routing tables to `disk` and, with the
   /// reliable transport enabled, parks broker traffic the transport
@@ -138,7 +135,6 @@ class SienaNetwork final : public EventService {
   /// which links and the advertisement mode are fixed.
   bool routing_started() const { return next_sub_id_ > 1 || next_adv_id_ > 1; }
   void on_client_message(sim::HostId client_host, const sim::Packet& packet);
-  const wire::Codec& codec() const { return wire::codec(codec_); }
   ClientState& client_state(sim::HostId client_host);
 
   void on_transport_give_up(const sim::Packet& packet);
@@ -146,7 +142,7 @@ class SienaNetwork final : public EventService {
 
   sim::Network& net_;
   std::vector<sim::HostId> broker_hosts_;
-  wire::WireCodec codec_ = wire::WireCodec::kXml;
+  const wire::Codec& codec_;
   std::unique_ptr<sim::ReliableTransport> transport_;
   sim::DurableDisk* disk_ = nullptr;
   std::uint64_t watcher_id_ = 0;

@@ -4,8 +4,12 @@
 // gracefully, in which case they will publish events warning of their
 // imminent withdrawal, or without warning".  The injector models both:
 // graceful departures fire the observer *before* the node goes down;
-// crashes fire it after.  Higher layers (overlay repair, the evolution
-// engine, self-healing storage) subscribe via the observer hooks.
+// crashes fire it after.  Layers whose state a crash loses (broker
+// routing tables, the object store's journals) register recovery hooks
+// that rebuild it on rejoin.  Overlay repair, the evolution engine and
+// storage healing need no hook: their periodic sweeps notice a departed
+// host (a failed keepalive, lapsed resource adverts, a missing replica).
+// The observers serve experiments and tests that log churn events.
 #pragma once
 
 #include <functional>

@@ -5,11 +5,14 @@
 
 namespace aa::sim {
 
-Network::Network(Scheduler& sched, std::shared_ptr<const Topology> topo,
-                 double bandwidth_bytes_per_us)
+namespace {
+// Link bandwidth: a packet's transmission time is wire_size / this.
+constexpr double kBandwidthBytesPerUs = 100.0;
+}  // namespace
+
+Network::Network(Scheduler& sched, std::shared_ptr<const Topology> topo)
     : sched_(sched),
       topo_(std::move(topo)),
-      bandwidth_bytes_per_us_(bandwidth_bytes_per_us),
       link_clear_(topo_->size()),
       batch_(topo_->size()),
       up_(topo_->size(), true),
@@ -109,11 +112,6 @@ void Network::enable_tracing(std::uint64_t sample_every) {
   tracer_->set_sample_every(sample_every);
 }
 
-void Network::disable_tracing() {
-  tracer_.reset();
-  ambient_ = {};
-}
-
 void Network::enable_profiling(std::size_t sample_retention) {
   if (profiler_ == nullptr) profiler_ = std::make_unique<obs::Profiler>();
   profiler_->set_sample_retention(sample_retention);
@@ -140,17 +138,7 @@ void Network::end_wire_span(const Packet& packet, const char* note) {
 
 void Network::enable_batching(SimDuration window, FrameSizer sizer) {
   batch_window_ = std::max<SimDuration>(window, 0);
-  if (sizer) {
-    frame_sizer_ = std::move(sizer);
-  } else if (!frame_sizer_) {
-    // Default frame cost model (matches the XML codec's): a 16-byte
-    // frame header plus a 2-byte length prefix per member.
-    frame_sizer_ = [](std::span<const std::size_t> members) {
-      std::size_t total = 16;
-      for (std::size_t d : members) total += d + 2;
-      return total;
-    };
-  }
+  frame_sizer_ = std::move(sizer);
 }
 
 void Network::send(Packet packet) {
@@ -265,7 +253,7 @@ void Network::transmit(Packet packet, std::size_t member_count) {
   }
   const SimDuration latency = topo_->latency(packet.src, packet.dst);
   const SimDuration tx =
-      static_cast<SimDuration>(static_cast<double>(packet.wire_size) / bandwidth_bytes_per_us_);
+      static_cast<SimDuration>(static_cast<double>(packet.wire_size) / kBandwidthBytesPerUs);
   auto jitter_draw = [&]() -> SimDuration {
     if (faults == nullptr || faults->jitter <= 0) return 0;
     return static_cast<SimDuration>(

@@ -1,9 +1,9 @@
 // Simulated message network.
 //
 // Hosts exchange typed packets; delivery is asynchronous with latency
-// drawn from the Topology plus a bandwidth-proportional serialisation
-// cost.  Hosts can be taken down and brought back (churn), and the
-// network keeps global traffic counters the benchmarks report.
+// drawn from the Topology plus a serialisation cost at 100 bytes/µs.
+// Hosts can be taken down and brought back (churn), and the network
+// keeps global traffic counters the benchmarks report.
 //
 // Link-level fault injection (§4.4: nodes "may disappear ... without
 // warning" — and so may the links between them): every non-loopback
@@ -123,8 +123,7 @@ struct BatchFrame {
 
 class Network {
  public:
-  Network(Scheduler& sched, std::shared_ptr<const Topology> topo,
-          double bandwidth_bytes_per_us = 100.0);
+  Network(Scheduler& sched, std::shared_ptr<const Topology> topo);
   ~Network();
 
   Scheduler& scheduler() { return sched_; }
@@ -142,10 +141,10 @@ class Network {
   void clear_handlers(HostId host);
 
   /// Sends asynchronously; delivery happens after latency(src,dst) plus
-  /// wire_size/bandwidth.  Messages in flight to a host that dies before
-  /// delivery are dropped, as on a real network — including when the
-  /// host has already rejoined by the delivery time (the reincarnated
-  /// host is a fresh endpoint; see the incarnation counter).
+  /// wire_size's transmission time.  Messages in flight to a host that
+  /// dies before delivery are dropped, as on a real network — including
+  /// when the host has already rejoined by the delivery time (the
+  /// reincarnated host is a fresh endpoint; see the incarnation counter).
   void send(Packet packet);
 
   /// Convenience: build and send a packet.
@@ -170,15 +169,11 @@ class Network {
   // FIFOs.  A flush holding a single packet sends it as a plain
   // datagram: batching never inflates unbatchable traffic.
 
-  /// Prices a frame from its members' standalone datagram sizes.  The
-  /// default models a 16-byte header + 2 bytes per member; pass the
-  /// negotiated codec's frame_size (wire/codec.hpp) for exact costs.
+  /// Prices a frame from its members' standalone datagram sizes: the
+  /// bus codec's frame_size (wire/codec.hpp).
   using FrameSizer = std::function<std::size_t(std::span<const std::size_t>)>;
 
-  void enable_batching(SimDuration window = 0, FrameSizer sizer = nullptr);
-  /// Stops staging new sends.  Already-staged packets still flush via
-  /// their scheduled tasks.
-  void disable_batching() { batch_window_ = -1; }
+  void enable_batching(SimDuration window, FrameSizer sizer);
 
   // --- Link fault injection ---
 
@@ -238,8 +233,6 @@ class Network {
   /// Enables tracing, creating the collector on first use.  `sample_every`
   /// starts every n-th root trace (1 = all; see TraceCollector).
   void enable_tracing(std::uint64_t sample_every = 1);
-  /// Drops the collector and all recorded spans.
-  void disable_tracing();
   bool tracing_enabled() const { return tracer_ != nullptr; }
   obs::TraceCollector* tracer() { return tracer_.get(); }
   const obs::TraceCollector* tracer() const { return tracer_.get(); }
@@ -389,7 +382,6 @@ class Network {
 
   Scheduler& sched_;
   std::shared_ptr<const Topology> topo_;
-  double bandwidth_bytes_per_us_;
   // Per-source link FIFOs: the arrival time of the last message sent on
   // (src, dst).  Later sends arrive no earlier, so a small message can
   // never overtake a large one on the same link (TCP-like ordering).

@@ -4,6 +4,11 @@
 
 namespace aa::sim {
 
+namespace {
+// Each retransmission multiplies the timer by this, up to max_rto.
+constexpr double kBackoff = 2.0;
+}  // namespace
+
 ReliableTransport::ReliableTransport(Network& net, std::string protocol, ReliableParams params)
     : net_(net),
       protocol_(std::move(protocol)),
@@ -100,7 +105,7 @@ void ReliableTransport::on_timeout(std::uint64_t seq) {
     tracer->end(s, now);
   }
   pending.rto = std::min(static_cast<SimDuration>(static_cast<double>(pending.rto) *
-                                                  params_.backoff),
+                                                  kBackoff),
                          params_.max_rto);
   transmit(seq);
 }

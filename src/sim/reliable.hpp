@@ -37,11 +37,10 @@
 namespace aa::sim {
 
 struct ReliableParams {
-  /// First retransmission timer; double it per retry (backoff) up to
-  /// max_rto.  The default suits the transit-stub topology's worst
-  /// inter-region RTT (~180 ms).
+  /// First retransmission timer; it doubles per retry up to max_rto.
+  /// The default suits the transit-stub topology's worst inter-region
+  /// RTT (~180 ms).
   SimDuration initial_rto = duration::millis(200);
-  double backoff = 2.0;
   SimDuration max_rto = duration::seconds(5);
   /// Retransmissions after the initial send before giving up.
   int max_retries = 12;

@@ -5,8 +5,10 @@
 namespace aa::sim {
 
 namespace {
-// Transit-stub latency terms: each stub's uplink to its region router,
-// and the range the core latency between two routers is drawn from.
+// Transit-stub latency terms: a hop inside one region, each stub's
+// uplink to its region router, and the range the core latency between
+// two routers is drawn from.
+constexpr SimDuration kIntra = duration::millis(2);
 constexpr SimDuration kUplink = duration::millis(5);
 constexpr SimDuration kCoreMin = duration::millis(10);
 constexpr SimDuration kCoreMax = duration::millis(80);
@@ -33,9 +35,7 @@ SimDuration EuclideanTopology::latency(HostId a, HostId b) const {
 }
 
 TransitStubTopology::TransitStubTopology(std::size_t hosts, const Params& params)
-    : hosts_(hosts),
-      regions_(params.regions),
-      intra_(params.intra) {
+    : hosts_(hosts), regions_(params.regions) {
   Rng rng(params.seed);
   core_.assign(static_cast<std::size_t>(regions_) * static_cast<std::size_t>(regions_), 0);
   for (int i = 0; i < regions_; ++i) {
@@ -51,7 +51,7 @@ SimDuration TransitStubTopology::latency(HostId a, HostId b) const {
   if (a == b) return duration::micros(10);
   const int ra = region_of(a);
   const int rb = region_of(b);
-  if (ra == rb) return intra_;
+  if (ra == rb) return kIntra;
   return 2 * kUplink + core_[static_cast<std::size_t>(ra * regions_ + rb)];
 }
 

@@ -81,14 +81,13 @@ class EuclideanTopology final : public Topology {
 };
 
 /// Transit-stub model: `regions` stubs; hosts assigned round-robin.
-/// Latency: intra-region = intra; inter-region = 2 * 5 ms of stub uplink
+/// Latency: intra-region = 2 ms; inter-region = 2 * 5 ms of stub uplink
 /// plus the core latency between the two region routers, drawn per pair
 /// from [10 ms, 80 ms] (seeded, deterministic).
 class TransitStubTopology final : public Topology {
  public:
   struct Params {
     int regions = 4;
-    SimDuration intra = duration::millis(2);
     std::uint64_t seed = 42;
   };
 
@@ -101,7 +100,6 @@ class TransitStubTopology final : public Topology {
  private:
   std::size_t hosts_;
   int regions_;
-  SimDuration intra_;
   std::vector<SimDuration> core_;  // regions x regions matrix
 };
 

@@ -56,6 +56,16 @@ struct FragReplyMsg {
   bool ok = false;
   Fragment fragment;
 };
+
+/// Answers a put or get from a host outside the overlay.  Deferred like
+/// every other answer, so the caller always sees callback-after-return
+/// semantics.
+template <typename Callback>
+void reject_non_member(sim::Scheduler& sched, Callback done) {
+  sched.after(0, [done = std::move(done)]() {
+    done(Status(Code::kFailedPrecondition, "host is not a storage participant"));
+  });
+}
 }  // namespace
 
 ObjectStore::ObjectStore(sim::Network& net, overlay::OverlayNetwork& overlay, Params params)
@@ -134,11 +144,10 @@ ObjectId ObjectStore::put(sim::HostId from, Bytes data, PutCallback done) {
 void ObjectStore::put_named(sim::HostId from, const ObjectId& id, Bytes data,
                             PutCallback done) {
   ++stats_.puts;
-  if (overlay_.node_at(from) == nullptr) {
-    if (done) done(Status(Code::kFailedPrecondition, "host is not a storage participant"));
+  if (node(from) == nullptr) {
+    if (done) reject_non_member(net_.scheduler(), std::move(done));
     return;
   }
-  ensure_host(from);
   const std::uint64_t request_id = next_request_++;
   PendingPut pending;
   pending.requester = from;
@@ -157,19 +166,18 @@ void ObjectStore::put_named(sim::HostId from, const ObjectId& id, Bytes data,
 
 void ObjectStore::get(sim::HostId from, const ObjectId& id, GetCallback done) {
   ++stats_.gets;
-  ensure_host(from);
-  StoreNode& local = *nodes_.at(from);
+  StoreNode* local = node(from);
+  if (local == nullptr) {
+    reject_non_member(net_.scheduler(), std::move(done));
+    return;
+  }
   // Local replica or cache answers immediately (asynchronously, so the
   // caller always sees callback-after-return semantics).
-  const Bytes* hit = local.replica(id);
-  if (hit == nullptr && params_.promiscuous_cache) hit = local.cache_get(id);
+  const Bytes* hit = local->replica(id);
+  if (hit == nullptr && params_.promiscuous_cache) hit = local->cache_get(id);
   if (hit != nullptr) {
     ++stats_.local_hits;
     net_.scheduler().after(0, [done = std::move(done), data = *hit]() { done(data); });
-    return;
-  }
-  if (overlay_.node_at(from) == nullptr) {
-    done(Status(Code::kFailedPrecondition, "host is not a storage participant"));
     return;
   }
   const std::uint64_t request_id = next_request_++;

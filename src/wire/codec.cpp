@@ -277,7 +277,9 @@ template <typename Msg>
 Result<std::any> read_member(BufReader& body) {
   Msg m;
   if (Status s = read_body(body, m); !s.is_ok()) return s;
-  if (body.failed()) return Status(Code::kInvalidArgument, "truncated frame member");
+  if (body.failed()) {
+    return Status(Code::kInvalidArgument, "truncated or corrupt frame member");
+  }
   if (!body.at_end()) {
     return Status(Code::kInvalidArgument, "frame member has trailing bytes");
   }

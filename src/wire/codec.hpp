@@ -1,9 +1,10 @@
 // Wire codecs for the pub/sub message set.
 //
-// The choice of wire form is a property of the event bus: one bus
-// speaks one codec on every link (SienaNetwork::set_codec).  The
-// simulator ships message structs and charges each send the size its
-// codec gives; no simulated send encodes a message.  Two codecs exist:
+// The choice of wire form is a property of the event bus, fixed when it
+// is built: one bus speaks one codec on every link (SienaNetwork's
+// constructor).  The simulator ships message structs and charges each
+// send the size its codec gives; no simulated send encodes a message.
+// Two codecs exist:
 //
 //   * kXml    — the paper's XML-encoded events (§4.2), as a size model.
 //     Datagram sizes reproduce the pre-codec accounting formulas
@@ -58,8 +59,8 @@ class Codec {
   //
   // The single place each message kind's byte cost is defined, shared
   // by the broker-based event services (siena at any broker count,
-  // including C1's one-broker central row, and flooding) so their
-  // traffic accounting stays comparable.
+  // including C1's one-broker central row, and C1's flooding baseline)
+  // so their traffic accounting stays comparable.
   virtual std::size_t size(const pubsub::SubscribeMsg& m) const = 0;
   virtual std::size_t size(const pubsub::AdvertiseMsg& m) const = 0;
   virtual std::size_t size(const pubsub::UnsubscribeMsg& m) const = 0;

@@ -194,9 +194,7 @@ TEST(Deployer, TimeoutWhenTargetDead) {
   f.net.set_host_up(2, false);
   BundleDeployer deployer(f.net, f.runtime);
   Result<DeployResult> outcome = Status(Code::kUnavailable, "pending");
-  deployer.push(0, 2, make_bundle(),
-                [&](Result<DeployResult> r) { outcome = std::move(r); },
-                duration::seconds(1));
+  deployer.push(0, 2, make_bundle(), [&](Result<DeployResult> r) { outcome = std::move(r); });
   f.sched.run();
   EXPECT_FALSE(outcome.is_ok());
   EXPECT_EQ(outcome.status().code(), Code::kTimeout);

@@ -57,7 +57,6 @@ sim::ReliableParams chaos_reliable_params() {
   // settings the 30-retry budget covers tens of seconds.
   sim::ReliableParams rp;
   rp.initial_rto = duration::millis(40);
-  rp.backoff = 2.0;
   rp.max_rto = duration::seconds(1);
   rp.max_retries = 30;
   return rp;
@@ -119,10 +118,9 @@ ScenarioResult run_scenario(bool reliable,
   sim::Network net(sched, topo);
   if (tracing) net.enable_tracing();
   if (profiling) net.enable_profiling();
-  SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
-  ps.connect_tree(2);  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
+  SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7}, wire.codec);
+  ps.connect_tree();  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
   if (reliable) ps.enable_reliable_transport(chaos_reliable_params());
-  ps.set_codec(wire.codec);
   if (wire.batching) {
     const wire::Codec& frame_codec = wire::codec(wire.codec);
     net.enable_batching(0, [&frame_codec](std::span<const std::size_t> sizes) {
@@ -794,7 +792,7 @@ BrokerCrashResult run_crash_under_faults_scenario(bool chaos, std::uint64_t seed
   auto topo = std::make_shared<sim::UniformTopology>(kHosts, duration::millis(5));
   sim::Network net(sched, topo);
   SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
-  ps.connect_tree(2);  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
+  ps.connect_tree();  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
   if (chaos) ps.enable_reliable_transport(chaos_reliable_params());
   sim::DiskParams dp;
   dp.fsync_latency = duration::millis(5);

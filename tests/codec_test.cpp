@@ -2,13 +2,14 @@
 // binary sizes, frame round-trips for every message kind, the golden
 // byte fixture pinning the binary frame layout (the analogue of the XML
 // corpus SHA-1 pin), a truncation/corruption fuzz loop with crafted
-// huge-length frames, the legacy XML size formulas the chaos golden
-// counters depend on, and codec names.
+// huge-length frames and corrupt filter bodies, the legacy XML size and
+// frame formulas the chaos golden counters depend on, and codec names.
 #include <gtest/gtest.h>
 
 #include <any>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -190,6 +191,17 @@ TEST(BinaryCodec, SizesAreExactAndBodiesRoundTrip) {
   EXPECT_EQ(reply_back.round, 6u);
   EXPECT_EQ(reply_back.subscriptions.size(), 2u);
   EXPECT_EQ(reply_back.advertisements.size(), 1u);
+
+  // Reals travel as text in filter bodies: NaN and the infinities must
+  // decode like any other real.
+  Filter edges;
+  edges.where("a", Op::kEq, std::numeric_limits<double>::quiet_NaN())
+      .where("b", Op::kLt, std::numeric_limits<double>::infinity())
+      .where("c", Op::kGt, -std::numeric_limits<double>::infinity());
+  const SubscribeMsg edges_back = expect_exact_and_roundtrip(SubscribeMsg{8, edges});
+  EXPECT_EQ(edges_back.filter.describe(), edges.describe());
+  ASSERT_EQ(edges_back.filter.constraints().size(), 3u);
+  for (const auto& c : edges_back.filter.constraints()) EXPECT_TRUE(c.value.is_real());
 
   // The publication encoding bench_e2e's codec_encode probe times is
   // the publish member body.
@@ -409,6 +421,59 @@ TEST(XmlCodec, LegacySizeFormulasArePinned) {
         << random.describe();
     ASSERT_EQ(xml.size(AdvertiseMsg{1, random}), random.describe().size() + 16 + 8);
   }
+
+  // A frame costs a 16-byte header plus a 2-byte length per member.
+  const std::size_t members[] = {100, 200};
+  EXPECT_EQ(xml.frame_size(members), 16u + (100 + 2) + (200 + 2));
+  EXPECT_EQ(xml.frame_size(members), 320u);
+}
+
+// A one-member subscribe frame whose filter is one constraint on
+// "celsius", written with the given operator byte, type byte and value
+// text.
+Bytes subscribe_frame(std::uint8_t op, std::uint8_t type, std::string_view text) {
+  BufWriter body;
+  body.varint(1);  // subscription id
+  body.u32(1);     // one constraint
+  body.str("celsius");
+  body.u8(op);
+  body.u8(type);
+  body.str(text);
+  BufWriter frame;
+  frame.u8(0xB5);
+  frame.u8(0x01);
+  frame.varint(1);  // one member
+  frame.u8(1);      // subscribe
+  frame.varint(body.size());
+  Bytes out = std::move(frame).take();
+  out.insert(out.end(), body.data().begin(), body.data().end());
+  return out;
+}
+
+// A filter constraint whose operator or type byte is out of range, or
+// whose value text its type refuses, fails the decode like truncation.
+TEST(BinaryFrame, CorruptFilterFailsLoudly) {
+  const auto op = [](Op o) { return static_cast<std::uint8_t>(o); };
+  const auto type = [](event::ValueType t) { return static_cast<std::uint8_t>(t); };
+  const auto real = type(event::ValueType::kReal);
+
+  const auto good = decode_frame(subscribe_frame(op(Op::kGt), real, "20.5"));
+  ASSERT_TRUE(good.is_ok());
+  ASSERT_EQ(good.value().size(), 1u);
+  EXPECT_EQ(std::any_cast<const SubscribeMsg&>(good.value()[0]).filter.describe(),
+            "celsius > 20.5");
+
+  EXPECT_FALSE(decode_frame(subscribe_frame(99, real, "20.5")).is_ok());
+  EXPECT_FALSE(decode_frame(subscribe_frame(op(Op::kExists) + 1, real, "20.5")).is_ok());
+  EXPECT_FALSE(
+      decode_frame(subscribe_frame(op(Op::kGt), type(event::ValueType::kBool) + 1, "20.5"))
+          .is_ok());
+  EXPECT_FALSE(decode_frame(subscribe_frame(op(Op::kGt), real, "warm")).is_ok());
+  EXPECT_FALSE(decode_frame(subscribe_frame(op(Op::kGt), real, "")).is_ok());
+  EXPECT_FALSE(
+      decode_frame(subscribe_frame(op(Op::kGt), type(event::ValueType::kInt), "20.5")).is_ok());
+  EXPECT_FALSE(
+      decode_frame(subscribe_frame(op(Op::kEq), type(event::ValueType::kBool), "yes")).is_ok());
 }
 
 // --- codec names ---------------------------------------------------------

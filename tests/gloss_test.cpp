@@ -88,6 +88,15 @@ TEST(Gloss, CodecAndBatchingKnobsReachTheBus) {
   EXPECT_GT(bin_metrics.counter("net.batch.frames"), 0u);
   EXPECT_LT(bin_metrics.counter("net.packets_sent"),
             bin_metrics.counter("net.messages_sent"));
+
+  // XML frames carry the XML frame model: they save packets, not bytes.
+  const auto [xml_batched_delivered, xml_batched_metrics] = run("xml", 0);
+  EXPECT_EQ(xml_batched_delivered, 20);
+  EXPECT_GT(xml_batched_metrics.counter("net.batch.frames"), 0u);
+  EXPECT_LT(xml_batched_metrics.counter("net.packets_sent"),
+            xml_batched_metrics.counter("net.messages_sent"));
+  EXPECT_GE(xml_batched_metrics.counter("net.bytes_sent"),
+            xml_metrics.counter("net.bytes_sent"));
 }
 
 TEST(Gloss, ServiceDeploysViaEvolutionAndMatches) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/reliable.hpp"
+#include "wire/codec.hpp"
 
 namespace aa {
 namespace {
@@ -59,18 +61,6 @@ TEST(Trace, InactiveContextIsFree) {
   obs::TraceCollector tc;
   EXPECT_EQ(tc.begin(obs::TraceContext{}, 0, "x", "y", 0), 0u);
   EXPECT_TRUE(tc.spans().empty());
-}
-
-TEST(Trace, SamplingAdmitsEveryNth) {
-  obs::TraceCollector tc;
-  tc.set_sample_every(3);
-  int active = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (tc.start_trace().active()) ++active;
-  }
-  EXPECT_EQ(active, 3);
-  tc.set_sample_every(0);  // stop admitting new traces entirely
-  EXPECT_FALSE(tc.start_trace().active());
 }
 
 TEST(Trace, DeliveryMetricsBreakDownTheChain) {
@@ -258,7 +248,9 @@ TEST(Tracing, BatchedFrameRecordsOneWireSpanForAllMembers) {
   auto topo = std::make_shared<sim::UniformTopology>(2, duration::millis(5));
   sim::Network net(sched, topo);
   net.enable_tracing();
-  net.enable_batching();
+  net.enable_batching(0, [](std::span<const std::size_t> sizes) {
+    return wire::xml_codec().frame_size(sizes);
+  });
   int got = 0;
   net.register_handler(1, "t", [&](const sim::Packet&) { ++got; });
   sched.after(1, [&] {
@@ -317,7 +309,6 @@ TEST(Tracing, RetransmitDedupKeepsOneDeliverSpanPerDelivery) {
   ps.connect_tree();
   sim::ReliableParams rp;
   rp.initial_rto = duration::millis(20);
-  rp.backoff = 2.0;
   rp.max_rto = duration::millis(500);
   rp.max_retries = 20;
   ps.enable_reliable_transport(rp);
@@ -465,6 +456,34 @@ TEST(Trace, KeyedSamplingIsDeterministicAcrossSlots) {
   EXPECT_EQ(admitted, (std::vector<std::uint64_t>{0xdd7c3f1e5a24ULL, 0x37bc530568d7ULL,
                                                  0xf675ad2da3b9ULL, 0xb0e6c4064d74ULL}));
   EXPECT_EQ(tc.trace_count(), admitted.size());
+
+  // 0 stops admitting new traces entirely.
+  tc.set_sample_every(0);
+  for (const auto& k : keys) {
+    key = k;
+    EXPECT_FALSE(tc.start_trace().active());
+  }
+  EXPECT_EQ(tc.trace_count(), admitted.size());
+}
+
+TEST(Trace, UnboundCollectorKeysEveryCallAsRootContext) {
+  // A collector no Network bound samples as one bound to the root
+  // context's key (TaskKey{}): same decisions, same ids.
+  obs::TraceCollector bare;
+  obs::TraceCollector root;
+  root.bind_task_keys([] { return obs::TraceCollector::TaskKey{}; });
+  bare.set_sample_every(3);
+  root.set_sample_every(3);
+  int active = 0;
+  for (int call = 0; call < 30; ++call) {
+    const obs::TraceContext a = bare.start_trace();
+    const obs::TraceContext b = root.start_trace();
+    EXPECT_EQ(a.trace_id, b.trace_id) << call;
+    if (a.active()) ++active;
+  }
+  EXPECT_GT(active, 0);
+  EXPECT_LT(active, 30);
+  EXPECT_EQ(bare.trace_count(), static_cast<std::uint64_t>(active));
 }
 
 TEST(Trace, TraceIdsEnumeratesRecordedTraces) {

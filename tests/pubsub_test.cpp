@@ -1,7 +1,7 @@
 // Tests for the event services: Siena-model distributed routing
 // (delivery, covering-based pruning, unsubscription) on broker trees and
 // on one broker (the Elvin-style central server), the flooding
-// baseline, and mobility proxies.
+// baseline (baselines/), and mobility proxies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/flooding_network.hpp"
 #include "common/rng.hpp"
 #include "event/filter_parser.hpp"
-#include "pubsub/flooding_network.hpp"
 #include "pubsub/mobility.hpp"
 #include "pubsub/siena_network.hpp"
 #include "wire/codec.hpp"
@@ -23,6 +23,7 @@
 namespace aa::pubsub {
 namespace {
 
+using baselines::FloodingNetwork;
 using event::Event;
 using event::Filter;
 using event::Op;
@@ -526,12 +527,12 @@ TEST(Siena, IndexedMatchingMatchesNaiveOracle) {
 }
 
 TEST(Siena, SetCodecAfterSubscribeRepricesEveryLink) {
-  // The codec is a bus-wide setting read at every send: switching it
-  // after subscriptions are installed must charge every later publish
-  // the binary size on every link it crosses (client -> access broker,
-  // broker -> broker, broker -> client).
+  // The codec is fixed when the bus is built and prices every send: a
+  // publish on a binary bus is charged the binary size on every link it
+  // crosses (client -> access broker, broker -> broker, broker ->
+  // client).
   Fixture f;
-  SienaNetwork ps(f.net, {0, 1, 2, 3});
+  SienaNetwork ps(f.net, {0, 1, 2, 3}, wire::WireCodec::kBinary);
   ps.connect_tree();  // 0-1, 0-2, 1-3
   ps.attach_client(10, 2);
   ps.attach_client(11, 3);
@@ -540,7 +541,6 @@ TEST(Siena, SetCodecAfterSubscribeRepricesEveryLink) {
                [&](const Event&) { ++got; });
   f.sched.run();
 
-  ps.set_codec(wire::WireCodec::kBinary);
   f.net.reset_stats();
   const Event e = temp_event(21.0);
   ps.publish(10, e);

@@ -1,18 +1,19 @@
 // Tests for the P2P event service layers added on top of the core
-// stack: Siena's advertisement-forwarding semantics, and the
-// Scribe-style rendezvous pub/sub over the Plaxton overlay (§4.1/§5:
+// stack: Siena's advertisement-forwarding semantics, and C1's
+// Scribe-style rendezvous baseline over the Plaxton overlay (§4.1/§5:
 // "Both classes of events are supported by a Siena-like P2P system").
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "pubsub/scribe.hpp"
+#include "baselines/scribe.hpp"
 #include "pubsub/siena_network.hpp"
 #include "sim/churn.hpp"
 
 namespace aa::pubsub {
 namespace {
 
+using baselines::ScribeNetwork;
 using event::Event;
 using event::Filter;
 using event::Op;

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -987,11 +988,20 @@ TEST(Metrics, CountersAccumulate) {
 
 // --- Per-link batching (Network::enable_batching) ---
 
+// The frame model these tests price frames with: a 16-byte header plus
+// a 2-byte length per member, as the XML codec's frame_size charges
+// (pinned in codec_test).
+std::size_t header_frame(std::span<const std::size_t> sizes) {
+  std::size_t total = 16;
+  for (std::size_t d : sizes) total += d + 2;
+  return total;
+}
+
 TEST(Batching, CoalescesSameWindowSendsIntoOneFrame) {
   NetFixture f;
   std::vector<int> got;
   f.net.register_handler(1, "t", [&](const Packet& p) { got.push_back(*packet_body<int>(p)); });
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 1, "t", 1, 100);
   f.net.send(0, 1, "t", 2, 100);
   f.net.send(0, 1, "t", 3, 100);
@@ -1010,7 +1020,7 @@ TEST(Batching, SingleMessageFlushesAsPlainDatagram) {
   NetFixture f;
   int got = 0;
   f.net.register_handler(1, "t", [&](const Packet&) { ++got; });
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 1, "t", 1, 250);
   f.sched.run();
   EXPECT_EQ(got, 1);
@@ -1026,7 +1036,7 @@ TEST(Batching, LoopbackBypassesStaging) {
   NetFixture f;
   int got = 0;
   f.net.register_handler(0, "t", [&](const Packet&) { ++got; });
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 0, "t", 1, 10);
   f.sched.run();
   EXPECT_EQ(got, 1);
@@ -1039,7 +1049,7 @@ TEST(Batching, DistinctLinksGetDistinctFrames) {
   for (HostId h = 1; h <= 2; ++h) {
     f.net.register_handler(h, "t", [&](const Packet&) { ++got; });
   }
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 1, "t", 1, 50);
   f.net.send(0, 1, "t", 2, 50);
   f.net.send(0, 2, "t", 3, 50);
@@ -1057,7 +1067,7 @@ TEST(Batching, DistinctLinksGetDistinctFrames) {
 TEST(Batching, DefaultSizerChargesSharedHeader) {
   NetFixture f;
   f.net.register_handler(1, "t", [](const Packet&) {});
-  f.net.enable_batching();  // default model: 16 + per-member (size + 2)
+  f.net.enable_batching(0, header_frame);  // 16 + per-member (size + 2)
   f.net.send(0, 1, "t", 1, 100);
   f.net.send(0, 1, "t", 2, 200);
   f.sched.run();
@@ -1082,7 +1092,7 @@ TEST(Batching, WindowDelaysFlush) {
   NetFixture f;  // link latency 1000
   SimTime delivered_at = -1;
   f.net.register_handler(1, "t", [&](const Packet&) { delivered_at = f.sched.now(); });
-  f.net.enable_batching(500);
+  f.net.enable_batching(500, header_frame);
   f.net.send(0, 1, "t", 1, 10);
   f.sched.run();
   EXPECT_GE(delivered_at, 1500);  // staged 500, then the link latency
@@ -1095,7 +1105,7 @@ TEST(Batching, FaultDropLosesWholeFrame) {
   LinkFaults faults;
   faults.drop = 1.0;
   f.net.set_link_faults(faults);
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 1, "t", 1, 10);
   f.net.send(0, 1, "t", 2, 10);
   f.net.send(0, 1, "t", 3, 10);
@@ -1113,7 +1123,7 @@ TEST(Batching, DuplicateCopiesWholeFrame) {
   LinkFaults faults;
   faults.duplicate = 1.0;
   f.net.set_link_faults(faults);
-  f.net.enable_batching();
+  f.net.enable_batching(0, header_frame);
   f.net.send(0, 1, "t", 1, 10);
   f.net.send(0, 1, "t", 2, 10);
   f.sched.run();
@@ -1125,26 +1135,12 @@ TEST(Batching, SenderCrashBeforeFlushDropsStagedMembers) {
   NetFixture f;
   int got = 0;
   f.net.register_handler(1, "t", [&](const Packet&) { ++got; });
-  f.net.enable_batching(500);
+  f.net.enable_batching(500, header_frame);
   f.net.send(0, 1, "t", 1, 10);
   f.sched.after(100, [&] { f.net.set_host_up(0, false); });
   f.sched.run();
   EXPECT_EQ(got, 0);
   EXPECT_EQ(f.net.stats().messages_dropped, 1u);
-}
-
-TEST(Batching, DisableRestoresDatagramPath) {
-  NetFixture f;
-  int got = 0;
-  f.net.register_handler(1, "t", [&](const Packet&) { ++got; });
-  f.net.enable_batching();
-  f.net.disable_batching();
-  f.net.send(0, 1, "t", 1, 10);
-  f.net.send(0, 1, "t", 2, 10);
-  f.sched.run();
-  EXPECT_EQ(got, 2);
-  EXPECT_EQ(f.net.stats().batch_flushes, 0u);
-  EXPECT_EQ(f.net.stats().frames_sent, 0u);
 }
 
 // Batched fan-out under faults: member order, fault draws and counters
@@ -1159,7 +1155,7 @@ TEST(Batching, DeterministicAcrossShards) {
   f.duplicate = 0.05;
   f.seed = 7;
   net.set_link_faults(f);
-  net.enable_batching();
+  net.enable_batching(0, header_frame);
   std::vector<std::vector<std::string>> logs(6);
   for (HostId h = 0; h < 6; ++h) {
     net.register_handler(h, "relay", [&net, &logs, h](const Packet& pk) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "overlay/overlay_network.hpp"
@@ -205,6 +206,33 @@ TEST(ObjectStore, PutThenGetFromAnywhere) {
   f.sched.run();
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
   EXPECT_EQ(to_string(got.value()), "the knowledge");
+}
+
+TEST(ObjectStore, NonMemberIsRejectedAfterReturn) {
+  // Host 7 exists on the network but never joined the overlay.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(8, duration::millis(10));
+  sim::Network net(sched, topo);
+  overlay::OverlayNetwork overlay(net, StoreFixture::no_maintenance());
+  overlay.build_ring({0, 1, 2, 3, 4, 5});
+  ObjectStore store(net, overlay, {});
+  const ObjectId id = store.put(0, to_bytes("member data"));
+  sched.run();
+
+  std::optional<Result<Bytes>> got;
+  store.get(7, id, [&](Result<Bytes> r) { got = std::move(r); });
+  EXPECT_FALSE(got.has_value());  // not before get() returns
+  std::optional<Result<ObjectId>> put;
+  store.put(7, to_bytes("outsider"), [&](Result<ObjectId> r) { put = std::move(r); });
+  EXPECT_FALSE(put.has_value());  // not before put() returns
+  EXPECT_EQ(store.node(7), nullptr);
+
+  sched.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->status().code(), Code::kFailedPrecondition);
+  ASSERT_TRUE(put.has_value());
+  EXPECT_EQ(put->status().code(), Code::kFailedPrecondition);
+  EXPECT_EQ(store.node(7), nullptr);  // never enrolled
 }
 
 TEST(ObjectStore, ContentAddressing) {
