@@ -88,7 +88,7 @@ RunResult run(const Workload& w, const std::string& mode,
   } else {
     auto s = std::make_unique<pubsub::SienaNetwork>(
         net, mode == "central" ? std::vector<sim::HostId>{0} : broker_hosts, codec);
-    s->connect_tree();
+    bench::must(s->connect_tree());
     if (mode == "siena-adv") (void)s->set_advertisement_forwarding(true);
     if (batching) {
       net.enable_batching(0, [codec](std::span<const std::size_t> sizes) {
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
       std::vector<sim::HostId> brokers;
       for (sim::HostId h = 0; h < 16; ++h) brokers.push_back(h);
       pubsub::SienaNetwork ps(net, brokers);
-      ps.connect_tree();
+      bench::must(ps.connect_tree());
       // Delivered vs expected (subscriber, event) multisets; the oracle
       // is Filter::matches over the installed subscriptions.
       std::uint64_t digest = 0, expected_digest = 0, expected = 0;
@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
 
       bench::HotspotWorkload workload(64, 0.9, /*seed=*/7);
       pubsub::SienaNetwork tree(net, brokers);
-      tree.connect_tree();
+      bench::must(tree.connect_tree());
 
       std::uint64_t delivered = 0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -413,7 +413,7 @@ int main(int argc, char** argv) {
       std::vector<sim::HostId> brokers;
       for (sim::HostId h = 0; h < kBrokers; ++h) brokers.push_back(h);
       pubsub::SienaNetwork ps(net, brokers, wire::WireCodec::kBinary);
-      ps.connect_tree();
+      bench::must(ps.connect_tree());
       if (batching) {
         net.enable_batching(0, [](std::span<const std::size_t> sizes) {
           return wire::binary_codec().frame_size(sizes);

@@ -37,7 +37,7 @@ RunResult run(bool graceful, SimDuration control_period, SimDuration monitor_per
   auto topo = std::make_shared<sim::TransitStubTopology>(32, tp);
   sim::Network net(sched, topo);
   pubsub::SienaNetwork bus(net, {0, 1, 2, 3});
-  bus.connect_tree();
+  bench::must(bus.connect_tree());
 
   bundle::ThinServerRuntime runtime(net, "secret");
   runtime.register_installer("svc", [](const bundle::CodeBundle&, sim::HostId) {

@@ -37,7 +37,7 @@ struct Fixture {
         bus(net, {0, 1, 2, 3}),
         overlay(net, ov()),
         store(net, overlay, st(replicas)) {
-    bus.connect_tree();
+    bench::must(bus.connect_tree());
     std::vector<sim::HostId> hosts;
     for (sim::HostId h = 0; h < 32; ++h) {
       hosts.push_back(h);

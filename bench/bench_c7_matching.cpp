@@ -8,7 +8,6 @@
 // per-event latency while the knowledge base scales from 1k to 100k
 // facts, against the naive full-rescan baseline (run at small scale
 // only; its cost explodes exactly as the paper warns).
-#include <any>
 #include <chrono>
 #include <map>
 
@@ -418,11 +417,11 @@ int main(int argc, char** argv) {
       // The binary bytes must decode back to the same payload — the
       // reduction only counts if nothing is lost.  A standalone binary
       // datagram is a one-member frame.
-      const std::any member = pub;
+      const Body member = pub;
       const auto frame = wire::encode_frame({&member, 1});
       const auto back = wire::decode_frame(frame.value_or(Bytes{}));
       const auto* decoded = back.is_ok() && back.value().size() == 1
-                                ? std::any_cast<pubsub::PublishMsg>(&back.value()[0])
+                                ? back.value()[0].get<pubsub::PublishMsg>()
                                 : nullptr;
       if (decoded == nullptr || decoded->event.to_xml_string() != e.to_xml_string()) {
         ++roundtrip_failures;

@@ -9,9 +9,11 @@
 //
 // This harness scales the user population with a fixed service set and
 // reports the distillation ratio (raw events in vs. meaningful events
-// out) and the end-to-end latency from publication to device delivery.
+// out), the end-to-end latency from publication to device delivery, and
+// the heap allocations each run makes.
 #include <map>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "sim/metrics.hpp"
 #include "event/filter_parser.hpp"
@@ -130,12 +132,14 @@ int main(int argc, char** argv) {
                   "global matching: high-volume input distilled to few meaningful events");
   bench::Snapshot snap("fig1", argc, argv);
   bench::Table table({"users", "events in", "meaningful", "distil ratio", "lat ms (mean)",
-                      "lat ms (p95)", "net msgs"});
+                      "lat ms (p95)", "net msgs", "allocs"});
   bool traced = false;
   for (int users : {16, 32, 64, 128}) {
     // The trace rides on the first (smallest) run; later runs stay
     // untraced so the scaling numbers are undisturbed by collection.
+    const std::uint64_t allocs_before = bench_e2e::allocations();
     const auto r = run(users, traced ? "" : trace_path);
+    const std::uint64_t allocs = bench_e2e::allocations() - allocs_before;
     traced = true;
     table.row({bench::fmt("%d", users), bench::fmt("%llu", (unsigned long long)r.events_in),
                bench::fmt("%llu", (unsigned long long)r.meaningful_out),
@@ -144,10 +148,12 @@ int main(int argc, char** argv) {
                                               static_cast<double>(r.meaningful_out)
                                         : 0.0),
                bench::fmt("%.1f", r.mean_latency_ms), bench::fmt("%.1f", r.p95_latency_ms),
-               bench::fmt("%llu", (unsigned long long)r.network_messages)});
+               bench::fmt("%llu", (unsigned long long)r.network_messages),
+               bench::fmt("%llu", (unsigned long long)allocs)});
     snap.add(bench::fmt("users%d.events_in", users), r.events_in);
     snap.add(bench::fmt("users%d.meaningful_out", users), r.meaningful_out);
     snap.add(bench::fmt("users%d.net_msgs", users), r.network_messages);
+    snap.add(bench::fmt("users%d.allocs", users), allocs);
     snap.add_scaled(bench::fmt("users%d.lat_ms_mean", users), r.mean_latency_ms);
     snap.add_scaled(bench::fmt("users%d.lat_ms_p95", users), r.p95_latency_ms);
   }

@@ -163,6 +163,14 @@ class Snapshot {
   sim::MetricsRegistry reg_;
 };
 
+/// Exits 1 with the status message when a setup step is refused, e.g.
+/// a broker tree that connect_tree() could not link.
+inline void must(const Status& s) {
+  if (s.is_ok()) return;
+  std::fprintf(stderr, "setup refused: %s\n", s.to_string().c_str());
+  std::exit(1);
+}
+
 /// Parses a `--codec <name>` argument pair: wire codec for sections
 /// that route through a SienaNetwork ("xml" or "binary").  Defaults to
 /// XML so snapshot baselines keep pricing the interop encoding.  An

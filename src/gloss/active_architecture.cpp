@@ -1,5 +1,7 @@
 #include "gloss/active_architecture.hpp"
 
+#include <cassert>
+
 #include "common/log.hpp"
 #include "event/filter_parser.hpp"
 #include "pipeline/components.hpp"
@@ -43,7 +45,10 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
   const wire::WireCodec bus_codec =
       wire::codec_from_name(config_.codec).value_or(wire::WireCodec::kXml);
   bus_ = std::make_unique<pubsub::SienaNetwork>(*net_, broker_hosts, bus_codec);
-  bus_->connect_tree();
+  // A fresh bus has no links and no routing state to refuse a tree.
+  const Status linked = bus_->connect_tree();
+  assert(linked.is_ok());
+  (void)linked;
   if (config_.batch_window_us >= 0) {
     // Frames carry the bus codec.
     const wire::Codec& frame_codec = wire::codec(bus_codec);

@@ -111,6 +111,7 @@ inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
   reg.add(ns + ".checkpoint_bytes", s.checkpoint_bytes);
   reg.add(ns + ".recoveries", s.recoveries);
   reg.add(ns + ".recovered_entries", s.recovered_entries);
+  reg.add(ns + ".partial_restores", s.partial_restores);
   reg.add(ns + ".sync_requests", s.sync_requests);
   reg.add(ns + ".sync_replies", s.sync_replies);
   reg.add(ns + ".sync_retries", s.sync_retries);

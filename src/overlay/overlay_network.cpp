@@ -38,7 +38,7 @@ void OverlayNetwork::seed(sim::HostId host, NodeId id) {
   nodes_.emplace(host, std::move(node));
 }
 
-void OverlayNetwork::send_maintenance(sim::HostId src, sim::HostId dst, std::any body,
+void OverlayNetwork::send_maintenance(sim::HostId src, sim::HostId dst, Body body,
                                       std::size_t wire_size) {
   if (transport_ != nullptr) {
     transport_->send(sim::Packet{src, dst, transport_->protocol(), std::move(body), wire_size});
@@ -104,8 +104,7 @@ void OverlayNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
     // Announce ourselves to everything we just learned about, so their
     // tables and leaf sets incorporate us.
     for (const NodeRef& peer : node.known_peers()) {
-      send_maintenance(node.host(), peer.host, std::any(AnnounceMsg{node.self()}),
-                       ref_wire_size(1));
+      send_maintenance(node.host(), peer.host, AnnounceMsg{node.self()}, ref_wire_size(1));
     }
   } else if (const auto* ann = sim::packet_body<AnnounceMsg>(packet)) {
     sim::Network::SpanScope span(net_, host, "overlay", "announce");
@@ -212,7 +211,7 @@ void OverlayNetwork::maintenance_tick() {
       return true;
     });
     for (const NodeRef& peer : leaf) {
-      send_maintenance(host, peer.host, std::any(LeafGossip{node->self(), leaf}),
+      send_maintenance(host, peer.host, LeafGossip{node->self(), leaf},
                        ref_wire_size(leaf.size() + 1));
     }
   }

@@ -98,8 +98,7 @@ class OverlayNetwork {
   void maintenance_tick();
   /// Maintenance-plane send: reliable transport when enabled, raw
   /// kOverlayProto datagram otherwise.
-  void send_maintenance(sim::HostId src, sim::HostId dst, std::any body,
-                        std::size_t wire_size);
+  void send_maintenance(sim::HostId src, sim::HostId dst, Body body, std::size_t wire_size);
 
   sim::Network& net_;
   Params params_;

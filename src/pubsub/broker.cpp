@@ -26,6 +26,7 @@ BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
   checkpoint_bytes += o.checkpoint_bytes;
   recoveries += o.recoveries;
   recovered_entries += o.recovered_entries;
+  partial_restores += o.partial_restores;
   sync_requests += o.sync_requests;
   sync_replies += o.sync_replies;
   sync_retries += o.sync_retries;
@@ -142,7 +143,7 @@ void Broker::reforward_covered(sim::HostId neighbour, const event::Filter& depar
   }
 }
 
-void Broker::send_broker(sim::HostId neighbour, std::any body, std::size_t wire_size) {
+void Broker::send_broker(sim::HostId neighbour, Body body, std::size_t wire_size) {
   if (transport_ != nullptr) {
     transport_->send(sim::Packet{host_, neighbour, transport_->protocol(), std::move(body),
                                  wire_size});
@@ -155,7 +156,7 @@ void Broker::send_subscribe(sim::HostId neighbour, std::uint64_t id,
                             const event::Filter& filter) {
   SubscribeMsg msg{id, filter};
   const std::size_t size = codec_.size(msg);
-  send_broker(neighbour, std::any(std::move(msg)), size);
+  send_broker(neighbour, std::move(msg), size);
   ++stats_.subscriptions_forwarded;
 }
 
@@ -223,8 +224,7 @@ void Broker::handle_advertise(std::uint64_t id, const event::Filter& filter, Ifa
   // Flood the advertisement away from its source.
   for (sim::HostId n : neighbours_) {
     if (source.kind == Iface::Kind::kBroker && source.host == n) continue;
-    send_broker(n, std::any(AdvertiseMsg{id, filter}),
-                codec_.size(AdvertiseMsg{id, filter}));
+    send_broker(n, AdvertiseMsg{id, filter}, codec_.size(AdvertiseMsg{id, filter}));
   }
   if (!advertisement_forwarding_) {
     checkpoint();
@@ -263,8 +263,7 @@ void Broker::withdraw(std::uint64_t id, const event::Filter& filter) {
   for (sim::HostId n : neighbours_) {
     auto fwd = forwarded_.find(n);
     if (fwd == forwarded_.end() || fwd->second.erase(id) == 0) continue;
-    send_broker(n, std::any(UnsubscribeMsg{id}),
-                codec_.size(UnsubscribeMsg{id}));
+    send_broker(n, UnsubscribeMsg{id}, codec_.size(UnsubscribeMsg{id}));
     reforward_covered(n, filter);
   }
 }
@@ -318,8 +317,7 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   // Every send is posted through the scheduler, so nothing below
   // re-enters route_publish while the scratch vectors are iterated.
   for (sim::HostId n : forward_to_) {
-    send_broker(n, std::any(PublishMsg{e, pub_id}),
-                codec_.size(PublishMsg{e, pub_id}));
+    send_broker(n, PublishMsg{e, pub_id}, codec_.size(PublishMsg{e, pub_id}));
   }
   for (sim::HostId c : deliver_to_) {
     net_.send(host_, c, kClientProto, DeliverMsg{e}, codec_.size(DeliverMsg{e}));
@@ -364,7 +362,7 @@ Bytes Broker::serialize_routing_state() const {
   return std::move(w).take();
 }
 
-void Broker::restore_routing_state(const Bytes& payload) {
+bool Broker::restore_routing_state(const Bytes& payload) {
   BufReader r(payload);
   auto read_entry_map = [this, &r](std::map<std::uint64_t, Entry>& entries, bool indexed) {
     const std::uint32_t n = r.u32();
@@ -387,6 +385,7 @@ void Broker::restore_routing_state(const Bytes& payload) {
     auto& ids = forwarded_[host];
     for (std::uint32_t j = 0; j < n_ids && !r.failed(); ++j) ids.insert(r.u64());
   }
+  return !r.failed() && r.at_end();
 }
 
 void Broker::recover() {
@@ -408,13 +407,16 @@ void Broker::recover() {
   sim::Network::TraceScope root_trace(net_, net_.start_trace());
   sim::Network::SpanScope span(net_, host_, "broker", "recover");
   const sim::CheckpointRead ckpt = sim::checkpoint_read(*disk_, host_, kCkptBase);
+  bool partial = false;
   if (ckpt.ok) {
-    restore_routing_state(ckpt.payload);
+    partial = !restore_routing_state(ckpt.payload);
+    if (partial) ++stats_.partial_restores;
     ckpt_seq_ = ckpt.seq;
   }
   stats_.recovered_entries += table_.size() + adverts_.size();
   if (span.active()) {
-    span.annotate("ckpt=" + std::string(ckpt.ok ? "ok" : "none") +
+    const char* state = !ckpt.ok ? "none" : partial ? "partial" : "ok";
+    span.annotate("ckpt=" + std::string(state) +
                   ";subs=" + std::to_string(table_.size()) +
                   ";adverts=" + std::to_string(adverts_.size()) +
                   ";read_us=" + std::to_string(disk_->read_latency(ckpt.bytes_scanned)));
@@ -429,8 +431,7 @@ void Broker::send_sync_request(sim::HostId peer) {
   SyncState& sync = pending_sync_[peer];
   if (sync.delay == 0) sync.delay = kSyncTimeout;
   ++stats_.sync_requests;
-  send_broker(peer, std::any(SyncRequestMsg{sync_round_}),
-              codec_.size(SyncRequestMsg{sync_round_}));
+  send_broker(peer, SyncRequestMsg{sync_round_}, codec_.size(SyncRequestMsg{sync_round_}));
   sync.timer =
       net_.scheduler().after(sync.delay, [this, peer]() { on_sync_timeout(peer); });
 }
@@ -472,7 +473,7 @@ void Broker::handle_sync_request(sim::HostId peer, std::uint64_t round) {
     reply.advertisements.push_back(AdvertiseMsg{id, adv.filter});
   }
   const std::size_t size = codec_.size(reply);
-  send_broker(peer, std::any(std::move(reply)), size);
+  send_broker(peer, std::move(reply), size);
 }
 
 void Broker::handle_sync_reply(sim::HostId peer, const SyncReplyMsg& reply) {

@@ -63,6 +63,10 @@ struct BrokerStats {
   std::uint64_t checkpoint_bytes = 0;   // bytes issued for those writes
   std::uint64_t recoveries = 0;
   std::uint64_t recovered_entries = 0;  // table + advert entries restored
+  /// Recoveries whose checkpoint body stopped short (truncated or
+  /// corrupt): the entries read before the break are kept, and the
+  /// peer sync fills in the rest.
+  std::uint64_t partial_restores = 0;
   std::uint64_t sync_requests = 0;      // recovery syncs sent to peers
   std::uint64_t sync_replies = 0;       // peer replies applied
   std::uint64_t sync_retries = 0;       // resends after timeout (stale peer)
@@ -173,13 +177,15 @@ class Broker {
 
   /// Broker-to-broker send: reliable transport when configured, raw
   /// kBrokerProto datagram otherwise.
-  void send_broker(sim::HostId neighbour, std::any body, std::size_t wire_size);
+  void send_broker(sim::HostId neighbour, Body body, std::size_t wire_size);
 
   /// Writes a routing-state checkpoint if checkpointing is enabled.
   /// Called after every table_/adverts_/forwarded_ mutation.
   void checkpoint();
   Bytes serialize_routing_state() const;
-  void restore_routing_state(const Bytes& payload);
+  /// Adds the checkpointed entries to the tables; false when the body
+  /// stops short, after keeping the entries read before the break.
+  bool restore_routing_state(const Bytes& payload);
   void handle_sync_request(sim::HostId peer, std::uint64_t round);
   void handle_sync_reply(sim::HostId peer, const SyncReplyMsg& reply);
   void send_sync_request(sim::HostId peer);

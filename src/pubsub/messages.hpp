@@ -1,4 +1,4 @@
-// Wire messages of the pub/sub protocols.  Bodies travel as std::any in
+// Wire messages of the pub/sub protocols.  Bodies travel as aa::Body in
 // simulator packets; the byte count charged to the network comes from
 // the bus's wire::Codec (wire/codec.hpp) — no message computes its size
 // anywhere else (see sim/network.hpp for the accounting model).

@@ -68,10 +68,12 @@ Status SienaNetwork::connect(sim::HostId broker_a, sim::HostId broker_b) {
   return Status::ok();
 }
 
-void SienaNetwork::connect_tree() {
+Status SienaNetwork::connect_tree() {
   for (std::size_t i = 1; i < broker_hosts_.size(); ++i) {
-    (void)connect(broker_hosts_[(i - 1) / kTreeFanout], broker_hosts_[i]);
+    Status s = connect(broker_hosts_[(i - 1) / kTreeFanout], broker_hosts_[i]);
+    if (!s.is_ok()) return s;
   }
+  return Status::ok();
 }
 
 void SienaNetwork::attach_client(sim::HostId client_host, sim::HostId broker_host) {

@@ -41,8 +41,9 @@ class SienaNetwork final : public EventService {
 
   /// Builds a balanced binary tree over all brokers (in creation
   /// order).  Like connect(), it must run before the first subscribe()
-  /// or advertise(); later links are rejected.
-  void connect_tree();
+  /// or advertise(), and only once: it returns connect()'s first
+  /// refusal and links nothing after it.
+  Status connect_tree();
 
   /// Enables Siena's advertisement semantics on every broker: once on,
   /// subscriptions propagate only toward overlapping advertisements, so

@@ -166,6 +166,10 @@ void Network::stage(Packet packet) {
   const HostId src = packet.src;
   const HostId dst = packet.dst;
   PendingBatch& pending = batch_[src][dst];
+  if (pending.members.capacity() == 0 && !spare_members_.empty()) {
+    pending.members = std::move(spare_members_.back());
+    spare_members_.pop_back();
+  }
   pending.members.push_back(std::move(packet));
   if (!pending.flush_scheduled) {
     pending.flush_scheduled = true;
@@ -179,34 +183,27 @@ void Network::stage(Packet packet) {
 }
 
 void Network::flush_link(HostId src, HostId dst) {
-  auto it = batch_[src].find(dst);
-  if (it == batch_[src].end() || it->second.members.empty()) {
-    batch_[src].erase(dst);
-    return;
-  }
-  PendingBatch pending = std::move(it->second);
-  batch_[src].erase(it);
+  PendingBatch& pending = batch_[src].find(dst)->second;
+  pending.flush_scheduled = false;
+  // Empty when the sender crashed since staging (set_host_up).
+  if (pending.members.empty()) return;
   ++stats_.batch_flushes;
-  if (!up_[src]) {
-    // The source crashed with the batch still in its egress queue.
-    stats_.messages_dropped += pending.members.size();
-    return;
-  }
   if (pending.members.size() == 1) {
     // A lone packet needs no frame; batching must never inflate
     // unbatchable traffic.
-    transmit(std::move(pending.members.front()), 1);
+    Packet lone = std::move(pending.members.front());
+    pending.members.clear();
+    transmit(std::move(lone), 1);
     return;
   }
   const std::size_t count = pending.members.size();
-  std::vector<std::size_t> sizes;
-  sizes.reserve(count);
-  for (const Packet& m : pending.members) sizes.push_back(m.wire_size);
+  frame_sizes_.clear();
+  for (const Packet& m : pending.members) frame_sizes_.push_back(m.wire_size);
   Packet frame;
   frame.src = src;
   frame.dst = dst;
   frame.protocol = kFrameProto;
-  frame.wire_size = frame_sizer_(sizes);
+  frame.wire_size = frame_sizer_(frame_sizes_);
   // The frame's single wire span hangs off the first traced member's
   // chain; the other members keep their own (pre-wire) parents.
   for (const Packet& m : pending.members) {
@@ -272,19 +269,34 @@ void Network::transmit(Packet packet, std::size_t member_count) {
     clear_at = arrival;
   }
   const std::uint32_t incarnation = incarnation_[packet.dst];
-  const HostId dst = packet.dst;
   if (faults != nullptr && faults->duplicate > 0 && frng.chance(faults->duplicate)) {
     stats_.duplicated += member_count;
-    Packet copy = packet;
-    sched_.post_to_host(dst, arrival + 1 + jitter_draw(),
-                        [this, p = std::move(copy), incarnation]() { deliver(p, incarnation); });
+    const SimTime dup_arrival = arrival + 1 + jitter_draw();
+    post_delivery(Packet(packet), dup_arrival, incarnation);
   }
-  // Delivery runs as the destination host.
-  sched_.post_to_host(
-      dst, arrival, [this, p = std::move(packet), incarnation]() { deliver(p, incarnation); });
+  post_delivery(std::move(packet), arrival, incarnation);
 }
 
-void Network::deliver(const Packet& packet, std::uint32_t incarnation) {
+void Network::post_delivery(Packet packet, SimTime arrival, std::uint32_t incarnation) {
+  const HostId dst = packet.dst;
+  std::uint32_t slot;
+  if (free_parked_.empty()) {
+    slot = static_cast<std::uint32_t>(parked_.size());
+    parked_.push_back(std::move(packet));
+  } else {
+    slot = free_parked_.back();
+    free_parked_.pop_back();
+    parked_[slot] = std::move(packet);
+  }
+  // Delivery runs as the destination host.
+  sched_.post_to_host(dst, arrival, [this, slot, incarnation]() { deliver(slot, incarnation); });
+}
+
+void Network::deliver(std::uint32_t slot, std::uint32_t incarnation) {
+  // Out of the slab before any handler runs: a handler's own sends may
+  // park packets and grow it.
+  Packet packet = std::move(parked_[slot]);
+  free_parked_.push_back(slot);
   const bool is_frame = packet.protocol == kFrameProto;
   if (!up_[packet.dst] || incarnation_[packet.dst] != incarnation) {
     // Down, or it crashed after the packet was sent: the reincarnated
@@ -293,10 +305,12 @@ void Network::deliver(const Packet& packet, std::uint32_t incarnation) {
     const BatchFrame* frame = is_frame ? packet_body<BatchFrame>(packet) : nullptr;
     stats_.messages_dropped += frame != nullptr ? frame->members.size() : 1;
     end_wire_span(packet, "dropped:dead-host");
+    recycle_frame(packet);
     return;
   }
   if (is_frame) {
     deliver_frame(packet);
+    recycle_frame(packet);
     return;
   }
   auto& table = handlers_[packet.dst];
@@ -342,10 +356,25 @@ void Network::deliver_frame(const Packet& packet) {
   }
 }
 
+void Network::recycle_frame(Packet& packet) {
+  if (BatchFrame* frame = packet.body.get<BatchFrame>()) {
+    frame->members.clear();
+    spare_members_.push_back(std::move(frame->members));
+  }
+}
+
 void Network::set_host_up(HostId host, bool up) {
   if (host >= up_.size()) return;
   if (up_[host] == up) return;
-  if (up_[host] && !up) ++incarnation_[host];
+  if (up_[host] && !up) {
+    ++incarnation_[host];
+    // The crash empties the host's egress queues: its staged batches
+    // are lost even if it rejoins before their flush.
+    for (auto& [dst, pending] : batch_[host]) {
+      stats_.messages_dropped += pending.members.size();
+      pending.members.clear();
+    }
+  }
   up_[host] = up;
   // Snapshot by value: a watcher may add/remove watchers while running.
   const auto watchers = host_watchers_;

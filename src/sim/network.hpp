@@ -17,7 +17,8 @@
 // its own send history.  The ack/retry layer that survives these
 // faults is sim/reliable.hpp.
 //
-// Packet bodies travel as std::any carrying protocol-specific structs;
+// Packet bodies travel as aa::Body (common/body.hpp), which holds a
+// protocol-specific struct inline, so a send puts no body on the heap;
 // `wire_size` declares the number of bytes charged to the network, so
 // traffic accounting matches what a real serialisation would cost
 // without paying encode/decode on every simulated hop.  (Serialisation
@@ -26,9 +27,15 @@
 // duplicating a packet across a fan-out copies shared_ptr handles, and
 // every hop reuses the one cached wire_size of the shared payload —
 // the XML length, summed from the attributes, never rendered.
+//
+// Delivery: transmit() parks each packet in flight (and each fault
+// duplicate) in a slab the network owns and schedules a closure of
+// only (network, slot, incarnation), small enough for std::function's
+// inline buffer; delivery moves the packet out of its slot before any
+// handler runs.  Together with the scheduler's task slots, a steady
+// stream of sends, batched or not, allocates nothing in the simulator.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/body.hpp"
 #include "common/rng.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -53,7 +61,7 @@ struct Packet {
   HostId src = kNoHost;
   HostId dst = kNoHost;
   std::string protocol;
-  std::any body;
+  Body body;
   std::size_t wire_size = 0;
   /// Causal trace context; inactive (zero) by default.  When tracing is
   /// enabled, send() adopts the ambient context into untraced packets,
@@ -66,7 +74,7 @@ struct Packet {
 /// in the counters instead of a crash.
 template <typename T>
 const T* packet_body(const Packet& p) {
-  return std::any_cast<T>(&p.body);
+  return p.body.get<T>();
 }
 
 struct NetworkStats {
@@ -145,13 +153,15 @@ class Network {
   /// dies before delivery are dropped, as on a real network — including
   /// when the host has already rejoined by the delivery time (the
   /// reincarnated host is a fresh endpoint; see the incarnation counter).
+  /// Handlers receive the delivered packet by const reference; it lives
+  /// until the handler returns.
   void send(Packet packet);
 
   /// Convenience: build and send a packet.
   template <typename T>
   void send(HostId src, HostId dst, const std::string& protocol, T body,
             std::size_t wire_size) {
-    send(Packet{src, dst, protocol, std::any(std::move(body)), wire_size});
+    send(Packet{src, dst, protocol, Body(std::move(body)), wire_size});
   }
 
   // --- Per-link batching ---
@@ -166,7 +176,9 @@ class Network {
   // current virtual time, i.e. the next scheduler tick: everything a
   // causal burst sends to one neighbour "now" shares a frame, and
   // nothing is delayed.  Staging is per *source* host, like the link
-  // FIFOs.  A flush holding a single packet sends it as a plain
+  // FIFOs, and a staged batch dies with its sender: a crash drops it
+  // (counted in messages_dropped) even if the host rejoins before the
+  // flush.  A flush holding a single packet sends it as a plain
   // datagram: batching never inflates unbatchable traffic.
 
   /// Prices a frame from its members' standalone datagram sizes: the
@@ -372,8 +384,13 @@ class Network {
   /// link's flush if none is pending.
   void stage(Packet packet);
   void flush_link(HostId src, HostId dst);
-  void deliver(const Packet& packet, std::uint32_t incarnation);
+  /// Parks an in-flight packet and schedules its delivery as `dst`.
+  void post_delivery(Packet packet, SimTime arrival, std::uint32_t incarnation);
+  /// Delivers the packet parked in `slot`, freeing the slot first.
+  void deliver(std::uint32_t slot, std::uint32_t incarnation);
   void deliver_frame(const Packet& packet);
+  /// Keeps a consumed frame's member vector for the next staged batch.
+  void recycle_frame(Packet& packet);
   /// Fault model in effect for src -> dst, or nullptr for a clean link.
   const LinkFaults* faults_for(HostId src, HostId dst) const;
   /// Closes the packet's wire span (note != nullptr annotates first).
@@ -389,14 +406,23 @@ class Network {
   std::vector<std::map<HostId, SimTime>> link_clear_;
   // Batch staging per (src, dst).  A queue's member order is the order
   // of the frame on the wire, and its flush is posted as the source
-  // host, so the flush's key and fault draws follow the sender.
+  // host, so the flush's key and fault draws follow the sender.  A
+  // link's entry outlives its flushes, and a frame's member vector
+  // returns to spare_members_ once the frame is consumed, so steady
+  // batching reuses its storage.
   struct PendingBatch {
     std::vector<Packet> members;
     bool flush_scheduled = false;
   };
   std::vector<std::map<HostId, PendingBatch>> batch_;
+  std::vector<std::vector<Packet>> spare_members_;  // cleared, with capacity
+  std::vector<std::size_t> frame_sizes_;            // flush_link's sizer input
   SimDuration batch_window_ = -1;  // < 0: batching off
   FrameSizer frame_sizer_;
+  // Packets in flight, from transmit() until their delivery task runs;
+  // freed slots are reused.
+  std::vector<Packet> parked_;
+  std::vector<std::uint32_t> free_parked_;
   std::vector<bool> up_;
   // Bumped each time a host goes down: packets capture the destination
   // incarnation at send time, so traffic in flight to a host that

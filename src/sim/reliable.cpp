@@ -70,7 +70,7 @@ void ReliableTransport::send(Packet packet) {
 void ReliableTransport::transmit(std::uint64_t seq) {
   Pending& pending = hosts_[seq_source(seq)].pending.at(seq);
   const Packet& p = pending.packet;
-  net_.send(Packet{p.src, p.dst, protocol_, std::any(DataMsg{seq, p.body, p.wire_size}),
+  net_.send(Packet{p.src, p.dst, protocol_, DataMsg{seq, p.body, p.wire_size},
                    p.wire_size + kHeaderBytes, p.trace});
   pending.timer = net_.scheduler().after(pending.rto, [this, seq]() { on_timeout(seq); });
 }

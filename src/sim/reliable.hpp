@@ -23,7 +23,6 @@
 // to the raw traffic counters.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -87,7 +86,7 @@ class ReliableTransport {
 
   template <typename T>
   void send(HostId src, HostId dst, T body, std::size_t wire_size) {
-    send(Packet{src, dst, protocol_, std::any(std::move(body)), wire_size});
+    send(Packet{src, dst, protocol_, Body(std::move(body)), wire_size});
   }
 
   const ReliableStats& stats() const { return stats_; }
@@ -99,9 +98,11 @@ class ReliableTransport {
   /// full wire size of an ack.
   static constexpr std::size_t kHeaderBytes = 12;
 
+  // Nests the user's body, so it outgrows Body's inline room and rides
+  // on the heap.
   struct DataMsg {
     std::uint64_t seq = 0;
-    std::any body;
+    Body body;
     std::size_t body_wire = 0;
   };
   struct AckMsg {

@@ -17,7 +17,7 @@ std::uint64_t wall_ns() {
 }
 }  // namespace
 
-TaskId Scheduler::assign_key(Entry& e, std::uint32_t owner) {
+void Scheduler::assign_key(Entry& e, std::uint32_t owner) {
   if (owner == kGlobalOwner) {
     e.owner_rank = 0;
     e.oseq = ++global_seq_;
@@ -26,25 +26,45 @@ TaskId Scheduler::assign_key(Entry& e, std::uint32_t owner) {
     e.owner_rank = static_cast<std::uint64_t>(owner) + 1;
     e.oseq = ++owner_seq_[owner];
   }
-  // Ids pack (owner_rank, oseq); oseq overflowing 40 bits would need a
-  // trillion events from one owner.
-  return (e.owner_rank << 40) | e.oseq;
+}
+
+std::uint32_t Scheduler::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Scheduler::release_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  // A new generation retires every handle to the slot; 0 is skipped so
+  // that no handle is ever kInvalidTask.
+  if (++s.generation == 0) s.generation = 1;
+  s.state = SlotState::kFree;
+  s.periodic = false;
+  s.next_free = free_head_;
+  free_head_ = slot;
 }
 
 TaskId Scheduler::make_task(std::uint32_t owner, std::uint32_t affinity, SimTime t,
                             std::function<void()> fn) {
   Entry e;
   e.time = t;
-  e.id = assign_key(e, owner);
+  assign_key(e, owner);
+  e.slot = acquire_slot();
   e.affinity = affinity;
   e.fn = std::move(fn);
-  const TaskId id = e.id;
+  const TaskId id = handle(e.slot);
   push_entry(std::move(e));
   return id;
 }
 
 void Scheduler::push_entry(Entry e) {
-  queued_.insert(e.id);
+  slots_[e.slot].state = SlotState::kQueued;
+  ++live_;
   heap_.push_back(std::move(e));
   std::push_heap(heap_.begin(), heap_.end(), After{});
 }
@@ -63,8 +83,8 @@ TaskId Scheduler::post_to_host(std::uint32_t host, SimTime t, std::function<void
 }
 
 TaskId Scheduler::every(SimDuration period, std::function<void()> fn) {
-  // The periodic task reuses one TaskId across firings so that a single
-  // cancel() stops the whole series.  The callback is stored in the
+  // The series holds one slot, and so one TaskId, across its firings,
+  // so that a single cancel() stops it.  The callback is stored in the
   // periodic table and the queued closures capture only the id: an
   // earlier version captured a shared_ptr to a closure holding itself,
   // a reference cycle that leaked every periodic task and its captured
@@ -77,9 +97,11 @@ TaskId Scheduler::every(SimDuration period, std::function<void()> fn) {
   const std::uint32_t owner = ctx_.host;
   Entry e;
   e.time = now_ + period;
-  const TaskId id = assign_key(e, owner);
-  e.id = id;
+  assign_key(e, owner);
+  e.slot = acquire_slot();
   e.affinity = owner;
+  slots_[e.slot].periodic = true;
+  const TaskId id = handle(e.slot);
   e.fn = [this, id] { run_periodic(id); };
   periodic_.emplace(id, Periodic{period, owner, std::move(fn)});
   push_entry(std::move(e));
@@ -87,44 +109,53 @@ TaskId Scheduler::every(SimDuration period, std::function<void()> fn) {
 }
 
 void Scheduler::run_periodic(TaskId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
   auto it = periodic_.find(id);
-  if (it == periodic_.end()) return;  // cancelled; stale queue entry
-  it->second.fn();
-  // The callback may have cancelled (or re-created) its own task.
-  it = periodic_.find(id);
-  if (it == periodic_.end()) return;
+  if (it != periodic_.end()) {
+    it->second.fn();
+    // The callback may have cancelled its own series.
+    it = periodic_.find(id);
+  }
+  if (it == periodic_.end()) {
+    release_slot(slot);
+    return;
+  }
   const std::uint32_t owner = it->second.owner;
   Entry e;
   e.time = now_ + it->second.period;
   assign_key(e, owner);
-  e.id = id;  // keep the series' id so cancel() keeps working
+  e.slot = slot;  // keep the series' slot so its id keeps working
   e.affinity = owner;
   e.fn = [this, id] { run_periodic(id); };
   push_entry(std::move(e));
 }
 
 void Scheduler::cancel(TaskId id) {
-  if (id == kInvalidTask) return;
+  // A handle matches only while its slot holds its task: a task that
+  // already ran released the slot and bumped its generation, so a stale
+  // handle (or kInvalidTask) marks nothing, even once the slot serves a
+  // later task.
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size() || handle(slot) != id) return;
+  Slot& s = slots_[slot];
   // Periodic: dropping the stored callback both stops the series (a
-  // queued tick finds nothing to run) and frees its captured state now;
-  // the queued tick is additionally marked so pending() does not count
-  // a dead entry.
-  //
-  // One-shot: only mark ids actually in the queue.  Cancelling a task
-  // that already ran used to park its id in the cancelled set forever
-  // and made pending() underflow once cancels outnumbered queued
-  // entries.
-  periodic_.erase(id);
-  if (queued_.contains(id)) cancelled_.insert(id);
+  // tick in progress does not requeue) and frees its captured state now.
+  if (s.periodic) periodic_.erase(id);
+  // A queued entry is discarded when it reaches the heap front.
+  if (s.state == SlotState::kQueued) {
+    s.state = SlotState::kCancelled;
+    --live_;
+  }
 }
 
 bool Scheduler::peek_live(SimTime& t) {
   while (!heap_.empty()) {
     const Entry& front = heap_.front();
-    if (!cancelled_.empty() && cancelled_.erase(front.id) > 0) {
-      queued_.erase(front.id);
+    if (slots_[front.slot].state == SlotState::kCancelled) {
+      const std::uint32_t slot = front.slot;
       std::pop_heap(heap_.begin(), heap_.end(), After{});
       heap_.pop_back();
+      release_slot(slot);
       continue;
     }
     t = front.time;
@@ -138,7 +169,15 @@ Scheduler::Entry Scheduler::pop_front() {
   Entry e = std::move(heap_.back());  // moves the closure: no copy of
                                       // the captured state per event
   heap_.pop_back();
-  queued_.erase(e.id);
+  --live_;
+  // A one-shot task is done with its slot (cancelling it from its own
+  // closure is a no-op); a periodic series keeps it while it ticks.
+  Slot& s = slots_[e.slot];
+  if (s.periodic) {
+    s.state = SlotState::kTicking;
+  } else {
+    release_slot(e.slot);
+  }
   return e;
 }
 

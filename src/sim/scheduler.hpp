@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.hpp"
@@ -35,7 +34,11 @@ class Profiler;
 
 namespace aa::sim {
 
-/// Identifies a scheduled task so it can be cancelled.
+/// Identifies a scheduled task so it can be cancelled: an opaque
+/// handle (the task's slot and that slot's generation) that only
+/// Scheduler::cancel reads.  It is not the task's ordering key, and a
+/// handle whose task has run or been cancelled never matches a later
+/// task that reuses the slot.  No task is ever given kInvalidTask.
 using TaskId = std::uint64_t;
 constexpr TaskId kInvalidTask = 0;
 
@@ -74,10 +77,10 @@ class Scheduler {
   /// context, so deliveries from one sender stay FIFO per link.
   TaskId post_to_host(std::uint32_t host, SimTime t, std::function<void()> fn);
 
-  /// Cancels a pending (or periodic) task.  Cancelling an already-run
-  /// one-shot task is a harmless no-op (and no longer corrupts
-  /// pending(): only ids actually in the queue are marked).  A
-  /// cancelled periodic task's callback is destroyed immediately.
+  /// Cancels a pending (or periodic) task.  Only a handle whose slot
+  /// still holds its task marks anything, so cancelling an already-run
+  /// or already-cancelled task is a no-op.  A cancelled periodic task's
+  /// callback is destroyed immediately.
   void cancel(TaskId id);
 
   /// Runs events until the queue is empty.  Returns final time.
@@ -94,7 +97,7 @@ class Scheduler {
   bool step();
 
   /// Tasks queued and not cancelled.
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return live_; }
   std::uint64_t executed_events() const { return executed_; }
 
   /// Declares the host population (called by Network's constructor) so
@@ -124,7 +127,7 @@ class Scheduler {
     SimTime time = 0;
     std::uint64_t owner_rank = 0;  // 0 = global, host h = h + 1
     std::uint64_t oseq = 0;        // per-owner counter: FIFO per owner
-    TaskId id = kInvalidTask;
+    std::uint32_t slot = 0;        // this task's row in slots_
     std::uint32_t affinity = kGlobalOwner;  // executing host, or global
     std::function<void()> fn;
   };
@@ -136,6 +139,18 @@ class Scheduler {
       if (a.owner_rank != b.owner_rank) return a.owner_rank > b.owner_rank;
       return a.oseq > b.oseq;
     }
+  };
+
+  /// A task slot.  A queued task holds one from scheduling until it is
+  /// popped; a periodic series holds one for its whole life.  Releasing
+  /// a slot bumps its generation, which retires every handle to it.
+  enum class SlotState : std::uint8_t { kFree, kQueued, kCancelled, kTicking };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  struct Slot {
+    std::uint32_t generation = 1;
+    SlotState state = SlotState::kFree;
+    bool periodic = false;
+    std::uint32_t next_free = 0;  // free-list link while kFree
   };
 
   struct Periodic {
@@ -152,24 +167,31 @@ class Scheduler {
     std::uint64_t oseq = 0;
   };
 
-  /// Stamps `e` with the next (owner_rank, oseq) of `owner`; returns
-  /// the task id the pair packs into.
-  TaskId assign_key(Entry& e, std::uint32_t owner);
+  /// Stamps `e` with the next (owner_rank, oseq) of `owner`.
+  void assign_key(Entry& e, std::uint32_t owner);
   TaskId make_task(std::uint32_t owner, std::uint32_t affinity, SimTime t,
                    std::function<void()> fn);
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot);
+  TaskId handle(std::uint32_t slot) const {
+    return (static_cast<TaskId>(slots_[slot].generation) << 32) | slot;
+  }
+  /// Queues `e`, whose slot becomes kQueued.
   void push_entry(Entry e);
   /// Pops cancelled entries off the heap front; the next live entry's
   /// time, or false when empty.
   bool peek_live(SimTime& t);
-  /// Pops the live heap front (precondition: peek_live was true).
+  /// Pops the live heap front (precondition: peek_live was true) and
+  /// releases a one-shot task's slot.
   Entry pop_front();
   void run_periodic(TaskId id);
   void execute(Entry e);
   SimTime run_until_impl(SimTime deadline, bool bounded);
 
   std::vector<Entry> heap_;  // binary min-heap (After comparator)
-  std::unordered_set<TaskId> queued_;     // ids currently in `heap_`
-  std::unordered_set<TaskId> cancelled_;  // queued ids awaiting discard
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;  // first free slot, or kNoSlot
+  std::size_t live_ = 0;               // kQueued slots: pending()
   std::unordered_map<TaskId, Periodic> periodic_;
   std::uint64_t executed_ = 0;
   // Per-owner scheduling counters (entry h for host h; kGlobalOwner has

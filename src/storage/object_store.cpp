@@ -403,7 +403,7 @@ void ObjectStore::on_direct(sim::HostId host, const sim::Packet& packet) {
   }
 }
 
-void ObjectStore::send_repair(sim::HostId src, sim::HostId dst, std::any body,
+void ObjectStore::send_repair(sim::HostId src, sim::HostId dst, Body body,
                               std::size_t wire_size) {
   if (repair_transport_ != nullptr) {
     repair_transport_->send(

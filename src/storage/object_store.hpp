@@ -170,7 +170,7 @@ class ObjectStore {
 
   /// Repair-plane send: reliable transport when enabled, raw
   /// kDirectProto datagram otherwise.
-  void send_repair(sim::HostId src, sim::HostId dst, std::any body, std::size_t wire_size);
+  void send_repair(sim::HostId src, sim::HostId dst, Body body, std::size_t wire_size);
 
   sim::Network& net_;
   overlay::OverlayNetwork& overlay_;

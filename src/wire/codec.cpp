@@ -249,22 +249,22 @@ void write_member(BufWriter& w, Kind kind, const Msg& m) {
   write_body(w, m);
 }
 
-/// Writes one frame member from a packet's std::any body; false for a
-/// body that is not a pubsub message.
-bool write_member(BufWriter& w, const std::any& body) {
-  if (const auto* m = std::any_cast<SubscribeMsg>(&body)) {
+/// Writes one frame member from a packet body; false for a body that is
+/// not a pubsub message.
+bool write_member(BufWriter& w, const Body& body) {
+  if (const auto* m = body.get<SubscribeMsg>()) {
     write_member(w, Kind::kSubscribe, *m);
-  } else if (const auto* m = std::any_cast<AdvertiseMsg>(&body)) {
+  } else if (const auto* m = body.get<AdvertiseMsg>()) {
     write_member(w, Kind::kAdvertise, *m);
-  } else if (const auto* m = std::any_cast<UnsubscribeMsg>(&body)) {
+  } else if (const auto* m = body.get<UnsubscribeMsg>()) {
     write_member(w, Kind::kUnsubscribe, *m);
-  } else if (const auto* m = std::any_cast<PublishMsg>(&body)) {
+  } else if (const auto* m = body.get<PublishMsg>()) {
     write_member(w, Kind::kPublish, *m);
-  } else if (const auto* m = std::any_cast<DeliverMsg>(&body)) {
+  } else if (const auto* m = body.get<DeliverMsg>()) {
     write_member(w, Kind::kDeliver, *m);
-  } else if (const auto* m = std::any_cast<SyncRequestMsg>(&body)) {
+  } else if (const auto* m = body.get<SyncRequestMsg>()) {
     write_member(w, Kind::kSyncRequest, *m);
-  } else if (const auto* m = std::any_cast<SyncReplyMsg>(&body)) {
+  } else if (const auto* m = body.get<SyncReplyMsg>()) {
     write_member(w, Kind::kSyncReply, *m);
   } else {
     return false;
@@ -274,7 +274,7 @@ bool write_member(BufWriter& w, const std::any& body) {
 
 /// Decodes one member body, which must fill `body` exactly.
 template <typename Msg>
-Result<std::any> read_member(BufReader& body) {
+Result<Body> read_member(BufReader& body) {
   Msg m;
   if (Status s = read_body(body, m); !s.is_ok()) return s;
   if (body.failed()) {
@@ -283,10 +283,10 @@ Result<std::any> read_member(BufReader& body) {
   if (!body.at_end()) {
     return Status(Code::kInvalidArgument, "frame member has trailing bytes");
   }
-  return std::any(std::move(m));
+  return Body(std::move(m));
 }
 
-Result<std::any> read_member(std::uint8_t kind, BufReader& body) {
+Result<Body> read_member(std::uint8_t kind, BufReader& body) {
   switch (static_cast<Kind>(kind)) {
     case Kind::kSubscribe: return read_member<SubscribeMsg>(body);
     case Kind::kAdvertise: return read_member<AdvertiseMsg>(body);
@@ -325,12 +325,12 @@ const Codec& codec(WireCodec c) {
   return c == WireCodec::kBinary ? static_cast<const Codec&>(g_binary) : g_xml;
 }
 
-Result<Bytes> encode_frame(std::span<const std::any> bodies) {
+Result<Bytes> encode_frame(std::span<const Body> bodies) {
   BufWriter w;
   w.u8(kFrameMagic);
   w.u8(kFrameVersion);
   w.varint(bodies.size());
-  for (const std::any& body : bodies) {
+  for (const Body& body : bodies) {
     if (!write_member(w, body)) {
       return Status(Code::kInvalidArgument, "frame member is not a pubsub message");
     }
@@ -338,7 +338,7 @@ Result<Bytes> encode_frame(std::span<const std::any> bodies) {
   return std::move(w).take();
 }
 
-Result<std::vector<std::any>> decode_frame(std::span<const std::uint8_t> bytes) {
+Result<std::vector<Body>> decode_frame(std::span<const std::uint8_t> bytes) {
   BufReader r(bytes);
   const std::uint8_t magic = r.u8();
   const std::uint8_t version = r.u8();
@@ -353,7 +353,7 @@ Result<std::vector<std::any>> decode_frame(std::span<const std::uint8_t> bytes) 
   if (r.failed() || count > kMaxFrameMembers) {
     return Status(Code::kInvalidArgument, "bad frame member count");
   }
-  std::vector<std::any> out;
+  std::vector<Body> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t kind = r.u8();

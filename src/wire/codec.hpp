@@ -32,12 +32,12 @@
 // its members' standalone datagram sizes.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/body.hpp"
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "pubsub/messages.hpp"
@@ -86,11 +86,13 @@ const Codec& binary_codec();
 const Codec& codec(WireCodec c);
 
 /// The binary frame over pubsub message bodies (golden fixture, fuzz and
-/// round-trip checks).  encode_frame fails on a body that is not a
-/// pubsub message: overlay, storage and transport structs batch by size
-/// accounting only.  decode_frame fails on any malformed frame and never
-/// reads outside `bytes`.
-Result<Bytes> encode_frame(std::span<const std::any> bodies);
-Result<std::vector<std::any>> decode_frame(std::span<const std::uint8_t> bytes);
+/// round-trip checks), in the packet body type the simulator carries
+/// (common/body.hpp).  encode_frame writes one member per body, in
+/// order, and fails on a body that is not a pubsub message: overlay,
+/// storage and transport structs batch by size accounting only.
+/// decode_frame returns one body per member and fails on any malformed
+/// frame, never reading outside `bytes`.
+Result<Bytes> encode_frame(std::span<const Body> bodies);
+Result<std::vector<Body>> decode_frame(std::span<const std::uint8_t> bytes);
 
 }  // namespace aa::wire

@@ -119,7 +119,7 @@ ScenarioResult run_scenario(bool reliable,
   if (tracing) net.enable_tracing();
   if (profiling) net.enable_profiling();
   SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7}, wire.codec);
-  ps.connect_tree();  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
+  EXPECT_TRUE(ps.connect_tree().is_ok());  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
   if (reliable) ps.enable_reliable_transport(chaos_reliable_params());
   if (wire.batching) {
     const wire::Codec& frame_codec = wire::codec(wire.codec);
@@ -764,6 +764,72 @@ TEST(Chaos, BrokerRecoverySyncTearsDownStaleDownstreamRoutes) {
   EXPECT_EQ(ps.broker(1)->stats().publications_routed, routed_before);
 }
 
+TEST(Chaos, TruncatedCheckpointKeepsItsPrefixAndCountsPartialRestore) {
+  // A checkpoint that validates (magic, sequence, checksum) but whose
+  // body stops inside its second table entry: recovery keeps the entry
+  // read before the break, counts the restore as partial, annotates the
+  // recover span, and still reconciles with both peers.
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(9, duration::millis(5));
+  sim::Network net(sched, topo);
+  net.enable_tracing();
+  SienaNetwork ps(net, {0, 1, 2});
+  ASSERT_TRUE(ps.connect(0, 1).is_ok());
+  ASSERT_TRUE(ps.connect(1, 2).is_ok());
+  sim::DurableDisk disk(net);
+  ps.enable_broker_checkpoints(disk);
+  sim::ChurnInjector churn(net, {});
+  ps.attach_churn(churn);
+  ps.attach_client(3, 0);
+  ps.attach_client(6, 2);
+  int delivered = 0;
+  ps.subscribe(3, Filter().where("type", Op::kEq, "t"), [&](const Event&) { ++delivered; });
+  sched.run();
+  const pubsub::Broker& b1 = *ps.broker(1);
+
+  // A clean crash and recovery reads the whole body.
+  churn.kill(1, /*graceful=*/false);
+  sched.run();
+  churn.revive(1);
+  sched.run();
+  ASSERT_EQ(b1.stats().recoveries, 1u);
+  EXPECT_EQ(b1.stats().partial_restores, 0u);
+
+  BufWriter w;
+  w.u32(2);  // two table entries, in serialize_routing_state's layout...
+  w.u64(9001);
+  w.u8(0);   // learned from a broker...
+  w.u32(0);  // ...broker 0
+  event::write_filter(w, Filter().where("type", Op::kEq, "stale"));
+  w.u64(9002);  // ...but the second one breaks off after its id
+  sim::checkpoint_write(disk, 1, "broker.ckpt", 1'000'000, std::move(w).take());
+  sched.run();  // durable
+
+  const pubsub::BrokerStats before = b1.stats();
+  churn.kill(1, /*graceful=*/false);
+  sched.run();
+  churn.revive(1);  // recovery runs synchronously inside the rejoin
+  EXPECT_EQ(b1.stats().partial_restores, 1u);
+  EXPECT_EQ(b1.table_size(), 1u);  // the entry before the break
+  EXPECT_EQ(b1.stats().recovered_entries - before.recovered_entries, 1u);
+  EXPECT_EQ(b1.stats().sync_requests - before.sync_requests, 2u);
+  sched.run();
+  EXPECT_EQ(b1.stats().sync_replies - before.sync_replies, 2u);
+
+  std::vector<std::string> recover_details;
+  for (const obs::Span& s : net.tracer()->spans()) {
+    if (s.component == "broker" && s.action == "recover") recover_details.push_back(s.detail);
+  }
+  ASSERT_EQ(recover_details.size(), 2u);
+  EXPECT_EQ(recover_details[0].rfind("ckpt=ok;", 0), 0u) << recover_details[0];
+  EXPECT_EQ(recover_details[1].rfind("ckpt=partial;", 0), 0u) << recover_details[1];
+
+  // The peer sync restored the live route through broker 1.
+  ps.publish(6, Event("t"));
+  sched.run();
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(Chaos, BrokerCrashDuringSubscriptionPropagationConverges) {
   // The nastier window: broker 1 dies while subscriptions are still
   // propagating and its own routing-state checkpoints are mid-flush.
@@ -792,7 +858,7 @@ BrokerCrashResult run_crash_under_faults_scenario(bool chaos, std::uint64_t seed
   auto topo = std::make_shared<sim::UniformTopology>(kHosts, duration::millis(5));
   sim::Network net(sched, topo);
   SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
-  ps.connect_tree();  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
+  EXPECT_TRUE(ps.connect_tree().is_ok());  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
   if (chaos) ps.enable_reliable_transport(chaos_reliable_params());
   sim::DiskParams dp;
   dp.fsync_latency = duration::millis(5);

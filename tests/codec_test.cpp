@@ -6,7 +6,6 @@
 // frame formulas the chaos golden counters depend on, and codec names.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -155,14 +154,14 @@ TEST(BinaryEvent, DecodeRejectsBadTypeTag) {
 // that re-encodes to the same bytes.  Returns the decoded message.
 template <typename Msg>
 Msg expect_exact_and_roundtrip(const Msg& m) {
-  const auto frame = encode_frame(std::vector<std::any>{m});
+  const auto frame = encode_frame(std::vector<Body>{m});
   EXPECT_TRUE(frame.is_ok());
   if (!frame.is_ok()) return {};
   EXPECT_EQ(binary_codec().size(m), frame.value().size());
   const auto back = decode_frame(frame.value());
   EXPECT_TRUE(back.is_ok());
   if (!back.is_ok() || back.value().size() != 1) return {};
-  const auto* decoded = std::any_cast<Msg>(&back.value()[0]);
+  const auto* decoded = back.value()[0].get<Msg>();
   EXPECT_NE(decoded, nullptr);
   if (decoded == nullptr) return {};
   const auto again = encode_frame(back.value());
@@ -222,8 +221,8 @@ TEST(BinaryCodec, BeatsXmlOnEverySampledMessage) {
 
 // --- framing -------------------------------------------------------------
 
-std::vector<std::any> sample_bodies() {
-  std::vector<std::any> bodies;
+std::vector<Body> sample_bodies() {
+  std::vector<Body> bodies;
   bodies.emplace_back(SubscribeMsg{7, sample_filter(0)});
   bodies.emplace_back(PublishMsg{sample_event(1), 41});
   bodies.emplace_back(DeliverMsg{sample_event(2)});
@@ -236,11 +235,11 @@ TEST(BinaryFrame, FrameSizeMatchesEncodedBytes) {
   const Codec& bin = binary_codec();
   const auto bodies = sample_bodies();
   std::vector<std::size_t> datagrams;
-  datagrams.push_back(bin.size(std::any_cast<const SubscribeMsg&>(bodies[0])));
-  datagrams.push_back(bin.size(std::any_cast<const PublishMsg&>(bodies[1])));
-  datagrams.push_back(bin.size(std::any_cast<const DeliverMsg&>(bodies[2])));
-  datagrams.push_back(bin.size(std::any_cast<const UnsubscribeMsg&>(bodies[3])));
-  datagrams.push_back(bin.size(std::any_cast<const SyncRequestMsg&>(bodies[4])));
+  datagrams.push_back(bin.size(*bodies[0].get<SubscribeMsg>()));
+  datagrams.push_back(bin.size(*bodies[1].get<PublishMsg>()));
+  datagrams.push_back(bin.size(*bodies[2].get<DeliverMsg>()));
+  datagrams.push_back(bin.size(*bodies[3].get<UnsubscribeMsg>()));
+  datagrams.push_back(bin.size(*bodies[4].get<SyncRequestMsg>()));
 
   auto frame = encode_frame(bodies);
   ASSERT_TRUE(frame.is_ok());
@@ -257,17 +256,17 @@ TEST(BinaryFrame, DecodeRoundTripsEveryMember) {
   auto members = decode_frame(frame.value());
   ASSERT_TRUE(members.is_ok());
   ASSERT_EQ(members.value().size(), 5u);
-  const auto* pub = std::any_cast<PublishMsg>(&members.value()[1]);
+  const auto* pub = members.value()[1].get<PublishMsg>();
   ASSERT_NE(pub, nullptr);
   EXPECT_EQ(pub->pub_id, 41u);
   EXPECT_EQ(pub->event, sample_event(1));
-  const auto* del = std::any_cast<DeliverMsg>(&members.value()[2]);
+  const auto* del = members.value()[2].get<DeliverMsg>();
   ASSERT_NE(del, nullptr);
   EXPECT_EQ(del->event, sample_event(2));
 }
 
 TEST(BinaryFrame, RejectsForeignBody) {
-  std::vector<std::any> bodies;
+  std::vector<Body> bodies;
   bodies.emplace_back(std::string("not a pubsub message"));
   EXPECT_FALSE(encode_frame(bodies).is_ok());
 }
@@ -277,7 +276,7 @@ TEST(BinaryFrame, RejectsForeignBody) {
 // encoding shows up here as a digest mismatch and must bump the frame
 // version.
 TEST(BinaryFrame, GoldenByteFixture) {
-  std::vector<std::any> bodies;
+  std::vector<Body> bodies;
   for (int i = 0; i < 4; ++i) {
     bodies.emplace_back(PublishMsg{sample_event(i), static_cast<std::uint64_t>(100 + i)});
     bodies.emplace_back(SubscribeMsg{static_cast<std::uint64_t>(i), sample_filter(i)});
@@ -460,7 +459,7 @@ TEST(BinaryFrame, CorruptFilterFailsLoudly) {
   const auto good = decode_frame(subscribe_frame(op(Op::kGt), real, "20.5"));
   ASSERT_TRUE(good.is_ok());
   ASSERT_EQ(good.value().size(), 1u);
-  EXPECT_EQ(std::any_cast<const SubscribeMsg&>(good.value()[0]).filter.describe(),
+  EXPECT_EQ(good.value()[0].get<SubscribeMsg>()->filter.describe(),
             "celsius > 20.5");
 
   EXPECT_FALSE(decode_frame(subscribe_frame(99, real, "20.5")).is_ok());

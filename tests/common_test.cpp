@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/body.hpp"
 #include "common/bytes.hpp"
 #include "common/geo.hpp"
 #include "common/hash.hpp"
@@ -374,6 +376,69 @@ TEST(Geo, RegionMapLocate) {
   EXPECT_FALSE(map.locate({0, 0}).has_value());
   EXPECT_NE(map.find("town"), nullptr);
   EXPECT_EQ(map.find("nowhere"), nullptr);
+}
+
+// --- Body (type-erased packet body) ---
+
+TEST(Body, LargerThanInlineRoomRoundTripsCopiesAndMoves) {
+  struct Big {
+    std::string name;
+    std::array<std::uint64_t, 16> words{};
+  };
+  static_assert(sizeof(Big) > Body::kInlineBytes && !Body::stores_inline<Big>);
+  Big big{"spill", {}};
+  for (std::size_t i = 0; i < big.words.size(); ++i) big.words[i] = i * i;
+
+  Body a(big);
+  ASSERT_NE(a.get<Big>(), nullptr);
+  EXPECT_EQ(a.get<Big>()->name, "spill");
+  EXPECT_EQ(a.get<Big>()->words[15], 225u);
+
+  Body copy = a;  // a deep copy: mutating it leaves `a` alone
+  copy.get<Big>()->words[15] = 1;
+  EXPECT_EQ(a.get<Big>()->words[15], 225u);
+  EXPECT_EQ(copy.get<Big>()->words[15], 1u);
+
+  const Big* held = a.get<Big>();
+  Body moved = std::move(a);  // steals the heap block
+  EXPECT_EQ(moved.get<Big>(), held);
+  EXPECT_FALSE(a.has_value());
+  EXPECT_EQ(a.get<Big>(), nullptr);
+
+  Body assigned;
+  assigned = moved;
+  EXPECT_EQ(assigned.get<Big>()->name, "spill");
+  assigned = std::move(copy);
+  EXPECT_EQ(assigned.get<Big>()->words[15], 1u);
+  assigned = Body(std::string("small again"));
+  EXPECT_EQ(assigned.get<Big>(), nullptr);
+  EXPECT_EQ(*assigned.get<std::string>(), "small again");
+}
+
+TEST(Body, InlineValueCopiesAndMovesWithoutSharing) {
+  static_assert(Body::stores_inline<std::string> && Body::stores_inline<std::uint64_t>);
+  Body a(std::string("inline"));
+  Body b = a;
+  *b.get<std::string>() += "!";
+  EXPECT_EQ(*a.get<std::string>(), "inline");
+  EXPECT_EQ(*b.get<std::string>(), "inline!");
+  Body c = std::move(b);
+  EXPECT_FALSE(b.has_value());
+  EXPECT_EQ(*c.get<std::string>(), "inline!");
+  const Body& alias = c;
+  c = alias;  // self-assignment keeps the value
+  EXPECT_EQ(*c.get<std::string>(), "inline!");
+}
+
+TEST(Body, TypeMismatchIsNull) {
+  const Body empty;
+  EXPECT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.get<int>(), nullptr);
+  const Body n(std::uint64_t{42});
+  EXPECT_EQ(n.get<std::int64_t>(), nullptr);  // exact type only
+  EXPECT_EQ(n.get<int>(), nullptr);
+  ASSERT_NE(n.get<std::uint64_t>(), nullptr);
+  EXPECT_EQ(*n.get<const std::uint64_t>(), 42u);
 }
 
 }  // namespace

@@ -306,7 +306,7 @@ TEST(Tracing, RetransmitDedupKeepsOneDeliverSpanPerDelivery) {
   auto topo = std::make_shared<sim::UniformTopology>(2, duration::millis(5));
   sim::Network net(sched, topo);
   pubsub::SienaNetwork ps(net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   sim::ReliableParams rp;
   rp.initial_rto = duration::millis(20);
   rp.max_rto = duration::millis(500);

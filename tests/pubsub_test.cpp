@@ -49,7 +49,7 @@ Event temp_event(double celsius) {
 TEST(Siena, DeliversMatchingEventAcrossBrokers) {
   Fixture f;
   SienaNetwork ps(f.net, {0, 1, 2, 3});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(11, 3);
 
@@ -69,7 +69,7 @@ TEST(Siena, DeliversMatchingEventAcrossBrokers) {
 void expect_filtered_delivery(const std::vector<sim::HostId>& brokers) {
   Fixture f;
   SienaNetwork ps(f.net, brokers);
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, brokers.front());
   ps.attach_client(11, brokers.back());
   int hot = 0, all = 0;
@@ -105,7 +105,7 @@ TEST(Siena, EventNotSentToUninterestedBranches) {
 TEST(Siena, CoveringSuppressesSubscriptionForwarding) {
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(11, 0);
   // Wide subscription first, then a covered narrower one: the second
@@ -122,7 +122,7 @@ TEST(Siena, CoveringSuppressesSubscriptionForwarding) {
 TEST(Siena, CoveredSubscriberStillReceivesEvents) {
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(11, 0);
   ps.attach_client(12, 1);
@@ -140,7 +140,7 @@ TEST(Siena, CoveredSubscriberStillReceivesEvents) {
 TEST(Siena, UnsubscribeStopsDeliveryAndRestoresCovered) {
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(12, 1);
   int wide = 0, narrow = 0;
@@ -220,7 +220,7 @@ TEST(Siena, ReattachedClientReceivesAfterMove) {
   // must re-issue the subscriptions at the new access broker.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(11, 1);  // publisher
   int got = 0;
@@ -249,7 +249,7 @@ TEST(Siena, ReadvertisementWithChangedFilterPropagates) {
   // pending subscriptions stayed suppressed downstream.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ASSERT_TRUE(ps.set_advertisement_forwarding(true).is_ok());
   ps.attach_client(10, 0);  // publisher
   ps.attach_client(11, 1);  // subscriber
@@ -280,7 +280,7 @@ TEST(Siena, UnsubscribeReforwardsOnlyUncoveredSubscriptions) {
   // still-covered subscription and keep narrower ones suppressed.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(12, 1);
   int wide = 0, mid = 0, narrow = 0;
@@ -321,7 +321,7 @@ TEST(Siena, UnsubscribeReforwardBatchIsOrderIndependent) {
   // upstream, where one send suffices.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(12, 1);
   int wide = 0, mid = 0, narrow = 0;
@@ -361,7 +361,7 @@ TEST(Siena, ChangedFilterReforwardsWhatTheOldFilterCovered) {
   // some unrelated unsubscribe toward that neighbour happens to rescan.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);
   ps.attach_client(11, 0);
   ps.attach_client(12, 1);
@@ -394,7 +394,7 @@ TEST(Siena, CoveringChurnDeliversExactlyTheOracle) {
   Fixture f(64);
   const std::vector<sim::HostId> brokers{0, 1, 2, 3, 4, 5, 6};
   SienaNetwork ps(f.net, brokers);
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   constexpr sim::HostId kFirstPublisher = 10;
   constexpr sim::HostId kFirstClient = 20;
   constexpr std::uint64_t kClients = 12;
@@ -481,7 +481,7 @@ TEST(Siena, CoveringChurnDeliversExactlyTheOracle) {
 void expect_indexed_matching_matches_oracle(const std::vector<sim::HostId>& brokers) {
   Fixture f(64);
   SienaNetwork ps(f.net, brokers);
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   constexpr int kSubs = 24;
   std::vector<Filter> filters;
   std::vector<std::vector<std::string>> got(kSubs);
@@ -533,7 +533,7 @@ TEST(Siena, SetCodecAfterSubscribeRepricesEveryLink) {
   // client).
   Fixture f;
   SienaNetwork ps(f.net, {0, 1, 2, 3}, wire::WireCodec::kBinary);
-  ps.connect_tree();  // 0-1, 0-2, 1-3
+  ASSERT_TRUE(ps.connect_tree().is_ok());  // 0-1, 0-2, 1-3
   ps.attach_client(10, 2);
   ps.attach_client(11, 3);
   int got = 0;
@@ -584,13 +584,44 @@ TEST(Siena, ConnectAfterSubscribeIsRejected) {
   EXPECT_TRUE(advertised.broker(0)->neighbours().empty());
 }
 
+// connect_tree() reports connect()'s refusals instead of dropping them:
+// a tree built after the first subscription links nothing, and so does
+// a second tree over brokers already linked (the cycle check).  Neither
+// refusal changes a neighbour list.
+TEST(Siena, ConnectTreeReportsRefusedLinks) {
+  const auto neighbour_lists = [](SienaNetwork& ps, std::size_t brokers) {
+    std::vector<std::set<sim::HostId>> lists;
+    for (sim::HostId h = 0; h < brokers; ++h) lists.push_back(ps.broker(h)->neighbours());
+    return lists;
+  };
+
+  Fixture f;
+  SienaNetwork late(f.net, {0, 1, 2, 3});
+  late.attach_client(10, 0);
+  late.subscribe(10, Filter().where("type", Op::kEq, "temperature"), [](const Event&) {});
+  f.sched.run();
+  const auto before_late = neighbour_lists(late, 4);
+  EXPECT_EQ(late.connect_tree().code(), Code::kFailedPrecondition);
+  EXPECT_EQ(neighbour_lists(late, 4), before_late);
+  EXPECT_TRUE(late.broker(1)->neighbours().empty());
+
+  Fixture g;
+  SienaNetwork twice(g.net, {0, 1, 2, 3});
+  ASSERT_TRUE(twice.connect_tree().is_ok());
+  const auto before_twice = neighbour_lists(twice, 4);
+  const Status again = twice.connect_tree();
+  EXPECT_EQ(again.code(), Code::kFailedPrecondition);
+  EXPECT_NE(again.message().find("cycle"), std::string::npos);
+  EXPECT_EQ(neighbour_lists(twice, 4), before_twice);
+}
+
 TEST(Siena, AdvertisementModeAfterSubscribeIsRejected) {
   // Enabled late, the mode would leave the subscriptions already
   // forwarded under flooding rules while later ones wait for
   // advertisements.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ps.attach_client(10, 0);  // a publisher that never advertises
   ps.attach_client(11, 1);
   int temperature = 0, humidity = 0;
@@ -621,7 +652,7 @@ TEST(Siena, ReAdvertiseUnknownIdIsRejected) {
   // every broker, under an id advertise() may mint later.
   Fixture f;
   SienaNetwork ps(f.net, {0, 1});
-  ps.connect_tree();
+  ASSERT_TRUE(ps.connect_tree().is_ok());
   ASSERT_TRUE(ps.set_advertisement_forwarding(true).is_ok());
   ps.attach_client(10, 0);  // publisher
   ps.attach_client(11, 1);  // subscriber
@@ -758,7 +789,7 @@ TEST(Flooding, VisitsAllBrokersRegardlessOfInterest) {
 TEST(Mobility, RelaysWhileConnected) {
   Fixture f;
   SienaNetwork siena(f.net, {0, 1});
-  siena.connect_tree();
+  ASSERT_TRUE(siena.connect_tree().is_ok());
   MobilityService mob(f.net, siena, /*proxy_host=*/1);
   mob.register_mobile("bob", 10);
   int got = 0;
@@ -773,7 +804,7 @@ TEST(Mobility, RelaysWhileConnected) {
 TEST(Mobility, BuffersWhileDisconnectedAndReplaysOnReconnect) {
   Fixture f;
   SienaNetwork siena(f.net, {0, 1});
-  siena.connect_tree();
+  ASSERT_TRUE(siena.connect_tree().is_ok());
   MobilityService mob(f.net, siena, 1);
   mob.register_mobile("bob", 10);
   std::vector<double> got;
@@ -835,7 +866,7 @@ TEST(Comparison, SienaSendsFewerBytesThanFloodingForLocalTraffic) {
       bytes = f.net.stats().bytes_sent;
     } else {
       SienaNetwork ps(f.net, brokers);
-      ps.connect_tree();
+      EXPECT_TRUE(ps.connect_tree().is_ok());
       ps.attach_client(20, 15);
       ps.attach_client(21, 15);
       ps.subscribe(21, Filter().where("type", Op::kEq, "temperature"), [](const Event&) {});

@@ -2,8 +2,10 @@
 // network delivery and accounting, churn injection, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -202,6 +204,90 @@ TEST(Scheduler, StepMovesClosureOutWithoutCopying) {
   }
   EXPECT_TRUE(ran);
   EXPECT_EQ(*copies, copies_after_scheduling);  // execution added none
+}
+
+// --- Task slots ---
+
+TEST(Scheduler, StaleHandleDoesNotCancelTheSlotsNextTask) {
+  // A TaskId names a slot and its generation: once its task ran (or was
+  // cancelled and discarded), the slot serves later tasks under a new
+  // generation, and the old handle must not reach them.
+  Scheduler s;
+  const TaskId ran = s.after(10, [] {});
+  s.run();
+  bool later_ran = false;
+  const TaskId later = s.after(10, [&] { later_ran = true; });  // reuses the slot
+  EXPECT_NE(later, ran);
+  s.cancel(ran);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_TRUE(later_ran);
+
+  const TaskId doomed = s.after(10, [] { FAIL() << "cancelled task ran"; });
+  s.cancel(doomed);
+  s.run();  // discards the cancelled entry and frees its slot
+  bool reuser_ran = false;
+  s.after(10, [&] { reuser_ran = true; });
+  s.cancel(doomed);  // stale a second time over
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_TRUE(reuser_ran);
+}
+
+TEST(Scheduler, CancellingPeriodicSeriesKeepsPendingRight) {
+  Scheduler s;
+  // From outside: the queued tick stops counting at once.
+  int outside = 0;
+  const TaskId tick = s.every(10, [&] { ++outside; });
+  s.after(1000, [] {});
+  EXPECT_EQ(s.pending(), 2u);
+  s.run_until(25);
+  EXPECT_EQ(outside, 2);
+  EXPECT_EQ(s.pending(), 2u);
+  s.cancel(tick);
+  EXPECT_EQ(s.pending(), 1u);
+  s.cancel(tick);  // twice is a no-op
+  EXPECT_EQ(s.pending(), 1u);
+
+  // From inside its own tick: nothing is requeued.
+  int inside = 0;
+  TaskId self = kInvalidTask;
+  self = s.every(10, [&] {
+    EXPECT_EQ(s.pending(), 1u);  // the 1000us task; this tick is running
+    if (++inside == 2) s.cancel(self);
+  });
+  EXPECT_EQ(s.pending(), 2u);
+  s.run_until(100);
+  EXPECT_EQ(inside, 2);
+  EXPECT_EQ(s.pending(), 1u);
+  s.cancel(self);  // the series is gone: a stale handle
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(outside, 2);
+}
+
+TEST(Scheduler, NoTaskIsGivenInvalidTask) {
+  Scheduler s;
+  s.bind_hosts(2);
+  std::set<TaskId> live;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      const TaskId id = (i % 3 == 0)   ? s.post_to_host(i % 2, s.now() + i, [] {})
+                        : (i % 3 == 1) ? s.after(i, [] {})
+                                       : s.every(i + 1, [] {});
+      EXPECT_NE(id, kInvalidTask);
+      EXPECT_TRUE(live.insert(id).second);  // no two live tasks share one
+      if (i % 3 == 2) {
+        s.cancel(id);
+        live.erase(id);
+      }
+    }
+    s.run();
+    live.clear();
+  }
+  s.cancel(kInvalidTask);  // a no-op
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 // --- Topologies ---
@@ -452,11 +538,62 @@ TEST(Network, BodyTypePreserved) {
   f.net.register_handler(1, "test", [&](const Packet& p) {
     const auto* body = packet_body<std::string>(p);
     ASSERT_NE(body, nullptr);
+    EXPECT_EQ(packet_body<int>(p), nullptr);  // a mismatch is null, not a throw
     got = *body;
   });
   f.net.send(0, 1, "test", std::string("payload"), 10);
   f.sched.run();
   EXPECT_EQ(got, "payload");
+}
+
+TEST(Network, BodyIsDestroyedExactlyOnceAcrossCopyMoveParkAndDelivery) {
+  // Every value a Body holds, inline or on the heap, is destroyed once:
+  // constructions (copies and moves included) and destructions balance
+  // once the bodies, the packets and the network are gone.
+  struct Counts {
+    int constructed = 0;
+    int destroyed = 0;
+  };
+  static Counts counts;
+  struct Small {
+    int value = 0;
+    explicit Small(int v) : value(v) { ++counts.constructed; }
+    Small(const Small& o) : value(o.value) { ++counts.constructed; }
+    Small(Small&& o) noexcept : value(o.value) { ++counts.constructed; }
+    ~Small() { ++counts.destroyed; }
+  };
+  struct Large : Small {
+    char pad[Body::kInlineBytes] = {};
+    explicit Large(int v) : Small(v) {}
+  };
+  static_assert(Body::stores_inline<Small> && !Body::stores_inline<Large>);
+  counts = {};
+  std::vector<int> got;
+  {
+    NetFixture f;
+    LinkFaults dup;
+    dup.duplicate = 1.0;  // every packet parks twice
+    f.net.set_link_faults(dup);
+    f.net.register_handler(1, "t", [&](const Packet& p) {
+      if (const auto* s = packet_body<Small>(p)) got.push_back(s->value);
+      if (const auto* l = packet_body<Large>(p)) got.push_back(l->value);
+    });
+    Body a(Small(1));
+    Body b = a;             // copy
+    Body c = std::move(a);  // move: `a` is left empty
+    EXPECT_FALSE(a.has_value());
+    Body big(Large(2));
+    Body big_copy = big;
+    c = big_copy;  // copy-assign over a different type
+    f.net.send(Packet{0, 1, "t", std::move(b), 10});
+    f.net.send(Packet{0, 1, "t", std::move(big), 10});
+    f.sched.run();
+    EXPECT_GT(counts.constructed, 0);
+    EXPECT_LT(counts.destroyed, counts.constructed);  // c and big_copy live on
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<int>{1, 1, 2, 2}));  // each packet and its duplicate
+  EXPECT_EQ(counts.destroyed, counts.constructed);
 }
 
 TEST(Network, DropsWhenDestinationDown) {
@@ -1141,6 +1278,28 @@ TEST(Batching, SenderCrashBeforeFlushDropsStagedMembers) {
   f.sched.run();
   EXPECT_EQ(got, 0);
   EXPECT_EQ(f.net.stats().messages_dropped, 1u);
+}
+
+TEST(Batching, SenderRestartInsideWindowDropsStagedMembers) {
+  // The crash empties the sender's egress queue even though the host is
+  // back up when the flush fires: the restarted host is a fresh
+  // endpoint, as it is on the receive side.
+  NetFixture f;
+  int got = 0;
+  f.net.register_handler(1, "t", [&](const Packet&) { ++got; });
+  f.net.enable_batching(duration::millis(10), header_frame);
+  f.net.send<std::uint64_t>(0, 1, "t", 7, 64);
+  f.sched.after(duration::millis(2), [&] { f.net.set_host_up(0, false); });
+  f.sched.after(duration::millis(4), [&] { f.net.set_host_up(0, true); });
+  f.sched.run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(f.net.stats().messages_dropped, 1u);
+  EXPECT_EQ(f.net.stats().messages_delivered, 0u);
+
+  // The restarted host batches afresh.
+  f.net.send<std::uint64_t>(0, 1, "t", 8, 64);
+  f.sched.run();
+  EXPECT_EQ(got, 1);
 }
 
 // Batched fan-out under faults: member order, fault draws and counters
