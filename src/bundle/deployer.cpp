@@ -6,8 +6,6 @@ namespace {
 struct PushMsg {
   std::uint64_t request_id = 0;
   std::string bundle_xml;
-  Bytes payload;  // shipped alongside; bundle_xml carries it too, but
-                  // the split mirrors header/body framing
   Sha1Digest seal{};
   sim::HostId reply_to = sim::kNoHost;
 };
@@ -46,7 +44,6 @@ void BundleDeployer::push_with_seal(sim::HostId from, sim::HostId target,
                                     DeployCallback done) {
   ensure_handler(from);
   ensure_handler(target);
-  ++pushes_;
   const std::uint64_t request_id = next_id_++;
   if (done) {
     Pending pending;

@@ -33,8 +33,6 @@ class BundleDeployer {
   void push_with_seal(sim::HostId from, sim::HostId target, const CodeBundle& bundle,
                       const Sha1Digest& seal, DeployCallback done = nullptr);
 
-  std::uint64_t pushes() const { return pushes_; }
-
  private:
   void on_message(sim::HostId host, const sim::Packet& packet);
   void ensure_handler(sim::HostId host);
@@ -48,7 +46,6 @@ class BundleDeployer {
   std::map<std::uint64_t, Pending> pending_;
   std::map<sim::HostId, bool> handlers_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t pushes_ = 0;
 };
 
 }  // namespace aa::bundle

@@ -112,10 +112,8 @@ DeployResult ThinServerRuntime::install_local(sim::HostId host, const CodeBundle
   inst.installed_at = net_.scheduler().now();
   inst.stop = std::move(teardown).value();
   server.bundle_store.emplace(inst.bundle_id, bundle);
-  const auto [it, ok] = server.installed.emplace(bundle.name(), std::move(inst));
-  (void)ok;
+  server.installed.emplace(bundle.name(), std::move(inst));
   ++stats_.installed;
-  for (const auto& obs : observers_) obs(host, it->second);
   return replaced ? DeployResult::kReplaced : DeployResult::kInstalled;
 }
 

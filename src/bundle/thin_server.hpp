@@ -100,11 +100,6 @@ class ThinServerRuntime {
   const ThinServerStats& stats() const { return stats_; }
   const std::string& authority_secret() const { return secret_; }
 
-  /// Observer invoked after every successful install (evolution engine
-  /// bookkeeping).
-  using InstallObserver = std::function<void(sim::HostId, const Installation&)>;
-  void add_install_observer(InstallObserver obs) { observers_.push_back(std::move(obs)); }
-
  private:
   struct Server {
     std::set<std::string> capabilities;
@@ -116,7 +111,6 @@ class ThinServerRuntime {
   std::string secret_;
   std::map<sim::HostId, Server> servers_;
   std::map<std::string, Installer> installers_;
-  std::vector<InstallObserver> observers_;
   ThinServerStats stats_;
 
   friend class BundleDeployer;

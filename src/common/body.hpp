@@ -20,8 +20,8 @@ namespace aa {
 
 class Body {
  public:
-  /// The largest message struct in src/ (overlay::RouteMsg and the
-  /// deployer's PushMsg, 88 bytes on x86-64).
+  /// The largest message struct in src/ (overlay::RouteMsg, 88 bytes
+  /// on x86-64).
   static constexpr std::size_t kInlineBytes = 88;
 
   /// Word alignment: no message struct needs more, and a wider one

@@ -40,8 +40,6 @@ struct GeoRegion {
   bool contains(const GeoPoint& p) const {
     return p.lat >= lat_min && p.lat <= lat_max && p.lon >= lon_min && p.lon <= lon_max;
   }
-
-  GeoPoint centre() const { return {(lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0}; }
 };
 
 /// A named-region directory: resolves points to regions and regions to
@@ -53,7 +51,6 @@ class RegionMap {
   const GeoRegion* find(const std::string& name) const;
   /// Name of the first region containing `p`, if any.
   std::optional<std::string> locate(const GeoPoint& p) const;
-  const std::vector<GeoRegion>& regions() const { return regions_; }
 
  private:
   std::vector<GeoRegion> regions_;

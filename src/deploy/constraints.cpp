@@ -1,58 +1,8 @@
 #include "deploy/constraints.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace aa::deploy {
-
-xml::Element PlacementConstraint::to_xml() const {
-  xml::Element root("constraint");
-  root.set_attribute("id", id);
-  root.set_attribute("kind", kind);
-  root.set_attribute("min", std::to_string(min_instances));
-  if (!region.empty()) root.set_attribute("region", region);
-  for (const std::string& cap : required_capabilities) {
-    xml::Element req("requires");
-    req.set_attribute("capability", cap);
-    root.add_child(std::move(req));
-  }
-  root.add_child(prototype.to_xml());
-  return root;
-}
-
-Result<PlacementConstraint> PlacementConstraint::from_xml(const xml::Element& element) {
-  if (element.name() != "constraint") {
-    return Status(Code::kInvalidArgument, "expected <constraint>");
-  }
-  PlacementConstraint c;
-  c.id = element.attribute("id").value_or("");
-  if (c.id.empty()) return Status(Code::kInvalidArgument, "<constraint> needs an id");
-  c.kind = element.attribute("kind").value_or("");
-  c.min_instances = std::atoi(element.attribute("min").value_or("1").c_str());
-  if (c.min_instances < 1) return Status(Code::kInvalidArgument, "min must be >= 1");
-  c.region = element.attribute("region").value_or("");
-  for (const xml::Element* req : element.children_named("requires")) {
-    const auto cap = req->attribute("capability");
-    if (!cap) return Status(Code::kInvalidArgument, "<requires> needs capability");
-    c.required_capabilities.push_back(*cap);
-  }
-  const xml::Element* bundle_el = element.child("bundle");
-  if (bundle_el == nullptr) {
-    return Status(Code::kInvalidArgument, "<constraint> needs a <bundle> prototype");
-  }
-  auto bundle = bundle::CodeBundle::from_xml(*bundle_el);
-  if (!bundle.is_ok()) return bundle.status();
-  c.prototype = std::move(bundle).value();
-  return c;
-}
-
-std::string PlacementConstraint::to_xml_string() const { return xml::to_string(to_xml()); }
-
-Result<PlacementConstraint> PlacementConstraint::parse(std::string_view text) {
-  auto doc = xml::parse(text);
-  if (!doc.is_ok()) return doc.status();
-  return from_xml(doc.value());
-}
 
 bool host_qualifies(const PlacementConstraint& constraint, const HostResources& host) {
   if (!constraint.region.empty() && host.region != constraint.region) return false;

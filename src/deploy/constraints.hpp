@@ -30,20 +30,6 @@ struct PlacementConstraint {
   /// Template bundle; the engine instantiates copies named
   /// "<bundle name>@<host>" so instances are distinguishable.
   bundle::CodeBundle prototype;
-
-  /// Declarative XML notation (§4.9: "declarative notations to describe
-  /// the placement of computation and data ... constraints that feed
-  /// into the deployment evolution engine"):
-  ///
-  ///   <constraint id="replication-r1" kind="replication" min="5"
-  ///               region="r1">
-  ///     <requires capability="run.storelet"/>
-  ///     <bundle name="storelet" component="storelet">...</bundle>
-  ///   </constraint>
-  xml::Element to_xml() const;
-  static Result<PlacementConstraint> from_xml(const xml::Element& element);
-  std::string to_xml_string() const;
-  static Result<PlacementConstraint> parse(std::string_view text);
 };
 
 /// True if `host` is an acceptable home for an instance.

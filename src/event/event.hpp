@@ -3,11 +3,12 @@
 // An event is a set of named, typed attributes (the Siena model) with
 // three well-known attributes given first-class accessors: "type" (the
 // event type name, used for routing unknown types to discovery
-// matchlets, §5), "time" (virtual timestamp) and "source".  Events
-// cross the simulated network as XML documents (§4.2: "XML events
-// flowing between pipeline components"), so Event provides a faithful
-// XML encode/decode pair and a wire-size measure used for traffic
-// accounting.
+// matchlets, §5), "time" (virtual timestamp) and "source".  The paper's
+// events are XML documents (§4.2: "XML events flowing between pipeline
+// components").  Event provides a faithful XML encode/decode pair as the
+// reference form, which the golden fixtures and the XML codec's encode
+// probe use, and wire_size(), that form's length: simulated links carry
+// the handle and charge wire_size() without rendering.
 //
 // Representation (copy-on-write core): Event is a thin handle over a
 // shared, immutable EventData payload.  The payload holds the

@@ -131,7 +131,6 @@ inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
   reg.add(ns + ".intra_node_hops", s.intra_node_hops);
   reg.add(ns + ".inter_node_hops", s.inter_node_hops);
   reg.add(ns + ".undeliverable", s.undeliverable);
-  reg.add(ns + ".parse_failures", s.parse_failures);
 }
 
 inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,

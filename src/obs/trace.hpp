@@ -97,7 +97,6 @@ class TraceCollector {
   /// 1 = trace every root (default); n traces every n-th; 0 disables
   /// new traces while keeping already-started ones flowing.
   void set_sample_every(std::uint64_t n) { sample_every_ = n; }
-  std::uint64_t sample_every() const { return sample_every_; }
 
   /// Opens a span under `ctx` (no-op returning 0 when ctx is inactive).
   std::uint64_t begin(const TraceContext& ctx, HostId host, std::string component,

@@ -9,8 +9,8 @@
 // A Component consumes events through put() and emits derived events to
 // its downstream links.  Links are managed by the PipelineNetwork: an
 // intra-node link is a scheduler hop (processing cost only); an
-// inter-node link serialises the event to XML and crosses the simulated
-// network — exactly the two arrows of Figure 2.
+// inter-node link crosses the simulated network, charged the event's XML
+// length without rendering it — exactly the two arrows of Figure 2.
 #pragma once
 
 #include <cstdint>

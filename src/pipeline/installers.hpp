@@ -19,6 +19,11 @@
 // Any component's config may carry <connect host="H" component="C"/>
 // children: downstream links wired at install time — a bundle therefore
 // describes both a pipeline stage and its place in the topology.
+//
+// Numbers (a connect host included) must be spelled whole and in range;
+// a sensor's period_ms must be positive, while a buffer's period_ms="0"
+// means no flush timer.  A bad value fails the install with nothing
+// left behind.
 #pragma once
 
 #include "bundle/thin_server.hpp"
@@ -32,8 +37,9 @@ class SensorSource;
 /// The tail every component installer shares (the pipe.* ones and the
 /// "matchlet" installer): adds `component` on `host`, wires the bundle
 /// config's <connect/> links, starts `sensor_to_start` unless the config
-/// says autostart="0", and returns the teardown hook.  A malformed or
-/// failing link removes the component again and fails the install.
+/// says autostart="0", and returns the teardown hook.  A malformed
+/// autostart fails the install before `component` is added; a malformed
+/// or failing link removes it again and fails the install.
 Result<std::function<void()>> finish_install(PipelineNetwork& pipelines, sim::HostId host,
                                              const bundle::CodeBundle& b,
                                              std::unique_ptr<Component> component,

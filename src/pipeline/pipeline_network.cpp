@@ -9,10 +9,11 @@ constexpr const char* kPipeProto = "pipe";
 /// CPU cost a component charges per event before downstream dispatch.
 constexpr SimDuration kProcessingDelay = duration::micros(50);
 
-/// Inter-node event: XML text plus the destination component name.
+/// Inter-node event: the destination component name plus the event,
+/// a copy-on-write handle, charged as its XML rendering.
 struct PipeMsg {
   std::string to_component;
-  std::string event_xml;
+  event::Event event;
 };
 }  // namespace
 
@@ -88,7 +89,6 @@ void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) 
   if (it == links_.end()) return;
   sim::Network::SpanScope span(net_, from.host, "pipeline", "emit");
   if (span.active()) span.annotate(from.name);
-  std::string xml;  // rendered at most once per dispatch, shared by every inter-node hop
   for (const ComponentRef& to : it->second) {
     if (to.host == from.host) {
       // Intra-node hop: processing cost only, no serialisation.  The
@@ -102,12 +102,10 @@ void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) 
                                deliver_local(to, e);
                              });
     } else {
-      // Inter-node hop: the event crosses the wire as XML.
+      // Inter-node hop: the event crosses the wire priced as XML.
       ++stats_.inter_node_hops;
-      if (xml.empty()) xml = e.to_xml_string();
-      PipeMsg msg{to.name, xml};
-      const std::size_t size = msg.event_xml.size() + msg.to_component.size() + 8;
-      net_.send(from.host, to.host, kPipeProto, std::move(msg), size);
+      const std::size_t size = e.wire_size() + to.name.size() + 8;
+      net_.send(from.host, to.host, kPipeProto, PipeMsg{to.name, e}, size);
     }
   }
 }
@@ -128,17 +126,11 @@ void PipelineNetwork::deliver_local(const ComponentRef& to, const event::Event& 
 void PipelineNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
   const auto* msg = sim::packet_body<PipeMsg>(packet);
   if (msg == nullptr) return;
-  auto parsed = event::Event::parse(msg->event_xml);
-  if (!parsed.is_ok()) {
-    ++stats_.parse_failures;
-    return;
-  }
   // Charge the receive-side processing cost, then deliver (carrying the
   // arrival's trace context across the scheduler hop).
   const ComponentRef to{host, msg->to_component};
   net_.scheduler().after(kProcessingDelay,
-                         [this, to, e = std::move(parsed).value(),
-                          ctx = net_.current_trace()]() {
+                         [this, to, e = msg->event, ctx = net_.current_trace()]() {
                            sim::Network::TraceScope scope(net_, ctx);
                            deliver_local(to, e);
                          });

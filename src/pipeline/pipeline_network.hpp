@@ -1,11 +1,11 @@
 // The pipeline fabric: hosts components, wires links, moves events.
 //
-// Inter-node event transfer is XML on the wire: the event is rendered
-// with Event::to_xml_string() and re-parsed at the receiver, so the wire
-// size and the serialisation path both match the paper's XML-pipeline
-// design (§4.2, §4.7 — "standardised and open interfaces and data
-// formats wherever possible — thus XML-encoded events, web service
-// interfaces").
+// An inter-node hop is priced as XML on the wire: the packet carries the
+// event's copy-on-write handle and is charged Event::wire_size(), the
+// length of its XML rendering, which is never produced.  The byte counts
+// therefore match the paper's XML-pipeline design (§4.2, §4.7 —
+// "standardised and open interfaces and data formats wherever possible —
+// thus XML-encoded events, web service interfaces").
 #pragma once
 
 #include <map>
@@ -20,7 +20,6 @@ struct PipelineStats {
   std::uint64_t intra_node_hops = 0;
   std::uint64_t inter_node_hops = 0;
   std::uint64_t undeliverable = 0;  // link to missing/removed component
-  std::uint64_t parse_failures = 0;
 };
 
 class PipelineNetwork {

@@ -29,7 +29,6 @@ class SensorSource : public Component {
   /// Must be called after the component is added to a PipelineNetwork.
   void start();
   void stop();
-  bool running() const { return task_ != sim::kInvalidTask; }
 
  protected:
   void on_event(const event::Event&) override { drop(); }

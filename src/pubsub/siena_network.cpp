@@ -328,12 +328,6 @@ BrokerStats SienaNetwork::total_broker_stats() const {
   return total;
 }
 
-std::size_t SienaNetwork::total_table_entries() const {
-  std::size_t total = 0;
-  for (const auto& [h, b] : brokers_) total += b->table_size();
-  return total;
-}
-
 std::size_t SienaNetwork::total_transit_entries() const {
   std::size_t total = 0;
   for (const auto& [h, b] : brokers_) total += b->transit_entries();

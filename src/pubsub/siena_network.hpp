@@ -108,9 +108,8 @@ class SienaNetwork final : public EventService {
 
   /// Sum of broker stats across the overlay.
   BrokerStats total_broker_stats() const;
-  /// Total routing-table entries across brokers, and the subset learned
-  /// from neighbour brokers (interior routing state).
-  std::size_t total_table_entries() const;
+  /// Routing-table entries learned from neighbour brokers, summed
+  /// across the overlay (interior routing state).
   std::size_t total_transit_entries() const;
   /// Largest single broker routing table in the overlay.
   std::size_t max_table_entries() const;

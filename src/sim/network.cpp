@@ -38,10 +38,6 @@ void Network::unregister_handler(HostId host, const std::string& protocol) {
   if (host < handlers_.size()) handlers_[host].erase(protocol);
 }
 
-void Network::clear_handlers(HostId host) {
-  if (host < handlers_.size()) handlers_[host].clear();
-}
-
 void Network::reseed_fault_rngs(std::uint64_t seed) {
   fault_rng_.clear();
   fault_rng_.reserve(topo_->size());

@@ -144,9 +144,6 @@ class Network {
   /// previous handler for the pair.
   void register_handler(HostId host, const std::string& protocol, Handler handler);
   void unregister_handler(HostId host, const std::string& protocol);
-  /// Removes every handler a host registered (used when its software
-  /// stack is torn down on failure).
-  void clear_handlers(HostId host);
 
   /// Sends asynchronously; delivery happens after latency(src,dst) plus
   /// wire_size's transmission time.  Messages in flight to a host that
@@ -429,9 +426,8 @@ class Network {
   // crashes is lost even if the host rejoins before the delivery time.
   std::vector<std::uint32_t> incarnation_;
   std::vector<std::uint64_t> delivered_per_host_;
-  // Per-host protocol tables: clear_handlers(host) drops exactly one
-  // host's stack when it fails, leaving every other host's lookups as
-  // they were.
+  // Per-host protocol tables: registering or unregistering one host's
+  // handler leaves every other host's lookups as they were.
   std::vector<std::unordered_map<std::string, Handler>> handlers_;
   LinkFaults default_faults_{};  // zero probabilities: clean network
   std::map<std::pair<HostId, HostId>, LinkFaults> link_fault_overrides_;

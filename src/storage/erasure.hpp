@@ -30,9 +30,6 @@ class ErasureCoder {
   /// data_fragments + parity_fragments <= 255.
   ErasureCoder(int data_fragments, int parity_fragments);
 
-  int k() const { return k_; }
-  int m() const { return m_; }
-
   /// Splits `object` into k+m fragments.  The object's true length is
   /// carried in each fragment header so decode can strip padding.
   std::vector<Fragment> encode(const Bytes& object) const;

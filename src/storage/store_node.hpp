@@ -59,7 +59,6 @@ class StoreNode {
   void cache_put(const ObjectId& id, const Bytes& data);
   /// Refreshes recency on hit.
   const Bytes* cache_get(const ObjectId& id);
-  bool cached(const ObjectId& id) const { return cache_.contains(id); }
   std::size_t cache_bytes() const { return cache_bytes_; }
 
   const StoreNodeStats& stats() const { return stats_; }

@@ -200,21 +200,5 @@ TEST(Deployer, TimeoutWhenTargetDead) {
   EXPECT_EQ(outcome.status().code(), Code::kTimeout);
 }
 
-TEST(Deployer, InstallObserverFires) {
-  Fixture f;
-  f.runtime.start_server(2, {"run.matchlet"});
-  sim::HostId observed = sim::kNoHost;
-  std::string observed_name;
-  f.runtime.add_install_observer([&](sim::HostId h, const Installation& inst) {
-    observed = h;
-    observed_name = inst.bundle.name();
-  });
-  BundleDeployer deployer(f.net, f.runtime);
-  deployer.push(0, 2, make_bundle());
-  f.sched.run();
-  EXPECT_EQ(observed, 2u);
-  EXPECT_EQ(observed_name, "matchlet-1");
-}
-
 }  // namespace
 }  // namespace aa::bundle

@@ -45,11 +45,14 @@ TEST(Network, ClearHandlersSilencesHost) {
   int got = 0;
   net.register_handler(1, "a", [&](const sim::Packet&) { ++got; });
   net.register_handler(1, "b", [&](const sim::Packet&) { ++got; });
-  net.clear_handlers(1);
+  net.register_handler(2, "a", [&](const sim::Packet&) { got += 10; });
+  net.unregister_handler(1, "a");
+  net.unregister_handler(1, "b");
   net.send(0, 1, "a", 1, 8);
   net.send(0, 1, "b", 1, 8);
+  net.send(0, 2, "a", 1, 8);  // another host's table is untouched
   sched.run();
-  EXPECT_EQ(got, 0);
+  EXPECT_EQ(got, 10);
   EXPECT_EQ(net.stats().messages_dropped, 2u);
 }
 

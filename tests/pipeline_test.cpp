@@ -66,12 +66,16 @@ TEST(Pipeline, InterNodeHopCrossesWireAsXml) {
   }));
   auto b = f.sink(3, "s", got);
   ASSERT_TRUE(f.pipes.connect(a, b).is_ok());
+  const std::uint64_t renders_before = Event::serializations();
   f.pipes.inject(a, temp(1.5));
   f.sched.run();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], temp(1.5));  // survived serialise/parse round-trip
+  EXPECT_EQ(got[0], temp(1.5));
   EXPECT_EQ(f.pipes.stats().inter_node_hops, 1u);
-  EXPECT_GT(f.net.stats().bytes_sent, 0u);
+  // Priced as the XML rendering plus the component name ("s") and an
+  // 8-byte header, but never rendered on the way.
+  EXPECT_EQ(Event::serializations() - renders_before, 0u);
+  EXPECT_EQ(f.net.stats().bytes_sent, temp(1.5).to_xml_string().size() + 1 + 8);
 }
 
 TEST(Pipeline, FanOutToMultipleDownstreams) {
@@ -342,6 +346,122 @@ TEST(PipelineInstallers, UninstallTearsDownComponent) {
   EXPECT_TRUE(f.pipes.exists(ComponentRef{3, "temp"}));
   EXPECT_TRUE(f.runtime.uninstall(3, "temp"));
   EXPECT_FALSE(f.pipes.exists(ComponentRef{3, "temp"}));
+}
+
+TEST(PipelineInstallers, DeployerPushesMultiHostChain) {
+  // sensor@3 -> filter@3 -> buffer@5 -> external sink@6, each stage a
+  // bundle pushed from host 0 that names its downstream in <connect>.
+  InstallFixture f;
+  std::vector<Event> got;
+  f.sink(6, "collector", got);
+
+  auto stage = [](const std::string& name, const std::string& type, xml::Element config,
+                  sim::HostId to_host, const std::string& to_component) {
+    xml::Element link("connect");
+    link.set_attribute("host", std::to_string(to_host));
+    link.set_attribute("component", to_component);
+    config.add_child(std::move(link));
+    bundle::CodeBundle b(name, type, std::move(config));
+    b.require_capability("run.pipeline");
+    return b;
+  };
+  xml::Element sensor("config");
+  sensor.set_attribute("period_ms", "60000");
+  sensor.set_attribute("sensor_id", "w1");
+  sensor.set_attribute("base", "25");
+  sensor.set_attribute("amplitude", "2");
+  xml::Element filter("config");
+  filter.set_attribute("filter", "celsius > 15");
+  xml::Element buffer("config");
+  buffer.set_attribute("count", "2");
+  buffer.set_attribute("period_ms", "300000");
+  const std::vector<std::pair<sim::HostId, bundle::CodeBundle>> pushes = {
+      {3, stage("roof", "pipe.sensor.temperature", sensor, 3, "hot")},
+      {3, stage("hot", "pipe.filter", filter, 5, "batch")},
+      {5, stage("batch", "pipe.buffer", buffer, 6, "collector")},
+  };
+  std::vector<bundle::DeployResult> acks;
+  for (const auto& [host, b] : pushes) {
+    f.deployer.push(0, host, b, [&](Result<bundle::DeployResult> r) {
+      ASSERT_TRUE(r.is_ok());
+      acks.push_back(r.value());
+    });
+  }
+  f.sched.run_for(duration::seconds(2));
+  EXPECT_EQ(acks, std::vector<bundle::DeployResult>(3, bundle::DeployResult::kInstalled));
+  ASSERT_TRUE(f.pipes.exists(ComponentRef{3, "roof"}));
+  ASSERT_TRUE(f.pipes.exists(ComponentRef{3, "hot"}));
+  ASSERT_TRUE(f.pipes.exists(ComponentRef{5, "batch"}));
+
+  // The sensor autostarts; warm readings cross the whole chain, and the
+  // buffer flushes them in pairs.
+  f.sched.run_for(duration::minutes(10));
+  EXPECT_GE(got.size(), 2u);
+  for (const auto& e : got) EXPECT_GT(e.get_real("celsius").value_or(-100), 15.0);
+  EXPECT_GE(f.pipes.stats().inter_node_hops, 2u);
+}
+
+TEST(PipelineInstallers, RejectsMalformedNumbers) {
+  InstallFixture f;
+  auto bundle_with = [](const std::string& type, const std::string& key,
+                        const std::string& value) {
+    xml::Element config("config");
+    config.set_attribute(key, value);
+    return bundle::CodeBundle("c", type, config);
+  };
+  // A sensor period must be a whole, positive number: 0, negatives and
+  // garbage are refused rather than clamped to a 1 us timer.
+  for (const char* period :
+       {"0", "-5", "abc", "", "60000x", "99999999999999999999", "9223372036854776"}) {
+    SCOPED_TRACE(period);
+    for (const char* type : {"pipe.sensor.temperature", "pipe.sensor.gps",
+                             "pipe.sensor.presence"}) {
+      EXPECT_EQ(f.install(1, bundle_with(type, "period_ms", period)),
+                bundle::DeployResult::kInstallerFailed)
+          << type;
+    }
+  }
+  for (const char* value : {"abc", "", "12x", "1e999", "nan"}) {
+    SCOPED_TRACE(value);
+    EXPECT_EQ(f.install(1, bundle_with("pipe.sensor.temperature", "base", value)),
+              bundle::DeployResult::kInstallerFailed);
+    EXPECT_EQ(f.install(1, bundle_with("pipe.threshold", "meters", value)),
+              bundle::DeployResult::kInstallerFailed);
+    EXPECT_EQ(f.install(1, bundle_with("pipe.buffer", "count", value)),
+              bundle::DeployResult::kInstallerFailed);
+    EXPECT_EQ(f.install(1, bundle_with("pipe.sensor.gps", "seed", value)),
+              bundle::DeployResult::kInstallerFailed);
+  }
+  // A connect host must be numeric: "x" does not link to host 0.
+  xml::Element config("config");
+  config.set_attribute("filter", "celsius > 0");
+  xml::Element link("connect");
+  link.set_attribute("host", "x");
+  link.set_attribute("component", "downstream");
+  config.add_child(std::move(link));
+  EXPECT_EQ(f.install(1, bundle::CodeBundle("c", "pipe.filter", config)),
+            bundle::DeployResult::kInstallerFailed);
+
+  // A pushed bundle reports the failure to the pusher.
+  Result<bundle::DeployResult> pushed = Status(Code::kUnavailable, "pending");
+  f.deployer.push(0, 1, bundle_with("pipe.sensor.temperature", "period_ms", "abc"),
+                  [&](Result<bundle::DeployResult> r) { pushed = std::move(r); });
+  f.sched.run_for(duration::millis(100));
+  ASSERT_TRUE(pushed.is_ok()) << pushed.status().to_string();
+  EXPECT_EQ(pushed.value(), bundle::DeployResult::kInstallerFailed);
+
+  // Nothing stayed installed and nothing was scheduled.
+  EXPECT_FALSE(f.pipes.exists(ComponentRef{1, "c"}));
+  EXPECT_EQ(f.sched.pending(), 0u);
+
+  // A buffer's count and period cannot be negative either...
+  EXPECT_EQ(f.install(1, bundle_with("pipe.buffer", "count", "-1")),
+            bundle::DeployResult::kInstallerFailed);
+  EXPECT_EQ(f.install(1, bundle_with("pipe.buffer", "period_ms", "-5")),
+            bundle::DeployResult::kInstallerFailed);
+  // ...but its period_ms="0" still means "no flush timer".
+  EXPECT_EQ(f.install(1, bundle_with("pipe.buffer", "period_ms", "0")),
+            bundle::DeployResult::kInstalled);
 }
 
 TEST(PipelineInstallers, ConnectToUnknownTargetAllowed) {
