@@ -59,8 +59,6 @@ class CodeBundle {
   /// Models Cingal's bundle authentication without a PKI.
   Sha1Digest seal(std::string_view authority_secret) const;
 
-  std::size_t wire_size() const { return to_xml_string().size() + payload_.size(); }
-
  private:
   std::string name_;
   std::string component_type_;

@@ -61,7 +61,8 @@ void BundleDeployer::push_with_seal(sim::HostId from, sim::HostId target,
   msg.bundle_xml = bundle.to_xml_string();
   msg.seal = seal;
   msg.reply_to = from;
-  const std::size_t size = msg.bundle_xml.size() + bundle.payload().size() + 32;
+  // The XML carries the payload hex-encoded, so its length prices it.
+  const std::size_t size = msg.bundle_xml.size() + 32;
   net_.send(from, target, kCingalProto, std::move(msg), size);
 }
 

@@ -60,8 +60,8 @@ int EvolutionEngine::live_instances(const std::string& constraint_id) const {
   int count = 0;
   for (const Instance& inst : it->second) {
     if (!inst.confirmed) continue;
-    for (const HostResources& r : live) {
-      if (r.host == inst.host) {
+    for (const HostResources* r : live) {
+      if (r->host == inst.host) {
         ++count;
         break;
       }
@@ -94,7 +94,7 @@ void EvolutionEngine::evaluate(const PlacementConstraint& constraint) {
   // Drop placements whose host the view no longer believes in.
   std::erase_if(placed, [&](const Instance& inst) {
     return std::none_of(live.begin(), live.end(),
-                        [&](const HostResources& r) { return r.host == inst.host; });
+                        [&](const HostResources* r) { return r->host == inst.host; });
   });
 
   const int have = static_cast<int>(placed.size());
@@ -103,11 +103,11 @@ void EvolutionEngine::evaluate(const PlacementConstraint& constraint) {
 
   // Candidate hosts: qualified, live, not already hosting an instance
   // of this constraint; least-loaded (fewest instances overall) first.
-  std::vector<HostResources> candidates;
-  for (const HostResources& r : live) {
-    if (!host_qualifies(constraint, r)) continue;
+  std::vector<const HostResources*> candidates;
+  for (const HostResources* r : live) {
+    if (!host_qualifies(constraint, *r)) continue;
     const bool already = std::any_of(placed.begin(), placed.end(), [&](const Instance& inst) {
-      return inst.host == r.host;
+      return inst.host == r->host;
     });
     if (!already) candidates.push_back(r);
   }
@@ -121,21 +121,21 @@ void EvolutionEngine::evaluate(const PlacementConstraint& constraint) {
     return load;
   };
   std::sort(candidates.begin(), candidates.end(),
-            [&](const HostResources& a, const HostResources& b) {
-              const int la = load_of(a.host), lb = load_of(b.host);
+            [&](const HostResources* a, const HostResources* b) {
+              const int la = load_of(a->host), lb = load_of(b->host);
               if (la != lb) return la < lb;
-              return a.host < b.host;
+              return a->host < b->host;
             });
 
-  for (const HostResources& candidate : candidates) {
+  for (const HostResources* candidate : candidates) {
     if (need <= 0) break;
     --need;
+    const sim::HostId host = candidate->host;
     bundle::CodeBundle instance = constraint.prototype;
-    instance.set_name(constraint.prototype.name() + "@" + std::to_string(candidate.host));
-    placed.push_back(Instance{candidate.host, instance.name(), false});
+    instance.set_name(constraint.prototype.name() + "@" + std::to_string(host));
+    placed.push_back(Instance{host, instance.name(), false});
     ++stats_.deployments_started;
     const std::string cid = constraint.id;
-    const sim::HostId host = candidate.host;
     deployer_.push(params_.engine_host, host, instance,
                    [this, cid, host](Result<bundle::DeployResult> r) {
                      auto& insts = instances_[cid];

@@ -1,6 +1,6 @@
 #include "deploy/resource.hpp"
 
-#include <sstream>
+#include <string_view>
 
 namespace aa::deploy {
 
@@ -15,28 +15,45 @@ struct PingMsg {
 };
 
 std::string caps_to_csv(const std::set<std::string>& caps) {
-  std::ostringstream out;
-  bool first = true;
+  std::string out;
   for (const auto& c : caps) {
-    if (!first) out << ',';
-    first = false;
-    out << c;
-  }
-  return out.str();
-}
-
-std::set<std::string> csv_to_caps(const std::string& csv) {
-  std::set<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size() && !csv.empty()) {
-    const auto comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!item.empty()) out.insert(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    if (!out.empty()) out += ',';
+    out += c;
   }
   return out;
+}
+
+/// The string attribute `name` of `e`, read in place ("" when it is
+/// absent or not a string).
+std::string_view text_of(const event::Event& e, std::string_view name) {
+  const event::AttrValue* v = e.get(name);
+  return v != nullptr && v->is_string() ? std::string_view(v->str()) : std::string_view();
+}
+
+/// Calls `fn` on each non-empty comma-separated item of `csv`, in order.
+template <typename Fn>
+void for_each_csv_item(std::string_view csv, Fn&& fn) {
+  while (!csv.empty()) {
+    const auto comma = csv.find(',');
+    const std::string_view item = csv.substr(0, comma);
+    if (!item.empty()) fn(item);
+    if (comma == std::string_view::npos) break;
+    csv.remove_prefix(comma + 1);
+  }
+}
+
+/// Sets `caps` to the items of `csv`, rebuilding it only when they are
+/// not already exactly its members in order (what caps_to_csv wrote).
+void assign_caps(std::set<std::string>& caps, std::string_view csv) {
+  auto next = caps.begin();
+  bool same = true;
+  for_each_csv_item(csv, [&](std::string_view item) {
+    same = same && next != caps.end() && *next == item;
+    if (same) ++next;
+  });
+  if (same && next == caps.end()) return;
+  caps.clear();
+  for_each_csv_item(csv, [&](std::string_view item) { caps.emplace(item); });
 }
 }  // namespace
 
@@ -157,8 +174,8 @@ ResourceView::ResourceView(pubsub::EventService& bus, sim::HostId view_host, Sim
                   if (!host) return;
                   HostResources& r = hosts_[static_cast<sim::HostId>(*host)];
                   r.host = static_cast<sim::HostId>(*host);
-                  r.region = e.get_string("region").value_or("");
-                  r.capabilities = csv_to_caps(e.get_string("capabilities").value_or(""));
+                  r.region = text_of(e, "region");
+                  assign_caps(r.capabilities, text_of(e, "capabilities"));
                   r.storage_mb = e.get_real("storage_mb").value_or(0);
                   r.last_advert = e.time();
                   r.withdrawn = false;
@@ -173,20 +190,20 @@ ResourceView::ResourceView(pubsub::EventService& bus, sim::HostId view_host, Sim
                 });
 }
 
-std::vector<HostResources> ResourceView::live(SimTime now) const {
-  std::vector<HostResources> out;
+std::vector<const HostResources*> ResourceView::live(SimTime now) const {
+  std::vector<const HostResources*> out;
   for (const auto& [host, r] : hosts_) {
     if (r.withdrawn) continue;
     if (ttl_ > 0 && now - r.last_advert > ttl_) continue;
-    out.push_back(r);
+    out.push_back(&r);
   }
   return out;
 }
 
-std::vector<HostResources> ResourceView::live_in_region(SimTime now,
-                                                        const std::string& region) const {
+std::vector<const HostResources*> ResourceView::live_in_region(
+    SimTime now, const std::string& region) const {
   auto out = live(now);
-  std::erase_if(out, [&](const HostResources& r) { return r.region != region; });
+  std::erase_if(out, [&](const HostResources* r) { return r->region != region; });
   return out;
 }
 

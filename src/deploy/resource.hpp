@@ -102,9 +102,12 @@ class ResourceView {
 
   const std::map<sim::HostId, HostResources>& hosts() const { return hosts_; }
   /// Hosts currently considered live: advertised within the TTL (as of
-  /// `now`) and not withdrawn.
-  std::vector<HostResources> live(SimTime now) const;
-  std::vector<HostResources> live_in_region(SimTime now, const std::string& region) const;
+  /// `now`) and not withdrawn, in host order.  The pointers point into
+  /// the view and stay valid while it lives (entries are updated in
+  /// place, never erased).
+  std::vector<const HostResources*> live(SimTime now) const;
+  std::vector<const HostResources*> live_in_region(SimTime now,
+                                                   const std::string& region) const;
 
   /// Hook invoked on each withdrawal event (drives reactive repair).
   std::function<void(sim::HostId)> on_withdraw;

@@ -151,6 +151,10 @@ class Event {
   bool shares_payload_with(const Event& other) const {
     return data_ != nullptr && data_ == other.data_;
   }
+  /// True when another handle shares this one's payload, so a holder
+  /// can tell whether the event is still referenced elsewhere (a packet
+  /// in flight, say).
+  bool payload_shared() const { return data_ != nullptr && data_.use_count() > 1; }
 
   /// Process-wide count of XML renderings performed (to_xml_string
   /// calls).  Sizing never renders, so forwarding an event across k

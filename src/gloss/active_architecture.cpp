@@ -236,11 +236,11 @@ void ActiveArchitecture::start_discovery(sim::HostId host) {
         const auto live = evolution_->view().live(sched_.now());
         sim::HostId best = 0;
         std::size_t best_load = SIZE_MAX;
-        for (const auto& r : live) {
-          if (!r.capabilities.contains("run.matchlet")) continue;
-          const std::size_t load = runtime_->installed_names(r.host).size();
+        for (const deploy::HostResources* r : live) {
+          if (!r->capabilities.contains("run.matchlet")) continue;
+          const std::size_t load = runtime_->installed_names(r->host).size();
           if (load < best_load) {
-            best = r.host;
+            best = r->host;
             best_load = load;
           }
         }

@@ -1,5 +1,7 @@
 #include "match/replicated_knowledge.hpp"
 
+#include <algorithm>
+
 namespace aa::match {
 
 ReplicatedKnowledge::ReplicatedKnowledge(pubsub::EventService& bus, sim::HostId authority_host)
@@ -41,12 +43,23 @@ void ReplicatedKnowledge::apply(KnowledgeBase& kb, const event::Event& update) {
     ++stats_.updates_applied;
     return;
   }
-  const auto fact_xml = update.get_string("fact_xml");
-  if (!fact_xml) return;
-  auto fact = Fact::parse(*fact_xml);
-  if (!fact.is_ok()) return;
-  kb.insert(static_cast<FactId>(*id), std::move(fact).value());
+  const event::AttrValue* xml = update.get("fact_xml");
+  if (xml == nullptr || !xml->is_string()) return;
+  const auto fact_id = static_cast<FactId>(*id);
+  auto it = std::find_if(parsed_.begin(), parsed_.end(), [&](const Parsed& p) {
+    return p.id == fact_id && p.update.get("fact_xml")->str() == xml->str();
+  });
+  if (it == parsed_.end()) {
+    auto fact = Fact::parse(xml->str());
+    if (!fact.is_ok()) return;
+    // An update that nothing but the memo holds any more reaches no
+    // replica: a replica whose host was down never counts it.
+    std::erase_if(parsed_, [](const Parsed& p) { return !p.update.payload_shared(); });
+    it = parsed_.insert(parsed_.end(), Parsed{fact_id, update, std::move(fact).value()});
+  }
+  kb.insert(fact_id, it->fact);
   ++stats_.updates_applied;
+  if (++it->applied >= replicas_.size()) parsed_.erase(it);
 }
 
 KnowledgeBase& ReplicatedKnowledge::replica(sim::HostId host) {

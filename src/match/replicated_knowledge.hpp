@@ -16,10 +16,21 @@
 //   * a replica created late receives a state transfer (copy of the
 //     authority's current facts), modelling a new matchlet host syncing
 //     the knowledge base from the storage architecture.
+//
+// Every replica lives in this process, so an update's fact XML is
+// parsed once, not once per replica: the first replica to apply it
+// keeps the parsed fact (a copy-on-write handle) beside the update, and
+// a later replica reuses it when its own update carries the same
+// fact_xml text.  An update superseded in flight carries other text
+// and parses its own.  The entry is dropped once as many replicas as
+// exist have applied it, or, if some replica never receives the update
+// (its host was down), once no handle outside the memo carries it: the
+// memo holds only updates in flight.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "match/knowledge.hpp"
 #include "pubsub/event_service.hpp"
@@ -55,6 +66,14 @@ class ReplicatedKnowledge {
   static constexpr const char* kUpdateEventType = "fact-update";
 
  private:
+  /// An "add" update some replica has parsed, while it is in flight.
+  struct Parsed {
+    FactId id = 0;
+    event::Event update;  // holds the fact_xml text later replicas compare
+    Fact fact;
+    std::size_t applied = 0;
+  };
+
   void publish_update(const char* op, FactId id, const Fact* fact);
   void apply(KnowledgeBase& kb, const event::Event& update);
 
@@ -62,6 +81,8 @@ class ReplicatedKnowledge {
   sim::HostId authority_;
   KnowledgeBase master_;
   std::map<sim::HostId, std::unique_ptr<KnowledgeBase>> replicas_;
+  // Updates in flight, in the order a replica first parsed them.
+  std::vector<Parsed> parsed_;
   ReplicationStats stats_;
 };
 

@@ -1,6 +1,7 @@
 // Wire messages of the overlay (Plaxton/Pastry-style) routing protocol.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,10 +52,12 @@ struct AnnounceMsg {
   NodeRef who;
 };
 
-/// Periodic leaf-set exchange (repair + discovery).
+/// Periodic leaf-set exchange (repair + discovery).  One immutable
+/// snapshot of the sender's leaf set is shared by every peer it gossips
+/// to in a round.
 struct LeafGossip {
   NodeRef from;
-  std::vector<NodeRef> leaf;
+  std::shared_ptr<const std::vector<NodeRef>> leaf;
 };
 
 inline std::size_t ref_wire_size(std::size_t n_refs) { return 24 * n_refs; }

@@ -64,7 +64,7 @@ class OverlayNode {
   /// prefix needs from us (our row at that depth), plus ourself.
   std::vector<NodeRef> row_contacts(int shared) const;
 
-  std::vector<NodeRef> leaf_set() const { return leaf_; }
+  const std::vector<NodeRef>& leaf_set() const { return leaf_; }
   /// This node plus its `count-1` leaf neighbours numerically closest
   /// to `key` — the natural replica set of a key rooted here.
   std::vector<NodeRef> replica_set(const ObjectId& key, int count) const;

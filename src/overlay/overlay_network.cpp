@@ -112,7 +112,7 @@ void OverlayNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
   } else if (const auto* gossip = sim::packet_body<LeafGossip>(packet)) {
     sim::Network::SpanScope span(net_, host, "overlay", "gossip");
     node.consider(gossip->from);
-    for (const NodeRef& r : gossip->leaf) node.consider(r);
+    for (const NodeRef& r : *gossip->leaf) node.consider(r);
   }
 }
 
@@ -204,15 +204,16 @@ void OverlayNetwork::maintenance_tick() {
     // Purge before gossiping: a dead member models a failed keepalive
     // and is healed from the pool, and the gossip must not carry it, or
     // every receiver would consider() it straight back in.
-    auto leaf = node->leaf_set();
-    std::erase_if(leaf, [&](const NodeRef& peer) {
+    auto leaf = std::make_shared<std::vector<NodeRef>>(node->leaf_set());
+    std::erase_if(*leaf, [&](const NodeRef& peer) {
       if (net_.host_up(peer.host)) return false;
       node->remove(peer.id);
       return true;
     });
-    for (const NodeRef& peer : leaf) {
-      send_maintenance(host, peer.host, LeafGossip{node->self(), leaf},
-                       ref_wire_size(leaf.size() + 1));
+    const std::shared_ptr<const std::vector<NodeRef>> snapshot = std::move(leaf);
+    for (const NodeRef& peer : *snapshot) {
+      send_maintenance(host, peer.host, LeafGossip{node->self(), snapshot},
+                       ref_wire_size(snapshot->size() + 1));
     }
   }
 }

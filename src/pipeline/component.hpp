@@ -11,6 +11,9 @@
 // intra-node link is a scheduler hop (processing cost only); an
 // inter-node link crosses the simulated network, charged the event's XML
 // length without rendering it — exactly the two arrows of Figure 2.
+// Either way the event then waits out one processing delay parked in
+// the fabric's hop slab (pipeline_network.hpp), so a hop puts nothing
+// on the heap once the slab has grown to the traffic.
 #pragma once
 
 #include <cstdint>

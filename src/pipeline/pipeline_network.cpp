@@ -81,7 +81,7 @@ Status PipelineNetwork::disconnect(const ComponentRef& upstream,
 }
 
 void PipelineNetwork::inject(const ComponentRef& ref, const event::Event& e) {
-  deliver_local(ref, e);
+  deliver(component(ref), e);
 }
 
 void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) {
@@ -92,15 +92,10 @@ void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) 
   for (const ComponentRef& to : it->second) {
     if (to.host == from.host) {
       // Intra-node hop: processing cost only, no serialisation.  The
-      // captured event is a COW handle, so every queued hop shares one
-      // payload.  The scheduler hop breaks the synchronous call chain,
-      // so carry the ambient trace context across it explicitly.
+      // parked event is a COW handle, so every queued hop shares one
+      // payload.
       ++stats_.intra_node_hops;
-      net_.scheduler().after(kProcessingDelay,
-                             [this, to, e, ctx = net_.current_trace()]() {
-                               sim::Network::TraceScope scope(net_, ctx);
-                               deliver_local(to, e);
-                             });
+      park_hop(to.host, to.name, e);
     } else {
       // Inter-node hop: the event crosses the wire priced as XML.
       ++stats_.inter_node_hops;
@@ -110,30 +105,56 @@ void PipelineNetwork::dispatch(const ComponentRef& from, const event::Event& e) 
   }
 }
 
-void PipelineNetwork::deliver_local(const ComponentRef& to, const event::Event& e) {
-  Component* c = component(to);
+void PipelineNetwork::park_hop(sim::HostId host, const std::string& name,
+                               const event::Event& e) {
+  std::uint32_t slot;
+  if (free_hops_.empty()) {
+    slot = static_cast<std::uint32_t>(hops_.size());
+    hops_.emplace_back();
+  } else {
+    slot = free_hops_.back();
+    free_hops_.pop_back();
+  }
+  // Assigned field by field, so the slot's name keeps its buffer.  The
+  // scheduler hop breaks the synchronous call chain, so the ambient
+  // trace context rides in the slot.
+  Hop& hop = hops_[slot];
+  hop.to.host = host;
+  hop.to.name = name;
+  hop.event = e;
+  hop.trace = net_.current_trace();
+  net_.scheduler().after(kProcessingDelay, [this, slot]() { run_hop(slot); });
+}
+
+void PipelineNetwork::run_hop(std::uint32_t slot) {
+  // Free the slot before delivering: put() may emit, and the new hops
+  // reuse or grow the slab.
+  Hop& hop = hops_[slot];
+  Component* c = component(hop.to);
+  const event::Event e = std::move(hop.event);
+  const obs::TraceContext ctx = hop.trace;
+  free_hops_.push_back(slot);
+  sim::Network::TraceScope scope(net_, ctx);
+  deliver(c, e);
+}
+
+void PipelineNetwork::deliver(Component* c, const event::Event& e) {
   if (c == nullptr) {
     ++stats_.undeliverable;
     return;
   }
   // Matchlets emit synchronously from put(), so downstream dispatch and
   // re-publishes nest under this span.
-  sim::Network::SpanScope span(net_, to.host, "pipeline", "put");
-  if (span.active()) span.annotate(to.name);
+  sim::Network::SpanScope span(net_, c->ref().host, "pipeline", "put");
+  if (span.active()) span.annotate(c->ref().name);
   c->put(e);
 }
 
 void PipelineNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
   const auto* msg = sim::packet_body<PipeMsg>(packet);
   if (msg == nullptr) return;
-  // Charge the receive-side processing cost, then deliver (carrying the
-  // arrival's trace context across the scheduler hop).
-  const ComponentRef to{host, msg->to_component};
-  net_.scheduler().after(kProcessingDelay,
-                         [this, to, e = msg->event, ctx = net_.current_trace()]() {
-                           sim::Network::TraceScope scope(net_, ctx);
-                           deliver_local(to, e);
-                         });
+  // Charge the receive-side processing cost, then deliver.
+  park_hop(host, msg->to_component, msg->event);
 }
 
 }  // namespace aa::pipeline

@@ -6,10 +6,20 @@
 // therefore match the paper's XML-pipeline design (§4.2, §4.7 —
 // "standardised and open interfaces and data formats wherever possible —
 // thus XML-encoded events, web service interfaces").
+//
+// Every hop, intra-node or on arrival, waits out the component's
+// processing delay parked in a slab the fabric owns, the way
+// sim::Network parks packets in flight: the slot holds the target, the
+// event handle and the trace context, and the scheduled closure holds
+// only (fabric, slot), which fits std::function's inline buffer.  A
+// freed slot keeps its target name's buffer, so a warmed-up hop
+// allocates nothing.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "pipeline/component.hpp"
 #include "sim/network.hpp"
@@ -57,9 +67,23 @@ class PipelineNetwork {
 
  private:
   friend class Component;
+  /// A hop waiting out the processing delay before delivery.
+  struct Hop {
+    ComponentRef to;
+    event::Event event;
+    obs::TraceContext trace;
+  };
+
   /// Called by Component::emit — fans out to downstream links.
   void dispatch(const ComponentRef& from, const event::Event& e);
-  void deliver_local(const ComponentRef& to, const event::Event& e);
+  /// Parks a hop to component `name` on `host`, carrying the ambient
+  /// trace context, and schedules its delivery after the processing
+  /// delay.
+  void park_hop(sim::HostId host, const std::string& name, const event::Event& e);
+  /// Delivers the hop parked in `slot`, freeing the slot first.
+  void run_hop(std::uint32_t slot);
+  /// put()s `e` into `c`, or counts it undeliverable when `c` is null.
+  void deliver(Component* c, const event::Event& e);
   void on_message(sim::HostId host, const sim::Packet& packet);
   void ensure_host(sim::HostId host);
 
@@ -67,6 +91,9 @@ class PipelineNetwork {
   std::map<ComponentRef, std::unique_ptr<Component>> components_;
   std::map<ComponentRef, std::vector<ComponentRef>> links_;
   std::map<sim::HostId, bool> handlers_;
+  // Hops waiting out their processing delay; freed slots are reused.
+  std::vector<Hop> hops_;
+  std::vector<std::uint32_t> free_hops_;
   PipelineStats stats_;
 };
 

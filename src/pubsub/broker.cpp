@@ -1,6 +1,7 @@
 #include "pubsub/broker.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/reliable.hpp"
 
@@ -33,6 +34,37 @@ BrokerStats& BrokerStats::operator+=(const BrokerStats& o) {
   sync_give_ups += o.sync_give_ups;
   duplicate_publishes_discarded += o.duplicate_publishes_discarded;
   return *this;
+}
+
+bool SeenIds::insert(std::uint64_t id) {
+  if ((size_ + 1) * 2 >= slots_.size()) grow();  // stay under half full
+  std::uint64_t& slot = slots_[probe(id)];
+  if (slot == id) return false;
+  slot = id;
+  ++size_;
+  return true;
+}
+
+void SeenIds::clear() {
+  slots_ = {};
+  size_ = 0;
+  shift_ = 64;
+}
+
+std::size_t SeenIds::probe(std::uint64_t id) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = (id * 0x9e3779b97f4a7c15ULL) >> shift_;  // Fibonacci hashing
+  while (slots_[i] != 0 && slots_[i] != id) i = (i + 1) & mask;
+  return i;
+}
+
+void SeenIds::grow() {
+  std::vector<std::uint64_t> old(slots_.empty() ? 16 : slots_.size() * 2);
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (std::uint64_t id : old) {
+    if (id != 0) slots_[probe(id)] = id;
+  }
 }
 
 Broker::Broker(sim::Network& net, sim::HostId host, const wire::Codec& codec)
@@ -282,7 +314,7 @@ void Broker::route_publish(const event::Event& e, std::optional<sim::HostId> arr
   // within a peer incarnation, but a publication this broker processed
   // whose ack was lost right before the peer crashed comes back via the
   // parked-packet flush after recovery.
-  if (pub_id != 0 && !seen_publishes_.insert(pub_id).second) {
+  if (pub_id != 0 && !seen_publishes_.insert(pub_id)) {
     ++stats_.duplicate_publishes_discarded;
     return;
   }

@@ -80,6 +80,30 @@ struct BrokerStats {
   BrokerStats& operator+=(const BrokerStats& o);
 };
 
+/// The stamped publication ids a broker has routed (PublishMsg::pub_id):
+/// an exact set of nonzero ids in one flat open-addressing table.  A
+/// slot holds an id or 0 (empty); probing is linear from a
+/// multiplicative hash, and the table doubles before it reaches half
+/// full, so it takes 8 B per slot and 16-32 B per id.  It has no erase:
+/// ids arrive out of order, and a parked flush can replay any of them
+/// long after a rejoin, so only clear() forgets.
+class SeenIds {
+ public:
+  /// Adds `id` (nonzero); false when it was already present.
+  bool insert(std::uint64_t id);
+  /// Forgets every id and releases the table.
+  void clear();
+
+ private:
+  /// The slot holding `id`, or the empty slot where it would go.
+  std::size_t probe(std::uint64_t id) const;
+  void grow();
+
+  std::vector<std::uint64_t> slots_;  // empty, or a power of two
+  std::size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
+};
+
 class Broker {
  public:
   /// `codec` is the bus-wide wire codec (SienaNetwork's), which prices
@@ -209,7 +233,7 @@ class Broker {
   // in-memory only, so it is cleared on recover() like a restarted
   // process would — downstream brokers' sets catch what the crash
   // forgot.
-  std::set<std::uint64_t> seen_publishes_;
+  SeenIds seen_publishes_;
   // route_publish's scratch, reused so routing a publication allocates
   // nothing here: matched subscription ids and destination hosts.
   std::vector<std::uint64_t> matched_;

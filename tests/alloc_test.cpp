@@ -3,21 +3,26 @@
 // This binary links the counting global operator new of the end-to-end
 // benchmark (bench_e2e/alloc_counter.cpp), so each case can count the
 // heap allocations of a warmed-up operation.  Once the scheduler's
-// heap and task slots, the network's parked-packet slab and the batch
-// staging vectors have grown to the traffic's size, scheduling, sending
-// and delivering allocate nothing: a failure here means a heap
-// allocation is back on the per-message path.
+// heap and task slots, the network's parked-packet slab, the batch
+// staging vectors and the pipeline's hop slab have grown to the
+// traffic's size, scheduling, sending, delivering and hopping allocate
+// nothing, and a broker's route step allocates only when its table of
+// routed ids doubles: a failure here means a heap allocation is back on
+// the per-message path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "alloc_counter.hpp"
 #include "common/body.hpp"
 #include "common/rng.hpp"
 #include "event/event.hpp"
 #include "overlay/messages.hpp"
+#include "pipeline/pipeline_network.hpp"
+#include "pubsub/broker.hpp"
 #include "pubsub/messages.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -124,6 +129,69 @@ TEST(Alloc, FaultDuplicatedSendAllocatesNothing) {
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(h.delivered, static_cast<std::uint64_t>(2 * (kWarmup + kMeasured)));
   EXPECT_EQ(h.net.stats().duplicated, static_cast<std::uint64_t>(kWarmup + kMeasured));
+}
+
+TEST(Alloc, BrokerRouteAllocatesOnlyItsIdTableDoublings) {
+  // Fresh stamped publications from host 0 to a broker on host 1 with
+  // one local subscriber: the route step reuses its scratch vectors, so
+  // only the routed-id table's doublings allocate (it doubles at 512
+  // and 1024 ids in the measured rounds).
+  TwoHosts h;
+  pubsub::Broker broker(h.net, 1, wire::binary_codec());
+  h.net.register_handler(1, pubsub::kBrokerProto, [&](const Packet& p) { broker.on_message(p); });
+  std::uint64_t delivered = 0;
+  h.net.register_handler(0, pubsub::kClientProto, [&](const Packet& p) {
+    if (packet_body<pubsub::DeliverMsg>(p) != nullptr) ++delivered;
+  });
+  h.net.send<pubsub::SubscribeMsg>(
+      0, 1, pubsub::kBrokerProto,
+      pubsub::SubscribeMsg{1, event::Filter().where("type", event::Op::kEq, "temperature")}, 64);
+  h.sched.run();
+  const std::uint64_t n = allocations_after_warmup([&](int i) {
+    h.publish(i + 1);
+    h.sched.run();
+  });
+  EXPECT_LE(n, 2u);
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(broker.stats().publications_routed, static_cast<std::uint64_t>(kWarmup + kMeasured));
+}
+
+/// Re-emits every event it is given.
+class Relay : public pipeline::Component {
+ public:
+  using Component::Component;
+
+ protected:
+  void on_event(const event::Event& e) override { emit(e); }
+};
+
+/// Consumes every event it is given.
+class Sink : public pipeline::Component {
+ public:
+  using Component::Component;
+
+ protected:
+  void on_event(const event::Event&) override { drop(); }
+};
+
+TEST(Alloc, IntraNodePipelineHopAllocatesNothing) {
+  // Names longer than the small-string buffer, so a copied target name
+  // would allocate: the hop slot keeps its name's buffer.
+  TwoHosts h;
+  pipeline::PipelineNetwork pipes(h.net);
+  const pipeline::ComponentRef relay =
+      pipes.add(0, std::make_unique<Relay>("relay-with-a-long-name"));
+  const pipeline::ComponentRef sink =
+      pipes.add(0, std::make_unique<Sink>("sink-with-a-long-name"));
+  ASSERT_TRUE(pipes.connect(relay, sink).is_ok());
+  const std::uint64_t n = allocations_after_warmup([&](int) {
+    pipes.inject(relay, h.event);
+    h.sched.run();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(pipes.stats().intra_node_hops, static_cast<std::uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(pipes.component(sink)->stats().received,
+            static_cast<std::uint64_t>(kWarmup + kMeasured));
 }
 
 }  // namespace

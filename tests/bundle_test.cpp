@@ -174,6 +174,20 @@ TEST(Deployer, PushOverNetwork) {
   EXPECT_NE(f.runtime.installation(2, "matchlet-1"), nullptr);
 }
 
+TEST(Deployer, PushIsPricedAtItsXmlLengthOnce) {
+  // The bundle XML carries the payload hex-encoded, so the push costs
+  // that XML plus the 32-byte envelope; the payload is not charged again.
+  Fixture f;
+  f.runtime.start_server(2, {"run.matchlet"});
+  BundleDeployer deployer(f.net, f.runtime);
+  CodeBundle b = make_bundle();
+  b.set_payload(Bytes(1024, 0xab));
+  deployer.push(0, 2, b, nullptr);
+  EXPECT_EQ(f.net.stats().bytes_sent, b.to_xml_string().size() + 32);
+  f.sched.run();
+  EXPECT_NE(f.runtime.installation(2, "matchlet-1"), nullptr);
+}
+
 TEST(Deployer, ForgedSealRejectedRemotely) {
   Fixture f;
   f.runtime.start_server(2, {"run.matchlet"});

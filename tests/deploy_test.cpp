@@ -60,8 +60,8 @@ TEST(Resource, AdvertsPopulateView) {
   ASSERT_EQ(live.size(), 2u);
   const auto r1 = view.live_in_region(f.sched.now(), "r1");
   ASSERT_EQ(r1.size(), 1u);
-  EXPECT_EQ(r1[0].host, 3u);
-  EXPECT_DOUBLE_EQ(r1[0].storage_mb, 2048);
+  EXPECT_EQ(r1[0]->host, 3u);
+  EXPECT_DOUBLE_EQ(r1[0]->storage_mb, 2048);
   EXPECT_TRUE(view.hosts().at(4).capabilities.contains("gpu"));
 }
 

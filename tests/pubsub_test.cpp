@@ -18,6 +18,7 @@
 #include "event/filter_parser.hpp"
 #include "pubsub/mobility.hpp"
 #include "pubsub/siena_network.hpp"
+#include "sim/durable_disk.hpp"
 #include "wire/codec.hpp"
 
 namespace aa::pubsub {
@@ -705,6 +706,58 @@ TEST(Siena, DeepChainDelivery) {
   ps.publish(30, temp_event(5.0));
   f.sched.run();
   EXPECT_EQ(got, 1);
+}
+
+TEST(Siena, StampedIdStaysDiscardedUntilRecover) {
+  // A stamped id re-injected after 10^4 later ids, across several
+  // doublings of the broker's id table, is still a duplicate; recover()
+  // forgets every id, as a restarted process would.
+  Fixture f(4);
+  SienaNetwork ps(f.net, {0});
+  sim::DurableDisk disk(f.net);
+  ps.enable_broker_checkpoints(disk);
+  ps.attach_client(1, 0);
+  int got = 0;
+  ps.subscribe(1, Filter().where("type", Op::kEq, "temperature"), [&](const Event&) { ++got; });
+  f.sched.run();
+  const Broker& broker = *ps.broker(0);
+  auto inject = [&](std::uint64_t pub_id) {
+    f.net.send<PublishMsg>(2, 0, kBrokerProto, PublishMsg{temp_event(20.0), pub_id}, 80);
+  };
+  constexpr std::uint64_t kReplayed = 7;
+  inject(kReplayed);
+  for (std::uint64_t id = 8; id < 8 + 10'000; ++id) inject(id);
+  f.sched.run();
+  ASSERT_EQ(got, 10'001);
+
+  inject(kReplayed);
+  f.sched.run();
+  EXPECT_EQ(got, 10'001);
+  EXPECT_EQ(broker.stats().duplicate_publishes_discarded, 1u);
+
+  ps.broker(0)->recover();
+  f.sched.run();
+  ASSERT_EQ(broker.stats().recoveries, 1u);
+  inject(kReplayed);
+  f.sched.run();
+  EXPECT_EQ(got, 10'002);
+  EXPECT_EQ(broker.stats().duplicate_publishes_discarded, 1u);
+  EXPECT_EQ(broker.stats().publications_routed, 10'002u);
+}
+
+TEST(SeenIds, MatchesASetOracle) {
+  // Random ids with repeats, small ones and ones that differ only in
+  // their high bits: insert() reports exactly what a std::set's insert
+  // does, across every doubling, and clear() forgets them all.
+  SeenIds seen;
+  std::set<std::uint64_t> oracle;
+  Rng r(11);
+  for (int i = 0; i < 20'000; ++i) {
+    const std::uint64_t id = r.chance(0.5) ? 1 + r.below(4096) : (r.below(64) + 1) << 40;
+    ASSERT_EQ(seen.insert(id), oracle.insert(id).second) << "id " << id;
+  }
+  seen.clear();
+  for (std::uint64_t id : oracle) ASSERT_TRUE(seen.insert(id)) << "id " << id;
 }
 
 // --- One broker: Elvin's central server ---

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "event/filter_parser.hpp"
 #include "match/replicated_knowledge.hpp"
@@ -100,6 +102,51 @@ TEST(ReplicatedKnowledge, MultipleReplicasConverge) {
   for (KnowledgeBase* r : replicas) {
     EXPECT_EQ(r->size(), 10u);  // 10 users; the victim was removed
   }
+}
+
+TEST(ReplicatedKnowledge, VersionsInFlightApplyInTurnAndConverge) {
+  // Two versions of one fact and the remove of another are in flight at
+  // once.  Replica 3 sits at the publishing broker and applies both
+  // versions before replica 5, one broker further, applies the first:
+  // replicas share parsed facts, yet each must hold v1's content right
+  // after applying v1 and v2's right after v2.
+  Fixture f;
+  f.bus.attach_client(3, 0);
+  f.bus.attach_client(5, 1);
+  const FactId bob = f.rk.add(preference("bob", 18.0));
+  const FactId anna = f.rk.add(preference("anna", 12.0));
+  // (replica, bob's min_celsius) right after each of bob's updates.
+  std::vector<std::pair<sim::HostId, double>> seen;
+  for (sim::HostId h : {3u, 5u}) {
+    KnowledgeBase& replica = f.rk.replica(h);
+    // Subscribed after the replica, so it runs right after each apply.
+    f.bus.subscribe(h,
+                    event::Filter().where("type", event::Op::kEq,
+                                          ReplicatedKnowledge::kUpdateEventType),
+                    [&seen, &replica, h, bob](const event::Event& e) {
+                      if (e.get_int("fact_id") != static_cast<std::int64_t>(bob)) return;
+                      const Fact* fact = replica.fact(bob);
+                      seen.emplace_back(h, fact != nullptr ? *fact->get_real("min_celsius") : -1);
+                    });
+  }
+  f.sched.run();
+  ASSERT_TRUE(f.rk.update(bob, preference("bob", 21.0)));
+  ASSERT_TRUE(f.rk.update(bob, preference("bob", 25.0)));
+  ASSERT_TRUE(f.rk.remove(anna));
+  f.sched.run();
+
+  const std::vector<std::pair<sim::HostId, double>> expected{
+      {3, 21.0}, {3, 25.0}, {5, 21.0}, {5, 25.0}};
+  EXPECT_EQ(seen, expected);
+  for (sim::HostId h : {3u, 5u}) {
+    const KnowledgeBase& replica = f.rk.replica(h);
+    ASSERT_EQ(replica.size(), f.rk.master().size()) << "replica " << h;
+    for (const auto& [id, fact] : f.rk.master().snapshot()) {
+      ASSERT_NE(replica.fact(id), nullptr) << "replica " << h << " fact " << id;
+      EXPECT_EQ(*replica.fact(id), *fact) << "replica " << h << " fact " << id;
+    }
+  }
+  EXPECT_EQ(f.rk.stats().updates_applied, 6u);
 }
 
 TEST(ReplicatedKnowledge, RemoveOfUnknownIdIsFalse) {
