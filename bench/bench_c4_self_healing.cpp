@@ -143,7 +143,7 @@ RunResult run_fault_sweep(double drop, bool reliable, int objects) {
 
   // Copy counts are sampled every round *while* faults and churn are
   // active (an end-of-run snapshot converges in both arms, because the
-  // healing sweep re-pushes every period until the copy lands): the
+  // healing sweep offers the copy every period until it lands): the
   // time-averaged count shows how long objects sit under-replicated.
   int attempted = 0, succeeded = 0;
   double copies_accum = 0;
@@ -331,6 +331,9 @@ int main(int argc, char** argv) {
     reg.add("bench.availability_pct", static_cast<std::uint64_t>(r.availability * 100));
     bench::metrics_line("C4 " + label, reg);
     snap.add("churn." + label + ".heal_pushes", r.heal_pushes);
+    // The whole run's traffic, repair included, pinned at --threshold 0.
+    snap.add("churn." + label + ".messages", r.net.messages_sent);
+    snap.add("churn." + label + ".bytes", r.net.bytes_sent);
     snap.add_scaled("churn." + label + ".availability", r.availability);
     snap.add_scaled("churn." + label + ".copies_mean", r.mean_copies);
   }
@@ -352,8 +355,9 @@ int main(int argc, char** argv) {
                    bench::fmt("%llu", (unsigned long long)r.net.dropped_by_fault)});
       }
     }
-    std::printf("(copies are time-averaged while faults are live.  Raw repair loses\n"
-                " pushes to the lossy links and waits a full healing period to retry,\n"
+    std::printf("(copies are time-averaged while faults are live.  Raw repair needs a\n"
+                " digest, a want and a push to arrive, and losing any one waits a full\n"
+                " healing period: at drop p a repair takes 1/(1-p)^3 sweeps on average,\n"
                 " so objects sit under-replicated slightly longer; the periodic sweep\n"
                 " makes even the raw path self-correcting, which is why the copy gap\n"
                 " stays small.  The big lever is overlay maintenance: the reliable arm\n"

@@ -43,6 +43,10 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
 /// Appends primitive values to a growing byte buffer.
 class BufWriter {
  public:
+  /// Sizes the buffer for `n` bytes, so a writer that knows its length
+  /// allocates once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, 2); }
   void u32(std::uint32_t v) { raw(&v, 4); }

@@ -168,7 +168,7 @@ std::vector<NodeRef> OverlayNode::row_contacts(int shared) const {
   return out;
 }
 
-std::vector<NodeRef> OverlayNode::replica_set(const ObjectId& key, int count) const {
+OverlayNode::ReplicaSet OverlayNode::replica_set(const ObjectId& key, int count) const {
   // Each member's distance to the key is computed once; sorting by
   // (distance, id) is closer_to's order.
   std::array<std::pair<Uid160, NodeRef>, kLeafSetSize + 1> ranked;
@@ -180,8 +180,7 @@ std::vector<NodeRef> OverlayNode::replica_set(const ObjectId& key, int count) co
               return std::tie(a.first, a.second.id) < std::tie(b.first, b.second.id);
             });
   const std::size_t keep = std::min(n, static_cast<std::size_t>(std::max(count, 0)));
-  std::vector<NodeRef> out;
-  out.reserve(keep);
+  ReplicaSet out;
   for (std::size_t i = 0; i < keep; ++i) out.push_back(ranked[i].second);
   return out;
 }

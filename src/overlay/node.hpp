@@ -29,6 +29,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/small_vector.hpp"
 #include "overlay/messages.hpp"
 #include "sim/network.hpp"
 
@@ -43,6 +44,10 @@ struct NodeStats {
 class OverlayNode {
  public:
   static constexpr int kLeafSetSize = 8;  // L/2 = 4 each side
+
+  /// Self plus leaf-set members: never more than kLeafSetSize + 1, so
+  /// a replica set lives inline.
+  using ReplicaSet = SmallVector<NodeRef, kLeafSetSize + 1>;
 
   OverlayNode(sim::Network& net, NodeRef self, bool proximity_selection);
 
@@ -67,7 +72,7 @@ class OverlayNode {
   const std::vector<NodeRef>& leaf_set() const { return leaf_; }
   /// This node plus its `count-1` leaf neighbours numerically closest
   /// to `key` — the natural replica set of a key rooted here.
-  std::vector<NodeRef> replica_set(const ObjectId& key, int count) const;
+  ReplicaSet replica_set(const ObjectId& key, int count) const;
 
   /// All distinct peers this node knows (for announcements).
   std::vector<NodeRef> known_peers() const;

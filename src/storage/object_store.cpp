@@ -1,5 +1,9 @@
 #include "storage/object_store.hpp"
 
+#include <algorithm>
+
+#include "common/small_vector.hpp"
+
 namespace aa::storage {
 
 namespace {
@@ -10,6 +14,7 @@ enum class Tag : std::uint8_t { kPut = 0, kGet = 1 };
 
 Bytes encode_put(sim::HostId requester, std::uint64_t request_id, const Bytes& data) {
   BufWriter w;
+  w.reserve(17 + data.size());
   w.u8(static_cast<std::uint8_t>(Tag::kPut));
   w.u32(requester);
   w.u64(request_id);
@@ -19,6 +24,7 @@ Bytes encode_put(sim::HostId requester, std::uint64_t request_id, const Bytes& d
 
 Bytes encode_get(sim::HostId requester, std::uint64_t request_id) {
   BufWriter w;
+  w.reserve(13);
   w.u8(static_cast<std::uint8_t>(Tag::kGet));
   w.u32(requester);
   w.u64(request_id);
@@ -30,6 +36,17 @@ struct ReplicaStoreMsg {
   Bytes data;
   bool healing = false;
 };
+/// Healing, step 1: the ids of the objects a root holds that the
+/// receiving replica peer should hold too.
+struct HealDigestMsg {
+  std::vector<ObjectId> ids;
+};
+/// Healing, step 2: the digest's ids the peer holds no replica of.
+struct HealWantMsg {
+  std::vector<ObjectId> ids;
+};
+/// Wire size of a digest or a want: a header plus one id each.
+constexpr std::size_t id_list_size(std::size_t ids) { return 8 + 20 * ids; }
 struct FragmentStoreMsg {
   ObjectId id;
   Fragment fragment;
@@ -347,6 +364,26 @@ void ObjectStore::on_direct(sim::HostId host, const sim::Packet& packet) {
     StoreNode& node = *nodes_.at(host);
     if (store->healing && node.replica(store->id) == nullptr) ++stats_.heal_pushes;
     node.store_replica(store->id, store->data);
+  } else if (const auto* digest = sim::packet_body<HealDigestMsg>(packet)) {
+    // A replica peer asks its root for the copies it lacks; holding
+    // them all, it stays silent.
+    const StoreNode& node = *nodes_.at(host);
+    HealWantMsg lacking;
+    for (const ObjectId& id : digest->ids) {
+      if (node.replica(id) == nullptr) lacking.ids.push_back(id);
+    }
+    if (!lacking.ids.empty()) {
+      const std::size_t size = id_list_size(lacking.ids.size());
+      send_repair(host, packet.src, std::move(lacking), size);
+    }
+  } else if (const auto* want = sim::packet_body<HealWantMsg>(packet)) {
+    // The root pushes each wanted object it still holds.
+    const StoreNode& node = *nodes_.at(host);
+    for (const ObjectId& id : want->ids) {
+      const Bytes* data = node.replica(id);
+      if (data == nullptr) continue;
+      send_repair(host, packet.src, ReplicaStoreMsg{id, *data, true}, data->size() + 24);
+    }
   } else if (const auto* frag = sim::packet_body<FragmentStoreMsg>(packet)) {
     nodes_.at(host)->store_fragment(frag->id, frag->fragment);
   } else if (const auto* ack = sim::packet_body<PutAckMsg>(packet)) {
@@ -421,24 +458,39 @@ void ObjectStore::healing_sweep() {
   }
 }
 
-void ObjectStore::heal_host(sim::HostId host, StoreNode& store_node) {
+void ObjectStore::heal_host(sim::HostId host, const StoreNode& store_node) {
   overlay::OverlayNode* node = overlay_.node_at(host);
   if (node == nullptr) return;
-  for (const ObjectId& id : store_node.replica_ids()) {
+  // One digest per replica peer.  Peers come from this node's leaf set,
+  // so the digests live inline; only their id lists allocate.
+  struct Digest {
+    sim::HostId peer;
+    std::vector<ObjectId> ids;
+  };
+  SmallVector<Digest, overlay::OverlayNode::kLeafSetSize> digests;
+  for (const auto& [id, data] : store_node.replicas()) {
     // Only the object's current root drives healing, so at most one
-    // node re-pushes each object per sweep.
+    // node offers each object per sweep.
     if (node->next_hop(id).has_value()) continue;
-    const Bytes* data = store_node.replica(id);
-    if (data == nullptr) continue;
-    // Each healing push roots its own (sampled) trace: the sweep runs
-    // from a timer, so there is no ambient context to inherit.
+    for (const overlay::NodeRef& target : node->replica_set(id, params_.replicas)) {
+      if (target.host == host) continue;
+      auto digest = std::find_if(digests.begin(), digests.end(),
+                                 [&](const Digest& d) { return d.peer == target.host; });
+      if (digest == digests.end()) {
+        digests.push_back(Digest{target.host, {}});
+        digest = &digests.back();
+      }
+      digest->ids.push_back(id);
+    }
+  }
+  for (Digest& digest : digests) {
+    // Each digest roots its own (sampled) trace: the sweep runs from a
+    // timer, so there is no ambient context to inherit.  The peer's
+    // want and the pushes it asks for join that trace.
     sim::Network::TraceScope root_trace(net_, net_.start_trace());
     sim::Network::SpanScope span(net_, host, "store", "heal");
-    for (const auto& target : node->replica_set(id, params_.replicas)) {
-      if (target.host == host) continue;
-      send_repair(host, target.host, ReplicaStoreMsg{id, *data, true},
-                  data->size() + 24);
-    }
+    const std::size_t size = id_list_size(digest.ids.size());
+    send_repair(host, digest.peer, HealDigestMsg{std::move(digest.ids)}, size);
   }
 }
 
@@ -471,10 +523,10 @@ void ObjectStore::recover_host(sim::HostId host) {
                     ";read_us=" + std::to_string(result.modeled_latency));
     }
   }
-  // Reconcile with replica peers through the existing repair path: the
-  // recovered node re-pushes objects it roots (covering replicas its
-  // peers lost), and the next healing sweep re-pushes from other roots
-  // anything this node's disk did not have.
+  // Reconcile with replica peers through the healing exchange: the
+  // recovered node sends digests of the objects it roots (so peers ask
+  // for replicas they lost), and the next healing sweep of other roots
+  // offers this node anything its disk did not have.
   heal_host(host, store_node);
 }
 

@@ -15,9 +15,18 @@
 // requester.
 //
 // Self-healing (§4.6, the "RAID analogy"): each node periodically sweeps
-// the objects it holds; if it believes itself the object's root, it
-// re-pushes the object to the current replica set, recreating copies
-// lost to churn.
+// the objects it holds and, for those it believes itself the root of,
+// runs anti-entropy by digest with the current replica set (Demers et
+// al., PODC 1987).  It sends each replica peer one digest: the ids that
+// peer should hold (8 bytes + 20 per id).  The peer answers with the
+// ids it holds no replica of, sized the same way, or with nothing when
+// it lacks none.  The root then pushes each wanted object it still
+// holds (its bytes + 24).  Copies lost to churn are recreated and a
+// sweep over intact replicas moves ids, never objects.  An id names
+// one content (put ids are content hashes, put_named keys are written
+// once), so a present replica is never overwritten by healing.  On the
+// raw repair plane a repair needs all three messages to arrive:
+// reliable_repair retransmits each of them.
 #pragma once
 
 #include <functional>
@@ -41,7 +50,7 @@ struct ObjectStoreStats {
   std::uint64_t root_hits = 0;        // served at the root
   std::uint64_t misses = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t heal_pushes = 0;      // replicas re-sent by healing
+  std::uint64_t heal_pushes = 0;      // missing replicas healing restored
   std::uint64_t reconstructions = 0;  // erasure decodes at the root
 };
 
@@ -60,11 +69,12 @@ class ObjectStore {
     /// Self-healing sweep period; 0 disables healing.
     SimDuration healing_period = 0;
     SimDuration request_timeout = duration::seconds(10);
-    /// Routes replica-repair traffic (healing pushes and directed
-    /// replication) through an ack/retry reliable transport (protocol
-    /// "store.r"), so lost repair copies are retransmitted instead of
-    /// waiting a whole sweep.  Request/reply traffic keeps its own
-    /// timeout machinery and stays raw.  Off by default.
+    /// Routes replica-repair traffic (healing digests, wants and pushes,
+    /// and directed replication) through an ack/retry reliable
+    /// transport (protocol "store.r"), so lost repair messages are
+    /// retransmitted instead of waiting a whole sweep.  Request/reply
+    /// traffic keeps its own timeout machinery and stays raw.  Off by
+    /// default.
     bool reliable_repair = false;
     sim::ReliableParams reliable;
     /// Durability tier (storage/durability.hpp).  Persistent tiers
@@ -165,8 +175,9 @@ class ObjectStore {
              const ObjectId& id, const Bytes* data);
   void start_reconstruction(sim::HostId root, const ObjectId& id, std::uint64_t request_id);
   void healing_sweep();
-  /// One host's healing pass: re-push every object this host roots.
-  void heal_host(sim::HostId host, StoreNode& store_node);
+  /// One host's healing pass: a digest of the objects this host roots
+  /// to each of their other replica-set members.
+  void heal_host(sim::HostId host, const StoreNode& store_node);
 
   /// Repair-plane send: reliable transport when enabled, raw
   /// kDirectProto datagram otherwise.

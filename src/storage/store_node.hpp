@@ -47,6 +47,7 @@ class StoreNode {
   const Bytes* replica(const ObjectId& id) const;
   bool drop_replica(const ObjectId& id);
   std::vector<ObjectId> replica_ids() const;
+  const std::map<ObjectId, Bytes>& replicas() const { return replicas_; }
   std::size_t replica_bytes() const { return replica_bytes_; }
 
   // --- Erasure fragments ---

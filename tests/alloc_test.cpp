@@ -8,7 +8,8 @@
 // traffic's size, scheduling, sending, delivering and hopping allocate
 // nothing, and a broker's route step allocates only when its table of
 // routed ids doubles: a failure here means a heap allocation is back on
-// the per-message path.
+// the per-message path.  An overlay node's replica set, which every
+// put, reconstruction and healing sweep asks for, lives inline too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "event/event.hpp"
 #include "overlay/messages.hpp"
+#include "overlay/node.hpp"
 #include "pipeline/pipeline_network.hpp"
 #include "pubsub/broker.hpp"
 #include "pubsub/messages.hpp"
@@ -154,6 +156,23 @@ TEST(Alloc, BrokerRouteAllocatesOnlyItsIdTableDoublings) {
   EXPECT_LE(n, 2u);
   EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmup + kMeasured));
   EXPECT_EQ(broker.stats().publications_routed, static_cast<std::uint64_t>(kWarmup + kMeasured));
+}
+
+TEST(Alloc, ReplicaSetAllocatesNothing) {
+  // A full leaf set (eight peers from sixteen), so the largest replica
+  // set, self plus every leaf, is asked for too.
+  Scheduler sched;
+  Network net{sched, std::make_shared<UniformTopology>(17, 1000)};
+  Rng rng(29);
+  overlay::OverlayNode node(net, {rng.uid(), 0}, /*proximity_selection=*/false);
+  for (HostId h = 1; h < 17; ++h) node.consider({rng.uid(), h});
+  ASSERT_EQ(node.leaf_set().size(), static_cast<std::size_t>(overlay::OverlayNode::kLeafSetSize));
+  std::size_t members = 0;
+  const std::uint64_t n = allocations_after_warmup([&](int i) {
+    members += node.replica_set(rng.uid(), 1 + i % (overlay::OverlayNode::kLeafSetSize + 1)).size();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_GT(members, 0u);
 }
 
 /// Re-emits every event it is given.

@@ -1,6 +1,6 @@
 // Crash-durability suite: the DurableDisk I/O model, the ping-pong
-// checkpoint format, the store journal's WAL replay, and a seeded
-// torn-write fuzz loop.
+// checkpoint format, the store journal's WAL replay, a seeded torn-write
+// fuzz loop, and the disk cost of the object store's healing sweeps.
 //
 // The fuzz loop is the load-bearing test: it crashes a journalled node
 // mid-flush at a random point under every (workload, disk) seed pair
@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "overlay/overlay_network.hpp"
 #include "sim/durable_disk.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/topology.hpp"
 #include "storage/durability.hpp"
+#include "storage/object_store.hpp"
 #include "storage/store_node.hpp"
 
 namespace aa {
@@ -492,6 +494,61 @@ TEST(StoreJournal, LoggedAmplifiesLessThanPersistent) {
   const double persistent = amplification(StoreTier::kPersistent);
   EXPECT_GT(logged, 0.0);
   EXPECT_GT(persistent, 5.0 * logged);
+}
+
+// --- Healing sweeps in the durable tiers ---
+
+/// What six fault-free healing sweeps over 16 hosts and 40 placed
+/// objects (three copies each) write to disk: a sweep that finds every
+/// replica in place must journal nothing.
+struct SweepWrites {
+  std::uint64_t wal_appends = 0;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t disk_bytes = 0;
+};
+
+SweepWrites healing_sweep_writes(StoreTier tier) {
+  sim::Scheduler sched;
+  sim::Network net(sched, std::make_shared<sim::UniformTopology>(16, duration::millis(10)));
+  overlay::OverlayNetwork::Params op;
+  op.maintenance_period = 0;
+  overlay::OverlayNetwork overlay(net, op);
+  std::vector<sim::HostId> hosts;
+  for (sim::HostId h = 0; h < 16; ++h) hosts.push_back(h);
+  overlay.build_ring(hosts);
+  DurableDisk disk(net);
+
+  storage::ObjectStore::Params p;
+  p.replicas = 3;
+  p.healing_period = duration::seconds(5);
+  p.tier = tier;
+  p.checkpoint_every = 8;
+  p.disk = &disk;
+  storage::ObjectStore store(net, overlay, p);
+  for (int i = 0; i < 40; ++i) {
+    store.put(static_cast<sim::HostId>(i % 16),
+              blob(200 + static_cast<std::size_t>(i), static_cast<std::uint8_t>(i)));
+  }
+  sched.run_for(duration::seconds(2));  // placed and durable before the first sweep
+  const storage::DurabilityStats placed = store.durability_stats();
+  const std::uint64_t placed_bytes = disk.stats().bytes_written;
+  EXPECT_GT(placed.wal_appends + placed.checkpoints, 0u);
+
+  sched.run_for(duration::seconds(30));  // six sweeps, one every 5 s
+  const storage::DurabilityStats swept = store.durability_stats();
+  EXPECT_EQ(store.stats().heal_pushes, 0u);
+  return {swept.wal_appends - placed.wal_appends, swept.checkpoints - placed.checkpoints,
+          disk.stats().bytes_written - placed_bytes};
+}
+
+TEST(HealingSweep, FaultFreeSweepsWriteNothingInDurableTiers) {
+  for (const StoreTier tier : {StoreTier::kPersistent, StoreTier::kLogged}) {
+    SCOPED_TRACE(storage::tier_name(tier));
+    const SweepWrites writes = healing_sweep_writes(tier);
+    EXPECT_EQ(writes.wal_appends, 0u);
+    EXPECT_EQ(writes.checkpoints, 0u);
+    EXPECT_EQ(writes.disk_bytes, 0u);
+  }
 }
 
 // --- Seeded torn-write fuzz loop ---

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -270,8 +271,9 @@ class SortOracleNode {
   std::uint64_t repairs_ = 0;
 };
 
-/// (id, host) pairs: NodeRef's operator== looks at ids only.
-std::vector<std::pair<NodeId, sim::HostId>> placed(const std::vector<NodeRef>& refs) {
+/// (id, host) pairs: NodeRef's operator== looks at ids only.  Takes the
+/// leaf set's vector and the replica set's inline vector alike.
+std::vector<std::pair<NodeId, sim::HostId>> placed(std::span<const NodeRef> refs) {
   std::vector<std::pair<NodeId, sim::HostId>> out;
   for (const NodeRef& r : refs) out.emplace_back(r.id, r.host);
   return out;

@@ -2,11 +2,15 @@
 // coding (round-trip under random loss, property-tested), the per-node
 // store + LRU promiscuous cache, and the DHT-backed replicated object
 // store (put/get, promiscuous cache hits, erasure reconstruction,
-// self-healing under churn).
+// self-healing under churn, and the healing digest exchange's traffic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "overlay/overlay_network.hpp"
@@ -374,6 +378,119 @@ TEST(ObjectStore, SelfHealingRestoresReplicaCount) {
   f.sched.run_for(duration::seconds(30));  // several healing sweeps
   EXPECT_GE(store.live_replicas(id), 5);
   EXPECT_GT(store.stats().heal_pushes, 0u);
+}
+
+// --- Healing by digest ---
+
+/// 16 hosts, three copies of 40 objects of distinct sizes placed before
+/// the first healing sweep, and a sweep every 5 s.
+struct HealingFixture : StoreFixture {
+  ObjectStore store;
+  SimTime next_sweep;  // the store's sweeps run every period from its construction
+  std::map<ObjectId, std::size_t> sizes;
+
+  HealingFixture()
+      : StoreFixture(16), store(net, overlay, params()), next_sweep(sched.now() + kPeriod) {
+    for (int i = 0; i < 40; ++i) {
+      Bytes data(200 + static_cast<std::size_t>(i), static_cast<std::uint8_t>(i));
+      const std::size_t size = data.size();
+      sizes[store.put(static_cast<sim::HostId>(i % 16), std::move(data))] = size;
+    }
+    sched.run_for(duration::seconds(2));
+  }
+
+  static constexpr SimDuration kPeriod = duration::seconds(5);
+
+  static ObjectStore::Params params() {
+    ObjectStore::Params p;
+    p.replicas = 3;
+    p.healing_period = kPeriod;
+    return p;
+  }
+
+  /// The ids each object's root offers each other member of its replica
+  /// set, keyed by (root, member): one digest per key.
+  std::map<std::pair<sim::HostId, sim::HostId>, std::vector<ObjectId>> digests() const {
+    std::map<std::pair<sim::HostId, sim::HostId>, std::vector<ObjectId>> out;
+    for (const auto& [id, size] : sizes) {
+      const sim::HostId root = overlay.true_root(id).host;
+      for (const overlay::NodeRef& member : overlay.node_at(root)->replica_set(id, 3)) {
+        if (member.host != root) out[{root, member.host}].push_back(id);
+      }
+    }
+    return out;
+  }
+
+  static std::uint64_t digest_bytes(
+      const std::map<std::pair<sim::HostId, sim::HostId>, std::vector<ObjectId>>& digests) {
+    std::uint64_t bytes = 0;
+    for (const auto& [pair, ids] : digests) bytes += 8 + 20 * ids.size();
+    return bytes;
+  }
+
+  /// Runs through the next sweep, which settles within a second, and
+  /// returns its traffic.
+  sim::NetworkStats sweep() {
+    net.reset_stats();
+    sched.run_until(next_sweep + duration::seconds(1));
+    next_sweep += kPeriod;
+    return net.stats();
+  }
+};
+
+TEST(ObjectStore, FaultFreeSweepSendsOneDigestPerReplicaPeer) {
+  HealingFixture f;
+  const auto digests = f.digests();
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    const sim::NetworkStats traffic = f.sweep();
+    EXPECT_EQ(traffic.messages_sent, digests.size());  // no wants, no objects
+    EXPECT_EQ(traffic.bytes_sent, HealingFixture::digest_bytes(digests));
+  }
+  EXPECT_EQ(f.store.stats().heal_pushes, 0u);
+  for (const auto& [id, size] : f.sizes) EXPECT_EQ(f.store.live_replicas(id), 3);
+}
+
+TEST(ObjectStore, SweepShipsOnlyTheReplicasAPeerLacks) {
+  HealingFixture f;
+  const auto digests = f.digests();
+  // A non-root peer holding two objects of one root loses both.
+  const auto shared = std::find_if(digests.begin(), digests.end(),
+                                   [](const auto& d) { return d.second.size() >= 2; });
+  ASSERT_NE(shared, digests.end());
+  const sim::HostId peer = shared->first.second;
+  const ObjectId a = shared->second[0];
+  const ObjectId b = shared->second[1];
+  ASSERT_TRUE(f.store.node(peer)->drop_replica(a));
+  ASSERT_TRUE(f.store.node(peer)->drop_replica(b));
+
+  const sim::NetworkStats traffic = f.sweep();
+  EXPECT_EQ(f.store.stats().heal_pushes, 2u);
+  EXPECT_EQ(f.store.live_replicas(a), 3);
+  EXPECT_EQ(f.store.live_replicas(b), 3);
+  // Every digest, one want naming both ids, and the two pushes.
+  EXPECT_EQ(traffic.messages_sent, digests.size() + 1 + 2);
+  EXPECT_EQ(traffic.bytes_sent, HealingFixture::digest_bytes(digests) + (8 + 40) +
+                                    (f.sizes.at(a) + 24) + (f.sizes.at(b) + 24));
+}
+
+TEST(ObjectStore, DigestLostToPartitionIsMadeGoodAfterHeal) {
+  HealingFixture f;
+  const auto digests = f.digests();
+  const auto& [pair, ids] = *digests.begin();
+  const auto [root, peer] = pair;
+  const ObjectId id = ids.front();
+  ASSERT_TRUE(f.store.node(peer)->drop_replica(id));
+
+  f.net.partition("cut", {root}, {peer});
+  EXPECT_GT(f.sweep().dropped_by_fault, 0u);
+  EXPECT_EQ(f.store.node(peer)->replica(id), nullptr);
+  EXPECT_EQ(f.store.stats().heal_pushes, 0u);
+
+  f.net.heal();
+  f.sweep();
+  EXPECT_NE(f.store.node(peer)->replica(id), nullptr);
+  EXPECT_EQ(f.store.stats().heal_pushes, 1u);
+  EXPECT_EQ(f.store.live_replicas(id), 3);
 }
 
 TEST(ObjectStore, TimeoutWhenRootUnreachable) {
